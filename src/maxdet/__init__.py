@@ -12,11 +12,11 @@ from .constructions import (CONFERENCE, HADAMARD, QuasiOrthogonal,
                             build_recipe, kronecker, paley_conference,
                             paley_one, paley_two, plan_recipe,
                             sylvester_double, validate)
-from .exact import IntMatrix, LogScalar, det_exact, matmul, normalized_ratio
+from .exact import LogScalar, det_exact, normalized_ratio
 from .sieve import (OrderSet, GapReport, Resolution, build_order_set,
                     gap_exponent, gap_function, hadregion_violations, resolve)
 from .border import (Border, SearchConfig, TrialResult, greedy_complete,
-                     gram_block, run_trial, sample_border_columns, search,
+                     run_trial, sample_border_columns, search,
                      sign_completion, verify_witness)
 from .bounds import (BoundReport, check_es152, check_pert_bound,
                      evaluate_bounds, g_of_h, h0, hoeffding_bound,
@@ -27,12 +27,11 @@ __all__ = [
     "CONFERENCE", "HADAMARD", "QuasiOrthogonal", "build_recipe", "kronecker",
     "paley_conference", "paley_one", "paley_two", "plan_recipe",
     "sylvester_double", "validate",
-    "IntMatrix", "LogScalar", "det_exact", "matmul", "normalized_ratio",
+    "LogScalar", "det_exact", "normalized_ratio",
     "OrderSet", "GapReport", "Resolution", "build_order_set", "gap_exponent",
     "gap_function", "hadregion_violations", "resolve",
-    "Border", "SearchConfig", "TrialResult", "greedy_complete", "gram_block",
-    "run_trial", "sample_border_columns", "search", "sign_completion",
-    "verify_witness",
+    "Border", "SearchConfig", "TrialResult", "greedy_complete", "run_trial",
+    "sample_border_columns", "search", "sign_completion", "verify_witness",
     "BoundReport", "check_es152", "check_pert_bound", "evaluate_bounds",
     "g_of_h", "h0", "hoeffding_bound", "maxdet_oracle",
 ]

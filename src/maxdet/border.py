@@ -3,26 +3,25 @@
 A trial samples an m x d sign block B, completes the d x m block C by the
 no-cancellation sign rule C = sgn(B^T Q), greedily fixes the d x d corner
 D (diagonal -1), and evaluates the bordered determinant exactly through
-the integer Schur block N = C Q^T B - k D.  Ratios |det| / n^(n/2) are
-carried in log scale.
+the integer Schur block N = G - k D with G = C Q^T B.  Ratios
+|det| / n^(n/2) are carried in log scale.
 
-Float products here are exact: B^T Q and C Q^T have integer entries
-bounded by the order m, and the final d x d Gram product is accumulated
-in float64 with entries bounded by m^2 << 2^53.
+Each trial does one float32 product over Q, P = B^T Q.  It is exact below
+order 2^24: every partial sum is an integer bounded by the order m.  Since
+Q^T B = P^T, the Gram block is G = C P^T, formed in int64 (|G| <= m^2).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .constructions import QuasiOrthogonal, build_recipe
-from .exact import IntMatrix, LogScalar, det_exact, normalized_ratio
+from .exact import LogScalar, det_exact, normalized_ratio
 
 
 class WitnessError(ValueError):
@@ -30,7 +29,7 @@ class WitnessError(ValueError):
 
 
 class SchurConsistencyError(RuntimeError):
-    """Direct and Schur-path determinants disagree (internal bug)."""
+    """An exact cross-check of the determinant failed (internal bug)."""
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,6 @@ class SearchConfig:
     master_seed: int = 0
     greedy_order: str = "row-major"     # or "col-major"
     objective: str = "abs"              # or "signed"
-    direct_check_limit: int = 64
 
     def __post_init__(self):
         if self.trials < 1:
@@ -52,6 +50,9 @@ class SearchConfig:
 
 DEFAULT_CONFIG = SearchConfig()
 
+# verify_witness also checks the full bordered determinant up to this n
+DIRECT_CHECK_LIMIT = 64
+
 
 @dataclass(frozen=True)
 class Border:
@@ -60,7 +61,7 @@ class Border:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    G: IntMatrix
+    G: np.ndarray  # int64
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,8 @@ def trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:
     """Per-trial stream: Philox keyed by (master_seed, trial_index).
 
     This is the documented mixing function; streams for distinct trial
-    indices are independent and the mapping is stable across runs, which
-    makes parallel search order-independent.
+    indices are independent and the mapping is stable across runs, so any
+    trial can be rerun on its own.
     """
     key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF,
                     trial_index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
@@ -97,49 +98,40 @@ def sample_border_columns(rng: np.random.Generator, m: int, d: int) -> np.ndarra
     return (rng.integers(0, 2, size=(m, d), dtype=np.int8) * 2 - 1).astype(np.int8)
 
 
-def _float_dtype(order: int):
-    # partial sums are integers bounded by the order: exact in float32 to
-    # 2^24 and in float64 to 2^53
-    return np.float64 if order <= 2048 else np.float32
-
-
 def _qf(q: QuasiOrthogonal) -> np.ndarray:
-    return q.matrix.astype(_float_dtype(q.order))
+    if q.order >= 1 << 24:
+        raise ValueError(f"order {q.order} too large for the exact float32 "
+                         "product")
+    return q.matrix.astype(np.float32)
 
 
 def sign_completion(b: np.ndarray, q: QuasiOrthogonal) -> np.ndarray:
     """C with C[i, j] = +1 iff (B^T Q)[i, j] >= 0 else -1 (sgn(0) = +1)."""
-    return _sign_completion(b.astype(_float_dtype(q.order)), _qf(q))
+    return _sign_completion(b.astype(np.float32), _qf(q))[0]
 
 
-def _sign_completion(bf: np.ndarray, qf: np.ndarray) -> np.ndarray:
+def _sign_completion(bf: np.ndarray, qf: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """C = sgn(P) as int8 and G = C Q^T B = C P^T as int64, for P = B^T Q."""
     p = bf.T @ qf
-    return np.where(p >= 0.0, 1, -1).astype(np.int8)
+    c = np.where(p >= 0.0, 1, -1).astype(np.int8)
+    return c, c.astype(np.int64) @ p.T.astype(np.int64)
 
 
-def gram_block(q: QuasiOrthogonal, b: np.ndarray, c: np.ndarray) -> IntMatrix:
-    """Exact integer G = C Q^T B (equals weight times the Schur block F)."""
-    qf = _qf(q)
-    return _gram_block(qf, b.astype(qf.dtype), c.astype(qf.dtype))
-
-
-def _gram_block(qf: np.ndarray, bf: np.ndarray, cf: np.ndarray) -> IntMatrix:
-    cqt = cf @ qf.T                      # entries bounded by m: exact
-    g = cqt.astype(np.float64) @ bf.astype(np.float64)  # bounded by m^2: exact
-    return IntMatrix(np.rint(g).astype(np.int64).tolist())
-
-
-def greedy_complete(g: IntMatrix, k: int, greedy_order: str = "row-major",
+def greedy_complete(g, k: int, greedy_order: str = "row-major",
                     objective: str = "abs") -> tuple[np.ndarray, int]:
     """Fix D entrywise to maximize the Schur determinant N = G - k D.
 
+    g is the square integer Gram block, as an array or a list of rows.
     The diagonal of D is -1.  Off-diagonal positions are visited in the
     given order; each is set to the sign whose exact determinant (with the
     undecided positions held at 0) is larger, +1 winning ties.  det N is
-    affine in each entry, so the final value is at least |det(G + kI)|.
+    affine in each entry, so the final value is at least |det(G + kI)|
+    (det(G + kI) for the signed objective); a violation raises.
     """
-    d = g.rows
-    midpoint_rows = [[g[i, j] + (k if i == j else 0) for j in range(d)]
+    g = np.asarray(g).tolist()
+    d = len(g)
+    midpoint_rows = [[g[i][j] + (k if i == j else 0) for j in range(d)]
                      for i in range(d)]
     work = [row[:] for row in midpoint_rows]
     d_block = -np.eye(d, dtype=np.int8)
@@ -148,7 +140,7 @@ def greedy_complete(g: IntMatrix, k: int, greedy_order: str = "row-major",
     else:
         positions = [(i, j) for j in range(d) for i in range(d) if i != j]
     for i, j in positions:
-        base = g[i, j]
+        base = g[i][j]
         work[i][j] = base - k
         v_plus = det_exact(work)
         work[i][j] = base + k
@@ -160,12 +152,12 @@ def greedy_complete(g: IntMatrix, k: int, greedy_order: str = "row-major",
         d_block[i, j] = sign
         work[i][j] = base - k * sign
     det_n = det_exact(work)
-    if __debug__ and d > 0:
-        midpoint = det_exact(midpoint_rows)
-        if objective == "abs":
-            assert abs(det_n) >= abs(midpoint)
-        else:
-            assert det_n >= midpoint
+    midpoint = det_exact(midpoint_rows)
+    if (abs(det_n) < abs(midpoint) if objective == "abs"
+            else det_n < midpoint):
+        raise SchurConsistencyError(
+            f"greedy corner det {det_n} fell below the midpoint "
+            f"det(G + kI) = {midpoint}")
     return d_block, det_n
 
 
@@ -188,7 +180,8 @@ def run_trial(q: QuasiOrthogonal, d: int, rng: np.random.Generator | None,
     if d == 0:
         ratio = LogScalar(1, 0.5 * m * (math.log(k) - math.log(m)))
         empty = Border(B=np.zeros((m, 0), np.int8), C=np.zeros((0, m), np.int8),
-                       D=np.zeros((0, 0), np.int8), G=IntMatrix([]))
+                       D=np.zeros((0, 0), np.int8),
+                       G=np.zeros((0, 0), np.int64))
         return TrialResult(ratio=ratio, trial_index=trial_index, n=m, m=m, d=0,
                            kind=q.kind, weight=k, recipe=q.recipe,
                            master_seed=master_seed, det_n=1, border=empty)
@@ -199,9 +192,7 @@ def run_trial(q: QuasiOrthogonal, d: int, rng: np.random.Generator | None,
 
 def _finish_trial(q, qf, b, d, trial_index, master_seed, config) -> TrialResult:
     m, k = q.order, q.weight
-    bf = b.astype(qf.dtype)
-    c = _sign_completion(bf, qf)
-    g = _gram_block(qf, bf, c.astype(qf.dtype))
+    c, g = _sign_completion(b.astype(np.float32), qf)
     d_block, det_n = greedy_complete(g, k, config.greedy_order, config.objective)
     ratio = _ratio_from_det(det_n, m, k, d)
     return TrialResult(ratio=ratio, trial_index=trial_index, n=m + d, m=m, d=d,
@@ -210,37 +201,23 @@ def _finish_trial(q, qf, b, d, trial_index, master_seed, config) -> TrialResult:
                        border=Border(B=b, C=c, D=d_block, G=g))
 
 
+# max() keeps the first of equal maxima: the lowest trial index wins ties
+_RATIO = attrgetter("ratio")
+
+
 def search(q: QuasiOrthogonal, d: int, config: SearchConfig = DEFAULT_CONFIG
            ) -> TrialResult:
     """Best trial over indices 0..trials-1; deterministic for a given seed.
 
-    The reduction takes the maximum ratio with the lowest trial index
-    winning ties, so results do not depend on execution order; trials may
-    run on threads (MAXDET_THREADS) since the heavy products release the GIL.
+    The reduction keeps the highest ratio; the lowest trial index wins a
+    tie.
     """
     if d == 0:
         return run_trial(q, 0, None, 0, config.master_seed, config)
     qf = _qf(q)
-
-    def one(t: int) -> TrialResult:
-        rng = trial_generator(config.master_seed, t)
-        return run_trial(q, d, rng, t, config.master_seed, config, _qf_cache=qf)
-
-    threads = int(os.environ.get("MAXDET_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(one, range(config.trials), chunksize=8)
-            best = None
-            for res in results:  # input order: ties keep lowest index
-                if best is None or res.ratio > best.ratio:
-                    best = res
-    else:
-        best = None
-        for t in range(config.trials):
-            res = one(t)
-            if best is None or res.ratio > best.ratio:
-                best = res
-    return best
+    return max((run_trial(q, d, trial_generator(config.master_seed, t), t,
+                          config.master_seed, config, _qf_cache=qf)
+                for t in range(config.trials)), key=_RATIO)
 
 
 def iter_all_borders(q: QuasiOrthogonal, d: int,
@@ -263,14 +240,10 @@ def iter_all_borders(q: QuasiOrthogonal, d: int,
 
 def exhaustive_search(q: QuasiOrthogonal, d: int,
                       config: SearchConfig = DEFAULT_CONFIG) -> TrialResult:
-    best = None
-    for res in iter_all_borders(q, d, config):
-        if best is None or res.ratio > best.ratio:
-            best = res
-    return best
+    return max(iter_all_borders(q, d, config), key=_RATIO)
 
 
-def assemble_bordered(q: QuasiOrthogonal, border: Border) -> IntMatrix:
+def assemble_bordered(q: QuasiOrthogonal, border: Border) -> list[list[int]]:
     """The full n x n matrix [[Q, B], [C, D]] as exact integers."""
     m, d = q.order, border.D.shape[0]
     full = np.zeros((m + d, m + d), dtype=np.int64)
@@ -279,7 +252,7 @@ def assemble_bordered(q: QuasiOrthogonal, border: Border) -> IntMatrix:
         full[:m, m:] = border.B
         full[m:, :m] = border.C
         full[m:, m:] = border.D
-    return IntMatrix(full.tolist())
+    return full.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +292,25 @@ def _parse_signs(s: str) -> list[int]:
     return [1 if ch == "+" else -1 for ch in s]
 
 
+_WITNESS_FIELDS = {"n": int, "m": int, "d": int, "weight": int, "kind": str,
+                   "recipe": str, "B": list, "D_off": str,
+                   "ratio_log": (int, float), "ratio_decimal": (int, float)}
+
+
 def _witness_blocks(w: dict) -> tuple[QuasiOrthogonal, np.ndarray, np.ndarray]:
-    q = build_recipe(w["recipe"])
+    if not isinstance(w, dict):
+        raise WitnessError("witness is not a JSON object")
+    for key, types in _WITNESS_FIELDS.items():
+        if key not in w:
+            raise WitnessError(f"witness has no {key!r} field")
+        if not isinstance(w[key], types) or isinstance(w[key], bool):
+            raise WitnessError(f"witness field {key!r} has the wrong type")
+    if not all(isinstance(row, str) for row in w["B"]):
+        raise WitnessError("B is not a list of sign strings")
     m, d = w["m"], w["d"]
+    if d < 0:
+        raise WitnessError("d is negative")
+    q = build_recipe(w["recipe"])
     if q.order != m or q.kind != w["kind"] or q.weight != w["weight"]:
         raise WitnessError("recipe does not reproduce the stated core matrix")
     if len(w["B"]) != m or any(len(row) != d for row in w["B"]):
@@ -340,7 +329,8 @@ def _witness_blocks(w: dict) -> tuple[QuasiOrthogonal, np.ndarray, np.ndarray]:
     return q, b, d_block
 
 
-def verify_witness(source, direct_check_limit: int | None = None) -> LogScalar:
+def verify_witness(source, direct_check_limit: int = DIRECT_CHECK_LIMIT
+                   ) -> LogScalar:
     """Recompute a witness's ratio from scratch; raise on any inconsistency.
 
     Accepts a TrialResult, a witness dict, or a path to a witness file.
@@ -355,7 +345,10 @@ def verify_witness(source, direct_check_limit: int | None = None) -> LogScalar:
         w, stored_c = source, None
     else:
         with open(source) as fh:
-            w = json.load(fh)
+            try:
+                w = json.load(fh)
+            except ValueError as exc:
+                raise WitnessError(f"witness file is not JSON: {exc}") from exc
         stored_c = None
 
     q, b, d_block = _witness_blocks(w)
@@ -366,15 +359,12 @@ def verify_witness(source, direct_check_limit: int | None = None) -> LogScalar:
     if d == 0:
         ratio = LogScalar(1, 0.5 * m * (math.log(k) - math.log(m)))
         det_n = 1
-        c = np.zeros((0, m), np.int8)
+        c, g = np.zeros((0, m), np.int8), np.zeros((0, 0), np.int64)
     else:
-        c = sign_completion(b, q)
+        c, g = _sign_completion(b.astype(np.float32), _qf(q))
         if stored_c is not None and not np.array_equal(c, stored_c):
             raise WitnessError("stored C does not match sign completion of B")
-        g = gram_block(q, b, c)
-        n_mat = IntMatrix([[g[i, j] - k * int(d_block[i, j]) for j in range(d)]
-                           for i in range(d)])
-        det_n = det_exact(n_mat)
+        det_n = det_exact(g - k * d_block.astype(np.int64))
         ratio = _ratio_from_det(det_n, m, k, d)
 
     stored_sign = 0 if w["ratio_decimal"] == 0 else 1
@@ -383,11 +373,8 @@ def verify_witness(source, direct_check_limit: int | None = None) -> LogScalar:
             f"stored ratio_log {w['ratio_log']} does not match recomputed "
             f"{ratio.log_abs}")
 
-    limit = DEFAULT_CONFIG.direct_check_limit if direct_check_limit is None \
-        else direct_check_limit
-    if n <= limit:
-        border = Border(B=b, C=c, D=d_block, G=IntMatrix([]))
-        full = assemble_bordered(q, border)
+    if n <= direct_check_limit:
+        full = assemble_bordered(q, Border(B=b, C=c, D=d_block, G=g))
         det_full = det_exact(full)
         if abs(det_full) * k ** d != math.isqrt(k ** m) * abs(det_n):
             raise SchurConsistencyError(

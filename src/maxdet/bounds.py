@@ -19,19 +19,6 @@ from .exact import LogScalar
 
 C_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-# Known upper bounds on the best possible border-width constants
-# inf {Dbar(n) : border width d} for d <= 3 (documentation only; nothing
-# below computes with them): Dbar(9) = 7*2^11/3^9, the asymptotic
-# second-moment bound 2/e, and Dbar(11) = 5*2^16/11^(11/2).
-BORDER_CONSTANT_UPPER = {
-    1: 7 * 2 ** 11 / 3 ** 9,
-    2: 2 / math.e,
-    3: 5 * 2 ** 16 / 11 ** 5.5,
-}
-
-# Conjectured floor Dbar(n) >= 1/2 (display reference line, never asserted).
-CONJECTURED_NORMALIZED_FLOOR = 0.5
-
 _REL_TOL = 1e-12
 
 

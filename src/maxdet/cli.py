@@ -22,7 +22,6 @@ from . import border as border_mod
 from . import sieve as sieve_mod
 from .constructions import (CONFERENCE, HADAMARD, build_order,
                             build_recipe, plan_recipe)
-from .primes import is_prime
 
 DEFAULT_LIMIT = 65536
 DEFAULT_TRIALS = 256
@@ -145,12 +144,11 @@ def _select_core(args, oset, n: int):
     res = sieve_mod.resolve(n, oset)
     method = args.method
     if method == "conference":
-        p = n - 1 if n % 2 == 0 else n - 2
-        while p >= 5 and not (is_prime(p) and p % 4 == 1):
-            p -= 2
-        if p < 5:
-            raise ValueError(f"no conference order available below {n}")
-        return f"conference({p})", res
+        for order in range(n, 5, -1):
+            recipe = plan_recipe(CONFERENCE, order)
+            if recipe is not None:
+                return recipe, res
+        raise ValueError(f"no conference order available below {n}")
     if method == "auto":
         recipe = plan_recipe(HADAMARD, res.h)
         if recipe is None:
@@ -249,7 +247,7 @@ def cmd_verify(args) -> int:
     try:
         ratio = border_mod.verify_witness(args.witness,
                                           direct_check_limit=args.direct_limit)
-    except (border_mod.WitnessError, border_mod.SchurConsistencyError) as exc:
+    except (ValueError, OSError, border_mod.SchurConsistencyError) as exc:
         _emit({"meta": _meta(args), "ok": False, "error": str(exc)})
         return 1
     _emit({
@@ -413,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="recheck a witness file")
     p.add_argument("witness", type=str)
-    p.add_argument("--direct-limit", type=int, default=64,
+    p.add_argument("--direct-limit", type=int,
+                   default=border_mod.DIRECT_CHECK_LIMIT,
                    help="full-matrix determinant cross-check up to this n")
     p.set_defaults(func=cmd_verify)
 

@@ -247,7 +247,6 @@ def build_order(kind: str, order: int) -> QuasiOrthogonal:
 
 
 def nearest_realizable(kind: str, order: int, span: int = 10000) -> int | None:
-    step = 1 if kind == CONFERENCE else 1
     for delta in range(1, span):
         for cand in (order - delta, order + delta):
             if cand >= 1 and plan_recipe(kind, cand) is not None:

@@ -1,82 +1,34 @@
-"""Exact integer matrices, fraction-free determinants, and log-scale scalars.
+"""Fraction-free determinants and log-scale scalars.
 
-Everything in this module is exact: matrix entries are Python ints of
-arbitrary size and determinants are computed by Bareiss (fraction-free)
-elimination, so there is no rounding anywhere.  Log-scale values are the
-one deliberate exception: a LogScalar carries a sign and ln|x| so that
-quantities like det/n^(n/2) stay representable for n in the thousands.
+Determinants are exact: entries are taken as Python ints of arbitrary
+size and eliminated by Bareiss (fraction-free), so there is no rounding
+anywhere.  Log-scale values are the one deliberate exception: a LogScalar
+carries a sign and ln|x| so that quantities like det/n^(n/2) stay
+representable for n in the thousands.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
-class IntMatrix:
-    """Dense matrix of arbitrary-precision integers."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data: Sequence[Sequence[int]]):
-        self.data = [[int(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.rows else 0
-        for row in self.data:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_numpy(cls, arr) -> "IntMatrix":
-        return cls(arr.tolist())
-
-    def to_numpy(self):
-        import numpy as np
-
-        return np.array(self.data, dtype=object)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.data == other.data
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return matmul(self, other)
-
-    def __repr__(self):
-        return f"IntMatrix({self.rows}x{self.cols})"
-
-
-def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact integer matrix product."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.cols} vs {b.rows}")
-    bt = list(zip(*b.data))
-    out = [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a.data]
-    return IntMatrix(out)
-
-
-def det_exact(m) -> int:
+def det_exact(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant by Bareiss fraction-free elimination.
 
-    Accepts an IntMatrix or a plain square list of int rows.  All
-    intermediate values are integers (each exact division is by the
-    previous pivot, which divides exactly by the Sylvester identity).
+    Accepts any square sequence of integer rows (lists or a numpy array);
+    entries are copied as Python ints, so fixed-width input cannot
+    overflow.  All intermediate values are integers (each exact division
+    is by the previous pivot, which divides exactly by the Sylvester
+    identity).
     """
-    rows = m.data if isinstance(m, IntMatrix) else m
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of non-square matrix")
     if n == 0:
         return 1
-    a = [list(row) for row in rows]
+    a = [list(map(int, row)) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -115,16 +67,6 @@ class LogScalar:
         if x == 0:
             return cls(0, 0.0)
         return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    @classmethod
-    def from_float(cls, x: float) -> "LogScalar":
-        if x == 0.0:
-            return cls(0, 0.0)
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    @classmethod
-    def one(cls) -> "LogScalar":
-        return cls(1, 0.0)
 
     def __mul__(self, other: "LogScalar") -> "LogScalar":
         s = self.sign * other.sign
@@ -167,9 +109,3 @@ def normalized_ratio(det_abs_log: LogScalar, n: int) -> LogScalar:
     return LogScalar(det_abs_log.sign,
                      det_abs_log.log_abs - 0.5 * n * math.log(n))
 
-
-def prod_logscalar(values: Iterable[LogScalar]) -> LogScalar:
-    out = LogScalar.one()
-    for v in values:
-        out = out * v
-    return out

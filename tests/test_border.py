@@ -1,20 +1,27 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import maxdet
 from maxdet.border import (Border, SchurConsistencyError, SearchConfig,
-                           WitnessError, assemble_bordered,
-                           exhaustive_search, gram_block, greedy_complete,
-                           iter_all_borders, run_trial, sample_border_columns,
-                           save_witness, search, sign_completion,
-                           trial_generator, verify_witness, witness_dict)
+                           WitnessError, _qf, _sign_completion,
+                           assemble_bordered, exhaustive_search,
+                           greedy_complete, iter_all_borders, run_trial,
+                           sample_border_columns, save_witness, search,
+                           sign_completion, trial_generator, verify_witness,
+                           witness_dict)
 from maxdet.constructions import build_recipe, paley_conference
-from maxdet.exact import IntMatrix, det_exact
+from maxdet.exact import det_exact
 
 
 class TestSampling:
@@ -68,10 +75,13 @@ class TestSignCompletion:
 
     def test_diagonal_has_no_cancellation(self, h4):
         b = h4.matrix[:, :1].copy()
-        c = sign_completion(b, h4)
-        g = gram_block(h4, b, c)
+        _, g = _sign_completion(b.astype(np.float32), _qf(h4))
         p = b.T.astype(int) @ h4.matrix.astype(int)
         assert g[0, 0] == int(np.abs(p).sum())
+
+    def test_float32_order_limit(self):
+        with pytest.raises(ValueError):
+            _qf(SimpleNamespace(order=1 << 24))
 
 
 class TestGramBlock:
@@ -102,50 +112,64 @@ class TestGramBlock:
         assert np.all((cqt ** 2).sum(axis=1) == 5 * 6)
 
     def test_matches_exact_matmul(self, h8):
-        rng = trial_generator(9, 1)
-        b = sample_border_columns(rng, 8, 3)
-        c = sign_completion(b, h8)
-        g = gram_block(h8, b, c)
-        oracle = (IntMatrix(c.tolist())
-                  @ IntMatrix(h8.matrix.T.tolist())
-                  @ IntMatrix(b.tolist()))
-        assert g == oracle
+        border = run_trial(h8, 3, trial_generator(9, 1)).border
+        oracle = (border.C.astype(np.int64) @ h8.matrix.T.astype(np.int64)
+                  @ border.B.astype(np.int64))
+        assert border.G.dtype == np.int64
+        assert np.array_equal(border.G, oracle)
 
 
 class TestGreedy:
     def test_d1(self):
-        g = IntMatrix([[6]])
-        d_block, det_n = greedy_complete(g, 4)
+        d_block, det_n = greedy_complete(np.array([[6]]), 4)
         assert d_block.tolist() == [[-1]]
         assert det_n == 10
 
     def test_all_zero_g(self):
-        d_block, det_n = greedy_complete(IntMatrix([[0, 0], [0, 0]]), 1)
+        d_block, det_n = greedy_complete(np.zeros((2, 2), np.int64), 1)
         assert abs(det_n) >= 1
         assert np.all(np.diagonal(d_block) == -1)
 
     def test_guarantee_random_h8_d3(self, h8):
         for t in range(10_000):
-            rng = trial_generator(100, t)
-            b = sample_border_columns(rng, 8, 3)
-            c = sign_completion(b, h8)
-            g = gram_block(h8, b, c)
-            _, det_n = greedy_complete(g, 8)
-            midpoint = det_exact([[g[i, j] + (8 if i == j else 0)
-                                   for j in range(3)] for i in range(3)])
-            assert abs(det_n) >= abs(midpoint)
+            res = run_trial(h8, 3, trial_generator(100, t))
+            midpoint = det_exact(res.border.G + 8 * np.eye(3, dtype=np.int64))
+            assert abs(res.det_n) >= abs(midpoint)
 
     def test_signed_objective(self):
-        g = IntMatrix([[5, 1], [-2, 7]])
+        g = np.array([[5, 1], [-2, 7]])
         _, det_abs = greedy_complete(g, 4, objective="abs")
         _, det_signed = greedy_complete(g, 4, objective="signed")
         assert det_signed >= det_exact([[9, 1], [-2, 11]])
         assert abs(det_abs) >= abs(det_signed) or det_abs == det_signed
 
     def test_col_major_order_runs(self):
-        g = IntMatrix([[5, 1, 0], [-2, 7, 3], [1, 1, 6]])
+        g = np.array([[5, 1, 0], [-2, 7, 3], [1, 1, 6]])
         _, det_n = greedy_complete(g, 4, greedy_order="col-major")
         assert det_n != 0
+
+    def test_guarantee_checked_under_optimize(self):
+        # d = 2: four position determinants, then the final one, then the
+        # midpoint; zeroing the final one must raise even under python -O
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from maxdet import border
+            real, calls = border.det_exact, []
+            def fake(rows):
+                calls.append(rows)
+                return 0 if len(calls) == 5 else real(rows)
+            border.det_exact = fake
+            try:
+                border.greedy_complete(np.array([[5, 1], [-2, 7]]), 4)
+            except border.SchurConsistencyError:
+                print("raised", sys.flags.optimize, len(calls))
+        """)
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(
+                                 Path(maxdet.__file__).parents[1])})
+        assert out.stdout.split() == ["raised", "1", "6"]
 
 
 class TestRunTrialAndSearch:
@@ -185,16 +209,15 @@ class TestRunTrialAndSearch:
                 return
         pytest.fail("best-of-128 missed the exhaustive maximum over 16 columns")
 
-    def test_thread_pool_matches_serial(self, h12):
-        cfg = SearchConfig(trials=24, master_seed=8)
-        serial = search(h12, 3, cfg)
-        os.environ["MAXDET_THREADS"] = "4"
-        try:
-            threaded = search(h12, 3, cfg)
-        finally:
-            del os.environ["MAXDET_THREADS"]
-        assert serial.ratio == threaded.ratio
-        assert serial.trial_index == threaded.trial_index
+    @pytest.mark.parametrize("recipe,d,trials,index,det_schur", [
+        ("paley1(331);double", 6, 8, 4, 9155649798841943977361408),
+        ("paley2(1433)", 4, 4, 1, 251857354156005916672),
+        ("conference(709)", 4, 8, 2, 64738587150446904),
+    ])
+    def test_pinned_results(self, recipe, d, trials, index, det_schur):
+        best = search(build_recipe(recipe), d,
+                      SearchConfig(trials=trials, master_seed=0))
+        assert (best.trial_index, best.det_n) == (index, det_schur)
 
 
 class TestSchurConsistency:
@@ -299,6 +322,6 @@ class TestAssemble:
     def test_shape_and_blocks(self, h4):
         res = run_trial(h4, 2, trial_generator(0, 0))
         full = assemble_bordered(h4, res.border)
-        assert full.rows == full.cols == 6
-        assert full[0, 0] == 1
-        assert full[4, 4] == -1 and full[5, 5] == -1
+        assert len(full) == 6 and all(len(row) == 6 for row in full)
+        assert full[0][0] == 1
+        assert full[4][4] == -1 and full[5][5] == -1

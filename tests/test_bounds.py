@@ -197,7 +197,8 @@ class TestES152:
 
     def test_exhaustive_f11_distribution(self, h4):
         from maxdet.border import iter_all_borders
-        xs = [Fraction(res.border.G[0, 0], 8) for res in iter_all_borders(h4, 1)]
+        xs = [Fraction(int(res.border.G[0, 0]), 8)
+              for res in iter_all_borders(h4, 1)]
         assert len(xs) == 16
         assert check_es152(xs, Fraction(1, 2)) is True
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from maxdet.cli import main
 
 
@@ -147,6 +149,22 @@ class TestWitnessFlow:
         code, out, _ = run_cli(capsys, "verify", str(path))
         assert code == 1
         assert json.loads(out)["ok"] is False
+
+    @pytest.mark.parametrize("make_text", [
+        lambda w: '{"n": 5}',
+        lambda w: "[1, 2]",
+        lambda w: "not json {",
+        lambda w: json.dumps({**w, "B": [0] * len(w["B"])}),
+    ], ids=["missing-fields", "list", "not-json", "B-rows-not-strings"])
+    def test_verify_malformed_witness(self, capsys, tmp_path, make_text):
+        path = tmp_path / "w.json"
+        run_cli(capsys, "search", "--recipe", "paley1(19)", "--d", "2",
+                "--trials", "2", "--out", str(path))
+        path.write_text(make_text(json.loads(path.read_text())))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        data = json.loads(out)
+        assert data["ok"] is False and data["error"]
 
     def test_search_by_order(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--order", "12", "--d", "1",

@@ -5,7 +5,7 @@ from maxdet.constructions import (CONFERENCE, HADAMARD, build_order,
                                   build_recipe, kronecker, paley_conference,
                                   paley_one, paley_two, plan_recipe,
                                   sylvester_double, unit, validate)
-from maxdet.exact import IntMatrix, det_exact
+from maxdet.exact import det_exact
 
 
 def gram_oracle(m):
@@ -126,7 +126,7 @@ class TestValidate:
                              ("conference(13)", 13, 14),
                              ("paley2(5)", 12, 12)]:
             q = build_recipe(recipe)
-            d = det_exact(IntMatrix(q.matrix.tolist()))
+            d = det_exact(q.matrix)
             assert d * d == k ** m
 
 
