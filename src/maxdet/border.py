@@ -6,9 +6,13 @@ D (diagonal -1), and evaluates the bordered determinant exactly through
 the integer Schur block N = G - k D with G = C Q^T B.  Ratios
 |det| / n^(n/2) are carried in log scale.
 
-Each trial does one float32 product over Q, P = B^T Q.  It is exact below
-order 2^24: every partial sum is an integer bounded by the order m.  Since
-Q^T B = P^T, the Gram block is G = C P^T, formed in int64 (|G| <= m^2).
+Each trial does one exact product over Q, P = B^T Q, through the core's
+structured operator (``QuasiOrthogonal.rmatmul``): the Jacobsthal
+circulant by an FFT convolution whose a-priori rounding bound, taken from
+the input norms, must stay below 1/4 and whose rounded values are checked
+to lie within 1/4 of integers (both raised checks), everything else in
+int64.  No float copy of Q is made.  Since Q^T B = P^T, the Gram block is
+G = C P^T, formed in int64 (|G| <= m^2).
 """
 
 from __future__ import annotations
@@ -98,24 +102,17 @@ def sample_border_columns(rng: np.random.Generator, m: int, d: int) -> np.ndarra
     return (rng.integers(0, 2, size=(m, d), dtype=np.int8) * 2 - 1).astype(np.int8)
 
 
-def _qf(q: QuasiOrthogonal) -> np.ndarray:
-    if q.order >= 1 << 24:
-        raise ValueError(f"order {q.order} too large for the exact float32 "
-                         "product")
-    return q.matrix.astype(np.float32)
-
-
 def sign_completion(b: np.ndarray, q: QuasiOrthogonal) -> np.ndarray:
     """C with C[i, j] = +1 iff (B^T Q)[i, j] >= 0 else -1 (sgn(0) = +1)."""
-    return _sign_completion(b.astype(np.float32), _qf(q))[0]
+    return _sign_completion(b, q)[0]
 
 
-def _sign_completion(bf: np.ndarray, qf: np.ndarray
+def _sign_completion(b: np.ndarray, q: QuasiOrthogonal
                      ) -> tuple[np.ndarray, np.ndarray]:
     """C = sgn(P) as int8 and G = C Q^T B = C P^T as int64, for P = B^T Q."""
-    p = bf.T @ qf
-    c = np.where(p >= 0.0, 1, -1).astype(np.int8)
-    return c, c.astype(np.int64) @ p.T.astype(np.int64)
+    p = q.rmatmul(b)
+    c = np.where(p >= 0, 1, -1).astype(np.int8)
+    return c, c.astype(np.int64) @ p.T
 
 
 def greedy_complete(g, k: int, greedy_order: str = "row-major",
@@ -171,8 +168,7 @@ def _ratio_from_det(det_n: int, m: int, k: int, d: int) -> LogScalar:
 
 def run_trial(q: QuasiOrthogonal, d: int, rng: np.random.Generator | None,
               trial_index: int = 0, master_seed: int | None = None,
-              config: SearchConfig = DEFAULT_CONFIG,
-              _qf_cache: np.ndarray | None = None) -> TrialResult:
+              config: SearchConfig = DEFAULT_CONFIG) -> TrialResult:
     """One bordering trial; d = 0 reports the bare core ratio k^(m/2)/m^(m/2)."""
     m, k = q.order, q.weight
     if d < 0:
@@ -185,14 +181,13 @@ def run_trial(q: QuasiOrthogonal, d: int, rng: np.random.Generator | None,
         return TrialResult(ratio=ratio, trial_index=trial_index, n=m, m=m, d=0,
                            kind=q.kind, weight=k, recipe=q.recipe,
                            master_seed=master_seed, det_n=1, border=empty)
-    qf = _qf(q) if _qf_cache is None else _qf_cache
     b = sample_border_columns(rng, m, d)
-    return _finish_trial(q, qf, b, d, trial_index, master_seed, config)
+    return _finish_trial(q, b, d, trial_index, master_seed, config)
 
 
-def _finish_trial(q, qf, b, d, trial_index, master_seed, config) -> TrialResult:
+def _finish_trial(q, b, d, trial_index, master_seed, config) -> TrialResult:
     m, k = q.order, q.weight
-    c, g = _sign_completion(b.astype(np.float32), qf)
+    c, g = _sign_completion(b, q)
     d_block, det_n = greedy_complete(g, k, config.greedy_order, config.objective)
     ratio = _ratio_from_det(det_n, m, k, d)
     return TrialResult(ratio=ratio, trial_index=trial_index, n=m + d, m=m, d=d,
@@ -214,9 +209,8 @@ def search(q: QuasiOrthogonal, d: int, config: SearchConfig = DEFAULT_CONFIG
     """
     if d == 0:
         return run_trial(q, 0, None, 0, config.master_seed, config)
-    qf = _qf(q)
     return max((run_trial(q, d, trial_generator(config.master_seed, t), t,
-                          config.master_seed, config, _qf_cache=qf)
+                          config.master_seed, config)
                 for t in range(config.trials)), key=_RATIO)
 
 
@@ -230,12 +224,11 @@ def iter_all_borders(q: QuasiOrthogonal, d: int,
     m = q.order
     if m * d > 24:
         raise ValueError("exhaustive enumeration limited to m*d <= 24")
-    qf = _qf(q)
     shifts = np.arange(m * d, dtype=np.uint32)
     for pattern in range(1 << (m * d)):
         bits = (pattern >> shifts) & 1
         b = (1 - 2 * bits.astype(np.int8)).reshape(m, d)
-        yield _finish_trial(q, qf, b, d, pattern, None, config)
+        yield _finish_trial(q, b, d, pattern, None, config)
 
 
 def exhaustive_search(q: QuasiOrthogonal, d: int,
@@ -361,7 +354,7 @@ def verify_witness(source, direct_check_limit: int = DIRECT_CHECK_LIMIT
         det_n = 1
         c, g = np.zeros((0, m), np.int8), np.zeros((0, 0), np.int64)
     else:
-        c, g = _sign_completion(b.astype(np.float32), _qf(q))
+        c, g = _sign_completion(b, q)
         if stored_c is not None and not np.array_equal(c, stored_c):
             raise WitnessError("stored C does not match sign completion of B")
         det_n = det_exact(g - k * d_block.astype(np.int64))

@@ -209,6 +209,23 @@ def evaluate_bounds(n: int, h: int, d: int) -> BoundReport:
     return BoundReport(n=n, h=h, d=d, context=ctx, entries=tuple(entries))
 
 
+def passes_uniform_floor(det_n: int, m: int, k: int, width: int, d: int
+                         ) -> bool:
+    """Exactly decide Dbar(n) > (7/100) (44/125)^d for a bordered witness.
+
+    The core has order m and weight k, the border has the given width and
+    Schur determinant det_n, so n = m + width and
+    Dbar(n)^2 = k^m det_n^2 / (k^(2 width) n^n).  Squared and cleared of
+    denominators the claim reads
+    10^4 125^(2d) k^(m - 2 width) det_n^2 > 49 44^(2d) n^n,
+    with k^(2 width - m) moved to the right when m < 2 width.
+    """
+    n, det_n = m + width, int(det_n)
+    lhs = 10 ** 4 * 125 ** (2 * d) * det_n ** 2 * k ** max(m - 2 * width, 0)
+    rhs = 49 * 44 ** (2 * d) * n ** n * k ** max(2 * width - m, 0)
+    return lhs > rhs
+
+
 # ---------------------------------------------------------------------------
 # brute-force maximal determinant oracle
 
@@ -316,19 +333,27 @@ def check_es152(sample_space: Sequence, lam) -> bool | None:
             v, w = item
         else:
             v, w = item, 1
-        v = Fraction(v)
+        v = _exact_fraction(v)
         if not 0 <= v <= 1:
             raise ValueError("outcomes must lie in [0, 1]")
-        pairs.append((v, Fraction(w)))
+        pairs.append((v, _exact_fraction(w)))
     total = sum(w for _, w in pairs)
     if total <= 0:
         raise ValueError("empty distribution")
-    lam = Fraction(lam)
+    lam = _exact_fraction(lam)
     mu = sum(v * w for v, w in pairs) / total
     if lam >= mu:
         return None
     tail = sum(w for v, w in pairs if v >= lam) / total
-    return tail >= (mu - lam) / (1 - lam)
+    return bool(tail >= (mu - lam) / (1 - lam))
+
+
+def _exact_fraction(x) -> Fraction:
+    """Fraction with Python-int parts, so numpy integers cannot wrap."""
+    if isinstance(x, np.generic):
+        x = x.item()
+    x = Fraction(x)
+    return Fraction(int(x.numerator), int(x.denominator))
 
 
 def hoeffding_bound(t: float, ranges: Sequence[tuple[float, float]]) -> float:

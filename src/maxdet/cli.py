@@ -71,11 +71,19 @@ def _load_sieve(args, need_limit: int | None = None) -> sieve_mod.OrderSet:
     cache = getattr(args, "cache", None)
     use_cache = cache is not None and not getattr(args, "no_cache", False)
     if use_cache and Path(cache).exists():
-        oset = sieve_mod.OrderSet.load(cache)
-        if oset.limit >= limit:
-            _log(f"loaded sieve cache {cache} (limit {oset.limit})")
-            return oset
-        _log(f"cache limit {oset.limit} below required {limit}; rebuilding")
+        try:
+            oset = sieve_mod.OrderSet.load(cache)
+        except ValueError as exc:
+            _log(f"unusable sieve cache {cache} ({exc}); rebuilding")
+        else:
+            if oset.rules != sieve_mod.DEFAULT_RULES:
+                _log(f"sieve cache {cache} has other rules; rebuilding")
+            elif oset.limit < limit:
+                _log(f"cache limit {oset.limit} below required {limit}; "
+                     "rebuilding")
+            else:
+                _log(f"loaded sieve cache {cache} (limit {oset.limit})")
+                return oset.restricted(limit)
     _log(f"building order sieve to {limit}")
     oset = sieve_mod.build_order_set(limit)
     if use_cache:
@@ -334,7 +342,8 @@ def cmd_table1(args) -> int:
             best = border_mod.search(q, width, config)
             target_log = math.log(0.07) + d * math.log(0.352)
             conj_log = 0.5 * d * math.log(2.0 / (math.pi * math.e))
-            ok = best.ratio.sign > 0 and best.ratio.log_abs > target_log
+            ok = bounds_mod.passes_uniform_floor(best.det_n, q.order,
+                                                 q.weight, width, d)
             row_ok &= ok
             checks.append({
                 "d": d, "n": n, "border_width": width,
@@ -359,7 +368,7 @@ def _add_sieve_flags(p):
     p.add_argument("--max", type=int, default=DEFAULT_LIMIT,
                    help="sieve limit (default %(default)s)")
     p.add_argument("--cache", type=str, default=None,
-                   help="sieve cache file (HADSIEVE1 format)")
+                   help="sieve cache file (HADSIEVE2 format)")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and overwrite any existing cache")
 

@@ -9,6 +9,7 @@ limit.  Orders 1 and 2 are always members.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterable
@@ -17,7 +18,7 @@ import numpy as np
 
 from .primes import prime_power_mask
 
-MAGIC = b"HADSIEVE1"
+MAGIC = b"HADSIEVE2"
 
 RULE_PALEY = "paley"                # 2^j (p^k + 1), incl. powers of two
 RULE_PRODUCT8 = "product8"          # Agaian-Sarukhanyan product 8ab
@@ -40,6 +41,7 @@ ALL_RULES = (
     RULE_TURYN_WILLIAMSON, RULE_LIVINSKYI,
 )
 DEFAULT_RULES = frozenset(ALL_RULES)
+_NO_TAG = 0xFF  # cache byte of an order that no rule marked
 
 # Orders <= 2056 divisible by 4 whose existence was still unresolved.
 SMALL_ORDER_EXCEPTIONS = frozenset({
@@ -124,38 +126,77 @@ class OrderSet:
 
     # -- persistence --------------------------------------------------------
 
-    def save(self, path) -> None:
-        """Cache format: magic, u64-LE limit, bitset (LE-packed), header byte.
+    def restricted(self, limit: int) -> "OrderSet":
+        """The same set cut down to a lower limit.
 
-        One bit per multiple of 4 (bit j <-> order 4j); the trailing header
-        byte flags orders 1 and 2 in its two low bits.
+        Rules only derive an order from smaller ones, so this equals a
+        fresh build to that limit.
         """
+        if limit > self.limit:
+            raise ValueError(f"limit {limit} exceeds {self.limit}")
+        out = OrderSet(limit, self.rules)
+        out.bits = self.bits[:limit // 4 + 1].copy()
+        out.has1, out.has2 = self.has1, self.has2
+        out.rule_tags = {n: r for n, r in self.rule_tags.items() if n <= limit}
+        return out
+
+    def save(self, path) -> None:
+        """Cache format: magic, u64-LE limit, u16-LE rule set, bitset
+        (LE-packed), header byte, rule tags.
+
+        Bit i of the rule set selects ALL_RULES[i].  One bit per multiple
+        of 4 (bit j <-> order 4j); the header byte flags orders 1 and 2 in
+        its two low bits; then one byte per multiple of 4 gives the index
+        in ALL_RULES of the rule that first marked it, 0xFF for none.  The
+        file is written beside the target and renamed into place.
+        """
+        mask = sum(1 << i for i, r in enumerate(ALL_RULES) if r in self.rules)
         packed = np.packbits(self.bits, bitorder="little").tobytes()
         header = (1 if self.has1 else 0) | (2 if self.has2 else 0)
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", self.limit))
-            fh.write(packed)
-            fh.write(bytes([header]))
+        tags = np.full(self.bits.size, _NO_TAG, dtype=np.uint8)
+        index = {r: i for i, r in enumerate(ALL_RULES)}
+        for n, rule in self.rule_tags.items():
+            tags[n // 4] = index[rule]
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(MAGIC)
+                fh.write(struct.pack("<QH", self.limit, mask))
+                fh.write(packed)
+                fh.write(bytes([header]))
+                fh.write(tags.tobytes())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path) -> "OrderSet":
+        """Read a cache written by save; ValueError if it is not one."""
         with open(path, "rb") as fh:
             blob = fh.read()
         if not blob.startswith(MAGIC):
-            raise ValueError("not a HADSIEVE1 cache file")
-        (limit,) = struct.unpack_from("<Q", blob, len(MAGIC))
+            raise ValueError(f"not a {MAGIC.decode()} cache file")
+        off = len(MAGIC) + struct.calcsize("<QH")
+        if len(blob) < off:
+            raise ValueError(f"truncated {MAGIC.decode()} cache file")
+        limit, mask = struct.unpack_from("<QH", blob, len(MAGIC))
         nbits = limit // 4 + 1
         nbytes = (nbits + 7) // 8
-        off = len(MAGIC) + 8
-        if len(blob) != off + nbytes + 1:
-            raise ValueError("truncated HADSIEVE1 cache file")
-        out = cls(limit, frozenset())
-        raw = np.frombuffer(blob[off:off + nbytes], dtype=np.uint8)
+        if len(blob) != off + nbytes + 1 + nbits:
+            raise ValueError(f"truncated {MAGIC.decode()} cache file")
+        out = cls(limit, frozenset(r for i, r in enumerate(ALL_RULES)
+                                   if mask >> i & 1))
+        raw = np.frombuffer(blob, np.uint8, nbytes, off)
         out.bits = np.unpackbits(raw, count=nbits, bitorder="little").astype(bool)
-        header = blob[-1]
+        header = blob[off + nbytes]
         out.has1 = bool(header & 1)
         out.has2 = bool(header & 2)
+        tags = np.frombuffer(blob, np.uint8, nbits, off + nbytes + 1)
+        tagged = np.flatnonzero(tags != _NO_TAG)
+        if tagged.size and tags[tagged].max() >= len(ALL_RULES):
+            raise ValueError("unknown rule index in cache file")
+        out.rule_tags = {4 * int(j): ALL_RULES[tags[j]] for j in tagged}
         return out
 
 

@@ -7,20 +7,20 @@ import textwrap
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import maxdet
 from maxdet.border import (Border, SchurConsistencyError, SearchConfig,
-                           WitnessError, _qf, _sign_completion,
+                           WitnessError, _sign_completion,
                            assemble_bordered, exhaustive_search,
                            greedy_complete, iter_all_borders, run_trial,
                            sample_border_columns, save_witness, search,
                            sign_completion, trial_generator, verify_witness,
                            witness_dict)
-from maxdet.constructions import build_recipe, paley_conference
+from maxdet.constructions import (ExactnessError, build_recipe,
+                                  paley_conference)
 from maxdet.exact import det_exact
 
 
@@ -75,13 +75,51 @@ class TestSignCompletion:
 
     def test_diagonal_has_no_cancellation(self, h4):
         b = h4.matrix[:, :1].copy()
-        _, g = _sign_completion(b.astype(np.float32), _qf(h4))
+        _, g = _sign_completion(b, h4)
         p = b.T.astype(int) @ h4.matrix.astype(int)
         assert g[0, 0] == int(np.abs(p).sum())
 
-    def test_float32_order_limit(self):
-        with pytest.raises(ValueError):
-            _qf(SimpleNamespace(order=1 << 24))
+    def test_norm_bound_guard_raises(self):
+        # entries of 2^45 push |x|_2 |chi|_2 times the FFT error factor
+        # past 1/4 before any transform runs
+        q = paley_conference(5)
+        b = np.full((6, 1), 1 << 45, dtype=np.int64)
+        with pytest.raises(ExactnessError, match="bound"):
+            _sign_completion(b, q)
+
+    def test_residual_guard_raises(self, monkeypatch):
+        q = build_recipe("paley1(331);double")
+        b = sample_border_columns(trial_generator(0, 0), q.order, 2)
+        real = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft",
+                            lambda *a, **k: real(*a, **k) + 0.4)
+        with pytest.raises(ExactnessError, match="residual"):
+            _sign_completion(b, q)
+
+    def test_guards_raise_under_optimize(self):
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from maxdet.constructions import ExactnessError, build_recipe
+            q = build_recipe("conference(13)")
+            caught = []
+            try:
+                q.rmatmul(np.full((14, 1), 1 << 45, dtype=np.int64))
+            except ExactnessError:
+                caught.append("bound")
+            real = np.fft.irfft
+            np.fft.irfft = lambda *a, **k: real(*a, **k) + 0.4
+            try:
+                q.rmatmul(np.ones((14, 1), dtype=np.int8))
+            except ExactnessError:
+                caught.append("residual")
+            print(sys.flags.optimize, *caught)
+        """)
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(
+                                 Path(maxdet.__file__).parents[1])})
+        assert out.stdout.split() == ["1", "bound", "residual"]
 
 
 class TestGramBlock:

@@ -8,7 +8,7 @@ from maxdet.bounds import (central_binomial_lower_bound, check_dd_bound,
                            check_es152, check_pert_bound,
                            check_scalar_inequalities, evaluate_bounds,
                            g_of_h, h0, hoeffding_bound, maxdet_oracle,
-                           run_lemma_suite)
+                           passes_uniform_floor, run_lemma_suite)
 
 
 class TestGofH:
@@ -201,6 +201,46 @@ class TestES152:
               for res in iter_all_borders(h4, 1)]
         assert len(xs) == 16
         assert check_es152(xs, Fraction(1, 2)) is True
+
+    def test_numpy_integer_fractions(self):
+        xs = [Fraction(np.int64(v), 8) for v in (4, 8, 4, 8)]
+        weights = [(x, np.int64(3)) for x in xs]
+        assert check_es152(xs, Fraction(np.int64(1), 2)) is True
+        assert check_es152(weights, np.int64(0)) is True
+        # numpy parts near 2^62 would wrap in fixed width
+        big = np.int64(1 << 62)
+        assert check_es152([(Fraction(np.int64(1), 2), big), (1, big)],
+                           Fraction(1, 4)) is True
+
+
+class TestUniformFloor:
+    @staticmethod
+    def oracle(det_n, m, k, width, d):
+        n = m + width
+        dbar_sq = Fraction(k ** m * det_n ** 2, k ** (2 * width) * n ** n)
+        return dbar_sq > Fraction(49, 10 ** 4) * Fraction(44, 125) ** (2 * d)
+
+    @staticmethod
+    def threshold(m, k, width, d):
+        """Smallest |det_n| that passes, by exact rational arithmetic."""
+        n = m + width
+        x = Fraction(49 * 44 ** (2 * d) * n ** n * k ** (2 * width),
+                     10 ** 4 * 125 ** (2 * d) * k ** m)
+        return math.isqrt(math.floor(x)) + 1
+
+    @pytest.mark.parametrize("m,k,width,d", [
+        (4, 4, 1, 1), (12, 12, 3, 3), (6, 5, 4, 2), (2, 2, 5, 5),
+        (664, 664, 5, 5), (710, 709, 7, 5)])
+    def test_boundary_matches_fractions(self, m, k, width, d):
+        t = self.threshold(m, k, width, d)
+        for det_n in (t - 1, t, -t, t + 1, 0, 1):
+            assert passes_uniform_floor(det_n, m, k, width, d) \
+                == self.oracle(det_n, m, k, width, d), det_n
+        assert passes_uniform_floor(t, m, k, width, d)
+        assert not passes_uniform_floor(t - 1, m, k, width, d)
+
+    def test_numpy_det(self):
+        assert passes_uniform_floor(np.int64(48), 4, 4, 1, 1) is True
 
 
 class TestHoeffding:

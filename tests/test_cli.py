@@ -215,3 +215,63 @@ def test_cache_reuse(tmp_path, capsys):
     code, _, err2 = run_cli(capsys, "resolve", "100", "--max", "512",
                             "--cache", str(cache))
     assert code == 0 and "loaded sieve cache" in err2
+
+
+def test_cache_second_run_same_bytes(tmp_path, capsys):
+    cache = tmp_path / "c.sieve"
+    args = ("resolve", "5758", "--cache", str(cache))
+    code1, out1, err1 = run_cli(capsys, *args)
+    code2, out2, err2 = run_cli(capsys, *args)
+    assert code1 == code2 == 0
+    assert "building" in err1 and "loaded sieve cache" in err2
+    assert out1 == out2
+    assert len(json.loads(out2)["meta"]["rule_set"]) == 13
+
+
+def test_cache_with_larger_limit_same_bytes(tmp_path, capsys):
+    cache = tmp_path / "c.sieve"
+    code, fresh, _ = run_cli(capsys, "sieve", "--max", "1024")
+    assert code == 0
+    run_cli(capsys, "sieve", "--max", "4096", "--cache", str(cache))
+    code, cached, err = run_cli(capsys, "sieve", "--max", "1024",
+                                "--cache", str(cache))
+    assert code == 0 and "loaded sieve cache" in err
+    assert cached == fresh
+    assert json.loads(cached)["meta"]["sieve_limit"] == 1024
+
+
+def test_cached_table1_keeps_interior_rules(tmp_path, capsys):
+    cache = tmp_path / "c.sieve"
+    args = ("table1", "--rows", "47964", "--trials", "1", "--cache", str(cache))
+    outs = []
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    interior = json.loads(outs[1])["rows"][0]["interior_members"]
+    assert interior and all(m["rule"] is not None for m in interior)
+
+
+def test_truncated_cache_is_rebuilt(tmp_path, capsys):
+    cache = tmp_path / "c.sieve"
+    code, out1, _ = run_cli(capsys, "resolve", "100", "--max", "512",
+                            "--cache", str(cache))
+    cache.write_bytes(cache.read_bytes()[:-7])
+    code, out2, err = run_cli(capsys, "resolve", "100", "--max", "512",
+                              "--cache", str(cache))
+    assert code == 0 and "rebuilding" in err
+    assert out2 == out1
+    code, _, err = run_cli(capsys, "resolve", "100", "--max", "512",
+                           "--cache", str(cache))
+    assert code == 0 and "loaded sieve cache" in err
+
+
+def test_cache_with_other_rules_is_rebuilt(tmp_path, capsys):
+    from maxdet.sieve import RULE_PALEY, build_order_set
+    cache = tmp_path / "c.sieve"
+    build_order_set(512, rules={RULE_PALEY}).save(cache)
+    code, out, err = run_cli(capsys, "resolve", "100", "--max", "512",
+                             "--cache", str(cache))
+    assert code == 0 and "other rules" in err
+    assert len(json.loads(out)["meta"]["rule_set"]) == 13

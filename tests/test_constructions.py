@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from maxdet.constructions import (CONFERENCE, HADAMARD, build_order,
+from maxdet.constructions import (_PALEY2_K, _PALEY2_L, CONFERENCE,
+                                  HADAMARD, QuasiOrthogonal, build_order,
                                   build_recipe, kronecker, paley_conference,
                                   paley_one, paley_two, plan_recipe,
                                   sylvester_double, unit, validate)
@@ -106,6 +107,69 @@ class TestSylvesterAndKronecker:
     def test_kron_rejects_conference(self):
         with pytest.raises(ValueError):
             kronecker(sylvester_double(unit()), paley_conference(5))
+
+
+class TestKronOracle:
+    @pytest.mark.parametrize("p", [5, 13, 29])
+    def test_paley_two_matches_np_kron(self, p):
+        conf = paley_conference(p).matrix
+        eye = np.eye(p + 1, dtype=np.int8)
+        oracle = np.kron(conf, _PALEY2_K) + np.kron(eye, _PALEY2_L)
+        h = paley_two(p).matrix
+        assert h.dtype == np.int8 and np.array_equal(h, oracle)
+
+    @pytest.mark.parametrize("r1,r2", [("unit;double", "paley1(3)"),
+                                       ("paley1(7)", "paley2(5)"),
+                                       ("unit", "paley1(11)")])
+    def test_kronecker_matches_np_kron(self, r1, r2):
+        q1, q2 = build_recipe(r1), build_recipe(r2)
+        h = kronecker(q1, q2).matrix
+        assert h.dtype == np.int8
+        assert np.array_equal(h, np.kron(q1.matrix, q2.matrix))
+
+
+class TestRmatmul:
+    """The structured B^T Q against the dense int64 product."""
+
+    @staticmethod
+    def check(recipe, d, seed=0):
+        q = build_recipe(recipe)
+        rng = np.random.default_rng(seed)
+        b = (rng.integers(0, 2, size=(q.order, d)) * 2 - 1).astype(np.int8)
+        p = q.rmatmul(b)
+        assert p.dtype == np.int64 and p.shape == (d, q.order)
+        assert np.array_equal(p, b.T.astype(np.int64)
+                              @ q.matrix.astype(np.int64))
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("recipe", [
+        "unit;double;double", "paley1(7)", "paley1(331);double",
+        "conference(13)", "conference(709)", "paley2(5)", "paley2(1433)",
+        "kron(paley1(3),paley1(7))"])
+    def test_matches_dense(self, recipe, d):
+        self.check(recipe, d)
+
+    def test_conference_5749_d8(self):
+        self.check("conference(5749)", 8)
+
+    @pytest.mark.parametrize("recipe", ["paley2(5);double", "conference(13)"])
+    def test_empty_block(self, recipe):
+        q = build_recipe(recipe)
+        p = q.rmatmul(np.zeros((q.order, 0), dtype=np.int8))
+        assert p.shape == (0, q.order) and p.dtype == np.int64
+
+    def test_hand_built_parts(self):
+        m = build_recipe("paley2(5)").matrix
+        q = QuasiOrthogonal(m, 12, 12, HADAMARD, "by hand")
+        q = kronecker(sylvester_double(q), build_recipe("paley1(3)"))
+        b = np.random.default_rng(2).integers(-1, 2, size=(q.order, 3))
+        assert np.array_equal(q.rmatmul(b), b.T @ q.matrix.astype(np.int64))
+
+    def test_integer_input(self):
+        q = build_recipe("kron(paley2(5),paley1(3));double")
+        b = np.random.default_rng(1).integers(-9, 10, size=(q.order, 3))
+        assert np.array_equal(q.rmatmul(b),
+                              b.T @ q.matrix.astype(np.int64))
 
 
 class TestValidate:

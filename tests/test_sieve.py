@@ -127,11 +127,36 @@ class TestCache:
         assert loaded.limit == s.limit
         assert loaded.has1 and loaded.has2
         assert np.array_equal(loaded.bits, s.bits)
+        assert loaded.rules == s.rules == DEFAULT_RULES
+        assert loaded.rule_tags == s.rule_tags and len(s.rule_tags) > 900
+        assert [p.name for p in tmp_path.iterdir()] == ["orders.sieve"]
+
+    def test_round_trip_rule_subset(self, tmp_path):
+        s = build_order_set(2048, rules={RULE_PALEY, RULE_PRODUCT8})
+        path = tmp_path / "orders.sieve"
+        s.save(path)
+        loaded = OrderSet.load(path)
+        assert loaded.rules == {RULE_PALEY, RULE_PRODUCT8}
+        assert loaded.rule_tags == s.rule_tags
+        assert set(s.rule_tags.values()) == {RULE_PALEY, RULE_PRODUCT8}
+
+    def test_old_format_is_foreign(self, tmp_path):
+        path = tmp_path / "old.sieve"
+        path.write_bytes(b"HADSIEVE1" + b"\x00" * 32)
+        with pytest.raises(ValueError, match="not a HADSIEVE2"):
+            OrderSet.load(path)
+
+    def test_restricted_equals_fresh_build(self, order_set):
+        for limit in (100, 2056, 20000):
+            cut, fresh = order_set.restricted(limit), build_order_set(limit)
+            assert cut.limit == limit
+            assert np.array_equal(cut.bits, fresh.bits)
+            assert cut.rule_tags == fresh.rule_tags
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.sieve"
         path.write_bytes(b"NOTASIEVE" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="HADSIEVE1"):
+        with pytest.raises(ValueError, match="HADSIEVE2"):
             OrderSet.load(path)
 
     def test_truncated(self, tmp_path):
