@@ -3,8 +3,10 @@
 A trial samples an m x d sign block B, completes the d x m block C by the
 no-cancellation sign rule C = sgn(B^T Q), greedily fixes the d x d corner
 D (diagonal -1), and evaluates the bordered determinant exactly through
-the integer Schur block N = G - k D with G = C Q^T B.  Ratios
-|det| / n^(n/2) are carried in log scale.
+the integer Schur block N = G - k D with G = C Q^T B.  det N is affine in
+each entry of D, so the greedy takes one exact determinant per entry and
+derives the other candidate.  Ratios |det| / n^(n/2) are carried in log
+scale; d = 0 is the bare core.
 
 Each trial does one exact product over Q, P = B^T Q, through the core's
 structured operator (``QuasiOrthogonal.rmatmul``): the Jacobsthal
@@ -40,16 +42,10 @@ class SchurConsistencyError(RuntimeError):
 class SearchConfig:
     trials: int = 256
     master_seed: int = 0
-    greedy_order: str = "row-major"     # or "col-major"
-    objective: str = "abs"              # or "signed"
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.greedy_order not in ("row-major", "col-major"):
-            raise ValueError(f"unknown greedy_order {self.greedy_order!r}")
-        if self.objective not in ("abs", "signed"):
-            raise ValueError(f"unknown objective {self.objective!r}")
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -96,9 +92,9 @@ def trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:
 
 
 def sample_border_columns(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
-    """m x d matrix of independent fair +-1 entries."""
-    if m < 1 or d < 1:
-        raise ValueError("m and d must be >= 1")
+    """m x d matrix of independent fair +-1 entries (d = 0 gives m x 0)."""
+    if m < 1 or d < 0:
+        raise ValueError("m must be >= 1 and d >= 0")
     return (rng.integers(0, 2, size=(m, d), dtype=np.int8) * 2 - 1).astype(np.int8)
 
 
@@ -115,80 +111,73 @@ def _sign_completion(b: np.ndarray, q: QuasiOrthogonal
     return c, c.astype(np.int64) @ p.T
 
 
-def greedy_complete(g, k: int, greedy_order: str = "row-major",
-                    objective: str = "abs") -> tuple[np.ndarray, int]:
-    """Fix D entrywise to maximize the Schur determinant N = G - k D.
+def greedy_complete(g, k: int) -> tuple[np.ndarray, int]:
+    """Fix D entrywise to maximize |det N| for the Schur block N = G - k D.
 
     g is the square integer Gram block, as an array or a list of rows.
-    The diagonal of D is -1.  Off-diagonal positions are visited in the
-    given order; each is set to the sign whose exact determinant (with the
-    undecided positions held at 0) is larger, +1 winning ties.  det N is
-    affine in each entry, so the final value is at least |det(G + kI)|
-    (det(G + kI) for the signed objective); a violation raises.
+    The diagonal of D is -1; the off-diagonal entries start undecided (held
+    at 0) and are fixed in row-major order.  det N is affine in each entry,
+    so the two candidates v+ (entry +1) and v- (entry -1) sum to twice the
+    running determinant: only v+ is computed, by one exact Bareiss
+    elimination, and the entry takes the sign of larger |v|, +1 winning
+    ties.  That makes |det N| at least |det(G + kI)|, the midpoint where
+    the running determinant starts.  A final direct determinant must meet
+    that guarantee and equal the running value; both are raised checks.
+    d(d - 1) + 2 determinants in all.
     """
-    g = np.asarray(g).tolist()
-    d = len(g)
-    midpoint_rows = [[g[i][j] + (k if i == j else 0) for j in range(d)]
-                     for i in range(d)]
-    work = [row[:] for row in midpoint_rows]
+    work = np.asarray(g).tolist()
+    d = len(work)
+    for i in range(d):
+        work[i][i] += k
+    midpoint = running = det_exact(work)
     d_block = -np.eye(d, dtype=np.int8)
-    if greedy_order == "row-major":
-        positions = [(i, j) for i in range(d) for j in range(d) if i != j]
-    else:
-        positions = [(i, j) for j in range(d) for i in range(d) if i != j]
-    for i, j in positions:
-        base = g[i][j]
-        work[i][j] = base - k
-        v_plus = det_exact(work)
-        work[i][j] = base + k
-        v_minus = det_exact(work)
-        if objective == "abs":
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                continue
+            base = work[i][j]
+            work[i][j] = base - k
+            v_plus = det_exact(work)
+            v_minus = 2 * running - v_plus
             sign = 1 if abs(v_plus) >= abs(v_minus) else -1
-        else:
-            sign = 1 if v_plus >= v_minus else -1
-        d_block[i, j] = sign
-        work[i][j] = base - k * sign
+            d_block[i, j] = sign
+            work[i][j] = base - k * sign
+            running = v_plus if sign == 1 else v_minus
     det_n = det_exact(work)
-    midpoint = det_exact(midpoint_rows)
-    if (abs(det_n) < abs(midpoint) if objective == "abs"
-            else det_n < midpoint):
+    if abs(det_n) < abs(midpoint):
         raise SchurConsistencyError(
             f"greedy corner det {det_n} fell below the midpoint "
             f"det(G + kI) = {midpoint}")
+    if det_n != running:
+        raise SchurConsistencyError(
+            f"greedy corner det {det_n} differs from the running value "
+            f"{running}")
     return d_block, det_n
 
 
 def _ratio_from_det(det_n: int, m: int, k: int, d: int) -> LogScalar:
-    n = m + d
     if det_n == 0:
         return LogScalar(0, 0.0)
-    log_det = 0.5 * m * math.log(k) + math.log(abs(det_n)) - d * math.log(k)
-    return normalized_ratio(LogScalar(1, log_det), n)
-
-
-def run_trial(q: QuasiOrthogonal, d: int, rng: np.random.Generator | None,
-              trial_index: int = 0, master_seed: int | None = None,
-              config: SearchConfig = DEFAULT_CONFIG) -> TrialResult:
-    """One bordering trial; d = 0 reports the bare core ratio k^(m/2)/m^(m/2)."""
-    m, k = q.order, q.weight
-    if d < 0:
-        raise ValueError("d must be >= 0")
     if d == 0:
-        ratio = LogScalar(1, 0.5 * m * (math.log(k) - math.log(m)))
-        empty = Border(B=np.zeros((m, 0), np.int8), C=np.zeros((0, m), np.int8),
-                       D=np.zeros((0, 0), np.int8),
-                       G=np.zeros((0, 0), np.int64))
-        return TrialResult(ratio=ratio, trial_index=trial_index, n=m, m=m, d=0,
-                           kind=q.kind, weight=k, recipe=q.recipe,
-                           master_seed=master_seed, det_n=1, border=empty)
-    b = sample_border_columns(rng, m, d)
-    return _finish_trial(q, b, d, trial_index, master_seed, config)
+        # the bare core k^(m/2) / m^(m/2); the general formula below rounds
+        # differently, and witnesses store this value
+        return LogScalar(1, 0.5 * m * (math.log(k) - math.log(m)))
+    log_det = 0.5 * m * math.log(k) + math.log(abs(det_n)) - d * math.log(k)
+    return normalized_ratio(LogScalar(1, log_det), m + d)
 
 
-def _finish_trial(q, b, d, trial_index, master_seed, config) -> TrialResult:
+def run_trial(q: QuasiOrthogonal, d: int, rng: np.random.Generator,
+              trial_index: int = 0, master_seed: int | None = None
+              ) -> TrialResult:
+    """One bordering trial; d = 0 gives the bare core ratio k^(m/2)/m^(m/2)."""
+    b = sample_border_columns(rng, q.order, d)
+    return _finish_trial(q, b, d, trial_index, master_seed)
+
+
+def _finish_trial(q, b, d, trial_index, master_seed) -> TrialResult:
     m, k = q.order, q.weight
     c, g = _sign_completion(b, q)
-    d_block, det_n = greedy_complete(g, k, config.greedy_order, config.objective)
+    d_block, det_n = greedy_complete(g, k)
     ratio = _ratio_from_det(det_n, m, k, d)
     return TrialResult(ratio=ratio, trial_index=trial_index, n=m + d, m=m, d=d,
                        kind=q.kind, weight=k, recipe=q.recipe,
@@ -205,17 +194,15 @@ def search(q: QuasiOrthogonal, d: int, config: SearchConfig = DEFAULT_CONFIG
     """Best trial over indices 0..trials-1; deterministic for a given seed.
 
     The reduction keeps the highest ratio; the lowest trial index wins a
-    tie.
+    tie.  With d = 0 every trial is the bare core, so only trial 0 runs.
     """
-    if d == 0:
-        return run_trial(q, 0, None, 0, config.master_seed, config)
+    trials = config.trials if d else 1
     return max((run_trial(q, d, trial_generator(config.master_seed, t), t,
-                          config.master_seed, config)
-                for t in range(config.trials)), key=_RATIO)
+                          config.master_seed)
+                for t in range(trials)), key=_RATIO)
 
 
-def iter_all_borders(q: QuasiOrthogonal, d: int,
-                     config: SearchConfig = DEFAULT_CONFIG):
+def iter_all_borders(q: QuasiOrthogonal, d: int):
     """Every possible B (2^(m*d) patterns), for exhaustive small cases.
 
     Pattern index bit t (row-major entry t of B) gives entry +1 when the
@@ -228,12 +215,11 @@ def iter_all_borders(q: QuasiOrthogonal, d: int,
     for pattern in range(1 << (m * d)):
         bits = (pattern >> shifts) & 1
         b = (1 - 2 * bits.astype(np.int8)).reshape(m, d)
-        yield _finish_trial(q, b, d, pattern, None, config)
+        yield _finish_trial(q, b, d, pattern, None)
 
 
-def exhaustive_search(q: QuasiOrthogonal, d: int,
-                      config: SearchConfig = DEFAULT_CONFIG) -> TrialResult:
-    return max(iter_all_borders(q, d, config), key=_RATIO)
+def exhaustive_search(q: QuasiOrthogonal, d: int) -> TrialResult:
+    return max(iter_all_borders(q, d), key=_RATIO)
 
 
 def assemble_bordered(q: QuasiOrthogonal, border: Border) -> list[list[int]]:
@@ -241,10 +227,9 @@ def assemble_bordered(q: QuasiOrthogonal, border: Border) -> list[list[int]]:
     m, d = q.order, border.D.shape[0]
     full = np.zeros((m + d, m + d), dtype=np.int64)
     full[:m, :m] = q.matrix
-    if d:
-        full[:m, m:] = border.B
-        full[m:, :m] = border.C
-        full[m:, m:] = border.D
+    full[:m, m:] = border.B
+    full[m:, :m] = border.C
+    full[m:, m:] = border.D
     return full.tolist()
 
 
@@ -308,8 +293,7 @@ def _witness_blocks(w: dict) -> tuple[QuasiOrthogonal, np.ndarray, np.ndarray]:
         raise WitnessError("recipe does not reproduce the stated core matrix")
     if len(w["B"]) != m or any(len(row) != d for row in w["B"]):
         raise WitnessError("B block has wrong shape")
-    b = np.array([_parse_signs(row) for row in w["B"]], dtype=np.int8) \
-        if d else np.zeros((m, 0), np.int8)
+    b = np.array([_parse_signs(row) for row in w["B"]], dtype=np.int8)
     off = _parse_signs(w["D_off"])
     if len(off) != d * (d - 1):
         raise WitnessError("D off-diagonal block has wrong length")
@@ -349,16 +333,11 @@ def verify_witness(source, direct_check_limit: int = DIRECT_CHECK_LIMIT
     if n != m + d:
         raise WitnessError("n != m + d")
 
-    if d == 0:
-        ratio = LogScalar(1, 0.5 * m * (math.log(k) - math.log(m)))
-        det_n = 1
-        c, g = np.zeros((0, m), np.int8), np.zeros((0, 0), np.int64)
-    else:
-        c, g = _sign_completion(b, q)
-        if stored_c is not None and not np.array_equal(c, stored_c):
-            raise WitnessError("stored C does not match sign completion of B")
-        det_n = det_exact(g - k * d_block.astype(np.int64))
-        ratio = _ratio_from_det(det_n, m, k, d)
+    c, g = _sign_completion(b, q)
+    if stored_c is not None and not np.array_equal(c, stored_c):
+        raise WitnessError("stored C does not match sign completion of B")
+    det_n = det_exact(g - k * d_block.astype(np.int64))
+    ratio = _ratio_from_det(det_n, m, k, d)
 
     stored_sign = 0 if w["ratio_decimal"] == 0 else 1
     if ratio.sign != stored_sign or abs(ratio.log_abs - w["ratio_log"]) > 1e-9:

@@ -252,7 +252,7 @@ def _batched_det_int(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def maxdet_oracle(n: int, chunk_bits: int = 16) -> int:
+def maxdet_oracle(n: int) -> int:
     """Exact D(n) for n <= 6 by exhaustive enumeration.
 
     The first row and column are fixed to +1 (any sign matrix is
@@ -266,7 +266,7 @@ def maxdet_oracle(n: int, chunk_bits: int = 16) -> int:
     free = (n - 1) ** 2
     shifts = np.arange(free, dtype=np.uint64)
     best = 0
-    chunk = 1 << min(chunk_bits, free)
+    chunk = 1 << min(16, free)
     for start in range(0, 1 << free, chunk):
         idx = np.arange(start, start + chunk, dtype=np.uint64)
         bits = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.int64)
@@ -461,7 +461,6 @@ def check_scalar_inequalities(h_values: Iterable[int] | None = None,
 
 
 def run_lemma_suite(seed: int = 20240601, n_random: int = 100_000,
-                    hoeffding_samples: int = 10_000,
                     inject_violation: bool = False) -> dict:
     """Run every lemma property suite with fixed seeds; report counts."""
     from . import border as border_mod
@@ -537,7 +536,7 @@ def run_lemma_suite(seed: int = 20240601, n_random: int = 100_000,
     b1 = (rng.integers(0, 2, size=(h, 1), dtype=np.int8) * 2 - 1)
     c1 = border_mod.sign_completion(b1, q)
     u = (c1.astype(np.float64) @ q.matrix.astype(np.float64).T) / h
-    other = rng.integers(0, 2, size=(h, hoeffding_samples)).astype(np.float64) * 2 - 1
+    other = rng.integers(0, 2, size=(h, 10_000)).astype(np.float64) * 2 - 1
     f12 = (u @ other).ravel()
     bound = hoeffding_bound(2.0, [(-abs(x), abs(x)) for x in u.ravel()])
     frac = float(np.mean(np.abs(f12) >= 2.0))

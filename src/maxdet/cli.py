@@ -49,11 +49,8 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _emit(obj: dict, fmt: str = "json") -> None:
-    if fmt == "json":
-        print(json.dumps(obj, indent=2))
-    else:
-        raise ValueError(f"unsupported format {fmt!r} for this command")
+def _emit(obj: dict) -> None:
+    print(json.dumps(obj, indent=2))
 
 
 def _meta(args, oset=None) -> dict:
@@ -299,6 +296,11 @@ def _table1_core(row):
 
 
 def cmd_table1(args) -> int:
+    valid = [row[0] for row in EXCEPTIONAL_ROWS]
+    unknown = sorted(set(args.rows or ()) - set(valid))
+    if unknown:
+        raise ValueError(f"--rows {unknown} are not Table 1 rows; "
+                         f"valid h values: {valid}")
     need = max(hp for _, hp, *_ in EXCEPTIONAL_ROWS)
     oset = _load_sieve(args, need_limit=need)
     rows_out = []

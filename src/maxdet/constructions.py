@@ -372,8 +372,8 @@ def build_order(kind: str, order: int) -> QuasiOrthogonal:
     return build_recipe(recipe)
 
 
-def nearest_realizable(kind: str, order: int, span: int = 10000) -> int | None:
-    for delta in range(1, span):
+def nearest_realizable(kind: str, order: int) -> int | None:
+    for delta in range(1, 10000):
         for cand in (order - delta, order + delta):
             if cand >= 1 and plan_recipe(kind, cand) is not None:
                 return cand

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import maxdet
+from maxdet import border as border_mod
 from maxdet.border import (Border, SchurConsistencyError, SearchConfig,
                            WitnessError, _sign_completion,
                            assemble_bordered, exhaustive_search,
@@ -22,6 +23,33 @@ from maxdet.border import (Border, SchurConsistencyError, SearchConfig,
 from maxdet.constructions import (ExactnessError, build_recipe,
                                   paley_conference)
 from maxdet.exact import det_exact
+
+
+def reference_greedy(g, k):
+    """The greedy corner with both candidates computed directly.
+
+    Returns D, det N and whether any entry tied (|v+| == |v-|).
+    """
+    g = np.asarray(g).tolist()
+    d = len(g)
+    work = [[g[i][j] + (k if i == j else 0) for j in range(d)]
+            for i in range(d)]
+    d_block = -np.eye(d, dtype=np.int8)
+    tied = False
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                continue
+            base = g[i][j]
+            work[i][j] = base - k
+            v_plus = det_exact(work)
+            work[i][j] = base + k
+            v_minus = det_exact(work)
+            tied |= abs(v_plus) == abs(v_minus)
+            sign = 1 if abs(v_plus) >= abs(v_minus) else -1
+            d_block[i, j] = sign
+            work[i][j] = base - k * sign
+    return d_block, det_exact(work), tied
 
 
 class TestSampling:
@@ -174,50 +202,76 @@ class TestGreedy:
             midpoint = det_exact(res.border.G + 8 * np.eye(3, dtype=np.int64))
             assert abs(res.det_n) >= abs(midpoint)
 
-    def test_signed_objective(self):
-        g = np.array([[5, 1], [-2, 7]])
-        _, det_abs = greedy_complete(g, 4, objective="abs")
-        _, det_signed = greedy_complete(g, 4, objective="signed")
-        assert det_signed >= det_exact([[9, 1], [-2, 11]])
-        assert abs(det_abs) >= abs(det_signed) or det_abs == det_signed
+    def test_matches_two_determinant_reference(self):
+        rng = np.random.default_rng(2024)
+        cases = [(np.zeros((3, 3), np.int64), 1),   # every entry ties
+                 (np.zeros((2, 2), np.int64), 0),   # N singular throughout
+                 (np.array([[-3, 2], [0, 1]]), 3)]  # singular midpoint
+        for _ in range(1500):
+            d = int(rng.integers(1, 6))
+            k = int(rng.integers(0, 4))
+            g = rng.integers(-6, 7, size=(d, d))
+            if d > 1 and rng.random() < 0.3:
+                g[:, 1] = g[:, 0]  # repeated columns
+            cases.append((g, k))
+        ties = singular = 0
+        for g, k in cases:
+            ref_d, ref_det, tied = reference_greedy(g, k)
+            d_block, det_n = greedy_complete(g, k)
+            assert np.array_equal(d_block, ref_d) and det_n == ref_det
+            ties += tied
+            singular += det_n == 0
+        assert ties > 0 and singular > 0
 
-    def test_col_major_order_runs(self):
-        g = np.array([[5, 1, 0], [-2, 7, 3], [1, 1, 6]])
-        _, det_n = greedy_complete(g, 4, greedy_order="col-major")
-        assert det_n != 0
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 5])
+    def test_determinant_count(self, d, monkeypatch):
+        calls = []
+        real = border_mod.det_exact
+        monkeypatch.setattr(border_mod, "det_exact",
+                            lambda rows: calls.append(1) or real(rows))
+        g = trial_generator(3, d).integers(-9, 10, size=(d, d))
+        greedy_complete(g, 4)
+        assert len(calls) == d * (d - 1) + 2
 
     def test_guarantee_checked_under_optimize(self):
-        # d = 2: four position determinants, then the final one, then the
-        # midpoint; zeroing the final one must raise even under python -O
+        # the midpoint is call 1 and the final direct determinant is call
+        # d(d - 1) + 2.  A zeroed final determinant falls below the
+        # midpoint; with d = 1 the running value is the midpoint itself, so
+        # a zeroed midpoint no longer matches the final determinant.  Both
+        # checks must raise even under python -O.
         script = textwrap.dedent("""
             import sys
             import numpy as np
             from maxdet import border
-            real, calls = border.det_exact, []
-            def fake(rows):
-                calls.append(rows)
-                return 0 if len(calls) == 5 else real(rows)
-            border.det_exact = fake
-            try:
-                border.greedy_complete(np.array([[5, 1], [-2, 7]]), 4)
-            except border.SchurConsistencyError:
-                print("raised", sys.flags.optimize, len(calls))
+            real = border.det_exact
+            for g, zeroed in (([[5, 1], [-2, 7]], 4), ([[5]], 1)):
+                calls = []
+                def fake(rows):
+                    calls.append(rows)
+                    return 0 if len(calls) == zeroed else real(rows)
+                border.det_exact = fake
+                try:
+                    border.greedy_complete(np.array(g), 4)
+                except border.SchurConsistencyError as exc:
+                    check = "midpoint" if "below" in str(exc) else "running"
+                    print(check, sys.flags.optimize, len(calls))
         """)
         out = subprocess.run([sys.executable, "-O", "-c", script],
                              capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": str(
                                  Path(maxdet.__file__).parents[1])})
-        assert out.stdout.split() == ["raised", "1", "6"]
+        assert out.stdout.split() == ["midpoint", "1", "4",
+                                      "running", "1", "2"]
 
 
 class TestRunTrialAndSearch:
     def test_d0_hadamard(self, h4):
-        res = run_trial(h4, 0, None)
+        res = run_trial(h4, 0, trial_generator(0, 0))
         assert res.ratio.sign == 1 and abs(res.ratio.log_abs) < 1e-12
 
     def test_d0_conference(self):
         q = paley_conference(5)
-        res = run_trial(q, 0, None)
+        res = run_trial(q, 0, trial_generator(0, 0))
         assert math.isclose(res.ratio.value(), 125 / 216, rel_tol=1e-12)
 
     def test_exhaustive_h4_d1(self, h4):
@@ -251,6 +305,10 @@ class TestRunTrialAndSearch:
         ("paley1(331);double", 6, 8, 4, 9155649798841943977361408),
         ("paley2(1433)", 4, 4, 1, 251857354156005916672),
         ("conference(709)", 4, 8, 2, 64738587150446904),
+        ("paley2(1433)", 10, 8, 6,
+         998855734377758287527069925711154965677514887790592),
+        ("paley1(331);double", 14, 8, 4,
+         19395862286680343575247067863402655573200802856668688809984),
     ])
     def test_pinned_results(self, recipe, d, trials, index, det_schur):
         best = search(build_recipe(recipe), d,

@@ -166,6 +166,21 @@ class TestWitnessFlow:
         data = json.loads(out)
         assert data["ok"] is False and data["error"]
 
+    @pytest.mark.parametrize("recipe,ratio_log", [
+        ("conference(709)", -0.5003524436480378),
+        ("paley1(11)", 0.0),  # n = 12: verify also runs the direct check
+    ])
+    def test_bare_core_round_trip(self, capsys, tmp_path, recipe, ratio_log):
+        path = tmp_path / "w.json"
+        code, out, _ = run_cli(capsys, "search", "--recipe", recipe,
+                               "--d", "0", "--out", str(path))
+        assert code == 0
+        data = json.loads(out)
+        assert (data["ratio_log"], data["det_schur"]) == (ratio_log, "1")
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0
+        assert json.loads(out)["ratio_log"] == ratio_log
+
     def test_search_by_order(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--order", "12", "--d", "1",
                                "--trials", "4")
@@ -205,6 +220,12 @@ class TestTable1:
         assert code == 0
         data = json.loads(out)
         assert data["rows"][0]["status"] == "skipped"
+
+    def test_unknown_row_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "table1", "--rows", "664", "5745",
+                                 "--trials", "1")
+        assert code == 1 and out == ""
+        assert "[5745]" in err and "5744" in err
 
 
 def test_cache_reuse(tmp_path, capsys):
