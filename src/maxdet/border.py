@@ -3,10 +3,12 @@
 A trial samples an m x d sign block B, completes the d x m block C by the
 no-cancellation sign rule C = sgn(B^T Q), greedily fixes the d x d corner
 D (diagonal -1), and evaluates the bordered determinant exactly through
-the integer Schur block N = G - k D with G = C Q^T B.  det N is affine in
-each entry of D, so the greedy takes one exact determinant per entry and
-derives the other candidate.  Ratios |det| / n^(n/2) are carried in log
-scale; d = 0 is the bare core.
+the integer Schur block N = G - k D with G = C Q^T B.  det N is linear in
+each row of D, with coefficients the cofactors of that row, so the greedy
+decides each entry by integer arithmetic on the exact adjugate of N and
+refreshes the adjugate by one exact rank-one update per row: O(d^3)
+integer work per trial, with no floating point.  Ratios |det| / n^(n/2)
+are carried in log scale; d = 0 is the bare core.
 
 Each trial does one exact product over Q, P = B^T Q, through the core's
 structured operator (``QuasiOrthogonal.rmatmul``): the Jacobsthal
@@ -14,7 +16,9 @@ circulant by an FFT convolution whose a-priori rounding bound, taken from
 the input norms, must stay below 1/4 and whose rounded values are checked
 to lie within 1/4 of integers (both raised checks), everything else in
 int64.  No float copy of Q is made.  Since Q^T B = P^T, the Gram block is
-G = C P^T, formed in int64 (|G| <= m^2).
+G = C P^T, formed by a float64 product that is exact because every
+partial sum is an integer of size at most m^2 < 2^53 (a raised check on
+the order).
 """
 
 from __future__ import annotations
@@ -22,12 +26,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, mul
 
 import numpy as np
 
-from .constructions import QuasiOrthogonal, build_recipe
-from .exact import LogScalar, det_exact, normalized_ratio
+from .constructions import ExactnessError, QuasiOrthogonal, build_recipe
+from .exact import LogScalar, det_adj_exact, det_exact, normalized_ratio
 
 
 class WitnessError(ValueError):
@@ -105,10 +109,20 @@ def sign_completion(b: np.ndarray, q: QuasiOrthogonal) -> np.ndarray:
 
 def _sign_completion(b: np.ndarray, q: QuasiOrthogonal
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """C = sgn(P) as int8 and G = C Q^T B = C P^T as int64, for P = B^T Q."""
+    """C = sgn(P) as int8 and G = C Q^T B = C P^T as int64, for P = B^T Q.
+
+    B is a sign block, so |P| <= m and every partial sum of C P^T is an
+    integer of size at most m^2: below 2^53 the float64 (BLAS) product is
+    exact in any summation order.
+    """
+    m = q.order
+    if m * m >= 1 << 53:
+        raise ExactnessError(f"order {m} is too large for an exact float64 "
+                             f"Gram block")
     p = q.rmatmul(b)
     c = np.where(p >= 0, 1, -1).astype(np.int8)
-    return c, c.astype(np.int64) @ p.T
+    g = c.astype(np.float64) @ p.T.astype(np.float64)
+    return c, g.astype(np.int64)
 
 
 def greedy_complete(g, k: int) -> tuple[np.ndarray, int]:
@@ -116,33 +130,62 @@ def greedy_complete(g, k: int) -> tuple[np.ndarray, int]:
 
     g is the square integer Gram block, as an array or a list of rows.
     The diagonal of D is -1; the off-diagonal entries start undecided (held
-    at 0) and are fixed in row-major order.  det N is affine in each entry,
-    so the two candidates v+ (entry +1) and v- (entry -1) sum to twice the
-    running determinant: only v+ is computed, by one exact Bareiss
-    elimination, and the entry takes the sign of larger |v|, +1 winning
-    ties.  That makes |det N| at least |det(G + kI)|, the midpoint where
-    the running determinant starts.  A final direct determinant must meet
-    that guarantee and equal the running value; both are raised checks.
-    d(d - 1) + 2 determinants in all.
+    at 0) and are fixed in row-major order.  det N is linear in row i, and
+    the cofactors of row i depend only on the other rows, so they stay
+    fixed while row i is decided: setting entry (i, j) to s moves det N by
+    -k s cof_ij.  The entry takes the sign of the larger of |det - k cof_ij|
+    and |det + k cof_ij|, +1 winning ties, so |det N| never falls below the
+    midpoint |det(G + kI)| where it starts.
+
+    The midpoint and its adjugate come from one fraction-free Gauss-Jordan
+    pass (``det_adj_exact``).  After row i moves by delta, the cofactor
+    rows still to be used are refreshed by the exact rank-one update
+    adj' = (det' adj - adj[:, i] (delta^T adj)) / det.  While det N is 0
+    (a singular midpoint) a row's cofactors are taken as d direct
+    determinants instead, and the adjugate is rebuilt once det N turns
+    nonzero; from then on it cannot return to 0.  Three raised checks:
+    each row's Laplace expansion must equal the running determinant, and
+    one final direct determinant must reach the midpoint and equal the
+    running value.
     """
     work = np.asarray(g).tolist()
     d = len(work)
     for i in range(d):
         work[i][i] += k
-    midpoint = running = det_exact(work)
+    # cof[i] is the cofactor row of row i: adj(N^T) = adj(N)^T
+    midpoint, cof = det_adj_exact(list(zip(*work)))
+    running = midpoint
     d_block = -np.eye(d, dtype=np.int8)
     for i in range(d):
+        row = work[i]
+        if cof is None:
+            cof_i = [det_exact(work[:i] + [[int(c == j) for c in range(d)]]
+                               + work[i + 1:]) for j in range(d)]
+        else:
+            cof_i = cof[i]
+        before = running
+        delta = [0] * d
         for j in range(d):
-            if i == j:
-                continue
-            base = work[i][j]
-            work[i][j] = base - k
-            v_plus = det_exact(work)
-            v_minus = 2 * running - v_plus
-            sign = 1 if abs(v_plus) >= abs(v_minus) else -1
-            d_block[i, j] = sign
-            work[i][j] = base - k * sign
-            running = v_plus if sign == 1 else v_minus
+            if j != i:
+                step = k * cof_i[j]
+                sign = 1 if abs(running - step) >= abs(running + step) else -1
+                d_block[i, j] = sign
+                delta[j] = -k * sign
+                row[j] += delta[j]
+                running -= sign * step
+        laplace = sum(map(mul, row, cof_i))
+        if laplace != running:
+            raise SchurConsistencyError(
+                f"row {i} Laplace expansion {laplace} differs from the "
+                f"running determinant {running}")
+        if cof is not None:
+            for c in range(i + 1, d):
+                col = cof[c]
+                w = sum(map(mul, delta, col))
+                cof[c] = [(running * x - w * u) // before
+                          for x, u in zip(col, cof_i)]
+        elif running and i + 1 < d:
+            cof = det_adj_exact(list(zip(*work)))[1]
     det_n = det_exact(work)
     if abs(det_n) < abs(midpoint):
         raise SchurConsistencyError(

@@ -149,6 +149,34 @@ class TestSignCompletion:
                                  Path(maxdet.__file__).parents[1])})
         assert out.stdout.split() == ["1", "bound", "residual"]
 
+    def test_gram_order_guard(self, h4):
+        # the float64 Gram block is exact while m^2 < 2^53; a core that
+        # only claims a larger order trips the guard before any product
+        b = sample_border_columns(trial_generator(0, 0), 4, 2)
+        _, g = _sign_completion(b, replace(h4, order=94_906_265))
+        assert np.array_equal(g, _sign_completion(b, h4)[1])
+        with pytest.raises(ExactnessError, match="Gram"):
+            _sign_completion(b, replace(h4, order=94_906_266))
+
+    def test_gram_order_guard_under_optimize(self):
+        script = textwrap.dedent("""
+            import sys
+            from dataclasses import replace
+            import numpy as np
+            from maxdet.border import _sign_completion
+            from maxdet.constructions import ExactnessError, build_recipe
+            q = replace(build_recipe("unit;double"), order=1 << 27)
+            try:
+                _sign_completion(np.ones((2, 1), dtype=np.int8), q)
+            except ExactnessError:
+                print(sys.flags.optimize, "order")
+        """)
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(
+                                 Path(maxdet.__file__).parents[1])})
+        assert out.stdout.split() == ["1", "order"]
+
 
 class TestGramBlock:
     def test_diag_range_exhaustive_h4(self, h4):
@@ -208,7 +236,7 @@ class TestGreedy:
                  (np.zeros((2, 2), np.int64), 0),   # N singular throughout
                  (np.array([[-3, 2], [0, 1]]), 3)]  # singular midpoint
         for _ in range(1500):
-            d = int(rng.integers(1, 6))
+            d = int(rng.integers(1, 8))
             k = int(rng.integers(0, 4))
             g = rng.integers(-6, 7, size=(d, d))
             if d > 1 and rng.random() < 0.3:
@@ -223,45 +251,85 @@ class TestGreedy:
             singular += det_n == 0
         assert ties > 0 and singular > 0
 
+    @pytest.mark.parametrize("recipe,d", [("paley2(1433)", 8),
+                                          ("paley2(1433)", 10),
+                                          ("conference(709)", 9),
+                                          ("conference(709)", 10)])
+    def test_matches_reference_on_trial_blocks(self, recipe, d):
+        q = build_recipe(recipe)
+        for t in range(2):
+            b = sample_border_columns(trial_generator(11, t), q.order, d)
+            g = _sign_completion(b, q)[1]
+            ref_d, ref_det, _ = reference_greedy(g, q.weight)
+            d_block, det_n = greedy_complete(g, q.weight)
+            assert np.array_equal(d_block, ref_d) and det_n == ref_det
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {"det_adj_exact": 0, "det_exact": 0}
+        for name in calls:
+            real = getattr(border_mod, name)
+
+            def counted(rows, name=name, real=real):
+                calls[name] += 1
+                return real(rows)
+            monkeypatch.setattr(border_mod, name, counted)
+        return calls
+
     @pytest.mark.parametrize("d", [0, 1, 2, 3, 5])
     def test_determinant_count(self, d, monkeypatch):
-        calls = []
-        real = border_mod.det_exact
-        monkeypatch.setattr(border_mod, "det_exact",
-                            lambda rows: calls.append(1) or real(rows))
+        # a nonsingular midpoint: one Gauss-Jordan pass for the midpoint
+        # and its adjugate, one direct determinant for the final check
         g = trial_generator(3, d).integers(-9, 10, size=(d, d))
+        assert det_exact(g + 4 * np.eye(d, dtype=np.int64)) != 0
+        calls = self._count_calls(monkeypatch)
         greedy_complete(g, 4)
-        assert len(calls) == d * (d - 1) + 2
+        assert calls == {"det_adj_exact": 1, "det_exact": 1}
+
+    def test_determinant_count_singular_midpoint(self, monkeypatch):
+        # det(G + I) = 0: row 0 takes its 3 cofactors directly, det N turns
+        # nonzero there, so one more Gauss-Jordan pass rebuilds the
+        # adjugate for rows 1 and 2; then the final direct determinant
+        g = np.array([[-1, 0, 0], [3, -2, 0], [-3, -1, 3]])
+        assert det_exact(g + np.eye(3, dtype=np.int64)) == 0
+        calls = self._count_calls(monkeypatch)
+        d_block, det_n = greedy_complete(g, 1)
+        assert calls == {"det_adj_exact": 2, "det_exact": 4}
+        ref_d, ref_det, _ = reference_greedy(g, 1)
+        assert np.array_equal(d_block, ref_d) and det_n == ref_det == 32
 
     def test_guarantee_checked_under_optimize(self):
-        # the midpoint is call 1 and the final direct determinant is call
-        # d(d - 1) + 2.  A zeroed final determinant falls below the
-        # midpoint; with d = 1 the running value is the midpoint itself, so
-        # a zeroed midpoint no longer matches the final determinant.  Both
-        # checks must raise even under python -O.
+        # each of the three raised checks must fire even under python -O:
+        # a zeroed final determinant falls below the midpoint, a negated
+        # one differs from the running value, and a midpoint off by one
+        # breaks row 0's Laplace expansion
         script = textwrap.dedent("""
             import sys
             import numpy as np
             from maxdet import border
-            real = border.det_exact
-            for g, zeroed in (([[5, 1], [-2, 7]], 4), ([[5]], 1)):
-                calls = []
-                def fake(rows):
-                    calls.append(rows)
-                    return 0 if len(calls) == zeroed else real(rows)
-                border.det_exact = fake
+            real_det, real_adj = border.det_exact, border.det_adj_exact
+            fakes = [("det_exact", lambda rows: 0),
+                     ("det_exact", lambda rows: -real_det(rows)),
+                     ("det_adj_exact",
+                      lambda rows: (real_adj(rows)[0] + 1,
+                                    real_adj(rows)[1]))]
+            for name, fake in fakes:
+                border.det_exact, border.det_adj_exact = real_det, real_adj
+                setattr(border, name, fake)
                 try:
-                    border.greedy_complete(np.array(g), 4)
+                    border.greedy_complete(np.array([[5, 1], [-2, 7]]), 4)
                 except border.SchurConsistencyError as exc:
-                    check = "midpoint" if "below" in str(exc) else "running"
-                    print(check, sys.flags.optimize, len(calls))
+                    msg = str(exc)
+                    check = ("midpoint" if "below" in msg else
+                             "laplace" if "Laplace" in msg else "running")
+                    print(check, sys.flags.optimize)
         """)
         out = subprocess.run([sys.executable, "-O", "-c", script],
                              capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": str(
                                  Path(maxdet.__file__).parents[1])})
-        assert out.stdout.split() == ["midpoint", "1", "4",
-                                      "running", "1", "2"]
+        assert out.stdout.split() == ["midpoint", "1", "running", "1",
+                                      "laplace", "1"]
 
 
 class TestRunTrialAndSearch:
@@ -309,6 +377,10 @@ class TestRunTrialAndSearch:
          998855734377758287527069925711154965677514887790592),
         ("paley1(331);double", 14, 8, 4,
          19395862286680343575247067863402655573200802856668688809984),
+        ("paley1(5023);double", 22, 2, 0,
+         int("1125951306789470359420738118962742678583331924466233305920983"
+             "4520134687374801265188726521350532594139042751094362771136499"
+             "110903808")),
     ])
     def test_pinned_results(self, recipe, d, trials, index, det_schur):
         best = search(build_recipe(recipe), d,

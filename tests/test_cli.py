@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -220,6 +221,15 @@ class TestTable1:
         assert code == 0
         data = json.loads(out)
         assert data["rows"][0]["status"] == "skipped"
+
+    def test_stdout_bytes_pinned(self, capsys):
+        # the benchmark's own command; any change to these bytes must be
+        # deliberate and named
+        code, out, _ = run_cli(capsys, "table1", "--trials", "8",
+                               "--seed", "5")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0c6573be3d36c11ff731d48538e4bfd29915491b3348eec83b3179d4746ea1b4")
 
     def test_unknown_row_rejected(self, capsys):
         code, out, err = run_cli(capsys, "table1", "--rows", "664", "5745",
