@@ -11,14 +11,10 @@ integer work per trial, with no floating point.  Ratios |det| / n^(n/2)
 are carried in log scale; d = 0 is the bare core.
 
 Each trial does one exact product over Q, P = B^T Q, through the core's
-structured operator (``QuasiOrthogonal.rmatmul``): the Jacobsthal
-circulant by an FFT convolution whose a-priori rounding bound, taken from
-the input norms, must stay below 1/4 and whose rounded values are checked
-to lie within 1/4 of integers (both raised checks), everything else in
-int64.  No float copy of Q is made.  Since Q^T B = P^T, the Gram block is
-G = C P^T, formed by a float64 product that is exact because every
-partial sum is an integer of size at most m^2 < 2^53 (a raised check on
-the order).
+operator (``QuasiOrthogonal.rmatmul``, exact by the checks described in
+``constructions``).  Since Q^T B = P^T, the Gram block is G = C P^T, a
+float64 product that is exact because every partial sum is an integer of
+size at most m^2 < 2^53 (a raised check on the order).
 """
 
 from __future__ import annotations
@@ -120,9 +116,9 @@ def _sign_completion(b: np.ndarray, q: QuasiOrthogonal
         raise ExactnessError(f"order {m} is too large for an exact float64 "
                              f"Gram block")
     p = q.rmatmul(b)
-    c = np.where(p >= 0, 1, -1).astype(np.int8)
-    g = c.astype(np.float64) @ p.T.astype(np.float64)
-    return c, g.astype(np.int64)
+    c = np.where(p >= 0, 1.0, -1.0)
+    g = c @ p.astype(np.float64).T
+    return c.astype(np.int8), g.astype(np.int64)
 
 
 def greedy_complete(g, k: int) -> tuple[np.ndarray, int]:
@@ -269,7 +265,7 @@ def assemble_bordered(q: QuasiOrthogonal, border: Border) -> list[list[int]]:
     """The full n x n matrix [[Q, B], [C, D]] as exact integers."""
     m, d = q.order, border.D.shape[0]
     full = np.zeros((m + d, m + d), dtype=np.int64)
-    full[:m, :m] = q.matrix
+    full[:m, :m] = q.dense()
     full[:m, m:] = border.B
     full[m:, :m] = border.C
     full[m:, m:] = border.D
@@ -349,12 +345,11 @@ def _witness_blocks(w: dict) -> tuple[QuasiOrthogonal, np.ndarray, np.ndarray]:
     return q, b, d_block
 
 
-def verify_witness(source, direct_check_limit: int = DIRECT_CHECK_LIMIT
-                   ) -> LogScalar:
+def verify_witness(source) -> LogScalar:
     """Recompute a witness's ratio from scratch; raise on any inconsistency.
 
     Accepts a TrialResult, a witness dict, or a path to a witness file.
-    For n within the direct-check limit the full bordered matrix is
+    For n <= DIRECT_CHECK_LIMIT the full bordered matrix is also
     assembled and its exact determinant is checked against the Schur path:
     |det A~| * k^d = k^(m/2) * |det N| as integers.
     """
@@ -388,7 +383,7 @@ def verify_witness(source, direct_check_limit: int = DIRECT_CHECK_LIMIT
             f"stored ratio_log {w['ratio_log']} does not match recomputed "
             f"{ratio.log_abs}")
 
-    if n <= direct_check_limit:
+    if n <= DIRECT_CHECK_LIMIT:
         full = assemble_bordered(q, Border(B=b, C=c, D=d_block, G=g))
         det_full = det_exact(full)
         if abs(det_full) * k ** d != math.isqrt(k ** m) * abs(det_n):

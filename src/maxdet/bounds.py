@@ -209,21 +209,41 @@ def evaluate_bounds(n: int, h: int, d: int) -> BoundReport:
     return BoundReport(n=n, h=h, d=d, context=ctx, entries=tuple(entries))
 
 
+def _dbar_sq_above(det_n: int, m: int, k: int, width: int,
+                   floor: Fraction) -> bool:
+    """Exactly decide Dbar(n)^2 > floor for a core of order m and weight k
+    bordered to n = m + width with Schur determinant det_n, as
+    Dbar(n)^2 = k^m det_n^2 / (k^(2 width) n^n), cleared of denominators."""
+    n = m + width
+    lhs = int(det_n) ** 2 * k ** max(m - 2 * width, 0) * floor.denominator
+    rhs = n ** n * k ** max(2 * width - m, 0) * floor.numerator
+    return lhs > rhs
+
+
 def passes_uniform_floor(det_n: int, m: int, k: int, width: int, d: int
                          ) -> bool:
-    """Exactly decide Dbar(n) > (7/100) (44/125)^d for a bordered witness.
+    """Exactly decide Dbar(n) > (7/100) (44/125)^d for a bordered witness."""
+    return _dbar_sq_above(det_n, m, k, width,
+                          Fraction(49, 10 ** 4) * Fraction(44, 125) ** (2 * d))
 
-    The core has order m and weight k, the border has the given width and
-    Schur determinant det_n, so n = m + width and
-    Dbar(n)^2 = k^m det_n^2 / (k^(2 width) n^n).  Squared and cleared of
-    denominators the claim reads
-    10^4 125^(2d) k^(m - 2 width) det_n^2 > 49 44^(2d) n^n,
-    with k^(2 width - m) moved to the right when m < 2 width.
-    """
-    n, det_n = m + width, int(det_n)
-    lhs = 10 ** 4 * 125 ** (2 * d) * det_n ** 2 * k ** max(m - 2 * width, 0)
-    rhs = 49 * 44 ** (2 * d) * n ** n * k ** max(2 * width - m, 0)
-    return lhs > rhs
+
+# pi e lies strictly between these products of pi and e to 30 decimals
+PI_E_LO = (Fraction("3.141592653589793238462643383279")
+           * Fraction("2.718281828459045235360287471352"))
+PI_E_HI = (Fraction("3.141592653589793238462643383280")
+           * Fraction("2.718281828459045235360287471353"))
+
+
+def passes_small_border_floor(det_n: int, m: int, k: int, width: int, d: int
+                              ) -> bool | None:
+    """Decide Dbar(n) > (2/(pi e))^(d/2) for a bordered witness in integers:
+    True if Dbar(n)^2 > (2/PI_E_LO)^d, False if Dbar(n)^2 <= (2/PI_E_HI)^d,
+    and None (undecided) in between."""
+    if _dbar_sq_above(det_n, m, k, width, (2 / PI_E_LO) ** d):
+        return True
+    if not _dbar_sq_above(det_n, m, k, width, (2 / PI_E_HI) ** d):
+        return False
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +555,7 @@ def run_lemma_suite(seed: int = 20240601, n_random: int = 100_000,
     q = build_recipe("unit" + ";double" * 8)
     b1 = (rng.integers(0, 2, size=(h, 1), dtype=np.int8) * 2 - 1)
     c1 = border_mod.sign_completion(b1, q)
-    u = (c1.astype(np.float64) @ q.matrix.astype(np.float64).T) / h
+    u = (c1.astype(np.float64) @ q.dense().astype(np.float64).T) / h
     other = rng.integers(0, 2, size=(h, 10_000)).astype(np.float64) * 2 - 1
     f12 = (u @ other).ravel()
     bound = hoeffding_bound(2.0, [(-abs(x), abs(x)) for x in u.ravel()])

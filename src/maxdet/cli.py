@@ -20,8 +20,8 @@ from . import __version__
 from . import bounds as bounds_mod
 from . import border as border_mod
 from . import sieve as sieve_mod
-from .constructions import (CONFERENCE, HADAMARD, build_order,
-                            build_recipe, plan_recipe)
+from .constructions import (CONFERENCE, HADAMARD, ExactnessError,
+                            build_order, build_recipe, plan_recipe)
 
 DEFAULT_LIMIT = 65536
 DEFAULT_TRIALS = 256
@@ -250,9 +250,9 @@ def cmd_search(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        ratio = border_mod.verify_witness(args.witness,
-                                          direct_check_limit=args.direct_limit)
-    except (ValueError, OSError, border_mod.SchurConsistencyError) as exc:
+        ratio = border_mod.verify_witness(args.witness)
+    except (ValueError, OSError, ExactnessError,
+            border_mod.SchurConsistencyError) as exc:
         _emit({"meta": _meta(args), "ok": False, "error": str(exc)})
         return 1
     _emit({
@@ -276,23 +276,11 @@ def cmd_lemmas(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def _table1_core(row):
-    h, hp, ds, p, method = row
-    if method == "paley1":
-        order = p + 1
-        recipe = f"paley1({p})"
-        while order < h:
-            order *= 2
-            recipe += ";double"
-        if order != h:
-            raise ValueError(f"paley1({p}) cannot reach {h}")
-    elif method == "paley2":
-        recipe = f"paley2({p})"
-        if 2 * (p + 1) != h:
-            raise ValueError(f"paley2({p}) cannot reach {h}")
-    else:
-        recipe = f"conference({p})"
-    return recipe
+def _table1_core(h: int, p: int, method: str) -> str:
+    """A row's core: paley1(p) doubled up to order h, paley2(p) or
+    conference(p)."""
+    doublings = (h // (p + 1)).bit_length() - 1 if method == "paley1" else 0
+    return f"{method}({p})" + ";double" * doublings
 
 
 def cmd_table1(args) -> int:
@@ -325,7 +313,7 @@ def cmd_table1(args) -> int:
             entry["status"] = "skipped"
             rows_out.append(entry)
             continue
-        recipe = _table1_core(row)
+        recipe = _table1_core(h, p, method)
         q = build_recipe(recipe)
         entry["recipe"] = recipe
         checks = []
@@ -343,7 +331,6 @@ def cmd_table1(args) -> int:
                  f"{args.trials} trials")
             best = border_mod.search(q, width, config)
             target_log = math.log(0.07) + d * math.log(0.352)
-            conj_log = 0.5 * d * math.log(2.0 / (math.pi * math.e))
             ok = bounds_mod.passes_uniform_floor(best.det_n, q.order,
                                                  q.weight, width, d)
             row_ok &= ok
@@ -353,7 +340,9 @@ def cmd_table1(args) -> int:
                 "ratio_decimal": best.ratio.value(),
                 "uniform_floor": math.exp(target_log),
                 "passes_uniform_floor": ok,
-                "passes_small_border_floor": best.ratio.log_abs > conj_log,
+                "passes_small_border_floor":
+                    bounds_mod.passes_small_border_floor(
+                        best.det_n, q.order, q.weight, width, d),
             })
         entry["checks"] = checks
         entry["status"] = "pass" if row_ok else "fail"
@@ -422,9 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="recheck a witness file")
     p.add_argument("witness", type=str)
-    p.add_argument("--direct-limit", type=int,
-                   default=border_mod.DIRECT_CHECK_LIMIT,
-                   help="full-matrix determinant cross-check up to this n")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lemmas", help="run the inequality property suites")
@@ -454,7 +440,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ExactnessError) as exc:
         _log(f"error: {exc}")
         return 1
 

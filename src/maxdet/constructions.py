@@ -8,11 +8,12 @@ A matrix here is "quasi-orthogonal of weight k": Q Q^T = k I with entries
 in {-1, 0, +1}.  Hadamard matrices have k = order and no zeros; conference
 matrices have k = order - 1 and a zero diagonal.
 
-Each constructor also builds the exact product X -> X Q from its parts:
-the Jacobsthal circulant by an FFT convolution whose rounding is bounded a
-priori and checked at run time, the Paley borders by row sums, Sylvester
-doubling as a butterfly and Kronecker factors by reshaping.  Every other
-step is int64 arithmetic.
+A core is held only as its exact product X -> X Q, built from its parts
+in O(order) memory: the Jacobsthal circulant by a checked FFT convolution
+that certifies its character when built (``_paley_circulant``), the Paley
+borders by row sums, doubling as a butterfly and Kronecker factors by
+reshaping, all else in int64.  The constructor docstrings prove that the
+certificate gives Q Q^T = k I for every core a recipe builds.
 """
 
 from __future__ import annotations
@@ -31,38 +32,39 @@ CONFERENCE = "conference"
 
 
 class ExactnessError(ArithmeticError):
-    """A product over Q could not be certified exact."""
+    """A core or a product over it could not be certified exact."""
 
 
 @dataclass(frozen=True)
 class QuasiOrthogonal:
-    """Square {-1,0,+1} matrix Q with Q Q^T = weight * I."""
+    """Square {-1,0,+1} matrix Q with Q Q^T = weight * I, held as the exact
+    operator X -> X Q."""
 
-    matrix: np.ndarray
     order: int
     weight: int
     kind: str
     recipe: str
-    # X -> X Q for an int64 array X with `order` columns (exact, built by
-    # the constructor from its parts; the dense product when left unset)
-    right_mul: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, compare=False)
-
-    def __post_init__(self):
-        if self.right_mul is None:
-            object.__setattr__(self, "right_mul",
-                               lambda x: x @ self.matrix.astype(np.int64))
-
-    def __repr__(self):
-        return f"QuasiOrthogonal({self.kind}, order={self.order}, recipe={self.recipe!r})"
+    # X -> X Q for an int64 array X with `order` columns, exact in int64
+    right_mul: Callable[[np.ndarray], np.ndarray] = field(compare=False,
+                                                          repr=False)
 
     def rmatmul(self, b: np.ndarray) -> np.ndarray:
         """Exact B^T Q as int64 for an integer block B with `order` rows."""
-        x = np.asarray(b).T.astype(np.int64)
+        b = np.asarray(b)
         # every intermediate of right_mul is bounded by order * max|B|
-        if x.size and int(np.abs(x).max()) * self.order >= 1 << 62:
+        if b.size and max(-int(b.min()), int(b.max())) * self.order >= 1 << 62:
             raise ExactnessError("B^T Q could overflow int64")
-        return self.right_mul(x)
+        return self.right_mul(b.T.astype(np.int64))
+
+    def dense(self) -> np.ndarray:
+        """Q as int64 from right_mul(I), 64 rows at a time: O(order^2) memory,
+        for the bordered matrix at n <= 64, the lemma suite and tests."""
+        m = self.order
+        q = np.empty((m, m), dtype=np.int64)
+        for i in range(0, m, 64):
+            q[i:i + 64] = self.right_mul(np.eye(min(64, m - i), m, i,
+                                                dtype=np.int64))
+        return q
 
 
 def _quadratic_character(p: int) -> np.ndarray:
@@ -71,13 +73,6 @@ def _quadratic_character(p: int) -> np.ndarray:
     chi[0] = 0
     chi[(np.arange(1, p, dtype=np.int64) ** 2) % p] = 1
     return chi
-
-
-def _jacobsthal(p: int) -> np.ndarray:
-    """Circulant Q with Q[i, j] = chi(j - i mod p), as a read-only view."""
-    chi = _quadratic_character(p)
-    windows = np.lib.stride_tricks.sliding_window_view(np.tile(chi, 2), p)
-    return windows[p:0:-1]  # row i is windows[p - i]
 
 
 _EPS = 2.0 ** -53
@@ -94,121 +89,151 @@ def _fft_error_factor(size: int) -> float:
                              + 3 * n * math.log1p(_ROOT_ERR))
 
 
-def _circulant_right_mul(p: int) -> Callable[[np.ndarray], np.ndarray]:
-    """X -> X J for the Jacobsthal circulant J, exact in int64.
+def _paley_circulant(p: int, eps: int
+                     ) -> Callable[[np.ndarray, np.ndarray], None]:
+    """(X, out) -> out = X J, exact in int64, for the Jacobsthal matrix
+    J[i, j] = chi(j - i) of the prime p, after certifying chi.
 
-    Each row of X J is the cyclic convolution of that row with chi.  It is
-    taken as a linear convolution by FFTs of a power-of-two length >= 2p-1
-    and folded mod p.  The true values are integers; a raised check keeps
-    the a-priori rounding bound below 1/4, and a second one checks that
-    every computed value lies within 1/4 of an integer.
+    Each row of X J is the cyclic convolution of that row with chi, taken
+    by FFTs of a power-of-two length >= 2p-1 and folded mod p.  Raised
+    checks keep the a-priori rounding bound below 1/4 and every computed
+    value within 1/4 of an integer.  The float work arrays are kept between
+    calls (grown to the largest row count seen), so a search's products
+    allocate nothing here; a core is not for concurrent use.
+
+    The certificate raises ExactnessError, so it also runs under python -O:
+    (1) chi(0) = 0, |chi| = 1 elsewhere and sum chi = 0, so J 1 = 0;
+    (2) chi(-x) = eps chi(x), so J^T = eps J (eps = -1 iff p = 3 mod 4);
+    (3) the operator maps chi to eps (p e_0 - 1).  By (2),
+    (chi J)_j = eps sum_i chi(i) chi(i - j), so the autocorrelation
+    a(s) = sum_x chi(x) chi(x + s) is p - 1 at s = 0 and -1 elsewhere, and
+    (J J^T)[r, s] = a(s - r) gives J J^T = p I - 1 1^T.
     """
-    chi = _quadratic_character(p)
+    chi = _quadratic_character(p).astype(np.int64)
+    if not (chi[0] == 0 and np.all(np.abs(chi[1:]) == 1) and chi.sum() == 0
+            and np.array_equal(chi[-np.arange(p) % p], eps * chi)):
+        raise ExactnessError(f"the quadratic character of {p} fails its "
+                             "sign, sum or symmetry certificate")
     size = 1 << (2 * p - 2).bit_length()
     chi_hat = np.fft.rfft(chi.astype(np.float64), size)
     factor = _fft_error_factor(size) * math.sqrt(p - 1)  # |chi|_2^2 = p - 1
+    work = {"rows": -1}
 
-    def right_mul(x: np.ndarray) -> np.ndarray:
-        xf = x.astype(np.float64)
-        norm = math.sqrt(float((xf * xf).sum(axis=1).max(initial=0)))
+    def right_mul(x: np.ndarray, out: np.ndarray) -> None:
+        c = x.shape[0]
+        if work["rows"] < c:
+            work.update(rows=c, pad=np.zeros((c, size)),
+                        spec=np.empty((c, size // 2 + 1), dtype=complex),
+                        y=np.empty((c, size)), r=np.empty((c, 2 * p - 1)))
+        pad = work["pad"][:c]
+        xf = pad[:, :p]  # the tail of pad stays zero
+        xf[...] = x
+        norm = math.sqrt(float(np.einsum("ij,ij->i", xf, xf).max(initial=0)))
         bound = norm * factor
         if not bound < 0.25:
             raise ExactnessError(f"FFT rounding bound {bound:.3g} is not "
                                  "below 1/4")
-        y = np.fft.irfft(np.fft.rfft(xf, size) * chi_hat, size)[:, :2 * p - 1]
-        r = np.rint(y)
-        residual = float(np.abs(y - r).max(initial=0))
+        spec = np.fft.rfft(pad, out=work["spec"][:c])
+        spec *= chi_hat
+        y = np.fft.irfft(spec, size, out=work["y"][:c])[:, :2 * p - 1]
+        r = np.rint(y, out=work["r"][:c])
+        y -= r
+        residual = float(np.abs(y, out=y).max(initial=0))
         if not residual < 0.25:
             raise ExactnessError(f"FFT rounding residual {residual:.3g} is "
                                  "not below 1/4")
-        lin = r.astype(np.int64)
-        lin[:, :p - 1] += lin[:, p:]
-        return lin[:, :p]
+        r[:, :p - 1] += r[:, p:]  # integers below 2^53: exact
+        out[...] = r[:, :p]
 
+    image = np.empty((1, p), dtype=np.int64)
+    right_mul(chi[None], image)
+    if image[0, 0] != eps * (p - 1) or np.any(image[0, 1:] != -eps):
+        raise ExactnessError(f"the quadratic character of {p} fails its "
+                             "autocorrelation certificate")
     return right_mul
 
 
 def paley_one(p: int) -> QuasiOrthogonal:
     """Hadamard matrix of order p+1 for prime p = 3 (mod 4).
 
-    Normalized so the first row and first column are all +1.
+    Q = [[1, 1^T], [1, -(I + J)]] for the certified J (eps = -1).  Row 0
+    is orthogonal to row i, as 1 - 1 - (J 1)_i = 0, and the lower block
+    gives 1 1^T + (I + J)(I + J)^T = 1 1^T + I + (J + J^T) + J J^T
+    = (p + 1) I.
     """
     if not is_prime(p) or p % 4 != 3:
         raise ValueError(f"paley_one needs a prime p = 3 (mod 4), got {p}")
-    q = _jacobsthal(p)
-    h = np.empty((p + 1, p + 1), dtype=np.int8)
-    h[0, :] = 1
-    h[1:, 0] = 1
-    # rows 1.. are the negated rows of I + [[0,e],[-e,Q]]; Gram stays (p+1)I
-    np.negative(q, out=h[1:, 1:])
-    np.fill_diagonal(h[1:, 1:], -1)  # -(Q + I), as Q has a zero diagonal
-    conv = _circulant_right_mul(p)
+    conv = _paley_circulant(p, -1)
 
     def right_mul(x):
         x0, xr = x[:, :1], x[:, 1:]
-        return np.hstack([x0 + xr.sum(axis=1, keepdims=True),
-                          x0 - xr - conv(xr)])
+        y = np.empty_like(x)
+        y[:, :1] = x0 + xr.sum(axis=1, keepdims=True)
+        yr = y[:, 1:]
+        conv(xr, yr)
+        np.negative(yr, out=yr)
+        yr -= xr
+        yr += x0
+        return y
 
-    return QuasiOrthogonal(h, p + 1, p + 1, HADAMARD, f"paley1({p})", right_mul)
+    return QuasiOrthogonal(p + 1, p + 1, HADAMARD, f"paley1({p})", right_mul)
 
 
 def paley_conference(p: int) -> QuasiOrthogonal:
-    """Symmetric conference matrix of order p+1 for prime p = 1 (mod 4)."""
+    """Symmetric conference matrix of order p+1 for prime p = 1 (mod 4).
+
+    C = [[0, 1^T], [1, J]] for the certified J (eps = +1): C is symmetric,
+    row 0 is orthogonal to row i, as (J 1)_i = 0, and 1 1^T + J J^T = p I.
+    """
     if not is_prime(p) or p % 4 != 1:
         raise ValueError(f"paley_conference needs a prime p = 1 (mod 4), got {p}")
-    q = _jacobsthal(p)
-    c = np.empty((p + 1, p + 1), dtype=np.int8)
-    c[0, 0] = 0
-    c[0, 1:] = 1
-    c[1:, 0] = 1
-    c[1:, 1:] = q
-    conv = _circulant_right_mul(p)
+    conv = _paley_circulant(p, 1)
 
     def right_mul(x):
         x0, xr = x[:, :1], x[:, 1:]
-        return np.hstack([xr.sum(axis=1, keepdims=True), x0 + conv(xr)])
+        y = np.empty_like(x)
+        y[:, :1] = xr.sum(axis=1, keepdims=True)
+        conv(xr, y[:, 1:])
+        y[:, 1:] += x0
+        return y
 
-    return QuasiOrthogonal(c, p + 1, p, CONFERENCE, f"conference({p})",
+    return QuasiOrthogonal(p + 1, p, CONFERENCE, f"conference({p})",
                            right_mul)
 
 
-_PALEY2_K = np.array([[1, 1], [1, -1]], dtype=np.int8)
-_PALEY2_L = np.array([[1, -1], [-1, -1]], dtype=np.int8)
+_PALEY2_K = np.array([[1, 1], [1, -1]], dtype=np.int64)
+_PALEY2_L = np.array([[1, -1], [-1, -1]], dtype=np.int64)
 
 
 def paley_two(p: int) -> QuasiOrthogonal:
     """Hadamard matrix of order 2(p+1) for prime p = 1 (mod 4).
 
-    It is conf (x) K + I (x) L for the conference matrix conf of order p+1.
+    H = C (x) K + I (x) L for the conference matrix C of order p+1, with
+    K = [[1, 1], [1, -1]] and L = [[1, -1], [-1, -1]], is a sign matrix as
+    C has a zero diagonal.  K K^T = L L^T = 2I, L K^T = -K L^T and C = C^T,
+    so H H^T = C C^T (x) 2I + (C - C^T) (x) K L^T + 2I = 2(p + 1) I.
     """
     conf = paley_conference(p)  # validates p
     m = p + 1
-    h = np.empty((2 * m, 2 * m), dtype=np.int8)
-    diag = 2 * np.arange(m)
-    for s in range(2):
-        for u in range(2):
-            h[s::2, u::2] = _PALEY2_K[s, u] * conf.matrix
-            h[diag + s, diag + u] = _PALEY2_L[s, u]  # conf has a zero diagonal
-    kmat, lmat = _PALEY2_K.astype(np.int64), _PALEY2_L.astype(np.int64)
 
     def right_mul(x):
         c = x.shape[0]
         x3 = x.reshape(c, m, 2)
-        z = (x3 @ kmat).transpose(0, 2, 1).reshape(2 * c, m)
+        z = (x3 @ _PALEY2_K).transpose(0, 2, 1).reshape(2 * c, m)
         y = conf.right_mul(z).reshape(c, 2, m).transpose(0, 2, 1)
-        return (y + x3 @ lmat).reshape(c, 2 * m)
+        return (y + x3 @ _PALEY2_L).reshape(c, 2 * m)
 
-    return QuasiOrthogonal(h, 2 * m, 2 * m, HADAMARD, f"paley2({p})", right_mul)
+    return QuasiOrthogonal(2 * m, 2 * m, HADAMARD, f"paley2({p})", right_mul)
 
 
 def sylvester_double(q: QuasiOrthogonal) -> QuasiOrthogonal:
-    """Order-doubling [[Q, Q], [Q, -Q]]; Hadamard input only."""
+    """Order-doubling [[Q, Q], [Q, -Q]]; Hadamard input only.
+
+    Its Gram matrix is [[2 Q Q^T, 0], [0, 2 Q Q^T]] = 2k I.
+    """
     if q.kind != HADAMARD:
         raise ValueError("sylvester_double requires a Hadamard matrix")
-    m, half = q.matrix, q.order
-    h = np.empty((2 * half, 2 * half), dtype=np.int8)
-    h[:half, :half] = h[:half, half:] = h[half:, :half] = m
-    np.negative(m, out=h[half:, half:])
+    half = q.order
 
     def right_mul(x):
         # [X1 | X2] [[Q, Q], [Q, -Q]] = [(X1 + X2) Q | (X1 - X2) Q]
@@ -216,17 +241,18 @@ def sylvester_double(q: QuasiOrthogonal) -> QuasiOrthogonal:
         y = q.right_mul(np.vstack([x1 + x2, x1 - x2]))
         return np.hstack([y[:x.shape[0]], y[x.shape[0]:]])
 
-    return QuasiOrthogonal(h, 2 * half, 2 * half, HADAMARD,
+    return QuasiOrthogonal(2 * half, 2 * half, HADAMARD,
                            q.recipe + ";double", right_mul)
 
 
 def kronecker(q1: QuasiOrthogonal, q2: QuasiOrthogonal) -> QuasiOrthogonal:
-    """Kronecker product of two Hadamard matrices."""
+    """Kronecker product of two Hadamard matrices.
+
+    (A (x) B)(A (x) B)^T = A A^T (x) B B^T = ab I for orders a and b.
+    """
     if q1.kind != HADAMARD or q2.kind != HADAMARD:
         raise ValueError("kronecker requires Hadamard matrices")
     a, b = q1.order, q2.order
-    h = np.multiply.outer(q1.matrix, q2.matrix).transpose(0, 2, 1, 3)
-    h = h.reshape(a * b, a * b)
 
     def right_mul(x):
         c = x.shape[0]
@@ -234,49 +260,29 @@ def kronecker(q1: QuasiOrthogonal, q2: QuasiOrthogonal) -> QuasiOrthogonal:
         y = q1.right_mul(y.transpose(0, 2, 1).reshape(c * b, a))
         return y.reshape(c, b, a).transpose(0, 2, 1).reshape(c, a * b)
 
-    return QuasiOrthogonal(h, a * b, a * b, HADAMARD,
+    return QuasiOrthogonal(a * b, a * b, HADAMARD,
                            f"kron({q1.recipe},{q2.recipe})", right_mul)
 
 
 def unit() -> QuasiOrthogonal:
-    return QuasiOrthogonal(np.array([[1]], dtype=np.int8), 1, 1, HADAMARD,
-                           "unit", lambda x: x)
-
-
-def gram_int(m: np.ndarray) -> np.ndarray:
-    """Exact integer Gram matrix M M^T of a {-1,0,1} matrix, as int64.
-
-    Computed through BLAS float32: every partial sum is an integer bounded
-    by the order, exact in float32 up to 2^24.
-    """
-    n = m.shape[0]
-    if n >= 1 << 24:
-        raise ValueError("order too large for the float32 Gram path")
-    f = m.astype(np.float32)
-    return np.rint(f @ f.T).astype(np.int64)
+    return QuasiOrthogonal(1, 1, HADAMARD, "unit", lambda x: x)
 
 
 def validate(q: QuasiOrthogonal) -> bool:
-    """Exact check of Q Q^T = weight*I plus the kind's entry pattern."""
-    m = q.matrix
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != q.order:
-        return False
+    """Dense check (tests, small orders) of the kind's entry pattern and
+    Q Q^T = weight*I.  With entries in {-1, 0, 1} the float64 Gram product
+    is exact: every partial sum is an integer of size at most order."""
+    m = q.dense()
     if q.kind == HADAMARD:
-        if q.weight != q.order or not np.all(np.abs(m) == 1):
-            return False
+        ok = q.weight == q.order and np.all(np.abs(m) == 1)
     elif q.kind == CONFERENCE:
-        if q.weight != q.order - 1:
-            return False
-        if np.any(np.diagonal(m) != 0):
-            return False
         off = ~np.eye(q.order, dtype=bool)
-        if not np.all(np.abs(m[off]) == 1):
-            return False
+        ok = (q.weight == q.order - 1 and not np.diagonal(m).any()
+              and np.all(np.abs(m[off]) == 1))
     else:
-        return False
-    gram = gram_int(m)
-    expected = q.weight * np.eye(q.order, dtype=np.int64)
-    return bool(np.array_equal(gram, expected))
+        ok = False
+    f = m.astype(np.float64)
+    return bool(ok and np.array_equal(f @ f.T, q.weight * np.eye(q.order)))
 
 
 # ---------------------------------------------------------------------------

@@ -46,15 +46,3 @@ def is_prime(n: int) -> bool:
             return False
         f += 6
     return True
-
-
-def is_prime_power(n: int) -> bool:
-    """True iff n = p^k for prime p, k >= 1."""
-    if n < 2:
-        return False
-    for p in range(2, int(n ** 0.5) + 1):
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-    return True  # n itself prime

@@ -86,7 +86,7 @@ class TestSampling:
 class TestSignCompletion:
     def test_zero_maps_to_plus(self, h4):
         b = np.array([[1], [1], [-1], [-1]], dtype=np.int8)
-        p = b.T.astype(int) @ h4.matrix.astype(int)
+        p = b.T.astype(int) @ h4.dense()
         c = sign_completion(b, h4)
         assert np.any(p == 0)
         assert np.all(c[p == 0] == 1)
@@ -102,9 +102,9 @@ class TestSignCompletion:
         assert not np.array_equal(c[1], c2[1])
 
     def test_diagonal_has_no_cancellation(self, h4):
-        b = h4.matrix[:, :1].copy()
+        b = h4.dense()[:, :1].copy()
         _, g = _sign_completion(b, h4)
-        p = b.T.astype(int) @ h4.matrix.astype(int)
+        p = b.T.astype(int) @ h4.dense()
         assert g[0, 0] == int(np.abs(p).sum())
 
     def test_norm_bound_guard_raises(self):
@@ -193,7 +193,7 @@ class TestGramBlock:
         rng = trial_generator(5, h)
         b = sample_border_columns(rng, h, 3)
         c = sign_completion(b, q)
-        cqt = c.astype(np.int64) @ q.matrix.T.astype(np.int64)
+        cqt = c.astype(np.int64) @ q.dense().T
         norms = (cqt ** 2).sum(axis=1)
         assert np.all(norms == h * h)
 
@@ -202,12 +202,12 @@ class TestGramBlock:
         rng = trial_generator(6, 0)
         b = sample_border_columns(rng, 6, 2)
         c = sign_completion(b, q)
-        cqt = c.astype(np.int64) @ q.matrix.T.astype(np.int64)
+        cqt = c.astype(np.int64) @ q.dense().T
         assert np.all((cqt ** 2).sum(axis=1) == 5 * 6)
 
     def test_matches_exact_matmul(self, h8):
         border = run_trial(h8, 3, trial_generator(9, 1)).border
-        oracle = (border.C.astype(np.int64) @ h8.matrix.T.astype(np.int64)
+        oracle = (border.C.astype(np.int64) @ h8.dense().T
                   @ border.B.astype(np.int64))
         assert border.G.dtype == np.int64
         assert np.array_equal(border.G, oracle)

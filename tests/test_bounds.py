@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maxdet.bounds import (central_binomial_lower_bound, check_dd_bound,
-                           check_es152, check_pert_bound,
+from maxdet.bounds import (PI_E_HI, PI_E_LO, central_binomial_lower_bound,
+                           check_dd_bound, check_es152, check_pert_bound,
                            check_scalar_inequalities, evaluate_bounds,
                            g_of_h, h0, hoeffding_bound, maxdet_oracle,
+                           passes_small_border_floor,
                            passes_uniform_floor, run_lemma_suite)
 
 
@@ -241,6 +242,77 @@ class TestUniformFloor:
 
     def test_numpy_det(self):
         assert passes_uniform_floor(np.int64(48), 4, 4, 1, 1) is True
+
+
+class TestSmallBorderFloor:
+    @staticmethod
+    def series_bounds():
+        """Rational bounds on pi e from series, independent of the literals:
+        e from its factorial series (tail below 2/31!), pi by Machin's
+        formula with each arctan between two partial sums."""
+        e_lo = sum(Fraction(1, math.factorial(j)) for j in range(31))
+        e_hi = e_lo + Fraction(2, math.factorial(31))
+
+        def arctan(x, terms=60):
+            parts = [(-1) ** j * x ** (2 * j + 1) / (2 * j + 1)
+                     for j in range(terms + 1)]
+            return sum(parts[:-1]), sum(parts)  # alternating: lo, hi
+
+        a_lo, a_hi = arctan(Fraction(1, 5))
+        b_lo, b_hi = arctan(Fraction(1, 239))
+        pi_lo, pi_hi = 16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo
+        return pi_lo * e_lo, pi_hi * e_hi
+
+    def test_bracket(self):
+        lo, hi = self.series_bounds()
+        assert PI_E_LO < lo < hi < PI_E_HI
+        assert PI_E_HI - PI_E_LO < Fraction(1, 10 ** 25)
+
+    @staticmethod
+    def oracle(det_n, m, k, width, d):
+        n = m + width
+        dbar_sq = Fraction(k ** m * det_n ** 2, k ** (2 * width) * n ** n)
+        if dbar_sq > (2 / PI_E_LO) ** d:
+            return True
+        if dbar_sq <= (2 / PI_E_HI) ** d:
+            return False
+        return None
+
+    @staticmethod
+    def threshold(m, k, width, d, pi_e):
+        """Smallest |det_n| with k^m det_n^2 pi_e^d > 2^d k^(2 width) n^n."""
+        n = m + width
+        x = Fraction(2 ** d * n ** n * k ** (2 * width), k ** m) / pi_e ** d
+        return math.isqrt(math.floor(x)) + 1
+
+    @pytest.mark.parametrize("m,k,width,d", [
+        (4, 4, 1, 1), (12, 12, 3, 3), (6, 5, 4, 2), (2, 2, 5, 5),
+        (664, 664, 5, 5), (710, 709, 7, 5), (4096, 4096, 20, 20)])
+    def test_boundary_matches_fractions(self, m, k, width, d):
+        t_true = self.threshold(m, k, width, d, PI_E_LO)
+        t_open = self.threshold(m, k, width, d, PI_E_HI)  # first non-false
+        assert t_open <= t_true
+        for det_n in (t_true - 1, t_true, -t_true, t_true + 1,
+                      t_open - 1, t_open, 0, 1):
+            assert passes_small_border_floor(det_n, m, k, width, d) \
+                == self.oracle(det_n, m, k, width, d), det_n
+        assert passes_small_border_floor(t_true, m, k, width, d) is True
+        below = passes_small_border_floor(t_true - 1, m, k, width, d)
+        assert below is (None if t_true - 1 >= t_open else False)
+        assert passes_small_border_floor(t_open - 1, m, k, width, d) is False
+
+    def test_undecided_band(self):
+        # at m = 4096, d = 20 the thresholds are near 10^108 and the bracket
+        # on pi e leaves integers that neither side decides
+        m, k, width, d = 4096, 4096, 20, 20
+        t_true = self.threshold(m, k, width, d, PI_E_LO)
+        t_open = self.threshold(m, k, width, d, PI_E_HI)
+        assert t_true - t_open > 1
+        assert passes_small_border_floor(t_open, m, k, width, d) is None
+        assert passes_small_border_floor(t_true - 1, m, k, width, d) is None
+
+    def test_numpy_det(self):
+        assert passes_small_border_floor(np.int64(48), 4, 4, 1, 1) is True
 
 
 class TestHoeffding:

@@ -1,9 +1,16 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from maxdet.cli import main
+import maxdet
+from maxdet import constructions
+from maxdet.cli import EXCEPTIONAL_ROWS, _table1_core, main
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +189,31 @@ class TestWitnessFlow:
         assert code == 0
         assert json.loads(out)["ratio_log"] == ratio_log
 
+    def test_verify_rejects_uncertified_core(self, capsys, tmp_path,
+                                             monkeypatch):
+        # a valid witness whose core's character no longer certifies
+        path = tmp_path / "w.json"
+        code, _, _ = run_cli(capsys, "search", "--recipe", "conference(13)",
+                             "--d", "2", "--trials", "2", "--out", str(path))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0 and json.loads(out)["ok"] is True
+        real = constructions._quadratic_character
+
+        def flipped(p):
+            chi = real(p)
+            chi[1] = -chi[1]
+            return chi
+
+        monkeypatch.setattr(constructions, "_quadratic_character", flipped)
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        data = json.loads(out)
+        assert data["ok"] is False and "character" in data["error"]
+        code, out, err = run_cli(capsys, "search", "--recipe",
+                                 "conference(13)", "--d", "1")
+        assert code == 1 and out == "" and "character" in err
+
     def test_search_by_order(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--order", "12", "--d", "1",
                                "--trials", "4")
@@ -202,6 +234,13 @@ class TestLemmas:
 
 
 class TestTable1:
+    def test_row_cores(self):
+        # a Hadamard row's core has order h; a conference row's has p + 1
+        for h, _, _, p, method in EXCEPTIONAL_ROWS:
+            q = constructions.build_recipe(_table1_core(h, p, method))
+            assert q.order == (p + 1 if method == "conference" else h)
+            assert q.recipe.startswith(f"{method}({p})")
+
     def test_fast_row_664(self, capsys):
         code, out, _ = run_cli(capsys, "table1", "--rows", "664",
                                "--trials", "64", "--max", "4096")
@@ -236,6 +275,23 @@ class TestTable1:
                                  "--trials", "1")
         assert code == 1 and out == ""
         assert "[5745]" in err and "5744" in err
+
+
+def test_largest_core_fits_in_one_gib():
+    # conference(60457), the core of the largest Table 1 row, under a 1 GiB
+    # address-space cap on the child process; BLAS keeps one thread, as it
+    # reserves address space per thread
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    out = subprocess.run(
+        [sys.executable, "-m", "maxdet", "search", "--recipe",
+         "conference(60457)", "--d", "3", "--trials", "1"],
+        capture_output=True, text=True, preexec_fn=cap,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+             "PYTHONPATH": str(Path(maxdet.__file__).parents[1])})
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["n"] == 60461
 
 
 def test_cache_reuse(tmp_path, capsys):

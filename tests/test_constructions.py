@@ -1,12 +1,77 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from maxdet.constructions import (_PALEY2_K, _PALEY2_L, CONFERENCE,
-                                  HADAMARD, QuasiOrthogonal, build_order,
-                                  build_recipe, kronecker, paley_conference,
-                                  paley_one, paley_two, plan_recipe,
-                                  sylvester_double, unit, validate)
+import maxdet
+from maxdet import constructions
+from maxdet.constructions import (CONFERENCE, HADAMARD, ExactnessError,
+                                  QuasiOrthogonal, build_order, build_recipe,
+                                  kronecker, paley_conference, paley_one,
+                                  paley_two, plan_recipe, sylvester_double,
+                                  unit, validate)
 from maxdet.exact import det_exact
+
+# Independent dense oracles: the textbook definitions, built with no maxdet
+# code (Euler's criterion for the Legendre symbol, np.kron, np.block).
+PALEY2_K = np.array([[1, 1], [1, -1]], dtype=np.int8)
+PALEY2_L = np.array([[1, -1], [-1, -1]], dtype=np.int8)
+
+
+def legendre(x, p):
+    """The Legendre symbol (x/p) by Euler's criterion."""
+    r = pow(x % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def jacobsthal_oracle(p):
+    """J[i, j] = (j - i / p), as int8."""
+    chi = np.array([legendre(x, p) for x in range(p)], dtype=np.int8)
+    return np.array([np.roll(chi, i) for i in range(p)])
+
+
+def paley_one_oracle(p):
+    j = jacobsthal_oracle(p)
+    ones = np.ones((p, 1), dtype=np.int8)
+    return np.block([[np.ones((1, 1), dtype=np.int8), ones.T],
+                     [ones, -(np.eye(p, dtype=np.int8) + j)]])
+
+
+def conference_oracle(p):
+    ones = np.ones((p, 1), dtype=np.int8)
+    return np.block([[np.zeros((1, 1), dtype=np.int8), ones.T],
+                     [ones, jacobsthal_oracle(p)]])
+
+
+def paley_two_oracle(p):
+    eye = np.eye(p + 1, dtype=np.int8)
+    return np.kron(conference_oracle(p), PALEY2_K) + np.kron(eye, PALEY2_L)
+
+
+def double_oracle(q):
+    return np.block([[q, q], [q, -q]])
+
+
+def recipe_oracle(recipe):
+    """Dense int8 Q for a recipe, from the oracles above."""
+    if recipe.endswith(";double"):
+        return double_oracle(recipe_oracle(recipe[:-len(";double")]))
+    if recipe == "unit":
+        return np.ones((1, 1), dtype=np.int8)
+    if recipe.startswith("kron("):
+        depth = 0
+        for i, ch in enumerate(recipe):
+            depth += (ch == "(") - (ch == ")")
+            if ch == "," and depth == 1:
+                return np.kron(recipe_oracle(recipe[5:i]),
+                               recipe_oracle(recipe[i + 1:-1]))
+    name, p = recipe[:-1].split("(")
+    return {"paley1": paley_one_oracle, "paley2": paley_two_oracle,
+            "conference": conference_oracle}[name](int(p))
 
 
 def gram_oracle(m):
@@ -15,17 +80,28 @@ def gram_oracle(m):
     return a @ a.T
 
 
+def matrix_core(m, kind=HADAMARD, weight=None):
+    """A hand-built core whose operator is the dense product with m."""
+    m = np.asarray(m, dtype=np.int64)
+    return QuasiOrthogonal(len(m), len(m) if weight is None else weight,
+                           kind, "by hand", lambda x: x @ m)
+
+
 class TestPaleyOne:
     def test_order4(self):
         q = paley_one(3)
         assert q.order == 4 and q.weight == 4 and q.kind == HADAMARD
-        gram = gram_oracle(q.matrix.tolist())
+        gram = gram_oracle(q.dense().tolist())
         assert (gram == 4 * np.eye(4, dtype=object)).all()
         assert validate(q)
 
     def test_normalized_first_row_col(self):
-        q = paley_one(7)
-        assert np.all(q.matrix[0] == 1) and np.all(q.matrix[:, 0] == 1)
+        m = paley_one(7).dense()
+        assert np.all(m[0] == 1) and np.all(m[:, 0] == 1)
+
+    @pytest.mark.parametrize("p", [3, 7, 11, 19, 23, 43, 331])
+    def test_matches_legendre_oracle(self, p):
+        assert np.array_equal(paley_one(p).dense(), paley_one_oracle(p))
 
     def test_order332(self):
         q = paley_one(331)
@@ -44,7 +120,7 @@ class TestPaleyTwo:
     def test_order12(self):
         q = paley_two(5)
         assert q.order == 12 and q.weight == 12
-        gram = gram_oracle(q.matrix.tolist())
+        gram = gram_oracle(q.dense().tolist())
         assert (gram == 12 * np.eye(12, dtype=object)).all()
 
     def test_order2868(self):
@@ -60,14 +136,19 @@ class TestPaleyConference:
     def test_order6(self):
         q = paley_conference(5)
         assert q.order == 6 and q.weight == 5 and q.kind == CONFERENCE
-        gram = gram_oracle(q.matrix.tolist())
+        gram = gram_oracle(q.dense().tolist())
         assert (gram == 5 * np.eye(6, dtype=object)).all()
         assert validate(q)
 
     @pytest.mark.parametrize("p", [5, 13, 17, 29])
     def test_symmetric(self, p):
-        q = paley_conference(p)
-        assert np.array_equal(q.matrix, q.matrix.T)
+        m = paley_conference(p).dense()
+        assert np.array_equal(m, m.T)
+
+    @pytest.mark.parametrize("p", [5, 13, 17, 29, 41, 709])
+    def test_matches_legendre_oracle(self, p):
+        assert np.array_equal(paley_conference(p).dense(),
+                              conference_oracle(p))
 
     def test_order710(self):
         q = paley_conference(709)
@@ -78,10 +159,78 @@ class TestPaleyConference:
             paley_conference(7)
 
 
+class TestCharacterCertificate:
+    """Each Paley generator certifies its quadratic character when built."""
+
+    @staticmethod
+    def patch(monkeypatch, p, changes):
+        real = constructions._quadratic_character
+
+        def patched(q):
+            chi = real(q)
+            if q == p:
+                for x, value in changes.items():
+                    chi[x] = value
+            return chi
+
+        monkeypatch.setattr(constructions, "_quadratic_character", patched)
+
+    @pytest.mark.parametrize("build,p", [(paley_one, 7),
+                                         (paley_conference, 13),
+                                         (paley_two, 13)])
+    def test_flipped_sign_raises(self, monkeypatch, build, p):
+        build(p)
+        self.patch(monkeypatch, p, {1: -1})  # 1 is a square
+        with pytest.raises(ExactnessError, match="sign, sum or symmetry"):
+            build(p)
+
+    def test_broken_antisymmetry_raises(self, monkeypatch):
+        # chi(1) -> -1 and chi(3) -> +1 keep the sum at 0, but
+        # chi(-1) = chi(6) = -1 no longer equals -chi(1)
+        self.patch(monkeypatch, 7, {1: -1, 3: 1})
+        with pytest.raises(ExactnessError, match="sign, sum or symmetry"):
+            paley_one(7)
+
+    def test_broken_autocorrelation_raises(self, monkeypatch):
+        # swap the squares {1, 12} with the non-squares {2, 11}: signs, sum
+        # and symmetry survive, the autocorrelation does not
+        self.patch(monkeypatch, 13, {1: -1, 12: -1, 2: 1, 11: 1})
+        with pytest.raises(ExactnessError, match="autocorrelation"):
+            paley_conference(13)
+
+    def test_raises_under_optimize(self):
+        script = textwrap.dedent("""
+            import sys
+            from maxdet import constructions as c
+            real = c._quadratic_character
+
+            def flipped(p):
+                chi = real(p)
+                chi[1] = -chi[1]
+                return chi
+
+            c._quadratic_character = flipped
+            caught = []
+            for build, p in ((c.paley_one, 7), (c.paley_conference, 13),
+                             (c.paley_two, 13)):
+                try:
+                    build(p)
+                except c.ExactnessError:
+                    caught.append(build.__name__)
+            print(sys.flags.optimize, *caught)
+        """)
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(
+                                 Path(maxdet.__file__).parents[1])})
+        assert out.stdout.split() == ["1", "paley_one", "paley_conference",
+                                      "paley_two"]
+
+
 class TestSylvesterAndKronecker:
     def test_unit_double(self):
         q = sylvester_double(unit())
-        assert q.matrix.tolist() == [[1, 1], [1, -1]]
+        assert q.dense().tolist() == [[1, 1], [1, -1]]
 
     def test_five_doublings(self):
         q = paley_one(3)
@@ -89,6 +238,13 @@ class TestSylvesterAndKronecker:
             q = sylvester_double(q)
             assert validate(q)
         assert q.order == 128
+
+    @pytest.mark.parametrize("recipe", ["paley1(7);double",
+                                        "paley2(5);double;double",
+                                        "kron(unit;double,paley1(3));double"])
+    def test_double_matches_np_block(self, recipe):
+        assert np.array_equal(build_recipe(recipe).dense(),
+                              recipe_oracle(recipe))
 
     def test_double_rejects_conference(self):
         with pytest.raises(ValueError):
@@ -112,24 +268,20 @@ class TestSylvesterAndKronecker:
 class TestKronOracle:
     @pytest.mark.parametrize("p", [5, 13, 29])
     def test_paley_two_matches_np_kron(self, p):
-        conf = paley_conference(p).matrix
-        eye = np.eye(p + 1, dtype=np.int8)
-        oracle = np.kron(conf, _PALEY2_K) + np.kron(eye, _PALEY2_L)
-        h = paley_two(p).matrix
-        assert h.dtype == np.int8 and np.array_equal(h, oracle)
+        assert np.array_equal(paley_two(p).dense(), paley_two_oracle(p))
 
     @pytest.mark.parametrize("r1,r2", [("unit;double", "paley1(3)"),
                                        ("paley1(7)", "paley2(5)"),
                                        ("unit", "paley1(11)")])
     def test_kronecker_matches_np_kron(self, r1, r2):
         q1, q2 = build_recipe(r1), build_recipe(r2)
-        h = kronecker(q1, q2).matrix
-        assert h.dtype == np.int8
-        assert np.array_equal(h, np.kron(q1.matrix, q2.matrix))
+        h = kronecker(q1, q2).dense()
+        assert np.array_equal(h, np.kron(recipe_oracle(r1),
+                                         recipe_oracle(r2)))
 
 
 class TestRmatmul:
-    """The structured B^T Q against the dense int64 product."""
+    """The structured B^T Q against the dense oracle."""
 
     @staticmethod
     def check(recipe, d, seed=0):
@@ -138,8 +290,10 @@ class TestRmatmul:
         b = (rng.integers(0, 2, size=(q.order, d)) * 2 - 1).astype(np.int8)
         p = q.rmatmul(b)
         assert p.dtype == np.int64 and p.shape == (d, q.order)
-        assert np.array_equal(p, b.T.astype(np.int64)
-                              @ q.matrix.astype(np.int64))
+        # sign rows and {-1,0,1} entries: float32 sums below 2^24 are exact
+        oracle = b.T.astype(np.float32) @ recipe_oracle(recipe).astype(
+            np.float32)
+        assert np.array_equal(p, oracle)
 
     @pytest.mark.parametrize("d", [1, 4])
     @pytest.mark.parametrize("recipe", [
@@ -152,6 +306,16 @@ class TestRmatmul:
     def test_conference_5749_d8(self):
         self.check("conference(5749)", 8)
 
+    def test_row_counts_share_work_arrays(self):
+        # the FFT work arrays grow to the largest row count and are reused
+        # by prefix for smaller ones; any order of sizes gives the same rows
+        q = build_recipe("paley2(13)")
+        rng = np.random.default_rng(4)
+        b = rng.integers(-1, 2, size=(q.order, 9))
+        full = b.T @ q.dense()
+        for d in (1, 9, 3, 9, 0, 5):
+            assert np.array_equal(q.rmatmul(b[:, :d]), full[:d])
+
     @pytest.mark.parametrize("recipe", ["paley2(5);double", "conference(13)"])
     def test_empty_block(self, recipe):
         q = build_recipe(recipe)
@@ -159,27 +323,34 @@ class TestRmatmul:
         assert p.shape == (0, q.order) and p.dtype == np.int64
 
     def test_hand_built_parts(self):
-        m = build_recipe("paley2(5)").matrix
-        q = QuasiOrthogonal(m, 12, 12, HADAMARD, "by hand")
+        q = matrix_core(recipe_oracle("paley2(5)"))
         q = kronecker(sylvester_double(q), build_recipe("paley1(3)"))
         b = np.random.default_rng(2).integers(-1, 2, size=(q.order, 3))
-        assert np.array_equal(q.rmatmul(b), b.T @ q.matrix.astype(np.int64))
+        oracle = np.kron(double_oracle(recipe_oracle("paley2(5)")),
+                         recipe_oracle("paley1(3)")).astype(np.int64)
+        assert np.array_equal(q.rmatmul(b), b.T @ oracle)
 
     def test_integer_input(self):
-        q = build_recipe("kron(paley2(5),paley1(3));double")
+        recipe = "kron(paley2(5),paley1(3));double"
+        q = build_recipe(recipe)
         b = np.random.default_rng(1).integers(-9, 10, size=(q.order, 3))
         assert np.array_equal(q.rmatmul(b),
-                              b.T @ q.matrix.astype(np.int64))
+                              b.T @ recipe_oracle(recipe).astype(np.int64))
 
 
 class TestValidate:
     def test_flipped_entry_fails(self):
-        q = paley_one(7)
-        bad = q.matrix.copy()
-        bad[3, 5] = -bad[3, 5]
-        broken = type(q)(matrix=bad, order=q.order, weight=q.weight,
-                         kind=q.kind, recipe=q.recipe)
-        assert not validate(broken)
+        m = paley_one_oracle(7)
+        assert validate(matrix_core(m))
+        m[3, 5] = -m[3, 5]
+        assert not validate(matrix_core(m))
+
+    def test_pattern_and_weight(self):
+        conf = conference_oracle(5)
+        assert validate(matrix_core(conf, CONFERENCE, 5))
+        assert not validate(matrix_core(conf, CONFERENCE, 6))
+        assert not validate(matrix_core(conf))  # zeros in a Hadamard core
+        assert not validate(matrix_core(paley_one_oracle(3), "other"))
 
     def test_unit(self):
         assert validate(unit())
@@ -190,7 +361,7 @@ class TestValidate:
                              ("conference(13)", 13, 14),
                              ("paley2(5)", 12, 12)]:
             q = build_recipe(recipe)
-            d = det_exact(q.matrix)
+            d = det_exact(q.dense())
             assert d * d == k ** m
 
 
@@ -224,7 +395,7 @@ class TestRecipes:
         q = build_recipe("kron(unit;double,unit;double)")
         assert q.order == 4 and validate(q)
         q2 = build_recipe(q.recipe)
-        assert np.array_equal(q2.matrix, q.matrix)
+        assert np.array_equal(q2.dense(), q.dense())
 
     def test_bad_recipes(self):
         for recipe in ("", "bogus", "paley1(6)", "unit;triple",

@@ -69,7 +69,7 @@ class TestDetExact:
     ])
     def test_hadamard_determinant_squares(self, recipe, m):
         h = build_recipe(recipe)
-        d = det_exact(h.matrix)
+        d = det_exact(h.dense())
         assert d * d == m ** m
 
 
