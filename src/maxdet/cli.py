@@ -348,6 +348,7 @@ def cmd_table1(args) -> int:
         entry["status"] = "pass" if row_ok else "fail"
         all_ok &= row_ok
         rows_out.append(entry)
+        del q  # release this row's core before the next one is built
     _emit({"meta": _meta(args, oset), "rows": rows_out, "ok": all_ok})
     return 0 if all_ok else 1
 

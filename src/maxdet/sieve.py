@@ -2,13 +2,26 @@
 
 The member set is a known-constructible subset of the true Hadamard order
 set: eleven construction rules (Paley-Sylvester-Turyn through Seberry-
-Yamada) plus the Livinskyi power-of-two rule.  Product rules are iterated
-to a fixpoint, so the set is closed under the selected rules below the
-limit.  Orders 1 and 2 are always members.
+Yamada) plus the Livinskyi power-of-two rule.  Orders 1 and 2 are always
+members; every other member is a multiple of 4, held as bit j of a
+boolean array for order 4j.
+
+The static rules run once.  The four rules that read the member set
+(8ab, 16abcd, Miyamoto I, Yamada) then run in that order, round after
+round, until a round adds nothing, so the set is closed under the
+selected rules below the limit.  Each rule call is array code: it reads
+the members as they stand, collects what it derives in a boolean hit mask
+over bit indices, and marks the new orders in one step, tagged with that
+rule.  The products fill their masks with strided ORs: 8ab at bit 2ab is
+one OR per smaller factor a, and 16abcd at bit 4(ab)(cd) combines the pair
+products ab, which need only reach limit/16.  No temporary is larger
+than the prime-power mask (limit + 1 bytes), so a build at the default
+limit 65536 stays below glibc's 128 KiB mmap threshold.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -74,19 +87,13 @@ class OrderSet:
             return self.has2
         return n % 4 == 0 and 4 <= n <= self.limit and bool(self.bits[n // 4])
 
-    def _mark(self, orders, rule: str) -> bool:
-        orders = np.asarray(orders, dtype=np.int64).ravel()
-        orders = orders[(orders >= 4) & (orders <= self.limit)]
-        orders = orders[orders % 4 == 0]
-        if orders.size == 0:
+    def _mark(self, hit: np.ndarray, rule: str) -> bool:
+        """Add the orders 4j with hit[j] set; tag the new ones with rule."""
+        new = np.flatnonzero(hit & ~self.bits)
+        if new.size == 0:
             return False
-        idx = np.unique(orders // 4)
-        idx = idx[~self.bits[idx]]
-        if idx.size == 0:
-            return False
-        self.bits[idx] = True
-        for j in idx:
-            self.rule_tags[int(j) * 4] = rule
+        self.bits[new] = True
+        self.rule_tags.update(dict.fromkeys((new * 4).tolist(), rule))
         return True
 
     def members(self) -> np.ndarray:
@@ -137,7 +144,8 @@ class OrderSet:
         out = OrderSet(limit, self.rules)
         out.bits = self.bits[:limit // 4 + 1].copy()
         out.has1, out.has2 = self.has1, self.has2
-        out.rule_tags = {n: r for n, r in self.rule_tags.items() if n <= limit}
+        out.rule_tags = (self.rule_tags.copy() if limit == self.limit else
+                         {n: r for n, r in self.rule_tags.items() if n <= limit})
         return out
 
     def save(self, path) -> None:
@@ -155,8 +163,9 @@ class OrderSet:
         header = (1 if self.has1 else 0) | (2 if self.has2 else 0)
         tags = np.full(self.bits.size, _NO_TAG, dtype=np.uint8)
         index = {r: i for i, r in enumerate(ALL_RULES)}
-        for n, rule in self.rule_tags.items():
-            tags[n // 4] = index[rule]
+        count = len(self.rule_tags)
+        tags[np.fromiter(self.rule_tags, np.int64, count) // 4] = np.fromiter(
+            map(index.__getitem__, self.rule_tags.values()), np.uint8, count)
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
@@ -196,7 +205,8 @@ class OrderSet:
         tagged = np.flatnonzero(tags != _NO_TAG)
         if tagged.size and tags[tagged].max() >= len(ALL_RULES):
             raise ValueError("unknown rule index in cache file")
-        out.rule_tags = {4 * int(j): ALL_RULES[tags[j]] for j in tagged}
+        names = np.array(ALL_RULES, dtype=object)[tags[tagged]]
+        out.rule_tags = dict(zip((4 * tagged).tolist(), names.tolist()))
         return out
 
 
@@ -219,31 +229,44 @@ class GapReport:
 
 
 # ---------------------------------------------------------------------------
-# rule implementations
+# rule implementations: each fills a hit mask (hit[j] <-> order 4j) and
+# hands it to OrderSet._mark
 
 
-def _rule_paley(oset: OrderSet, pp_orders: np.ndarray) -> None:
-    limit = oset.limit
-    bases = np.unique(np.concatenate([
-        np.array([1, 2], dtype=np.int64),      # p = 0 and k = 0 degenerate bases
-        pp_orders.astype(np.int64) + 1,
-    ]))
-    j = 0
-    while (1 << j) <= limit:
-        vals = bases << j
-        oset._mark(vals[vals <= limit], RULE_PALEY)
-        j += 1
+def _hits_of(oset: OrderSet, orders) -> np.ndarray:
+    """Hit mask of the multiples of 4 in [4, limit] among orders."""
+    orders = np.asarray(orders, dtype=np.int64)
+    orders = orders[(orders >= 4) & (orders <= oset.limit) & (orders % 4 == 0)]
+    hit = np.zeros_like(oset.bits)
+    hit[orders // 4] = True
+    return hit
+
+
+def _member_mask(oset: OrderSet, n: np.ndarray) -> np.ndarray:
+    """Elementwise ``n in oset`` for an int64 array."""
+    j = np.where((n % 4 == 0) & (n >= 4) & (n <= oset.limit), n // 4, 0)
+    return oset.bits[j] | (n == 1) & oset.has1 | (n == 2) & oset.has2
+
+
+def _rule_paley(oset: OrderSet, ppm: np.ndarray) -> None:
+    # bases b = 1, 2 (p = 0 and k = 0 degenerate) and p^k + 1; orders b 2^j
+    base = np.zeros(oset.limit + 1, dtype=bool)
+    base[1:] = ppm[:-1]
+    base[1:3] = True
+    hit = base[::4].copy()                 # j = 0: 4i = b
+    hit |= base[::2][:hit.size]            # j = 1: 4i = 2b
+    step = 1
+    while step < hit.size:                 # j >= 2: 4i = 2^j b, i = step b
+        view = hit[::step]
+        view |= base[:view.size]
+        step *= 2
+    oset._mark(hit, RULE_PALEY)
 
 
 def _rule_twin_prime(oset: OrderSet, ppm: np.ndarray) -> None:
-    limit = oset.limit
-    out = []
-    q = 3
-    while (q + 1) * (q + 1) <= limit:
-        if ppm[q] and q + 2 < ppm.size and ppm[q + 2]:
-            out.append((q + 1) * (q + 1))
-        q += 2
-    oset._mark(out, RULE_TWIN_PRIME)
+    q = np.arange(3, math.isqrt(oset.limit), 2)  # (q+1)^2 <= limit
+    q = q[ppm[q] & ppm[q + 2]]
+    oset._mark(_hits_of(oset, (q + 1) ** 2), RULE_TWIN_PRIME)
 
 
 def complex_golay_numbers(limit: int) -> np.ndarray:
@@ -271,26 +294,25 @@ def complex_golay_numbers(limit: int) -> np.ndarray:
 
 
 def _rule_complex_golay(oset: OrderSet) -> None:
+    # 8(x + y) for complex Golay numbers x, y: bit index 2(x + y)
     qmax = oset.limit // 8
     golay = complex_golay_numbers(qmax)
-    if golay.size == 0:
-        return
-    sums = (golay[:, None] + golay[None, :]).ravel()
-    sums = np.unique(sums[sums <= qmax])
-    oset._mark(sums * 8, RULE_COMPLEX_GOLAY)
+    hit = np.zeros_like(oset.bits)
+    for row in range(0, golay.size, 32):   # 32 rows of the sum table at a time
+        sums = (golay[row:row + 32, None] + golay).ravel()
+        hit[2 * sums[sums <= qmax]] = True
+    oset._mark(hit, RULE_COMPLEX_GOLAY)
 
 
 def _rule_miyamoto2(oset: OrderSet, pp_orders: np.ndarray, ppm: np.ndarray) -> None:
-    limit = oset.limit
-    out = [8 * q for q in pp_orders
-           if q % 4 == 3 and 8 * q <= limit and 2 * q - 3 < ppm.size and ppm[2 * q - 3]]
-    oset._mark(out, RULE_MIYAMOTO2)
+    q = pp_orders[(pp_orders % 4 == 3) & (8 * pp_orders <= oset.limit)]
+    oset._mark(_hits_of(oset, 8 * q[ppm[2 * q - 3]]), RULE_MIYAMOTO2)
 
 
 def _rule_small(oset: OrderSet) -> None:
     top = min(2056, oset.limit)
     orders = [h for h in range(4, top + 1, 4) if h not in SMALL_ORDER_EXCEPTIONS]
-    oset._mark(orders, RULE_SMALL)
+    oset._mark(_hits_of(oset, orders), RULE_SMALL)
 
 
 def williamson_orders(limit: int, rules: frozenset[str],
@@ -299,18 +321,12 @@ def williamson_orders(limit: int, rules: frozenset[str],
     wil = {w for w in range(1, WILLIAMSON_BASE_MAX + 1)
            if w not in WILLIAMSON_BASE_EXCEPTIONS}
     if RULE_SEBERRY_YAMADA in rules:
-        for q in pp_orders:
-            w = 2 * q + 3
-            if w > limit:
-                break
-            if ppm[w]:
-                wil.add(int(w))
+        w = 2 * pp_orders + 3
+        w = w[w <= limit]
+        wil.update(w[ppm[w]].tolist())
     if RULE_TURYN_WILLIAMSON in rules:
-        for q in pp_orders:
-            if q % 4 == 1:
-                w = (q + 1) // 2
-                if w <= limit:
-                    wil.add(int(w))
+        w = (pp_orders[pp_orders % 4 == 1] + 1) // 2
+        wil.update(w[w <= limit].tolist())
     return sorted(w for w in wil if w <= limit)
 
 
@@ -326,17 +342,15 @@ def baumert_hall_orders(limit: int) -> list[int]:
 
 def _rule_baumert_hall(oset: OrderSet, rules: frozenset[str],
                        pp_orders: np.ndarray, ppm: np.ndarray) -> None:
-    limit = oset.limit
-    wil = williamson_orders(limit // 4, rules, pp_orders, ppm)
-    bh = baumert_hall_orders(limit // 4)
-    out = []
-    for w in wil:
-        for b in bh:
-            v = 4 * b * w
-            if v > limit:
-                break
-            out.append(v)
-    oset._mark(out, RULE_BAUMERT_HALL)
+    # orders 4bw: bit index b w
+    top = oset.bits.size - 1
+    wil = np.zeros(top + 1, dtype=bool)
+    wil[williamson_orders(top, rules, pp_orders, ppm)] = True
+    hit = np.zeros_like(oset.bits)
+    for b in baumert_hall_orders(top):
+        view = hit[b::b]
+        view |= wil[1:view.size + 1]
+    oset._mark(hit, RULE_BAUMERT_HALL)
 
 
 def _rule_livinskyi(oset: OrderSet) -> None:
@@ -345,51 +359,47 @@ def _rule_livinskyi(oset: OrderSet) -> None:
     while (1 << (6 * k + 5)) <= limit:
         base = 1 << (6 * k + 5)
         qmax = min(1 << (26 * k + 1), limit // base)
-        oset._mark(np.arange(1, qmax + 1, dtype=np.int64) * base, RULE_LIVINSKYI)
+        orders = np.arange(1, qmax + 1, dtype=np.int64) * base
+        oset._mark(_hits_of(oset, orders), RULE_LIVINSKYI)
         k += 1
 
 
 def _rule_product8(oset: OrderSet) -> bool:
-    limit = oset.limit
-    mem = np.flatnonzero(oset.bits).astype(np.int64) * 4
-    changed = False
-    for x in mem:
-        if x * x > 2 * limit:
-            break
-        ys = mem[(mem >= x) & (mem <= 2 * limit // x)]
-        changed |= oset._mark(x * ys // 2, RULE_PRODUCT8)
-    return changed
+    # 8ab for members 4a <= 4b: bit index 2ab, one strided OR per a
+    bits = oset.bits
+    hit = np.zeros_like(bits)
+    for a in np.flatnonzero(bits[:math.isqrt((bits.size - 1) // 2) + 1]):
+        view = hit[2 * a * a::2 * a]
+        view |= bits[a:a + view.size]
+    return oset._mark(hit, RULE_PRODUCT8)
 
 
 def _rule_product16(oset: OrderSet) -> bool:
-    limit16 = 16 * oset.limit
-    mem = np.flatnonzero(oset.bits).astype(np.int64) * 4
-    changed = False
-    for i, w in enumerate(mem):
-        if w ** 4 > limit16:
-            break
-        for x in mem[i:]:
-            if w * x ** 3 > limit16:
-                break
-            jy = np.searchsorted(mem, x)
-            for y in mem[jy:]:
-                if w * x * y * y > limit16:
-                    break
-                zs = mem[(mem >= y) & (mem <= limit16 // (w * x * y))]
-                changed |= oset._mark(w * x * y * zs // 16, RULE_PRODUCT16)
-    return changed
+    # 16abcd for members 4a <= 4b <= 4c <= 4d: bit index 4 (ab)(cd), where
+    # neither pair product ab, cd exceeds top = (bits.size - 1) // 4
+    bits = oset.bits
+    top = (bits.size - 1) // 4
+    pairs = np.zeros(top + 1, dtype=bool)
+    for a in np.flatnonzero(bits[:math.isqrt(top) + 1]):
+        view = pairs[a * a::a]
+        view |= bits[a:a + view.size]
+    hit = np.zeros_like(bits)
+    for k in np.flatnonzero(pairs[:math.isqrt(top) + 1]):
+        view = hit[4 * k * k::4 * k]
+        view |= pairs[k:k + view.size]
+    return oset._mark(hit, RULE_PRODUCT16)
 
 
 def _rule_miyamoto1(oset: OrderSet, pp_orders: np.ndarray) -> bool:
-    out = [4 * q for q in pp_orders
-           if 4 * q <= oset.limit and (q - 1) in oset]
-    return oset._mark(out, RULE_MIYAMOTO1)
+    q = pp_orders[4 * pp_orders <= oset.limit]
+    return oset._mark(_hits_of(oset, 4 * q[_member_mask(oset, q - 1)]),
+                      RULE_MIYAMOTO1)
 
 
 def _rule_yamada(oset: OrderSet, pp_orders: np.ndarray) -> bool:
-    out = [4 * (q + 2) for q in pp_orders
-           if q % 8 == 5 and 4 * (q + 2) <= oset.limit and ((q + 3) // 2) in oset]
-    return oset._mark(out, RULE_YAMADA)
+    q = pp_orders[(pp_orders % 8 == 5) & (4 * (pp_orders + 2) <= oset.limit)]
+    hits = _hits_of(oset, 4 * (q + 2)[_member_mask(oset, (q + 3) // 2)])
+    return oset._mark(hits, RULE_YAMADA)
 
 
 def build_order_set(limit: int, rules: Iterable[str] | None = None) -> OrderSet:
@@ -408,7 +418,7 @@ def build_order_set(limit: int, rules: Iterable[str] | None = None) -> OrderSet:
     pp_orders = np.flatnonzero(ppm).astype(np.int64)
 
     if RULE_PALEY in ruleset:
-        _rule_paley(oset, pp_orders)
+        _rule_paley(oset, ppm)
     if RULE_TWIN_PRIME in ruleset:
         _rule_twin_prime(oset, ppm)
     if RULE_COMPLEX_GOLAY in ruleset:
@@ -460,19 +470,15 @@ def gap_function(x: int, oset: OrderSet) -> GapReport:
     if x > oset.limit:
         raise ValueError(f"x = {x} exceeds sieve limit {oset.limit}")
     mem = oset.members()
-    mem = mem[mem <= x]
-    if mem.size == 0:
+    k = int(np.searchsorted(mem, x, side="right"))  # members <= x
+    if k == 0:
         return GapReport(x=x, gamma=0, witness_pair=None)
-    last = int(mem[-1])
+    last = int(mem[k - 1])
     if oset.successor(last) is None:
         raise ValueError(
             f"insufficient headroom: successor of {last} exceeds limit {oset.limit}")
-    all_mem = oset.members()
-    k = int(np.searchsorted(all_mem, last)) + 1  # pairs go one past x
-    seq = all_mem[:k + 1]
+    seq = mem[:k + 1]  # pairs go one past x
     gaps = np.diff(seq)
-    if gaps.size == 0:
-        return GapReport(x=x, gamma=0, witness_pair=None)
     gamma = int(gaps.max())
     i = int(np.flatnonzero(gaps == gamma)[-1])
     return GapReport(x=x, gamma=gamma, witness_pair=(int(seq[i]), int(seq[i + 1])))

@@ -55,6 +55,20 @@ class TestBasicCommands:
         data = json.loads(out)
         assert data["limit"] == 1024 and data["count"] > 200
 
+    @pytest.mark.parametrize("limit_args, digest", [
+        ((), "66bc69550ee1949a2a1fcbb5d0859da5f3e542d175e816b47fa256c448aea2de"),
+        (("--max", "131072"),
+         "afc6396f299d581cffd3a8ed0b1d4a64d6d635e8028f7fe440ca1c0474721a96"),
+    ])
+    def test_sieve_export_bytes_pinned(self, capsys, tmp_path, limit_args,
+                                       digest):
+        # members and rule tags of the exported cache; any change to these
+        # bytes must be deliberate and named
+        path = tmp_path / "orders.sieve"
+        code, _, _ = run_cli(capsys, "sieve", *limit_args, "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
 
 class TestDeterminism:
     def test_byte_identical_json(self, capsys):

@@ -1,13 +1,199 @@
 import numpy as np
 import pytest
 
-from maxdet.sieve import (DEFAULT_RULES, RULE_LIVINSKYI, RULE_PALEY,
-                          RULE_PRODUCT8, RULE_SMALL, SMALL_ORDER_EXCEPTIONS,
-                          OrderSet, build_order_set, gap_exponent,
-                          gap_function, hadregion_violations, resolve)
+from maxdet import sieve
+from maxdet.primes import prime_power_mask
+from maxdet.sieve import (ALL_RULES, DEFAULT_RULES, RULE_LIVINSKYI,
+                          RULE_MIYAMOTO1, RULE_PALEY, RULE_PRODUCT8,
+                          RULE_PRODUCT16, RULE_SMALL, RULE_YAMADA,
+                          SMALL_ORDER_EXCEPTIONS, OrderSet, build_order_set,
+                          gap_exponent, gap_function, hadregion_violations,
+                          resolve)
+
+
+# ---------------------------------------------------------------------------
+# reference sieve: the rules as per-order loops, marking order lists one
+# call at a time, in the same fixpoint order as build_order_set
+
+
+def _ref_mark(oset, orders, rule):
+    orders = np.asarray(orders, dtype=np.int64).ravel()
+    orders = orders[(orders >= 4) & (orders <= oset.limit)]
+    orders = orders[orders % 4 == 0]
+    if orders.size == 0:
+        return False
+    idx = np.unique(orders // 4)
+    idx = idx[~oset.bits[idx]]
+    if idx.size == 0:
+        return False
+    oset.bits[idx] = True
+    for j in idx:
+        oset.rule_tags[int(j) * 4] = rule
+    return True
+
+
+def _ref_williamson_orders(limit, rules, pp_orders, ppm):
+    wil = {w for w in range(1, sieve.WILLIAMSON_BASE_MAX + 1)
+           if w not in sieve.WILLIAMSON_BASE_EXCEPTIONS}
+    if sieve.RULE_SEBERRY_YAMADA in rules:
+        for q in pp_orders:
+            w = 2 * q + 3
+            if w > limit:
+                break
+            if ppm[w]:
+                wil.add(int(w))
+    if sieve.RULE_TURYN_WILLIAMSON in rules:
+        for q in pp_orders:
+            if q % 4 == 1:
+                w = (q + 1) // 2
+                if w <= limit:
+                    wil.add(int(w))
+    return sorted(w for w in wil if w <= limit)
+
+
+def _ref_static_rules(oset, ruleset, pp_orders, ppm):
+    limit = oset.limit
+    if RULE_PALEY in ruleset:
+        bases = np.unique(np.concatenate([np.array([1, 2], dtype=np.int64),
+                                          pp_orders + 1]))
+        j = 0
+        while (1 << j) <= limit:
+            vals = bases << j
+            _ref_mark(oset, vals[vals <= limit], RULE_PALEY)
+            j += 1
+    if sieve.RULE_TWIN_PRIME in ruleset:
+        out = []
+        q = 3
+        while (q + 1) * (q + 1) <= limit:
+            if ppm[q] and q + 2 < ppm.size and ppm[q + 2]:
+                out.append((q + 1) * (q + 1))
+            q += 2
+        _ref_mark(oset, out, sieve.RULE_TWIN_PRIME)
+    if sieve.RULE_COMPLEX_GOLAY in ruleset:
+        qmax = limit // 8
+        golay = sieve.complex_golay_numbers(qmax)
+        if golay.size:
+            sums = (golay[:, None] + golay[None, :]).ravel()
+            sums = np.unique(sums[sums <= qmax])
+            _ref_mark(oset, sums * 8, sieve.RULE_COMPLEX_GOLAY)
+    if sieve.RULE_MIYAMOTO2 in ruleset:
+        out = [8 * q for q in pp_orders
+               if q % 4 == 3 and 8 * q <= limit and 2 * q - 3 < ppm.size
+               and ppm[2 * q - 3]]
+        _ref_mark(oset, out, sieve.RULE_MIYAMOTO2)
+    if RULE_SMALL in ruleset:
+        top = min(2056, limit)
+        _ref_mark(oset, [h for h in range(4, top + 1, 4)
+                         if h not in SMALL_ORDER_EXCEPTIONS], RULE_SMALL)
+    if sieve.RULE_BAUMERT_HALL in ruleset:
+        wil = _ref_williamson_orders(limit // 4, ruleset, pp_orders, ppm)
+        bh = sieve.baumert_hall_orders(limit // 4)
+        out = []
+        for w in wil:
+            for b in bh:
+                v = 4 * b * w
+                if v > limit:
+                    break
+                out.append(v)
+        _ref_mark(oset, out, sieve.RULE_BAUMERT_HALL)
+    if RULE_LIVINSKYI in ruleset:
+        k = 1
+        while (1 << (6 * k + 5)) <= limit:
+            base = 1 << (6 * k + 5)
+            qmax = min(1 << (26 * k + 1), limit // base)
+            _ref_mark(oset, np.arange(1, qmax + 1, dtype=np.int64) * base,
+                      RULE_LIVINSKYI)
+            k += 1
+
+
+def _ref_product8(oset):
+    limit = oset.limit
+    mem = np.flatnonzero(oset.bits).astype(np.int64) * 4
+    changed = False
+    for x in mem:
+        if x * x > 2 * limit:
+            break
+        ys = mem[(mem >= x) & (mem <= 2 * limit // x)]
+        changed |= _ref_mark(oset, x * ys // 2, RULE_PRODUCT8)
+    return changed
+
+
+def _ref_product16(oset):
+    limit16 = 16 * oset.limit
+    mem = np.flatnonzero(oset.bits).astype(np.int64) * 4
+    changed = False
+    for i, w in enumerate(mem):
+        if w ** 4 > limit16:
+            break
+        for x in mem[i:]:
+            if w * x ** 3 > limit16:
+                break
+            for y in mem[np.searchsorted(mem, x):]:
+                if w * x * y * y > limit16:
+                    break
+                zs = mem[(mem >= y) & (mem <= limit16 // (w * x * y))]
+                changed |= _ref_mark(oset, w * x * y * zs // 16,
+                                     RULE_PRODUCT16)
+    return changed
+
+
+def reference_build_order_set(limit, rules=None):
+    """build_order_set as per-order loops, kept as an oracle."""
+    ruleset = DEFAULT_RULES if rules is None else frozenset(rules)
+    oset = OrderSet(limit, ruleset)
+    ppm = prime_power_mask(limit)
+    pp_orders = np.flatnonzero(ppm).astype(np.int64)
+    _ref_static_rules(oset, ruleset, pp_orders, ppm)
+    changed = True
+    while changed:
+        changed = False
+        if RULE_PRODUCT8 in ruleset:
+            changed |= _ref_product8(oset)
+        if RULE_PRODUCT16 in ruleset:
+            changed |= _ref_product16(oset)
+        if RULE_MIYAMOTO1 in ruleset:
+            changed |= _ref_mark(oset, [
+                4 * q for q in pp_orders
+                if 4 * q <= oset.limit and (q - 1) in oset], RULE_MIYAMOTO1)
+        if RULE_YAMADA in ruleset:
+            changed |= _ref_mark(oset, [
+                4 * (q + 2) for q in pp_orders
+                if q % 8 == 5 and 4 * (q + 2) <= oset.limit
+                and ((q + 3) // 2) in oset], RULE_YAMADA)
+    return oset
+
+
+ORACLE_CASES = (
+    [(limit, None) for limit in (4, 8, 12, 100, 700, 2056, 4096, 20000,
+                                 65536, 131072)]
+    + [(limit, DEFAULT_RULES - {rule}) for limit in (20000, 65536)
+       for rule in ALL_RULES]
+    + [(65536, frozenset(rules)) for rules in (
+        {RULE_PALEY, RULE_PRODUCT8, RULE_PRODUCT16},
+        {RULE_PALEY, RULE_PRODUCT16},
+        {RULE_PALEY, RULE_MIYAMOTO1, RULE_YAMADA},
+        set())])
+
+
+def _case_id(case):
+    limit, rules = case
+    if rules is None:
+        return f"{limit}-default"
+    if len(rules) == len(ALL_RULES) - 1:
+        return f"{limit}-no-{(set(ALL_RULES) - rules).pop()}"
+    return f"{limit}-" + "+".join(sorted(rules) or ["none"])
 
 
 class TestBuild:
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=_case_id)
+    def test_matches_reference_loops(self, case):
+        limit, rules = case
+        got = build_order_set(limit, rules)
+        want = reference_build_order_set(limit, rules)
+        assert np.array_equal(got.bits, want.bits)
+        assert (got.has1, got.has2) == (want.has1, want.has2)
+        assert got.rule_tags == want.rule_tags
+
     def test_limit_100_all_multiples_of_four(self):
         s = build_order_set(100)
         for n in range(4, 101, 4):
