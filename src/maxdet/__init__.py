@@ -16,11 +16,8 @@ from .exact import LogScalar, det_exact, normalized_ratio
 from .sieve import (OrderSet, GapReport, Resolution, build_order_set,
                     gap_exponent, gap_function, hadregion_violations, resolve)
 from .border import (Border, SearchConfig, TrialResult, greedy_complete,
-                     run_trial, sample_border_columns, search,
-                     sign_completion, verify_witness)
-from .bounds import (BoundReport, check_es152, check_pert_bound,
-                     evaluate_bounds, g_of_h, h0, hoeffding_bound,
-                     maxdet_oracle)
+                     run_trial, sample_border_columns, search, verify_witness)
+from .bounds import BoundReport, evaluate_bounds, g_of_h, h0, maxdet_oracle
 
 __all__ = [
     "__version__",
@@ -31,7 +28,6 @@ __all__ = [
     "OrderSet", "GapReport", "Resolution", "build_order_set", "gap_exponent",
     "gap_function", "hadregion_violations", "resolve",
     "Border", "SearchConfig", "TrialResult", "greedy_complete", "run_trial",
-    "sample_border_columns", "search", "sign_completion", "verify_witness",
-    "BoundReport", "check_es152", "check_pert_bound", "evaluate_bounds",
-    "g_of_h", "h0", "hoeffding_bound", "maxdet_oracle",
+    "sample_border_columns", "search", "verify_witness",
+    "BoundReport", "evaluate_bounds", "g_of_h", "h0", "maxdet_oracle",
 ]

@@ -98,14 +98,10 @@ def sample_border_columns(rng: np.random.Generator, m: int, d: int) -> np.ndarra
     return (rng.integers(0, 2, size=(m, d), dtype=np.int8) * 2 - 1).astype(np.int8)
 
 
-def sign_completion(b: np.ndarray, q: QuasiOrthogonal) -> np.ndarray:
-    """C with C[i, j] = +1 iff (B^T Q)[i, j] >= 0 else -1 (sgn(0) = +1)."""
-    return _sign_completion(b, q)[0]
-
-
 def _sign_completion(b: np.ndarray, q: QuasiOrthogonal
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """C = sgn(P) as int8 and G = C Q^T B = C P^T as int64, for P = B^T Q.
+    """C = sgn(P) as int8 (sgn(0) = +1) and G = C Q^T B = C P^T as int64,
+    for P = B^T Q.
 
     B is a sign block, so |P| <= m and every partial sum of C P^T is an
     integer of size at most m^2: below 2^53 the float64 (BLAS) product is
@@ -224,10 +220,6 @@ def _finish_trial(q, b, d, trial_index, master_seed) -> TrialResult:
                        border=Border(B=b, C=c, D=d_block, G=g))
 
 
-# max() keeps the first of equal maxima: the lowest trial index wins ties
-_RATIO = attrgetter("ratio")
-
-
 def search(q: QuasiOrthogonal, d: int, config: SearchConfig = DEFAULT_CONFIG
            ) -> TrialResult:
     """Best trial over indices 0..trials-1; deterministic for a given seed.
@@ -238,27 +230,7 @@ def search(q: QuasiOrthogonal, d: int, config: SearchConfig = DEFAULT_CONFIG
     trials = config.trials if d else 1
     return max((run_trial(q, d, trial_generator(config.master_seed, t), t,
                           config.master_seed)
-                for t in range(trials)), key=_RATIO)
-
-
-def iter_all_borders(q: QuasiOrthogonal, d: int):
-    """Every possible B (2^(m*d) patterns), for exhaustive small cases.
-
-    Pattern index bit t (row-major entry t of B) gives entry +1 when the
-    bit is 0.  Trial index is the pattern index.
-    """
-    m = q.order
-    if m * d > 24:
-        raise ValueError("exhaustive enumeration limited to m*d <= 24")
-    shifts = np.arange(m * d, dtype=np.uint32)
-    for pattern in range(1 << (m * d)):
-        bits = (pattern >> shifts) & 1
-        b = (1 - 2 * bits.astype(np.int8)).reshape(m, d)
-        yield _finish_trial(q, b, d, pattern, None)
-
-
-def exhaustive_search(q: QuasiOrthogonal, d: int) -> TrialResult:
-    return max(iter_all_borders(q, d), key=_RATIO)
+                for t in range(trials)), key=attrgetter("ratio"))
 
 
 def assemble_bordered(q: QuasiOrthogonal, border: Border) -> list[list[int]]:

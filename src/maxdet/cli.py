@@ -1,5 +1,5 @@
 """Command-line interface: sieve, gaps, resolve, bound, search, verify,
-lemmas, oracle, and table1 subcommands.
+oracle, and table1 subcommands.
 
 Machine-readable JSON goes to stdout; human logs go to stderr.  Runs with
 identical flags and seed produce byte-identical JSON.  Exit code 0 means
@@ -66,8 +66,7 @@ def _meta(args, oset=None) -> dict:
 def _load_sieve(args, need_limit: int | None = None) -> sieve_mod.OrderSet:
     limit = max(args.max, need_limit or 0)
     cache = getattr(args, "cache", None)
-    use_cache = cache is not None and not getattr(args, "no_cache", False)
-    if use_cache and Path(cache).exists():
+    if cache is not None and Path(cache).exists():
         try:
             oset = sieve_mod.OrderSet.load(cache)
         except ValueError as exc:
@@ -83,7 +82,7 @@ def _load_sieve(args, need_limit: int | None = None) -> sieve_mod.OrderSet:
                 return oset.restricted(limit)
     _log(f"building order sieve to {limit}")
     oset = sieve_mod.build_order_set(limit)
-    if use_cache:
+    if cache is not None:
         oset.save(cache)
         _log(f"wrote sieve cache {cache}")
     return oset
@@ -264,18 +263,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_lemmas(args) -> int:
-    report = bounds_mod.run_lemma_suite(seed=args.seed,
-                                        inject_violation=args.inject_violation)
-    out = {"meta": _meta(args), **report}
-    out["failures"] = [[name, repr(detail)] for name, detail in out["failures"]]
-    _emit(out)
-    for name, slot in report["lemmas"].items():
-        _log(f"{name}: pass={slot['pass']} fail={slot['fail']} "
-             f"skip={slot['skip']}")
-    return 0 if report["ok"] else 1
-
-
 def _table1_core(h: int, p: int, method: str) -> str:
     """A row's core: paley1(p) doubled up to order h, paley2(p) or
     conference(p)."""
@@ -361,8 +348,6 @@ def _add_sieve_flags(p):
                    help="sieve limit (default %(default)s)")
     p.add_argument("--cache", type=str, default=None,
                    help="sieve cache file (HADSIEVE2 format)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and overwrite any existing cache")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,12 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="recheck a witness file")
     p.add_argument("witness", type=str)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("lemmas", help="run the inequality property suites")
-    p.add_argument("--seed", type=int, default=20240601)
-    p.add_argument("--inject-violation", action="store_true",
-                   help="harness self-test: adds a check that must fail")
-    p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("oracle", help="exhaustive maximal determinant, n <= 6")
     p.add_argument("n", type=int)

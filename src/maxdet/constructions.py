@@ -58,7 +58,7 @@ class QuasiOrthogonal:
 
     def dense(self) -> np.ndarray:
         """Q as int64 from right_mul(I), 64 rows at a time: O(order^2) memory,
-        for the bordered matrix at n <= 64, the lemma suite and tests."""
+        for the bordered matrix at n <= 64 and for tests."""
         m = self.order
         q = np.empty((m, m), dtype=np.int64)
         for i in range(0, m, 64):

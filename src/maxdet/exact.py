@@ -108,18 +108,6 @@ class LogScalar:
     sign: int
     log_abs: float
 
-    @classmethod
-    def from_int(cls, x: int) -> "LogScalar":
-        if x == 0:
-            return cls(0, 0.0)
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    def __mul__(self, other: "LogScalar") -> "LogScalar":
-        s = self.sign * other.sign
-        if s == 0:
-            return LogScalar(0, 0.0)
-        return LogScalar(s, self.log_abs + other.log_abs)
-
     def value(self) -> float:
         """Decimal value; overflows to +-inf rather than raising."""
         if self.sign == 0:

@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
 Long-running pieces (the n = 5758 conference row and the n = 6 oracle)
-carry the `slow` marker and run with `pytest -m slow`.
+carry the `slow` marker and run with `pytest -m slow`.  Criterion 9, the
+supporting lemmas, is tests/test_lemmas.py: one test per lemma.
 """
 
 import math
@@ -12,13 +13,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maxdet.border import (SearchConfig, exhaustive_search, iter_all_borders,
-                           run_trial, search, trial_generator, verify_witness)
-from maxdet.bounds import evaluate_bounds, maxdet_oracle, run_lemma_suite
+from maxdet.border import (SearchConfig, run_trial, search, trial_generator,
+                           verify_witness)
+from maxdet.bounds import evaluate_bounds, maxdet_oracle
 from maxdet.cli import EXCEPTIONAL_ROWS
 from maxdet.constructions import (CONFERENCE, HADAMARD, build_recipe,
                                   paley_conference, plan_recipe, validate)
 from maxdet.sieve import hadregion_violations
+from test_border import exhaustive_search, iter_all_borders
 
 # documented deviation for criterion 7: fixpoint closure of the product
 # rule over Yamada-rule orders lands inside two of the table's intervals
@@ -240,23 +242,6 @@ def test_criterion_08_schur_direct_consistency():
     elapsed = time.time() - t0
     assert elapsed < 30
     _report(8, "Schur vs direct determinants", f"100 cases, {elapsed:.1f}s")
-
-
-def test_criterion_09_lemma_property_suites():
-    t0 = time.time()
-    report = run_lemma_suite(n_random=100_000)
-    assert report["ok"], report["failures"]
-    lem = report["lemmas"]
-    for name in ("near_identity_floor", "near_identity_zero_diag_floor",
-                 "dd_product_floor", "near_identity_floor_tight",
-                 "reverse_markov_exhaustive", "hoeffding_tail", "power_ratio_floor", "tail_bound_normalized",
-                 "chord_below_exp", "eps_product_cap", "eps_upper_bound",
-                 "tail_mass_balance", "diagonal_mean_floor"):
-        assert lem[name]["fail"] == 0, name
-        assert lem[name]["pass"] > 0, name
-    elapsed = time.time() - t0
-    assert elapsed < 120
-    _report(9, "lemma property suites", f"{elapsed:.1f}s")
 
 
 def test_criterion_10_bound_spot_checks():

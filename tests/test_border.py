@@ -14,15 +14,30 @@ import pytest
 import maxdet
 from maxdet import border as border_mod
 from maxdet.border import (Border, SchurConsistencyError, SearchConfig,
-                           WitnessError, _sign_completion,
-                           assemble_bordered, exhaustive_search,
-                           greedy_complete, iter_all_borders, run_trial,
+                           WitnessError, _finish_trial, _sign_completion,
+                           assemble_bordered, greedy_complete, run_trial,
                            sample_border_columns, save_witness, search,
-                           sign_completion, trial_generator, verify_witness,
-                           witness_dict)
+                           trial_generator, verify_witness, witness_dict)
 from maxdet.constructions import (ExactnessError, build_recipe,
                                   paley_conference)
 from maxdet.exact import det_exact
+
+
+def iter_all_borders(q, d):
+    """The trial for each of the 2^(m d) sign blocks B, for exhaustive small
+    cases.  Bit t of the pattern index, which is also the trial index, makes
+    row-major entry t of B equal to -1."""
+    m = q.order
+    assert m * d <= 24, "exhaustive enumeration is limited to m*d <= 24"
+    shifts = np.arange(m * d, dtype=np.uint32)
+    for pattern in range(1 << (m * d)):
+        b = (1 - 2 * ((pattern >> shifts) & 1).astype(np.int8)).reshape(m, d)
+        yield _finish_trial(q, b, d, pattern, None)
+
+
+def exhaustive_search(q, d):
+    """The best trial over every B; the lowest pattern wins a tie."""
+    return max(iter_all_borders(q, d), key=lambda res: res.ratio)
 
 
 def reference_greedy(g, k):
@@ -87,17 +102,17 @@ class TestSignCompletion:
     def test_zero_maps_to_plus(self, h4):
         b = np.array([[1], [1], [-1], [-1]], dtype=np.int8)
         p = b.T.astype(int) @ h4.dense()
-        c = sign_completion(b, h4)
+        c = _sign_completion(b, h4)[0]
         assert np.any(p == 0)
         assert np.all(c[p == 0] == 1)
 
     def test_row_depends_only_on_own_column(self, h4):
         rng = trial_generator(2, 0)
         b = sample_border_columns(rng, 4, 2)
-        c = sign_completion(b, h4)
+        c = _sign_completion(b, h4)[0]
         b2 = b.copy()
         b2[:, 1] = -b2[:, 1]
-        c2 = sign_completion(b2, h4)
+        c2 = _sign_completion(b2, h4)[0]
         assert np.array_equal(c[0], c2[0])
         assert not np.array_equal(c[1], c2[1])
 
@@ -192,7 +207,7 @@ class TestGramBlock:
         q = {4: h4, 8: h8, 12: h12}[h]
         rng = trial_generator(5, h)
         b = sample_border_columns(rng, h, 3)
-        c = sign_completion(b, q)
+        c = _sign_completion(b, q)[0]
         cqt = c.astype(np.int64) @ q.dense().T
         norms = (cqt ** 2).sum(axis=1)
         assert np.all(norms == h * h)
@@ -201,7 +216,7 @@ class TestGramBlock:
         q = paley_conference(5)
         rng = trial_generator(6, 0)
         b = sample_border_columns(rng, 6, 2)
-        c = sign_completion(b, q)
+        c = _sign_completion(b, q)[0]
         cqt = c.astype(np.int64) @ q.dense().T
         assert np.all((cqt ** 2).sum(axis=1) == 5 * 6)
 

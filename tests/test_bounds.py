@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maxdet.bounds import (PI_E_HI, PI_E_LO, central_binomial_lower_bound,
-                           check_dd_bound, check_es152, check_pert_bound,
-                           check_scalar_inequalities, evaluate_bounds,
-                           g_of_h, h0, hoeffding_bound, maxdet_oracle,
-                           passes_small_border_floor,
-                           passes_uniform_floor, run_lemma_suite)
+from maxdet.bounds import (PI_E_HI, PI_E_LO, evaluate_bounds, g_of_h, h0,
+                           maxdet_oracle, passes_small_border_floor,
+                           passes_uniform_floor)
+from test_border import iter_all_borders
+from test_lemmas import (POWER_RATIO, check_es152, dd_floor_holds,
+                         hoeffding_bound, log_central_binomial_floor,
+                         near_identity_floor_holds)
 
 
 class TestGofH:
@@ -20,19 +21,18 @@ class TestGofH:
         assert float(g_of_h(4)) > 0.79788 * 2 + 0.9
 
     def test_binomial_bound_h4(self):
-        lb = central_binomial_lower_bound(4)
+        lb = math.exp(log_central_binomial_floor(4))
         assert math.isclose(lb, 5.9841, abs_tol=5e-4)
         assert 6 > lb
 
     def test_binomial_bound_many(self):
         for h in range(2, 300, 2):
-            assert math.comb(h, h // 2) > central_binomial_lower_bound(h)
+            log_binom = math.log(math.comb(h, h // 2))
+            assert log_binom > log_central_binomial_floor(h)
 
     def test_odd_h_rejected(self):
         with pytest.raises(ValueError):
             g_of_h(5)
-        with pytest.raises(ValueError):
-            central_binomial_lower_bound(7)
 
 
 class TestH0:
@@ -151,20 +151,30 @@ class TestOracle:
 
 
 class TestPertBounds:
+    @staticmethod
+    def dd_ratio(a):
+        """The smallest eps with |a_ij| <= eps |a_ii| off the diagonal."""
+        off = np.abs(a) / np.abs(np.diagonal(a))[:, None]
+        np.fill_diagonal(off, 0.0)
+        return float(off.max())
+
     def test_tight_all_ones(self):
         e = 0.2 * np.ones((3, 3))
-        det = float(np.linalg.det(np.eye(3) - e))
-        assert abs(det - 0.4) <= 1e-12
-        assert check_pert_bound(e, 3) is True
+        a = np.eye(3) - e
+        assert abs(float(np.linalg.det(a)) - 0.4) <= 1e-12
+        assert near_identity_floor_holds(e, 0.2)
+        assert dd_floor_holds(a, self.dd_ratio(a))
 
     def test_nice_bound_equality_2x2(self):
         a = np.array([[1.0, 0.3], [0.3, 1.0]])
-        assert check_dd_bound(a)
+        assert dd_floor_holds(a, 0.3)
         assert math.isclose(np.linalg.det(a), 1 - 0.09, rel_tol=1e-14)
 
     def test_skip_marker(self):
-        e = np.ones((4, 4))  # d*eps = 4 > 1
-        assert check_pert_bound(e, 4) is None
+        # outside d eps <= 1 the floor need not hold: at d = 2, eps = 2,
+        # det(I - E) = (1 - 2)(1 + 2) - 4 = -7 < 1 - d eps = -3
+        e = np.array([[2.0, 2.0], [2.0, -2.0]])
+        assert not near_identity_floor_holds(e, 2.0)
 
     def test_random_never_violated(self):
         rng = np.random.default_rng(77)
@@ -172,11 +182,13 @@ class TestPertBounds:
             d = int(rng.integers(1, 7))
             eps = rng.uniform(0, 1 / d)
             e = rng.uniform(-eps, eps, (d, d))
-            assert check_pert_bound(e, d) in (True, None)
+            a = np.eye(d) - e
+            assert near_identity_floor_holds(e, np.abs(e).max())
+            assert dd_floor_holds(a, self.dd_ratio(a))
 
     def test_shape_guard(self):
         with pytest.raises(ValueError):
-            check_pert_bound(np.zeros((2, 3)), 2)
+            near_identity_floor_holds(np.zeros((2, 3)), 0.0)
 
 
 class TestES152:
@@ -197,7 +209,6 @@ class TestES152:
             check_es152([2], 0)
 
     def test_exhaustive_f11_distribution(self, h4):
-        from maxdet.border import iter_all_borders
         xs = [Fraction(int(res.border.G[0, 0]), 8)
               for res in iter_all_borders(h4, 1)]
         assert len(xs) == 16
@@ -335,14 +346,11 @@ class TestHoeffding:
 
 class TestScalarInequalities:
     def test_spec_points(self):
-        report = check_scalar_inequalities(h_values=[4, 16, 656, 1000],
-                                           alpha_values=[1.0, 2.0])
-        for name, slot in report.items():
-            if name == "failures":
-                continue
-            assert slot["fail"] == 0, (name, report.get("failures"))
-        # h=4, alpha=1 is a genuine (non-skipped) ineq1 sample
-        assert report["power_ratio_floor"]["pass"] >= 1
+        # both power-ratio floors at n = h + alpha, from n = 5 on
+        for h in (4, 16, 656, 1000):
+            for alpha in (1.0, 2.0):
+                for name, holds in POWER_RATIO.items():
+                    assert holds(h, alpha, h + round(alpha)), (name, h, alpha)
 
     def test_eps_cap_value(self):
         # at h = 656 every admissible epsilon is below (2 ln h / h)^(1/3),
@@ -350,24 +358,3 @@ class TestScalarInequalities:
         root_bound = (2 * math.log(656) / 656) ** (1 / 3)
         assert 0.2703 < root_bound < 0.2705
         assert root_bound <= (math.sqrt(2 / math.pi) - 0.5) / 1.1
-
-    def test_default_grid_zero_failures(self):
-        report = check_scalar_inequalities(h_values=range(656, 2001, 8))
-        for name, slot in report.items():
-            if name == "failures":
-                continue
-            assert slot["fail"] == 0, (name, report.get("failures"))
-        assert report["eps_product_cap"]["pass"] > 100
-
-
-class TestLemmaSuite:
-    def test_suite_passes(self):
-        report = run_lemma_suite(n_random=20_000)
-        assert report["ok"], report["failures"]
-        assert report["lemmas"]["diagonal_mean_exact"]["fail"] == 0
-        assert report["lemmas"]["diagonal_mean_exact"]["pass"] == 2
-
-    def test_injected_violation_fails(self):
-        report = run_lemma_suite(n_random=6000, inject_violation=True)
-        assert not report["ok"]
-        assert report["lemmas"]["canary_tight_no_slack"]["fail"] == 1

@@ -131,52 +131,37 @@ class TestDetAdjExact:
 
 class TestLogScalar:
     def test_from_int(self):
-        x = LogScalar.from_int(-48)
-        assert x.sign == -1
-        assert math.isclose(x.log_abs, math.log(48))
-        assert LogScalar.from_int(0).sign == 0
+        x = LogScalar(-1, math.log(48))
+        assert math.isclose(x.value(), -48.0, rel_tol=1e-12)
+        assert LogScalar(0, 0.0).value() == 0.0
 
     def test_huge_int(self):
-        x = LogScalar.from_int(7 ** 4000)
+        # a determinant far beyond float range keeps an accurate log, and
+        # its decimal value overflows to inf rather than raising
+        x = LogScalar(-1, math.log(7 ** 4000))
         assert math.isclose(x.log_abs, 4000 * math.log(7), rel_tol=1e-12)
-
-    def test_mul_signs(self):
-        a, b = LogScalar.from_int(-3), LogScalar.from_int(-5)
-        p = a * b
-        assert p.sign == 1 and math.isclose(p.log_abs, math.log(15))
-        assert (a * LogScalar.from_int(0)).sign == 0
-
-    def test_mul_associative_commutative(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            xs = [LogScalar(rng.choice((-1, 1)), rng.uniform(-3, 3))
-                  for _ in range(3)]
-            a, b, c = xs
-            lhs, rhs = (a * b) * c, a * (b * c)
-            assert lhs.sign == rhs.sign
-            assert abs(lhs.log_abs - rhs.log_abs) < 1e-12
-            assert abs((a * b).log_abs - (b * a).log_abs) < 1e-12
+        assert x.value() == -math.inf
 
     def test_ordering(self):
-        assert LogScalar.from_int(-5) < LogScalar.from_int(0) < LogScalar.from_int(3)
-        assert LogScalar.from_int(-2) > LogScalar.from_int(-7)
-        assert LogScalar.from_int(9) > LogScalar.from_int(8)
+        log = math.log
+        assert LogScalar(-1, log(5)) < LogScalar(0, 0.0) < LogScalar(1, log(3))
+        assert LogScalar(-1, log(2)) > LogScalar(-1, log(7))
+        assert LogScalar(1, log(9)) > LogScalar(1, log(8))
 
 
 class TestNormalizedRatio:
     def test_hadamard_bound_attained(self):
-        n = 4
-        det = LogScalar.from_int(16)  # 4^(4/2)
-        assert abs(normalized_ratio(det, n).log_abs) < 1e-12
+        det = LogScalar(1, math.log(16))  # 4^(4/2)
+        assert abs(normalized_ratio(det, 4).log_abs) < 1e-12
 
     def test_n5_value(self):
-        r = normalized_ratio(LogScalar.from_int(48), 5)
+        r = normalized_ratio(LogScalar(1, math.log(48)), 5)
         assert math.isclose(r.value(), 48 / 5 ** 2.5, rel_tol=1e-12)
         assert math.isclose(r.value(), 0.858650, abs_tol=5e-7)
 
     def test_zero_det(self):
-        assert normalized_ratio(LogScalar.from_int(0), 7).sign == 0
+        assert normalized_ratio(LogScalar(0, 0.0), 7).sign == 0
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
-            normalized_ratio(LogScalar.from_int(1), 0)
+            normalized_ratio(LogScalar(1, 0.0), 0)
