@@ -15,13 +15,21 @@ operator (``QuasiOrthogonal.rmatmul``, exact by the checks described in
 ``constructions``).  Since Q^T B = P^T, the Gram block is G = C P^T, a
 float64 product that is exact because every partial sum is an integer of
 size at most m^2 < 2^53 (a raised check on the order).
+
+Border widths nest: B is drawn as a d x m array and transposed, and the
+draw is prefix-stable, so the first w columns of a trial's width-W block
+are its width-w block.  Row i of C and entry (i, j) of G depend only on
+columns i and j of B, so the width-w trial's C and G are the leading
+blocks C[:w] and G[:w, :w] of the width-W ones.  ``search_widths`` uses
+this to serve every width of a core from one product per trial.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from operator import attrgetter, mul
 
 import numpy as np
@@ -92,10 +100,14 @@ def trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:
 
 
 def sample_border_columns(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
-    """m x d matrix of independent fair +-1 entries (d = 0 gives m x 0)."""
+    """m x d matrix of independent fair +-1 entries (d = 0 gives m x 0).
+
+    It is the transpose of a d x m draw, so on one stream its first w
+    columns equal a width-w draw.
+    """
     if m < 1 or d < 0:
         raise ValueError("m must be >= 1 and d >= 0")
-    return (rng.integers(0, 2, size=(m, d), dtype=np.int8) * 2 - 1).astype(np.int8)
+    return (rng.integers(0, 2, size=(d, m), dtype=np.int8) * 2 - 1).T
 
 
 def _sign_completion(b: np.ndarray, q: QuasiOrthogonal
@@ -111,9 +123,12 @@ def _sign_completion(b: np.ndarray, q: QuasiOrthogonal
     if m * m >= 1 << 53:
         raise ExactnessError(f"order {m} is too large for an exact float64 "
                              f"Gram block")
-    p = q.rmatmul(b)
-    c = np.where(p >= 0, 1.0, -1.0)
-    g = c @ p.astype(np.float64).T
+    exact = q.rmatmul(b)
+    p = exact.astype(np.float64)
+    # C goes into the int64 result's buffer, which is dead after the cast;
+    # an integer zero casts to +0.0, so sgn(0) = +1
+    c = np.copysign(1.0, p, out=exact.view(np.float64))
+    g = c @ p.T
     return c.astype(np.int8), g.astype(np.int64)
 
 
@@ -201,17 +216,52 @@ def _ratio_from_det(det_n: int, m: int, k: int, d: int) -> LogScalar:
     return normalized_ratio(LogScalar(1, log_det), m + d)
 
 
+@dataclass
+class SharedBlocks:
+    """C and G of each trial at the largest width of one ``search_widths``.
+
+    ``searches`` counts the widths still to be searched, the current one
+    included.  A trial's blocks are kept only while a later width will read
+    them, and the last width releases them as it reads them.  C is kept as
+    bits (C > 0, eight to a byte), so the kept blocks of T trials take about
+    T W m / 8 bytes.
+    """
+
+    width: int
+    searches: int
+    blocks: dict = field(default_factory=dict)
+
+
 def run_trial(q: QuasiOrthogonal, d: int, rng: np.random.Generator,
-              trial_index: int = 0, master_seed: int | None = None
-              ) -> TrialResult:
-    """One bordering trial; d = 0 gives the bare core ratio k^(m/2)/m^(m/2)."""
-    b = sample_border_columns(rng, q.order, d)
-    return _finish_trial(q, b, d, trial_index, master_seed)
+              trial_index: int = 0, master_seed: int | None = None,
+              shared: SharedBlocks | None = None) -> TrialResult:
+    """One bordering trial; d = 0 gives the bare core ratio k^(m/2)/m^(m/2).
+
+    With ``shared``, the first call for a trial index draws B at the shared
+    width W >= d and makes C and G there; later widths redraw their B from
+    the trial's own stream and read the kept leading blocks.
+    """
+    if shared is None:
+        shared = SharedBlocks(d, 1)
+    m = q.order
+    kept = shared.blocks.get(trial_index)
+    if kept is None:
+        b = sample_border_columns(rng, m, shared.width)
+        c, g = _sign_completion(b, q)
+        if shared.searches > 1:
+            shared.blocks[trial_index] = np.packbits(c > 0, axis=1), g
+        b, c = b[:, :d], c[:d]
+    else:
+        if shared.searches == 1:
+            del shared.blocks[trial_index]
+        b = sample_border_columns(rng, m, d)
+        bits, g = kept
+        c = np.unpackbits(bits[:d], axis=1, count=m).view(np.int8) * 2 - 1
+    return _finish_trial(q, b, c, g[:d, :d], trial_index, master_seed)
 
 
-def _finish_trial(q, b, d, trial_index, master_seed) -> TrialResult:
-    m, k = q.order, q.weight
-    c, g = _sign_completion(b, q)
+def _finish_trial(q, b, c, g, trial_index, master_seed) -> TrialResult:
+    m, k, d = q.order, q.weight, b.shape[1]
     d_block, det_n = greedy_complete(g, k)
     ratio = _ratio_from_det(det_n, m, k, d)
     return TrialResult(ratio=ratio, trial_index=trial_index, n=m + d, m=m, d=d,
@@ -220,17 +270,36 @@ def _finish_trial(q, b, d, trial_index, master_seed) -> TrialResult:
                        border=Border(B=b, C=c, D=d_block, G=g))
 
 
-def search(q: QuasiOrthogonal, d: int, config: SearchConfig = DEFAULT_CONFIG
-           ) -> TrialResult:
+def search(q: QuasiOrthogonal, d: int, config: SearchConfig = DEFAULT_CONFIG,
+           shared: SharedBlocks | None = None) -> TrialResult:
     """Best trial over indices 0..trials-1; deterministic for a given seed.
 
     The reduction keeps the highest ratio; the lowest trial index wins a
     tie.  With d = 0 every trial is the bare core, so only trial 0 runs.
+    ``shared`` comes from ``search_widths``; alone, a search is a one-width
+    ``search_widths`` and keeps nothing between calls.
     """
+    if shared is None:
+        shared = SharedBlocks(d, 1)
+    if not 0 <= d <= shared.width:
+        raise ValueError(f"width {d} is outside 0..{shared.width}")
     trials = config.trials if d else 1
-    return max((run_trial(q, d, trial_generator(config.master_seed, t), t,
-                          config.master_seed)
+    best = max((run_trial(q, d, trial_generator(config.master_seed, t), t,
+                          config.master_seed, shared)
                 for t in range(trials)), key=attrgetter("ratio"))
+    shared.searches -= 1
+    return best
+
+
+def search_widths(q: QuasiOrthogonal, widths: list[int],
+                  config: SearchConfig = DEFAULT_CONFIG) -> list[TrialResult]:
+    """The best trial at each border width, in the order given.
+
+    Each equals ``search(q, w, config)``: trial t makes one product over Q
+    at the largest width, and every width reads its leading blocks.
+    """
+    shared = SharedBlocks(max(widths, default=0), len(widths))
+    return [search(q, d, config, shared) for d in widths]
 
 
 def assemble_bordered(q: QuasiOrthogonal, border: Border) -> list[list[int]]:
@@ -264,6 +333,7 @@ def witness_dict(result: TrialResult) -> dict:
         "trial_index": result.trial_index,
         "B": [_signs_to_str(row) for row in result.border.B],
         "D_off": _signs_to_str(d_off),
+        "det_schur": str(result.det_n),
         "ratio_log": result.ratio.log_abs,
         "ratio_decimal": result.ratio.value(),
     }
@@ -282,7 +352,7 @@ def _parse_signs(s: str) -> list[int]:
 
 
 _WITNESS_FIELDS = {"n": int, "m": int, "d": int, "weight": int, "kind": str,
-                   "recipe": str, "B": list, "D_off": str,
+                   "recipe": str, "B": list, "D_off": str, "det_schur": str,
                    "ratio_log": (int, float), "ratio_decimal": (int, float)}
 
 
@@ -296,6 +366,8 @@ def _witness_blocks(w: dict) -> tuple[QuasiOrthogonal, np.ndarray, np.ndarray]:
             raise WitnessError(f"witness field {key!r} has the wrong type")
     if not all(isinstance(row, str) for row in w["B"]):
         raise WitnessError("B is not a list of sign strings")
+    if not re.fullmatch(r"-?[0-9]+", w["det_schur"]):
+        raise WitnessError("det_schur is not a signed decimal integer")
     m, d = w["m"], w["d"]
     if d < 0:
         raise WitnessError("d is negative")
@@ -347,6 +419,9 @@ def verify_witness(source) -> LogScalar:
     if stored_c is not None and not np.array_equal(c, stored_c):
         raise WitnessError("stored C does not match sign completion of B")
     det_n = det_exact(g - k * d_block.astype(np.int64))
+    if det_n != int(w["det_schur"]):
+        raise WitnessError(f"stored det_schur {w['det_schur']} does not "
+                           f"match recomputed {det_n}")
     ratio = _ratio_from_det(det_n, m, k, d)
 
     stored_sign = 0 if w["ratio_decimal"] == 0 else 1

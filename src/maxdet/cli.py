@@ -305,18 +305,20 @@ def cmd_table1(args) -> int:
         entry["recipe"] = recipe
         checks = []
         row_ok = True
-        for d in ds:
+        widths = [h + d - q.order for d in ds]
+        searched = [w for w in widths if w >= 0]
+        config = border_mod.SearchConfig(trials=args.trials,
+                                         master_seed=args.seed)
+        _log(f"table1 row h={h}: borders {searched}, {args.trials} trials "
+             f"each, one product per trial")
+        found = iter(border_mod.search_widths(q, searched, config))
+        for d, width in zip(ds, widths):
             n = h + d
-            width = n - q.order
             if width < 0:
                 checks.append({"d": d, "n": n, "status": "skipped",
                                "note": f"core order {q.order} exceeds n"})
                 continue
-            config = border_mod.SearchConfig(trials=args.trials,
-                                             master_seed=args.seed)
-            _log(f"table1 row h={h}: n={n} (border {width}), "
-                 f"{args.trials} trials")
-            best = border_mod.search(q, width, config)
+            best = next(found)
             target_log = math.log(0.07) + d * math.log(0.352)
             ok = bounds_mod.passes_uniform_floor(best.det_n, q.order,
                                                  q.weight, width, d)

@@ -61,10 +61,7 @@ def test_criterion_01_construction_validity():
 
 
 def test_criterion_02_exact_expectations(h4):
-    f11 = [Fraction(res.border.G[0, 0], 4) for res in iter_all_borders(h4, 1)]
-    assert len(f11) == 16
-    assert sum(f11) / 16 == Fraction(3, 2)  # = g(4) - 1, zero tolerance
-
+    # E f11 = g(h) - 1 is test_lemmas.py::test_diagonal_mean_exact
     f12_sq = [Fraction(res.border.G[0, 1], 4) ** 2
               for res in iter_all_borders(h4, 2)]
     assert len(f12_sq) == 256
@@ -247,8 +244,6 @@ def test_criterion_08_schur_direct_consistency():
 def test_criterion_10_bound_spot_checks():
     val = math.exp(1.5 * math.log(2 / (math.pi * math.e)))
     assert 0.1133 < val < 0.1134
-    for d in range(0, 51):
-        assert 0.07 * 0.352 ** d > 3.0 ** (-(d + 3))
     assert not evaluate_bounds(658, 656, 2).entry("tail_bound").applicable
     assert evaluate_bounds(657, 656, 1).entry("tail_bound").applicable
     _report(10, "bound formula spot checks")

@@ -17,7 +17,10 @@ from maxdet.border import (Border, SchurConsistencyError, SearchConfig,
                            WitnessError, _finish_trial, _sign_completion,
                            assemble_bordered, greedy_complete, run_trial,
                            sample_border_columns, save_witness, search,
-                           trial_generator, verify_witness, witness_dict)
+                           search_widths, trial_generator, verify_witness,
+                           witness_dict)
+from maxdet.cli import (EXCEPTIONAL_FAST_CORE_MAX, EXCEPTIONAL_ROWS,
+                        _table1_core)
 from maxdet.constructions import (ExactnessError, build_recipe,
                                   paley_conference)
 from maxdet.exact import det_exact
@@ -32,7 +35,7 @@ def iter_all_borders(q, d):
     shifts = np.arange(m * d, dtype=np.uint32)
     for pattern in range(1 << (m * d)):
         b = (1 - 2 * ((pattern >> shifts) & 1).astype(np.int8)).reshape(m, d)
-        yield _finish_trial(q, b, d, pattern, None)
+        yield _finish_trial(q, b, *_sign_completion(b, q), pattern, None)
 
 
 def exhaustive_search(q, d):
@@ -96,6 +99,14 @@ class TestSampling:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sample_border_columns(trial_generator(0, 0), 0, 1)
+
+    @pytest.mark.parametrize("m", [664, 5750])
+    def test_prefix_stable(self, m):
+        # the first w columns of a width-26 draw are the width-w draw
+        wide = sample_border_columns(trial_generator(4, m), m, 26)
+        for w in (1, 4, 13, 25):
+            narrow = sample_border_columns(trial_generator(4, m), m, w)
+            assert np.array_equal(wide[:, :w], narrow), w
 
 
 class TestSignCompletion:
@@ -384,23 +395,77 @@ class TestRunTrialAndSearch:
                 return
         pytest.fail("best-of-128 missed the exhaustive maximum over 16 columns")
 
+    # the ids leave out the pinned values, so a deliberate repin keeps them
     @pytest.mark.parametrize("recipe,d,trials,index,det_schur", [
-        ("paley1(331);double", 6, 8, 4, 9155649798841943977361408),
-        ("paley2(1433)", 4, 4, 1, 251857354156005916672),
-        ("conference(709)", 4, 8, 2, 64738587150446904),
-        ("paley2(1433)", 10, 8, 6,
-         998855734377758287527069925711154965677514887790592),
+        ("paley1(331);double", 6, 8, 7, 9126344841941616877371392),
+        ("paley2(1433)", 4, 4, 1, 247999591116848248832),
+        ("conference(709)", 4, 8, 6, 65459676767089168),
+        ("paley2(1433)", 10, 8, 7,
+         1004082041583251300097268755580873417913116743696384),
         ("paley1(331);double", 14, 8, 4,
-         19395862286680343575247067863402655573200802856668688809984),
+         19140172067239387045568382998439482581782375231604276592640),
         ("paley1(5023);double", 22, 2, 0,
-         int("1125951306789470359420738118962742678583331924466233305920983"
-             "4520134687374801265188726521350532594139042751094362771136499"
-             "110903808")),
-    ])
+         int("1130401633025440641999451551711882568599837329885241556387912"
+             "7054408166025244709607529051931713433755863844690303728787596"
+             "555321344")),
+    ], ids=["paley1(331);double-d6", "paley2(1433)-d4", "conference(709)-d4",
+            "paley2(1433)-d10", "paley1(331);double-d14",
+            "paley1(5023);double-d22"])
     def test_pinned_results(self, recipe, d, trials, index, det_schur):
         best = search(build_recipe(recipe), d,
                       SearchConfig(trials=trials, master_seed=0))
         assert (best.trial_index, best.det_n) == (index, det_schur)
+
+
+def _same_trial(a, b):
+    return (a.trial_index == b.trial_index and a.det_n == b.det_n
+            and a.ratio == b.ratio
+            and all(np.array_equal(getattr(a.border, f), getattr(b.border, f))
+                    for f in ("B", "C", "D", "G")))
+
+
+class TestSearchWidths:
+    @pytest.mark.parametrize("row", [r for r in EXCEPTIONAL_ROWS
+                                     if r[0] <= EXCEPTIONAL_FAST_CORE_MAX],
+                             ids=lambda r: str(r[0]))
+    def test_fast_row_cells_equal_standalone_search(self, row):
+        h, _, ds, p, method = row
+        q = build_recipe(_table1_core(h, p, method))
+        widths = [h + d - q.order for d in ds]
+        config = SearchConfig(trials=8, master_seed=3)
+        shared = search_widths(q, widths, config)
+        assert [r.d for r in shared] == widths
+        for w, res in zip(widths, shared):
+            assert _same_trial(res, search(q, w, config)), w
+
+    def test_one_width_equals_search(self, h12):
+        config = SearchConfig(trials=16, master_seed=8)
+        [res] = search_widths(h12, [3], config)
+        assert _same_trial(res, search(h12, 3, config))
+
+    def test_any_order_and_bare_core(self, h12):
+        # widths in any order, repeated, or 0, each as if searched alone
+        config = SearchConfig(trials=6, master_seed=2)
+        widths = [2, 0, 4, 2]
+        for w, res in zip(widths, search_widths(h12, widths, config)):
+            assert _same_trial(res, search(h12, w, config)), w
+
+    def test_one_product_per_trial(self, h12, monkeypatch):
+        calls = []
+        real = border_mod._sign_completion
+
+        def counted(b, q):
+            calls.append(b.shape[1])
+            return real(b, q)
+        monkeypatch.setattr(border_mod, "_sign_completion", counted)
+        search_widths(h12, [1, 3, 2], SearchConfig(trials=5, master_seed=0))
+        assert calls == [3] * 5
+
+    def test_width_outside_shared_range(self, h12):
+        with pytest.raises(ValueError):
+            search(h12, -1, SearchConfig(trials=1))
+        with pytest.raises(ValueError):
+            search_widths(h12, [2, -1], SearchConfig(trials=1))
 
 
 class TestSchurConsistency:
@@ -437,15 +502,6 @@ class TestSchurConsistency:
 
 
 class TestExactExpectations:
-    def test_mean_f11_h4(self, h4):
-        total = Fraction(0)
-        count = 0
-        for res in iter_all_borders(h4, 1):
-            total += Fraction(res.border.G[0, 0], 4)
-            count += 1
-        assert count == 16
-        assert total / count == Fraction(3, 2)
-
     def test_mean_f12_squared_h4(self, h4):
         total = Fraction(0)
         count = 0
@@ -476,6 +532,24 @@ class TestWitness:
         tampered = replace(res, border=replace(res.border, B=bad_b))
         with pytest.raises((WitnessError, SchurConsistencyError)):
             verify_witness(tampered)
+
+    def test_tampered_det_schur_raises(self, h12):
+        best = search(h12, 2, SearchConfig(trials=4, master_seed=10))
+        w = witness_dict(best)
+        assert w["det_schur"] == str(best.det_n)
+        for value in (best.det_n + 1, -best.det_n):
+            w["det_schur"] = str(value)
+            with pytest.raises(WitnessError, match="det_schur"):
+                verify_witness(w)
+
+    @pytest.mark.parametrize("text", ["", "12a", "+12", "1e5", " 12", "1_0",
+                                      "--1", "\u0661"])
+    def test_malformed_det_schur_raises(self, h12, text):
+        best = search(h12, 2, SearchConfig(trials=2, master_seed=10))
+        w = witness_dict(best)
+        w["det_schur"] = text
+        with pytest.raises(WitnessError, match="det_schur"):
+            verify_witness(w)
 
     def test_tampered_ratio_raises(self, tmp_path, h12):
         best = search(h12, 2, SearchConfig(trials=4, master_seed=10))

@@ -74,13 +74,6 @@ class TestEvaluateBounds:
         assert evaluate_bounds(657, 656, 1).entry("tail_bound").applicable
         assert not evaluate_bounds(658, 656, 2).entry("tail_bound").applicable
 
-    def test_universal_floor_always_and_dominates_power_floor(self):
-        for d in range(0, 51):
-            rep = evaluate_bounds(664 + d, 664, d)
-            e = rep.entry("universal_floor")
-            assert e.applicable
-            assert e.value.log_abs > -(d + 3) * math.log(3)
-
     def test_small_border_window(self):
         assert evaluate_bounds(13, 12, 1).entry("small_border").applicable
         assert evaluate_bounds(15, 12, 3).entry("small_border").applicable

@@ -150,9 +150,9 @@ class TestBound:
 
     @pytest.mark.parametrize("argv, digest", [
         (("670",),
-         "9fcba5d8c13a62f98dd8e7ec6d1a49f28511e8bcc5ce11b37b712bc1f25f5a12"),
+         "7fa87ed18f276dba519e556a0098c63805662e76251f5b101fcacdc6ed589fbb"),
         (("717", "--method", "conference"),
-         "ede08024332a6c909034c22fc22ca155406c0f11a06220e1f206d28d3fd3a8a9"),
+         "5eaf690b9e7cecbbd85dd0261881e2e9e6add5d1947332de533c371a06452889"),
         (("670", "--format", "csv"),
          "db715e5c736beddca953e3e7bfd1bc8159cbe16b6f8619721287b392137c8fc6"),
     ], ids=["670", "717-conference", "670-csv"])
@@ -188,12 +188,29 @@ class TestWitnessFlow:
         assert code == 1
         assert json.loads(out)["ok"] is False
 
+    def test_verify_catches_tampered_det_schur(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        code, out, _ = run_cli(capsys, "search", "--recipe", "paley1(19)",
+                               "--d", "2", "--trials", "4", "--seed", "2",
+                               "--out", str(path))
+        blob = json.loads(path.read_text())
+        assert blob["det_schur"] == json.loads(out)["det_schur"]
+        blob["det_schur"] = str(int(blob["det_schur"]) - 1)
+        path.write_text(json.dumps(blob))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        data = json.loads(out)
+        assert data["ok"] is False and "det_schur" in data["error"]
+
     @pytest.mark.parametrize("make_text", [
         lambda w: '{"n": 5}',
         lambda w: "[1, 2]",
         lambda w: "not json {",
         lambda w: json.dumps({**w, "B": [0] * len(w["B"])}),
-    ], ids=["missing-fields", "list", "not-json", "B-rows-not-strings"])
+        lambda w: json.dumps({**w, "det_schur": w["det_schur"] + "x"}),
+        lambda w: json.dumps({**w, "det_schur": int(w["det_schur"])}),
+    ], ids=["missing-fields", "list", "not-json", "B-rows-not-strings",
+            "det_schur-not-decimal", "det_schur-not-string"])
     def test_verify_malformed_witness(self, capsys, tmp_path, make_text):
         path = tmp_path / "w.json"
         run_cli(capsys, "search", "--recipe", "paley1(19)", "--d", "2",
@@ -286,7 +303,7 @@ class TestTable1:
                                "--seed", "5")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "0c6573be3d36c11ff731d48538e4bfd29915491b3348eec83b3179d4746ea1b4")
+            "22e8afa8e75c0d32815bdeaa7cff61ea2b10c7d59adacc04dbe7ddde3aed1fb3")
 
     def test_unknown_row_rejected(self, capsys):
         code, out, err = run_cli(capsys, "table1", "--rows", "664", "5745",
