@@ -34,7 +34,8 @@ from operator import attrgetter, mul
 
 import numpy as np
 
-from .constructions import ExactnessError, QuasiOrthogonal, build_recipe
+from .constructions import (ExactnessError, QuasiOrthogonal, build_recipe,
+                            work_array)
 from .exact import LogScalar, det_adj_exact, det_exact, normalized_ratio
 
 
@@ -117,14 +118,17 @@ def _sign_completion(b: np.ndarray, q: QuasiOrthogonal
 
     B is a sign block, so |P| <= m and every partial sum of C P^T is an
     integer of size at most m^2: below 2^53 the float64 (BLAS) product is
-    exact in any summation order.
+    exact in any summation order.  P, in int64 and in float64, lives in
+    work arrays of the core; only the returned C and G are new.
     """
     m = q.order
     if m * m >= 1 << 53:
         raise ExactnessError(f"order {m} is too large for an exact float64 "
                              f"Gram block")
-    exact = q.rmatmul(b)
-    p = exact.astype(np.float64)
+    shape = b.shape[::-1]
+    exact = q.rmatmul(b, work_array(q.work, "product", shape, np.int64))
+    p = work_array(q.work, "p", shape)
+    p[...] = exact
     # C goes into the int64 result's buffer, which is dead after the cast;
     # an integer zero casts to +0.0, so sgn(0) = +1
     c = np.copysign(1.0, p, out=exact.view(np.float64))

@@ -19,19 +19,10 @@ C_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 def g_of_h(h: int) -> Fraction:
-    """g(h) = 1 + 2^-h * h * binom(h, h/2), exactly.
-
-    Also enforces the growth inequality g(h) > c*sqrt(h) + 0.9 for h >= 4,
-    which every even h satisfies.
-    """
+    """g(h) = 1 + 2^-h * h * binom(h, h/2), exactly."""
     if h < 2 or h % 2:
         raise ValueError("h must be an even integer >= 2")
-    value = 1 + Fraction(h * math.comb(h, h // 2), 2 ** h)
-    if h >= 4:
-        lower = C_SQRT_2_OVER_PI * math.sqrt(h) + 0.9
-        if not float(value) > lower:
-            raise AssertionError(f"g({h}) = {float(value)} <= {lower}")
-    return value
+    return 1 + Fraction(h * math.comb(h, h // 2), 2 ** h)
 
 
 def h0(d: int) -> float:

@@ -35,26 +35,54 @@ class ExactnessError(ArithmeticError):
     """A core or a product over it could not be certified exact."""
 
 
+def work_array(work: dict, name: str, shape: tuple, dtype=np.float64
+               ) -> np.ndarray:
+    """work[name][:shape[0]]: an array kept between calls and allocated
+    (zeroed) anew only when it has fewer rows or other trailing dimensions,
+    so repeated products allocate nothing.  Its contents are whatever the
+    last user left there.
+    """
+    a = work.get(name)
+    if a is None or len(a) < shape[0] or a.shape[1:] != shape[1:]:
+        a = work[name] = np.zeros(shape, dtype)
+    return a[:shape[0]]
+
+
 @dataclass(frozen=True)
 class QuasiOrthogonal:
     """Square {-1,0,+1} matrix Q with Q Q^T = weight * I, held as the exact
-    operator X -> X Q."""
+    operator X -> X Q.
+
+    The operator and ``rmatmul`` write into work arrays that the core keeps
+    between calls, so a core is not for concurrent use.
+    """
 
     order: int
     weight: int
     kind: str
     recipe: str
-    # X -> X Q for an int64 array X with `order` columns, exact in int64
-    right_mul: Callable[[np.ndarray], np.ndarray] = field(compare=False,
-                                                          repr=False)
+    # (X, out) -> out = X Q for an int64 array X with `order` columns and
+    # an int64 array out of its shape apart from X, exact in int64
+    right_mul: Callable[[np.ndarray, np.ndarray], None] = field(
+        compare=False, repr=False)
+    work: dict = field(default_factory=dict, init=False, compare=False,
+                       repr=False)
 
-    def rmatmul(self, b: np.ndarray) -> np.ndarray:
-        """Exact B^T Q as int64 for an integer block B with `order` rows."""
+    def rmatmul(self, b: np.ndarray, out: np.ndarray | None = None
+                ) -> np.ndarray:
+        """Exact B^T Q as int64 for an integer block B with `order` rows,
+        written into `out` if given and returned.  The int64 copy of B^T is
+        a work array of the core."""
         b = np.asarray(b)
         # every intermediate of right_mul is bounded by order * max|B|
         if b.size and max(-int(b.min()), int(b.max())) * self.order >= 1 << 62:
             raise ExactnessError("B^T Q could overflow int64")
-        return self.right_mul(b.T.astype(np.int64))
+        x = work_array(self.work, "bt", b.shape[::-1], np.int64)
+        np.copyto(x, b.T)
+        if out is None:
+            out = np.empty_like(x)
+        self.right_mul(x, out)
+        return out
 
     def dense(self) -> np.ndarray:
         """Q as int64 from right_mul(I), 64 rows at a time: O(order^2) memory,
@@ -62,8 +90,8 @@ class QuasiOrthogonal:
         m = self.order
         q = np.empty((m, m), dtype=np.int64)
         for i in range(0, m, 64):
-            q[i:i + 64] = self.right_mul(np.eye(min(64, m - i), m, i,
-                                                dtype=np.int64))
+            self.right_mul(np.eye(min(64, m - i), m, i, dtype=np.int64),
+                           q[i:i + 64])
         return q
 
 
@@ -75,18 +103,84 @@ def _quadratic_character(p: int) -> np.ndarray:
     return chi
 
 
-_EPS = 2.0 ** -53
-_ROOT_ERR = 2 * _EPS  # allowance for the library's roots of unity
+_EPS = 2.0 ** -53  # unit roundoff u of float64
+_ROOT_ERR = 2 * _EPS  # beta: error of each root of unity the library stores
+
+
+def _smooth_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, for n >= 1."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f = f5
+        while f < best:
+            # f 2^a >= n for the smallest 2^a >= ceil(n / f)
+            best = min(best, f << (-(-n // f) - 1).bit_length())
+            f *= 3
+        f5 *= 5
+    return best
 
 
 def _fft_error_factor(size: int) -> float:
-    """Percival, Math. Comp. 72 (2003): a convolution of length size = 2^n
-    by double-precision radix-2 FFTs is off, entrywise, by less than
-    |x|_2 |y|_2 times this factor."""
-    n = size.bit_length() - 1
-    return size * math.expm1(3 * n * math.log1p(_EPS)
-                             + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5))
-                             + 3 * n * math.log1p(_ROOT_ERR))
+    """E(N) for a 5-smooth length N = size: a convolution taken in float64
+    as irfft(rfft(x, N) * rfft(y, N), N) is off, entrywise, by less than
+    |x|_2 |y|_2 E(N).
+
+    Sparse factors (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sec. 24.1): up to permutations the FFT is F_N = A_s ... A_1,
+    one pass per factor r of N, with |A|_2 = sqrt(r).  If each computed
+    pass is off by at most eta_r |A|_2 |w|_2 on its input w, the transform
+    is off by at most (prod (1 + eta_r) - 1) |F_N x|_2.  A pass multiplies
+    by twiddles of modulus 1 and applies an r-point DFT to each group of r
+    entries, modelled as a direct DFT: output j is sum_l omega^(jl) w_l,
+    a sum of products by stored roots of unity.  With u = 2^-53, roots off
+    by at most beta = 2u and a complex product off by sqrt(5) u (Brent,
+    Percival and Zimmermann, Math. Comp. 76, 2007), a product by a stored
+    root is off by tau |w| with 1 + tau = (1 + beta)(1 + sqrt(5) u).
+
+    - r = 2: an output w_0 +- w_1 is one rounded sum, off by u times
+      itself, so 1 + eta_2 = (1 + u)(1 + tau): Percival's radix-2 stage.
+    - r = 3, 5: an output is off by theta_r sum_l |w_l|, with
+      1 + theta_r = (1 + gamma_{r-1})(1 + tau) and gamma_k = k u/(1 - k u),
+      as r - 1 complex additions round each part apart.  The all-ones
+      r x r matrix has 2-norm r, so a group is off by
+      theta_r r |w|_2 = sqrt(r) theta_r |A|_2 |w|_2, and with its
+      twiddles 1 + eta_r = (1 + tau)(1 + sqrt(r) theta_r).
+    - r = 4: pocketfft's radix-4 pass is two layers of sums and
+      differences with an exact rotation by -+i between them, and one
+      twiddle product: off by (1 + u)^2 (1 + tau) - 1 <= (1 + eta_2)^2 - 1,
+      two radix-2 allowances.  So the product runs over the prime factors of
+      N, however the library groups them into passes.
+
+    Each of the three transforms is then off by rho = prod (1 + eta_r) - 1
+    relative to its exact value, the pointwise product adds sqrt(5) u and
+    irfft's scaling by fl(1/N) adds (1 + u)^2.  As in Percival (Math.
+    Comp. 72, 2003), E(N) = N ((1 + rho)^3 (1 + sqrt(5) u)(1 + u)^2 - 1).
+    At N = 2^n this is his radix-2 factor with the (1 + u)^2 added (the
+    2-norm argument gives sqrt(N) in place of N; N only adds margin).
+
+    Two assumptions about the library (numpy >= 2.0's pocketfft) are made,
+    not proved: (a) its roots of unity are accurate to beta = 2u; (b) rfft
+    and irfft, which run real-data passes, round no more per output than
+    the complex transform of the same length.  Exactness needs the error
+    below 1/2; the checks ask for 1/4, which also covers the rounding of
+    E's own evaluation.
+    """
+    u, rest = _EPS, size
+    mul = math.log1p(_ROOT_ERR) + math.log1p(math.sqrt(5) * u)  # log(1+tau)
+    log_pass = {2: math.log1p(u) + mul}
+    for r in (3, 5):
+        theta = math.expm1(math.log1p((r - 1) * u / (1 - (r - 1) * u)) + mul)
+        log_pass[r] = mul + math.log1p(math.sqrt(r) * theta)
+    log_rho = 0.0  # log(1 + rho)
+    for r in (2, 3, 5):
+        while rest > 1 and rest % r == 0:
+            rest //= r
+            log_rho += log_pass[r]
+    if rest != 1:
+        raise ValueError(f"FFT length {size} is not 5-smooth")
+    return size * math.expm1(3 * log_rho + math.log1p(math.sqrt(5) * u)
+                             + 2 * math.log1p(u))
 
 
 def _paley_circulant(p: int, eps: int
@@ -95,11 +189,13 @@ def _paley_circulant(p: int, eps: int
     J[i, j] = chi(j - i) of the prime p, after certifying chi.
 
     Each row of X J is the cyclic convolution of that row with chi, taken
-    by FFTs of a power-of-two length >= 2p-1 and folded mod p.  Raised
-    checks keep the a-priori rounding bound below 1/4 and every computed
-    value within 1/4 of an integer.  The float work arrays are kept between
-    calls (grown to the largest row count seen), so a search's products
-    allocate nothing here; a core is not for concurrent use.
+    as a linear convolution by FFTs of the smallest 5-smooth length
+    N >= 2p - 1 and folded mod p.  Two raised checks: the a-priori bound
+    |x|_2 |chi|_2 E(N) of ``_fft_error_factor`` must be below 1/4 for every
+    row x, and every computed value must lie within 1/4 of an integer.
+    The float work arrays are kept between calls (grown to the largest row
+    count seen), so a search's products allocate no array here; pocketfft
+    still takes its own scratch inside each transform.
 
     The certificate raises ExactnessError, so it also runs under python -O:
     (1) chi(0) = 0, |chi| = 1 elsewhere and sum chi = 0, so J 1 = 0;
@@ -114,18 +210,14 @@ def _paley_circulant(p: int, eps: int
             and np.array_equal(chi[-np.arange(p) % p], eps * chi)):
         raise ExactnessError(f"the quadratic character of {p} fails its "
                              "sign, sum or symmetry certificate")
-    size = 1 << (2 * p - 2).bit_length()
+    size = _smooth_length(2 * p - 1)
     chi_hat = np.fft.rfft(chi.astype(np.float64), size)
     factor = _fft_error_factor(size) * math.sqrt(p - 1)  # |chi|_2^2 = p - 1
-    work = {"rows": -1}
+    work = {}
 
     def right_mul(x: np.ndarray, out: np.ndarray) -> None:
         c = x.shape[0]
-        if work["rows"] < c:
-            work.update(rows=c, pad=np.zeros((c, size)),
-                        spec=np.empty((c, size // 2 + 1), dtype=complex),
-                        y=np.empty((c, size)), r=np.empty((c, 2 * p - 1)))
-        pad = work["pad"][:c]
+        pad = work_array(work, "pad", (c, size))
         xf = pad[:, :p]  # the tail of pad stays zero
         xf[...] = x
         norm = math.sqrt(float(np.einsum("ij,ij->i", xf, xf).max(initial=0)))
@@ -133,10 +225,12 @@ def _paley_circulant(p: int, eps: int
         if not bound < 0.25:
             raise ExactnessError(f"FFT rounding bound {bound:.3g} is not "
                                  "below 1/4")
-        spec = np.fft.rfft(pad, out=work["spec"][:c])
+        spec = np.fft.rfft(pad, out=work_array(
+            work, "spec", (c, size // 2 + 1), complex))
         spec *= chi_hat
-        y = np.fft.irfft(spec, size, out=work["y"][:c])[:, :2 * p - 1]
-        r = np.rint(y, out=work["r"][:c])
+        y = np.fft.irfft(spec, size, out=work_array(work, "y", (c, size)))
+        y = y[:, :2 * p - 1]
+        r = np.rint(y, out=work_array(work, "r", (c, 2 * p - 1)))
         y -= r
         residual = float(np.abs(y, out=y).max(initial=0))
         if not residual < 0.25:
@@ -165,16 +259,14 @@ def paley_one(p: int) -> QuasiOrthogonal:
         raise ValueError(f"paley_one needs a prime p = 3 (mod 4), got {p}")
     conv = _paley_circulant(p, -1)
 
-    def right_mul(x):
+    def right_mul(x, out):
         x0, xr = x[:, :1], x[:, 1:]
-        y = np.empty_like(x)
-        y[:, :1] = x0 + xr.sum(axis=1, keepdims=True)
-        yr = y[:, 1:]
+        out[:, :1] = x0 + xr.sum(axis=1, keepdims=True)
+        yr = out[:, 1:]
         conv(xr, yr)
         np.negative(yr, out=yr)
         yr -= xr
         yr += x0
-        return y
 
     return QuasiOrthogonal(p + 1, p + 1, HADAMARD, f"paley1({p})", right_mul)
 
@@ -189,20 +281,14 @@ def paley_conference(p: int) -> QuasiOrthogonal:
         raise ValueError(f"paley_conference needs a prime p = 1 (mod 4), got {p}")
     conv = _paley_circulant(p, 1)
 
-    def right_mul(x):
+    def right_mul(x, out):
         x0, xr = x[:, :1], x[:, 1:]
-        y = np.empty_like(x)
-        y[:, :1] = xr.sum(axis=1, keepdims=True)
-        conv(xr, y[:, 1:])
-        y[:, 1:] += x0
-        return y
+        out[:, :1] = xr.sum(axis=1, keepdims=True)
+        conv(xr, out[:, 1:])
+        out[:, 1:] += x0
 
     return QuasiOrthogonal(p + 1, p, CONFERENCE, f"conference({p})",
                            right_mul)
-
-
-_PALEY2_K = np.array([[1, 1], [1, -1]], dtype=np.int64)
-_PALEY2_L = np.array([[1, -1], [-1, -1]], dtype=np.int64)
 
 
 def paley_two(p: int) -> QuasiOrthogonal:
@@ -215,13 +301,20 @@ def paley_two(p: int) -> QuasiOrthogonal:
     """
     conf = paley_conference(p)  # validates p
     m = p + 1
+    work = {}
 
-    def right_mul(x):
+    def right_mul(x, out):
+        # column 2j + s of X is entry s of pair j: [a b] K = [a + b, a - b]
+        # and [a b] L = [a - b, -(a + b)]
         c = x.shape[0]
-        x3 = x.reshape(c, m, 2)
-        z = (x3 @ _PALEY2_K).transpose(0, 2, 1).reshape(2 * c, m)
-        y = conf.right_mul(z).reshape(c, 2, m).transpose(0, 2, 1)
-        return (y + x3 @ _PALEY2_L).reshape(c, 2 * m)
+        a, b = x[:, 0::2], x[:, 1::2]
+        z = work_array(work, "z", (c, 2, m), np.int64)
+        y = work_array(work, "y", (c, 2, m), np.int64)
+        np.add(a, b, out=z[:, 0])
+        np.subtract(a, b, out=z[:, 1])
+        conf.right_mul(z.reshape(2 * c, m), y.reshape(2 * c, m))
+        np.add(y[:, 0], z[:, 1], out=out[:, 0::2])
+        np.subtract(y[:, 1], z[:, 0], out=out[:, 1::2])
 
     return QuasiOrthogonal(2 * m, 2 * m, HADAMARD, f"paley2({p})", right_mul)
 
@@ -234,12 +327,19 @@ def sylvester_double(q: QuasiOrthogonal) -> QuasiOrthogonal:
     if q.kind != HADAMARD:
         raise ValueError("sylvester_double requires a Hadamard matrix")
     half = q.order
+    work = {}
 
-    def right_mul(x):
+    def right_mul(x, out):
         # [X1 | X2] [[Q, Q], [Q, -Q]] = [(X1 + X2) Q | (X1 - X2) Q]
+        c = x.shape[0]
         x1, x2 = x[:, :half], x[:, half:]
-        y = q.right_mul(np.vstack([x1 + x2, x1 - x2]))
-        return np.hstack([y[:x.shape[0]], y[x.shape[0]:]])
+        z = work_array(work, "z", (2 * c, half), np.int64)
+        y = work_array(work, "y", (2 * c, half), np.int64)
+        np.add(x1, x2, out=z[:c])
+        np.subtract(x1, x2, out=z[c:])
+        q.right_mul(z, y)
+        out[:, :half] = y[:c]
+        out[:, half:] = y[c:]
 
     return QuasiOrthogonal(2 * half, 2 * half, HADAMARD,
                            q.recipe + ";double", right_mul)
@@ -254,18 +354,22 @@ def kronecker(q1: QuasiOrthogonal, q2: QuasiOrthogonal) -> QuasiOrthogonal:
         raise ValueError("kronecker requires Hadamard matrices")
     a, b = q1.order, q2.order
 
-    def right_mul(x):
+    def right_mul(x, out):
         c = x.shape[0]
-        y = q2.right_mul(x.reshape(c * a, b)).reshape(c, a, b)
-        y = q1.right_mul(y.transpose(0, 2, 1).reshape(c * b, a))
-        return y.reshape(c, b, a).transpose(0, 2, 1).reshape(c, a * b)
+        y = np.empty((c * a, b), dtype=np.int64)
+        q2.right_mul(x.reshape(c * a, b), y)
+        z = np.empty((c * b, a), dtype=np.int64)
+        q1.right_mul(y.reshape(c, a, b).transpose(0, 2, 1).reshape(c * b, a),
+                     z)
+        out[...] = z.reshape(c, b, a).transpose(0, 2, 1).reshape(c, a * b)
 
     return QuasiOrthogonal(a * b, a * b, HADAMARD,
                            f"kron({q1.recipe},{q2.recipe})", right_mul)
 
 
 def unit() -> QuasiOrthogonal:
-    return QuasiOrthogonal(1, 1, HADAMARD, "unit", lambda x: x)
+    return QuasiOrthogonal(1, 1, HADAMARD, "unit",
+                           lambda x, out: np.copyto(out, x))
 
 
 def validate(q: QuasiOrthogonal) -> bool:

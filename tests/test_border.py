@@ -5,7 +5,6 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -499,17 +498,6 @@ class TestSchurConsistency:
                                               D=bad_d, G=res.border.G))
         with pytest.raises((WitnessError, SchurConsistencyError)):
             verify_witness(tampered)
-
-
-class TestExactExpectations:
-    def test_mean_f12_squared_h4(self, h4):
-        total = Fraction(0)
-        count = 0
-        for res in iter_all_borders(h4, 2):
-            total += Fraction(res.border.G[0, 1], 4) ** 2
-            count += 1
-        assert count == 256
-        assert total / count == 1
 
 
 class TestWitness:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -84,7 +85,8 @@ def matrix_core(m, kind=HADAMARD, weight=None):
     """A hand-built core whose operator is the dense product with m."""
     m = np.asarray(m, dtype=np.int64)
     return QuasiOrthogonal(len(m), len(m) if weight is None else weight,
-                           kind, "by hand", lambda x: x @ m)
+                           kind, "by hand",
+                           lambda x, out: np.matmul(x, m, out=out))
 
 
 class TestPaleyOne:
@@ -227,6 +229,91 @@ class TestCharacterCertificate:
                                       "paley_two"]
 
 
+def is_smooth(n):
+    for r in (2, 3, 5):
+        while n % r == 0:
+            n //= r
+    return n == 1
+
+
+def percival_factor(size):
+    """Percival's radix-2 convolution factor (Math. Comp. 72, 2003)."""
+    n, u = size.bit_length() - 1, 2.0 ** -53
+    return size * math.expm1(3 * n * math.log1p(u)
+                             + (3 * n + 1) * math.log1p(u * math.sqrt(5))
+                             + 3 * n * math.log1p(2 * u))
+
+
+class TestFFTLength:
+    """The Paley convolutions run at the smallest 5-smooth length >= 2p-1,
+    under a rounding bound stated for that length."""
+
+    def test_smooth_length_brute_force(self):
+        for n in range(1, 5001):
+            expected = n
+            while not is_smooth(expected):
+                expected += 1
+            assert constructions._smooth_length(n) == expected, n
+
+    @pytest.mark.parametrize("size,factor", [
+        (1024, 1.833974548645698e-11),     # 2^10
+        (3072, 7.040507772368663e-11),     # 3 2^10
+        (5120, 1.303280526087701e-10),     # 5 2^10
+        (11520, 3.684510671462278e-10),    # 2^8 3^2 5
+        (22500, 9.934695897849321e-10)])   # 2^2 3^2 5^4
+    def test_bound_pinned(self, size, factor):
+        assert constructions._fft_error_factor(size) == pytest.approx(
+            factor, rel=1e-12)
+
+    def test_bound_covers_percival_at_powers_of_two(self):
+        for k in range(1, 25):
+            assert (constructions._fft_error_factor(1 << k)
+                    >= percival_factor(1 << k)), k
+
+    @pytest.mark.parametrize("size", [0, 7, 22113, 3 * 7 * 1024])
+    def test_bound_rejects_other_lengths(self, size):
+        with pytest.raises(ValueError, match="5-smooth"):
+            constructions._fft_error_factor(size)
+
+    @pytest.mark.parametrize("p", [5, 13, 61, 331, 1433, 5749])
+    def test_bound_exceeds_observed_error(self, p):
+        # adversarial sign rows against the exact integer convolution
+        chi = constructions._quadratic_character(p).astype(np.int64)
+        size = constructions._smooth_length(2 * p - 1)
+        chi_hat = np.fft.rfft(chi.astype(np.float64), size)
+        factor = constructions._fft_error_factor(size) * math.sqrt(p - 1)
+        signs = np.random.default_rng(p).integers(0, 2, p) * 2 - 1
+        rows = {"chi": chi, "ones": np.ones(p, dtype=np.int64),
+                "alternating": (-1) ** np.arange(p), "random": signs}
+        for name, x in rows.items():
+            y = np.fft.irfft(np.fft.rfft(x.astype(np.float64), size)
+                             * chi_hat, size)[:2 * p - 1]
+            error = float(np.abs(y - np.convolve(x, chi)).max())
+            assert error < factor * math.sqrt(float(x @ x)), name
+
+    @pytest.mark.parametrize("recipe,p", [("paley1(331)", 331),
+                                          ("conference(709)", 709),
+                                          ("paley2(13)", 13),
+                                          ("paley1(3);double", 3)])
+    def test_every_length_is_smooth(self, monkeypatch, recipe, p):
+        seen = []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+
+        def rfft_logged(a, n=None, *args, **kwargs):
+            seen.append(np.shape(a)[-1] if n is None else n)
+            return rfft(a, n, *args, **kwargs)
+
+        def irfft_logged(a, n=None, *args, **kwargs):
+            seen.append(n)
+            return irfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", rfft_logged)
+        monkeypatch.setattr(np.fft, "irfft", irfft_logged)
+        q = build_recipe(recipe)
+        q.rmatmul(np.ones((q.order, 3), dtype=np.int8))
+        assert set(seen) == {constructions._smooth_length(2 * p - 1)}
+
+
 class TestSylvesterAndKronecker:
     def test_unit_double(self):
         q = sylvester_double(unit())
@@ -315,6 +402,18 @@ class TestRmatmul:
         full = b.T @ q.dense()
         for d in (1, 9, 3, 9, 0, 5):
             assert np.array_equal(q.rmatmul(b[:, :d]), full[:d])
+
+    def test_doubling_work_arrays_and_out(self):
+        # doubling keeps its own work arrays; rmatmul writes into `out`
+        recipe = "paley1(7);double;double"
+        q = build_recipe(recipe)
+        b = np.random.default_rng(5).integers(-1, 2, size=(q.order, 6))
+        full = b.T @ recipe_oracle(recipe).astype(np.int64)
+        out = np.empty((6, q.order), dtype=np.int64)
+        for d in (2, 6, 5):
+            rows = out[:d]
+            assert q.rmatmul(b[:, :d], rows) is rows
+            assert np.array_equal(out[:d], full[:d])
 
     @pytest.mark.parametrize("recipe", ["paley2(5);double", "conference(13)"])
     def test_empty_block(self, recipe):

@@ -285,7 +285,7 @@ def test_diagonal_mean_floor():
 
 
 def test_diagonal_mean_growth():
-    # g(h) > c sqrt(h) + 0.9 for even h >= 4; g_of_h also raises otherwise
+    # g(h) > c sqrt(h) + 0.9 for even h >= 4
     for h in range(4, 2057, 2):
         assert float(g_of_h(h)) > C * math.sqrt(h) + 0.9, h
 
