@@ -11,23 +11,23 @@ __version__ = "0.1.0"
 from .constructions import (CONFERENCE, HADAMARD, QuasiOrthogonal,
                             build_recipe, kronecker, paley_conference,
                             paley_one, paley_two, plan_recipe,
-                            sylvester_double, validate)
+                            sylvester_double)
 from .exact import LogScalar, det_exact, normalized_ratio
 from .sieve import (OrderSet, GapReport, Resolution, build_order_set,
-                    gap_exponent, gap_function, hadregion_violations, resolve)
+                    gap_function, resolve)
 from .border import (Border, SearchConfig, TrialResult, greedy_complete,
                      run_trial, sample_border_columns, search, verify_witness)
-from .bounds import BoundReport, evaluate_bounds, g_of_h, h0, maxdet_oracle
+from .bounds import BoundReport, evaluate_bounds, g_of_h, h0
 
 __all__ = [
     "__version__",
     "CONFERENCE", "HADAMARD", "QuasiOrthogonal", "build_recipe", "kronecker",
     "paley_conference", "paley_one", "paley_two", "plan_recipe",
-    "sylvester_double", "validate",
+    "sylvester_double",
     "LogScalar", "det_exact", "normalized_ratio",
-    "OrderSet", "GapReport", "Resolution", "build_order_set", "gap_exponent",
-    "gap_function", "hadregion_violations", "resolve",
+    "OrderSet", "GapReport", "Resolution", "build_order_set",
+    "gap_function", "resolve",
     "Border", "SearchConfig", "TrialResult", "greedy_complete", "run_trial",
     "sample_border_columns", "search", "verify_witness",
-    "BoundReport", "evaluate_bounds", "g_of_h", "h0", "maxdet_oracle",
+    "BoundReport", "evaluate_bounds", "g_of_h", "h0",
 ]

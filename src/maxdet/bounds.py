@@ -1,8 +1,8 @@
-"""Closed-form determinant bounds, their exact floor decisions, and a tiny
-brute-force maxdet oracle.
+"""Closed-form determinant bounds and their exact floor decisions.
 
 Bound values are carried as LogScalar (sign + ln).  The supporting lemmas
-of the paper are checked by tests/test_lemmas.py, not here.
+of the paper are checked by tests/test_lemmas.py, and the exhaustive D(n)
+oracle for n <= 6 lives in tests/oracles.py, not here.
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .exact import LogScalar
 
@@ -225,53 +223,3 @@ def passes_small_border_floor(det_n: int, m: int, k: int, width: int, d: int
         return False
     return None
 
-
-# ---------------------------------------------------------------------------
-# brute-force maximal determinant oracle
-
-
-def _batched_det_int(a: np.ndarray) -> np.ndarray:
-    """Exact determinants of a batch of small integer matrices (k <= 6)."""
-    k = a.shape[-1]
-    if k == 0:
-        return np.ones(a.shape[0], dtype=np.int64)
-    if k == 1:
-        return a[:, 0, 0].copy()
-    if k == 2:
-        return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    if k == 3:
-        return (a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1])
-                - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
-                + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0]))
-    total = np.zeros(a.shape[0], dtype=np.int64)
-    cols = np.arange(k)
-    for j in range(k):
-        minor = a[:, 1:, :][:, :, cols != j]
-        term = a[:, 0, j] * _batched_det_int(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
-def maxdet_oracle(n: int) -> int:
-    """Exact D(n) for n <= 6 by exhaustive enumeration.
-
-    The first row and column are fixed to +1 (any sign matrix is
-    equivalent to such a matrix under row/column negation), leaving
-    2^((n-1)^2) candidates.
-    """
-    if not 1 <= n <= 6:
-        raise ValueError("oracle is exhaustive; only n <= 6 is feasible")
-    if n == 1:
-        return 1
-    free = (n - 1) ** 2
-    shifts = np.arange(free, dtype=np.uint64)
-    best = 0
-    chunk = 1 << min(16, free)
-    for start in range(0, 1 << free, chunk):
-        idx = np.arange(start, start + chunk, dtype=np.uint64)
-        bits = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.int64)
-        mats = np.ones((chunk, n, n), dtype=np.int64)
-        mats[:, 1:, 1:] = (1 - 2 * bits).reshape(chunk, n - 1, n - 1)
-        dets = _batched_det_int(mats)
-        best = max(best, int(np.abs(dets).max()))
-    return best

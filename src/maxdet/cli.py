@@ -1,5 +1,5 @@
-"""Command-line interface: sieve, gaps, resolve, bound, search, verify,
-oracle, and table1 subcommands.
+"""Command-line interface: sieve, gaps, resolve, bound, search, verify and
+table1 subcommands.
 
 Machine-readable JSON goes to stdout; human logs go to stderr.  Runs with
 identical flags and seed produce byte-identical JSON.  Exit code 0 means
@@ -21,7 +21,7 @@ from . import bounds as bounds_mod
 from . import border as border_mod
 from . import sieve as sieve_mod
 from .constructions import (CONFERENCE, HADAMARD, ExactnessError,
-                            build_order, build_recipe, plan_recipe)
+                            build_recipe, plan_recipe)
 
 DEFAULT_LIMIT = 65536
 DEFAULT_TRIALS = 256
@@ -129,41 +129,23 @@ def cmd_resolve(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    if args.n == 6 and not args.slow:
-        _log("n=6 enumerates 2^25 matrices; pass --slow to confirm")
-        return 1
-    value = bounds_mod.maxdet_oracle(args.n)
-    _emit({
-        "meta": _meta(args),
-        "n": args.n,
-        "maxdet": value,
-        "normalized": value / args.n ** (args.n / 2),
-    })
-    return 0
+def _plan(kind: str, order: int) -> str:
+    recipe = plan_recipe(kind, order)
+    if recipe is None:
+        raise ValueError(f"no recipe realizes {kind} order {order}")
+    return recipe
 
 
 def _select_core(args, oset, n: int):
     """Choose the core matrix per --method; returns (recipe, resolution)."""
     res = sieve_mod.resolve(n, oset)
-    method = args.method
-    if method == "conference":
+    if args.method == "conference":
         for order in range(n, 5, -1):
             recipe = plan_recipe(CONFERENCE, order)
             if recipe is not None:
                 return recipe, res
         raise ValueError(f"no conference order available below {n}")
-    if method == "auto":
-        recipe = plan_recipe(HADAMARD, res.h)
-        if recipe is None:
-            build_order(HADAMARD, res.h)  # raises naming nearest realizable
-        return recipe, res
-    # forced paley family: largest order <= n realizable by that family alone
-    for order in range(res.h, 3, -4):
-        recipe = plan_recipe(HADAMARD, order)
-        if recipe is not None and recipe.startswith(method):
-            return recipe, res
-    raise ValueError(f"no {method} recipe realizes any order <= {n}")
+    return _plan(HADAMARD, res.h), res
 
 
 def cmd_bound(args) -> int:
@@ -226,7 +208,7 @@ def cmd_search(args) -> int:
     if args.recipe:
         q = build_recipe(args.recipe)
     elif args.order is not None:
-        q = build_order(args.kind, args.order)
+        q = build_recipe(_plan(args.kind, args.order))
     else:
         raise ValueError("search needs --recipe or --order")
     config = border_mod.SearchConfig(trials=args.trials, master_seed=args.seed)
@@ -380,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", choices=("auto", "paley1", "paley2",
-                                        "conference"), default="auto")
+    p.add_argument("--method", choices=("auto", "conference"),
+                   default="auto")
     p.add_argument("--out", type=str, default=None, help="witness file path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_sieve_flags(p)
@@ -400,11 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="recheck a witness file")
     p.add_argument("witness", type=str)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("oracle", help="exhaustive maximal determinant, n <= 6")
-    p.add_argument("n", type=int)
-    p.add_argument("--slow", action="store_true")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("table1", help="re-run the exceptional bordering cases")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)

@@ -192,7 +192,10 @@ def _paley_circulant(p: int, eps: int
     as a linear convolution by FFTs of the smallest 5-smooth length
     N >= 2p - 1 and folded mod p.  Two raised checks: the a-priori bound
     |x|_2 |chi|_2 E(N) of ``_fft_error_factor`` must be below 1/4 for every
-    row x, and every computed value must lie within 1/4 of an integer.
+    row x, and every computed value must lie within 1/4 of an integer.  As
+    the certificate in (3) convolves chi itself, its bound (p - 1) E(N) is
+    checked before chi is built, so a prime too large to certify is refused
+    in O(1) memory.
     The float work arrays are kept between calls (grown to the largest row
     count seen), so a search's products allocate no array here; pocketfft
     still takes its own scratch inside each transform.
@@ -205,14 +208,18 @@ def _paley_circulant(p: int, eps: int
     a(s) = sum_x chi(x) chi(x + s) is p - 1 at s = 0 and -1 elsewhere, and
     (J J^T)[r, s] = a(s - r) gives J J^T = p I - 1 1^T.
     """
+    size = _smooth_length(2 * p - 1)
+    factor = _fft_error_factor(size) * math.sqrt(p - 1)  # |chi|_2^2 = p - 1
+    bound = factor * math.sqrt(p - 1)  # the certificate's input is chi
+    if not bound < 0.25:
+        raise ExactnessError(f"FFT rounding bound {bound:.3g} for the "
+                             f"character of {p} is not below 1/4")
     chi = _quadratic_character(p).astype(np.int64)
     if not (chi[0] == 0 and np.all(np.abs(chi[1:]) == 1) and chi.sum() == 0
             and np.array_equal(chi[-np.arange(p) % p], eps * chi)):
         raise ExactnessError(f"the quadratic character of {p} fails its "
                              "sign, sum or symmetry certificate")
-    size = _smooth_length(2 * p - 1)
     chi_hat = np.fft.rfft(chi.astype(np.float64), size)
-    factor = _fft_error_factor(size) * math.sqrt(p - 1)  # |chi|_2^2 = p - 1
     work = {}
 
     def right_mul(x: np.ndarray, out: np.ndarray) -> None:
@@ -372,23 +379,6 @@ def unit() -> QuasiOrthogonal:
                            lambda x, out: np.copyto(out, x))
 
 
-def validate(q: QuasiOrthogonal) -> bool:
-    """Dense check (tests, small orders) of the kind's entry pattern and
-    Q Q^T = weight*I.  With entries in {-1, 0, 1} the float64 Gram product
-    is exact: every partial sum is an integer of size at most order."""
-    m = q.dense()
-    if q.kind == HADAMARD:
-        ok = q.weight == q.order and np.all(np.abs(m) == 1)
-    elif q.kind == CONFERENCE:
-        off = ~np.eye(q.order, dtype=bool)
-        ok = (q.weight == q.order - 1 and not np.diagonal(m).any()
-              and np.all(np.abs(m[off]) == 1))
-    else:
-        ok = False
-    f = m.astype(np.float64)
-    return bool(ok and np.array_equal(f @ f.T, q.weight * np.eye(q.order)))
-
-
 # ---------------------------------------------------------------------------
 # recipe grammar: generator followed by ";double" steps; kron(...) nests.
 
@@ -470,21 +460,3 @@ def plan_recipe(kind: str, order: int) -> str | None:
         base //= 2
         j += 1
 
-
-def build_order(kind: str, order: int) -> QuasiOrthogonal:
-    """Plan and build; raises naming the nearest realizable order on failure."""
-    recipe = plan_recipe(kind, order)
-    if recipe is None:
-        near = nearest_realizable(kind, order)
-        raise ValueError(
-            f"no recipe realizes {kind} order {order}; "
-            f"nearest realizable order is {near}")
-    return build_recipe(recipe)
-
-
-def nearest_realizable(kind: str, order: int) -> int | None:
-    for delta in range(1, 10000):
-        for cand in (order - delta, order + delta):
-            if cand >= 1 and plan_recipe(kind, cand) is not None:
-                return cand
-    return None

@@ -483,33 +483,3 @@ def gap_function(x: int, oset: OrderSet) -> GapReport:
     i = int(np.flatnonzero(gaps == gamma)[-1])
     return GapReport(x=x, gamma=gamma, witness_pair=(int(seq[i]), int(seq[i + 1])))
 
-
-def hadregion_violations(oset: OrderSet, limit: int) -> list[int]:
-    """Orders whose worst-case bordering fails the 6d^3 <= h condition.
-
-    Scans irregular gaps (consecutive members h < h' with h' - h > 4,
-    h >= 4) and flags every n = h + d, 1 <= d <= h' - h, with 6d^3 > h.
-    The right endpoint is included: the scan treats every order inside the
-    gap as bordered from the gap's left member, which is how the source
-    analysis counted its worst case.
-    """
-    if limit > oset.limit:
-        raise ValueError(f"limit {limit} exceeds sieve limit {oset.limit}")
-    mem = oset.members()
-    mem = mem[mem <= limit]
-    out: list[int] = []
-    for h, hp in zip(mem[:-1], mem[1:]):
-        h, hp = int(h), int(hp)
-        if h < 4 or hp - h <= 4:
-            continue
-        for d in range(1, hp - h + 1):
-            if 6 * d ** 3 > h:
-                out.append(h + d)
-    return out
-
-
-def gap_exponent(alpha: float) -> float:
-    """Gap growth exponent alpha/(1+alpha) from a 2^t q order guarantee."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return alpha / (1.0 + alpha)

@@ -15,11 +15,11 @@ import pytest
 
 from maxdet.border import (SearchConfig, run_trial, search, trial_generator,
                            verify_witness)
-from maxdet.bounds import evaluate_bounds, maxdet_oracle
+from maxdet.bounds import evaluate_bounds
 from maxdet.cli import EXCEPTIONAL_ROWS
 from maxdet.constructions import (CONFERENCE, HADAMARD, build_recipe,
-                                  paley_conference, plan_recipe, validate)
-from maxdet.sieve import hadregion_violations
+                                  paley_conference, plan_recipe)
+from oracles import hadregion_violations, maxdet_oracle, validate
 from test_border import exhaustive_search, iter_all_borders
 
 # documented deviation for criterion 7: fixpoint closure of the product

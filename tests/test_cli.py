@@ -36,15 +36,16 @@ class TestBasicCommands:
         assert data["gamma"] == 4
         assert data["witness_pair"] == [100, 104]
 
-    def test_oracle(self, capsys):
-        code, out, _ = run_cli(capsys, "oracle", "4")
-        assert code == 0
-        assert json.loads(out)["maxdet"] == 16
-
-    def test_oracle_n6_needs_slow(self, capsys):
-        code, _, err = run_cli(capsys, "oracle", "6")
-        assert code == 1
-        assert "--slow" in err
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "4"),
+        ("bound", "13", "--method", "paley1"),
+        ("bound", "13", "--method", "paley2"),
+    ], ids=["oracle", "method-paley1", "method-paley2"])
+    def test_removed_surfaces_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_sieve_export(self, capsys, tmp_path):
         path = tmp_path / "orders.sieve"
@@ -120,9 +121,9 @@ class TestBound:
 
     def test_unrealizable_core(self, capsys):
         # h = 92 resolves from n = 92 but has no planner recipe
-        code, _, err = run_cli(capsys, "bound", "92", "--max", "256")
-        assert code == 1
-        assert "nearest realizable" in err
+        code, out, err = run_cli(capsys, "bound", "92", "--max", "256")
+        assert code == 1 and out == ""
+        assert "order 92" in err
 
     def test_n670_exceeds_small_border_floor(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "670", "--trials", "200",
@@ -267,6 +268,26 @@ class TestWitnessFlow:
         assert code == 0
         assert json.loads(out)["recipe"] == "paley1(11)"
 
+    def test_search_by_unrealizable_order(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--order", "92", "--d", "1")
+        assert code == 1 and out == ""
+        assert "order 92" in err
+
+    def test_verify_rejects_oversized_paley_prime(self, tmp_path):
+        # a forged witness whose core is far beyond what the FFT bound can
+        # certify: refused before the core is built, in 1 GiB of address
+        # space, as a JSON error rather than a traceback
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({
+            "n": 1000000009, "m": 1000000008, "d": 1, "weight": 1000000008,
+            "kind": "hadamard", "recipe": "paley1(1000000007)", "B": [],
+            "D_off": "", "det_schur": "1", "ratio_log": 0.0,
+            "ratio_decimal": 1.0}))
+        out = run_capped("verify", str(path))
+        assert out.returncode == 1, out.stderr
+        data = json.loads(out.stdout)
+        assert data["ok"] is False and "rounding bound" in data["error"]
+
 
 class TestTable1:
     def test_row_cores(self):
@@ -312,19 +333,23 @@ class TestTable1:
         assert "[5745]" in err and "5744" in err
 
 
-def test_largest_core_fits_in_one_gib():
-    # conference(60457), the core of the largest Table 1 row, under a 1 GiB
-    # address-space cap on the child process; BLAS keeps one thread, as it
-    # reserves address space per thread
+def run_capped(*argv):
+    """Run the CLI in a child process under a 1 GiB address-space cap; BLAS
+    keeps one thread, as it reserves address space per thread."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    out = subprocess.run(
-        [sys.executable, "-m", "maxdet", "search", "--recipe",
-         "conference(60457)", "--d", "3", "--trials", "1"],
+    return subprocess.run(
+        [sys.executable, "-m", "maxdet", *argv],
         capture_output=True, text=True, preexec_fn=cap,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
              "PYTHONPATH": str(Path(maxdet.__file__).parents[1])})
+
+
+def test_largest_core_fits_in_one_gib():
+    # conference(60457), the core of the largest Table 1 row
+    out = run_capped("search", "--recipe", "conference(60457)", "--d", "3",
+                     "--trials", "1")
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["n"] == 60461
 
@@ -348,6 +373,19 @@ def test_cache_second_run_same_bytes(tmp_path, capsys):
     assert "building" in err1 and "loaded sieve cache" in err2
     assert out1 == out2
     assert len(json.loads(out2)["meta"]["rule_set"]) == 13
+
+
+def test_cache_with_smaller_limit_is_rebuilt(tmp_path, capsys):
+    cache = tmp_path / "c.sieve"
+    run_cli(capsys, "sieve", "--max", "512", "--cache", str(cache))
+    code, fresh, _ = run_cli(capsys, "resolve", "100", "--max", "4096")
+    assert code == 0
+    code, cached, err = run_cli(capsys, "resolve", "100", "--max", "4096",
+                                "--cache", str(cache))
+    assert code == 0 and "cache limit 512 below required 4096" in err
+    assert "rebuilding" in err and cached == fresh
+    from maxdet.sieve import OrderSet
+    assert OrderSet.load(cache).limit == 4096
 
 
 def test_cache_with_larger_limit_same_bytes(tmp_path, capsys):

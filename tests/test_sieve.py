@@ -7,8 +7,8 @@ from maxdet.sieve import (ALL_RULES, DEFAULT_RULES, RULE_LIVINSKYI,
                           RULE_MIYAMOTO1, RULE_PALEY, RULE_PRODUCT8,
                           RULE_PRODUCT16, RULE_SMALL, RULE_YAMADA,
                           SMALL_ORDER_EXCEPTIONS, OrderSet, build_order_set,
-                          gap_exponent, gap_function, hadregion_violations,
-                          resolve)
+                          gap_function, resolve)
+from oracles import hadregion_violations
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +295,6 @@ class TestQueries:
     def test_violations_limit_guard(self, order_set):
         with pytest.raises(ValueError):
             hadregion_violations(order_set, order_set.limit + 1)
-
-    def test_gap_exponent(self):
-        assert gap_exponent(1 / 5) == pytest.approx(1 / 6)
-        assert gap_exponent(2) == pytest.approx(2 / 3)
-        assert gap_exponent(3 / 8) == pytest.approx(3 / 11)
-        with pytest.raises(ValueError):
-            gap_exponent(0)
 
 
 class TestCache:
