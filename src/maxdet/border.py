@@ -5,10 +5,17 @@ no-cancellation sign rule C = sgn(B^T Q), greedily fixes the d x d corner
 D (diagonal -1), and evaluates the bordered determinant exactly through
 the integer Schur block N = G - k D with G = C Q^T B.  det N is linear in
 each row of D, with coefficients the cofactors of that row, so the greedy
-decides each entry by integer arithmetic on the exact adjugate of N and
-refreshes the adjugate by one exact rank-one update per row: O(d^3)
-integer work per trial, with no floating point.  Ratios |det| / n^(n/2)
-are carried in log scale; d = 0 is the bare core.
+decides each entry by the sign of one cofactor.  Blocks narrower than
+``FLOAT_GREEDY_MIN_WIDTH``, and blocks without a positive Varah margin,
+take those signs from the exact adjugate of N, refreshed by one exact
+rank-one update per row.  Wider blocks whose rows are diagonally dominant
+by an integer margin at every D take them from float solves kept current
+by Sherman-Morrison updates; each sign is certified by an exact integer
+residual and Varah's bound, and any sign that cannot be certified sends
+the block to the exact path.  Either way D and det N are the exact
+greedy's, det N comes from Bareiss, and the checks are raised, also under
+``python -O``.  Ratios |det| / n^(n/2) are carried in log scale; d = 0 is
+the bare core.
 
 Each trial does one exact product over Q, P = B^T Q, through the core's
 operator (``QuasiOrthogonal.rmatmul``, exact by the checks described in
@@ -62,6 +69,11 @@ DEFAULT_CONFIG = SearchConfig()
 # verify_witness also checks the full bordered determinant up to this n
 DIRECT_CHECK_LIMIT = 64
 
+# the narrowest Gram block that greedy_complete decides by certified float
+# solves: per block on the 5744 row's core (adjugate vs float, 2-core
+# sandbox), 51 vs 111 us at d = 4, 152 vs 151 at d = 6, 236 vs 183 at d = 7
+FLOAT_GREEDY_MIN_WIDTH = 7
+
 
 @dataclass(frozen=True)
 class Border:
@@ -103,12 +115,18 @@ def trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:
 def sample_border_columns(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
     """m x d matrix of independent fair +-1 entries (d = 0 gives m x 0).
 
-    It is the transpose of a d x m draw, so on one stream its first w
-    columns equal a width-w draw.
+    Entry t of the row-major d x m draw is +1 iff bit 7 of byte t of the
+    stream's raw 64-bit words, taken little-endian, is set.  These are the
+    values ``rng.integers(0, 2, size=(d, m), dtype=np.int8)`` gives on a
+    fresh stream (numpy's 8-bit Lemire draw keeps the top bit of each
+    byte), at a quarter of its cost.  The result is the transpose of the
+    d x m draw, so on one stream its first w columns equal a width-w draw.
     """
     if m < 1 or d < 0:
         raise ValueError("m must be >= 1 and d >= 0")
-    return (rng.integers(0, 2, size=(d, m), dtype=np.int8) * 2 - 1).T
+    raw = rng.bit_generator.random_raw(-(-d * m // 8)).astype("<u8")
+    bits = raw.view(np.uint8)[:d * m] >> 7
+    return (bits.view(np.int8) * 2 - 1).reshape(d, m).T
 
 
 def _sign_completion(b: np.ndarray, q: QuasiOrthogonal
@@ -148,6 +166,11 @@ def greedy_complete(g, k: int) -> tuple[np.ndarray, int]:
     and |det + k cof_ij|, +1 winning ties, so |det N| never falls below the
     midpoint |det(G + kI)| where it starts.
 
+    A block at least ``FLOAT_GREEDY_MIN_WIDTH`` wide, with k > 0 and a
+    positive Varah margin, is decided by certified float solves
+    (``_greedy_certified``); if any of its decisions cannot be certified,
+    it comes back here.  Every other block takes the adjugate path below.
+
     The midpoint and its adjugate come from one fraction-free Gauss-Jordan
     pass (``det_adj_exact``).  After row i moves by delta, the cofactor
     rows still to be used are refreshed by the exact rank-one update
@@ -159,6 +182,10 @@ def greedy_complete(g, k: int) -> tuple[np.ndarray, int]:
     one final direct determinant must reach the midpoint and equal the
     running value.
     """
+    if len(g) >= FLOAT_GREEDY_MIN_WIDTH and k > 0:
+        done = _greedy_certified(np.asarray(g), k)
+        if done is not None:
+            return done
     work = np.asarray(g).tolist()
     d = len(work)
     for i in range(d):
@@ -206,6 +233,98 @@ def greedy_complete(g, k: int) -> tuple[np.ndarray, int]:
         raise SchurConsistencyError(
             f"greedy corner det {det_n} differs from the running value "
             f"{running}")
+    return d_block, det_n
+
+
+def _greedy_certified(g: np.ndarray, k: int) -> tuple[np.ndarray, int] | None:
+    """The greedy corner of ``greedy_complete`` by certified float solves,
+    or None when the block must take the exact path.
+
+    Varah (LAA 11, 1975): a matrix A whose rows are strictly diagonally
+    dominant by a margin a > 0 has ||A^-1||_inf <= 1/a.  Every D the greedy
+    visits keeps |N_ij| <= |G_ij| + k off the diagonal, so the integer
+    margin alpha = min_i (G_ii + k - sum_{j != i} (|G_ij| + k)) holds for
+    all of them at once.  With alpha > 0, det N > 0 throughout, and the
+    rule of ``greedy_complete`` becomes s_ij = +1 iff cof_ij <= 0, that is
+    iff x_j <= 0 for x = N_i^-1 e_i, where N_i is N just before row i is
+    set.  One float inverse of G + kI is kept current by a Sherman-Morrison
+    update after each row.
+
+    Certificate: x' = rint(2^s x) is an integer vector with a residual
+    r = N_i x' - 2^s e_i that is exact in int64, so the exact scaled
+    solution 2^s x is within ||r||_inf / alpha of x' in every entry.
+    Decision j stands only if alpha |x'_j| > ||r||_inf; one that does not
+    sends the whole block to the exact path.  Entries and k below 2^46 make
+    N exact in float64, and with d < 2^14 they bound every row sum of |N|
+    by R < 2^61.  The scale keeps 2^s (R ||x||_inf + 1) < 2^61, so
+    R ||x'||_inf + 2^s < 2^62 and no int64 step can overflow.
+
+    Two Bareiss determinants, of G + kI and of the final N, close it with
+    two raised checks.  The final determinant must reach the midpoint.  And
+    every certificate must have held: row i multiplies det N by
+    1 + v.x for its change v of row i (the determinant lemma), v.x' =
+    k sum_j |x'_j| for certified signs, and |v.(2^s x - x')| <=
+    k (d - 1) ||r||_inf / alpha, so det N / det(G + kI) lies in the product
+    of these brackets.
+    """
+    d = len(g)
+    lim = 1 << 46
+    if not (g.dtype == np.int64 and d < 1 << 14 and k < lim
+            and -lim < g.min() and g.max() < lim):
+        return None
+    abs_g = np.abs(g)
+    rows = abs_g.sum(axis=1) + d * k
+    alpha = int((np.diagonal(g) + np.diagonal(abs_g) + 2 * k - rows).min())
+    if alpha <= 0:
+        return None
+    n0 = g + k * np.eye(d, dtype=np.int64)
+    inv = np.linalg.inv(n0.astype(np.float64))
+    xs = np.empty((d, d))  # column i: x = N_i^-1 e_i
+    vs = np.empty((d, d))  # row i: the change -k D[i] made to row i of N
+    for i in range(d):
+        x, v = xs[:, i], vs[i]
+        x[...] = inv[:, i]
+        # s_ij = +1 iff x_j <= 0; a zero x_j is never certified below
+        np.copysign(k, x, out=v)
+        v[i] = 0
+        w = v @ inv
+        inv -= x[:, None] * (w / (1 + w[i]))
+    d_block = (vs < 0).astype(np.int8) * 2 - 1
+
+    big = int(rows.max())
+    x_max = np.abs(xs).max(axis=0)
+    scale = 61 - np.frexp(big * x_max + 1)[1].astype(np.int64)
+    if not (np.isfinite(x_max).all() and scale.min() >= 0):
+        return None
+    xp = np.rint(np.ldexp(xs, scale)).astype(np.int64)
+    nf = n0 + vs.astype(np.int64)
+    # column i's residual takes the set rows of N for j < i
+    res = np.where(np.triu(np.ones((d, d), dtype=bool), 1), nf @ xp, n0 @ xp)
+    res[np.diag_indices(d)] -= np.left_shift(1, scale)
+    r_norm = np.abs(res).max(axis=0)
+    abs_xp = np.abs(xp)
+    certified = alpha * abs_xp > r_norm
+    np.fill_diagonal(certified, True)
+    if not certified.all():
+        return None
+
+    midpoint = det_exact(n0.tolist())
+    det_n = det_exact(nf.tolist())
+    if abs(det_n) < abs(midpoint):
+        raise SchurConsistencyError(
+            f"greedy corner det {det_n} fell below the midpoint "
+            f"det(G + kI) = {midpoint}")
+    lo = hi = den = 1
+    for s, r, total, own in zip(scale.tolist(), r_norm.tolist(),
+                                abs_xp.sum(axis=0).tolist(),
+                                np.diagonal(abs_xp).tolist()):
+        base = (alpha << s) + k * alpha * (total - own)
+        slack = k * (d - 1) * r
+        lo, hi, den = lo * (base - slack), hi * (base + slack), den * (alpha << s)
+    if not midpoint * lo <= det_n * den <= midpoint * hi:
+        raise SchurConsistencyError(
+            f"greedy corner det {det_n} is outside the bracket that the "
+            f"float certificates give from the midpoint {midpoint}")
     return d_block, det_n
 
 
@@ -321,22 +440,26 @@ def assemble_bordered(q: QuasiOrthogonal, border: Border) -> list[list[int]]:
 # witnesses
 
 
-def _signs_to_str(arr) -> str:
-    return "".join("+" if v > 0 else "-" for v in arr)
+def _sign_strings(block: np.ndarray) -> list[str]:
+    """Each row of a 2-d sign array as a string of '+' and '-'."""
+    m, d = block.shape
+    chars = np.where(block > 0, ord("+"), ord("-")).astype(np.uint8)
+    text = chars.tobytes().decode("ascii")
+    return [text[i:i + d] for i in range(0, m * d, d)] if d else [""] * m
 
 
 def witness_dict(result: TrialResult) -> dict:
     """Serializable witness; C is omitted (recomputed from B on verify)."""
     d = result.d
-    d_off = [result.border.D[i, j] for i in range(d) for j in range(d) if i != j]
+    d_off = result.border.D[~np.eye(d, dtype=bool)]
     return {
         "n": result.n, "m": result.m, "d": d,
         "kind": result.kind, "weight": result.weight,
         "recipe": result.recipe,
         "master_seed": result.master_seed,
         "trial_index": result.trial_index,
-        "B": [_signs_to_str(row) for row in result.border.B],
-        "D_off": _signs_to_str(d_off),
+        "B": _sign_strings(result.border.B),
+        "D_off": _sign_strings(d_off[None])[0],
         "det_schur": str(result.det_n),
         "ratio_log": result.ratio.log_abs,
         "ratio_decimal": result.ratio.value(),
@@ -349,10 +472,16 @@ def save_witness(path, result: TrialResult) -> None:
         fh.write("\n")
 
 
-def _parse_signs(s: str) -> list[int]:
-    if not set(s) <= {"+", "-"}:
-        raise WitnessError(f"bad sign string {s!r}")
-    return [1 if ch == "+" else -1 for ch in s]
+def _parse_signs(rows: list[str], name: str, d: int) -> np.ndarray:
+    """The int8 sign array whose rows are the given strings of length d; a
+    string with any other character is named in the error."""
+    text = "".join(rows).encode("ascii", errors="replace")
+    chars = np.frombuffer(text, dtype=np.uint8).reshape(len(rows), d)
+    bad = (chars != ord("+")) & (chars != ord("-"))
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=1))[0])
+        raise WitnessError(f"bad sign string {rows[i]!r} in {name} row {i}")
+    return (chars == ord("+")).view(np.int8) * 2 - 1
 
 
 _WITNESS_FIELDS = {"n": int, "m": int, "d": int, "weight": int, "kind": str,
@@ -380,16 +509,12 @@ def _witness_blocks(w: dict) -> tuple[QuasiOrthogonal, np.ndarray, np.ndarray]:
         raise WitnessError("recipe does not reproduce the stated core matrix")
     if len(w["B"]) != m or any(len(row) != d for row in w["B"]):
         raise WitnessError("B block has wrong shape")
-    b = np.array([_parse_signs(row) for row in w["B"]], dtype=np.int8)
-    off = _parse_signs(w["D_off"])
-    if len(off) != d * (d - 1):
+    b = _parse_signs(w["B"], "B", d)
+    if len(w["D_off"]) != d * (d - 1):
         raise WitnessError("D off-diagonal block has wrong length")
     d_block = -np.eye(d, dtype=np.int8)
-    it = iter(off)
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                d_block[i, j] = next(it)
+    d_block[~np.eye(d, dtype=bool)] = _parse_signs([w["D_off"]], "D_off",
+                                                    d * (d - 1))[0]
     return q, b, d_block
 
 

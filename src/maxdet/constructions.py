@@ -183,10 +183,15 @@ def _fft_error_factor(size: int) -> float:
                              + 2 * math.log1p(u))
 
 
-def _paley_circulant(p: int, eps: int
+def _paley_circulant(p: int, eps: int, name: str
                      ) -> Callable[[np.ndarray, np.ndarray], None]:
     """(X, out) -> out = X J, exact in int64, for the Jacobsthal matrix
     J[i, j] = chi(j - i) of the prime p, after certifying chi.
+
+    p must be a prime = 3 (mod 4) for eps = -1 and = 1 (mod 4) for
+    eps = +1, else ValueError naming the generator.  The residue and the
+    FFT bound below are checked before primality, so a huge p is refused
+    in O(1) time, not by trial division.
 
     Each row of X J is the cyclic convolution of that row with chi, taken
     as a linear convolution by FFTs of the smallest 5-smooth length
@@ -208,12 +213,18 @@ def _paley_circulant(p: int, eps: int
     a(s) = sum_x chi(x) chi(x + s) is p - 1 at s = 0 and -1 elsewhere, and
     (J J^T)[r, s] = a(s - r) gives J J^T = p I - 1 1^T.
     """
+    residue = 3 if eps < 0 else 1
+    refusal = f"{name} needs a prime p = {residue} (mod 4), got {p}"
+    if p < 3 or p % 4 != residue:
+        raise ValueError(refusal)
     size = _smooth_length(2 * p - 1)
     factor = _fft_error_factor(size) * math.sqrt(p - 1)  # |chi|_2^2 = p - 1
     bound = factor * math.sqrt(p - 1)  # the certificate's input is chi
     if not bound < 0.25:
         raise ExactnessError(f"FFT rounding bound {bound:.3g} for the "
                              f"character of {p} is not below 1/4")
+    if not is_prime(p):
+        raise ValueError(refusal)
     chi = _quadratic_character(p).astype(np.int64)
     if not (chi[0] == 0 and np.all(np.abs(chi[1:]) == 1) and chi.sum() == 0
             and np.array_equal(chi[-np.arange(p) % p], eps * chi)):
@@ -262,9 +273,7 @@ def paley_one(p: int) -> QuasiOrthogonal:
     gives 1 1^T + (I + J)(I + J)^T = 1 1^T + I + (J + J^T) + J J^T
     = (p + 1) I.
     """
-    if not is_prime(p) or p % 4 != 3:
-        raise ValueError(f"paley_one needs a prime p = 3 (mod 4), got {p}")
-    conv = _paley_circulant(p, -1)
+    conv = _paley_circulant(p, -1, "paley_one")
 
     def right_mul(x, out):
         x0, xr = x[:, :1], x[:, 1:]
@@ -284,9 +293,7 @@ def paley_conference(p: int) -> QuasiOrthogonal:
     C = [[0, 1^T], [1, J]] for the certified J (eps = +1): C is symmetric,
     row 0 is orthogonal to row i, as (J 1)_i = 0, and 1 1^T + J J^T = p I.
     """
-    if not is_prime(p) or p % 4 != 1:
-        raise ValueError(f"paley_conference needs a prime p = 1 (mod 4), got {p}")
-    conv = _paley_circulant(p, 1)
+    conv = _paley_circulant(p, 1, "paley_conference")
 
     def right_mul(x, out):
         x0, xr = x[:, :1], x[:, 1:]

@@ -99,6 +99,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_border_columns(trial_generator(0, 0), 0, 1)
 
+    @pytest.mark.parametrize("m,d", [(664, 6), (5750, 8), (11058, 4), (13, 3),
+                                     (53732, 26), (7, 0)])
+    def test_equals_integers_draw(self, m, d):
+        # the raw-bit draw gives numpy's 8-bit integers(0, 2) values
+        for t in range(3):
+            old = trial_generator(5, t).integers(0, 2, size=(d, m),
+                                                 dtype=np.int8) * 2 - 1
+            new = sample_border_columns(trial_generator(5, t), m, d)
+            assert new.dtype == np.int8 and np.array_equal(new, old.T)
+
     @pytest.mark.parametrize("m", [664, 5750])
     def test_prefix_stable(self, m):
         # the first w columns of a width-26 draw are the width-w draw
@@ -276,18 +286,54 @@ class TestGreedy:
             singular += det_n == 0
         assert ties > 0 and singular > 0
 
-    @pytest.mark.parametrize("recipe,d", [("paley2(1433)", 8),
+    @pytest.mark.parametrize("recipe,d", [("conference(709)", 7),
+                                          ("paley2(1433)", 8),
                                           ("paley2(1433)", 10),
                                           ("conference(709)", 9),
-                                          ("conference(709)", 10)])
+                                          ("conference(709)", 10),
+                                          ("paley1(2887)", 11),
+                                          ("paley2(1433)", 12),
+                                          ("conference(5749)", 14),
+                                          ("paley1(5023);double", 22)])
     def test_matches_reference_on_trial_blocks(self, recipe, d):
+        # every block here is wide and dominant, so it takes the float path;
+        # the d = 22 reference alone takes 924 determinants, so one trial
         q = build_recipe(recipe)
-        for t in range(2):
+        for t in range(2 if d < 20 else 1):
             b = sample_border_columns(trial_generator(11, t), q.order, d)
             g = _sign_completion(b, q)[1]
             ref_d, ref_det, _ = reference_greedy(g, q.weight)
-            d_block, det_n = greedy_complete(g, q.weight)
+            d_block, det_n = border_mod._greedy_certified(g, q.weight)
             assert np.array_equal(d_block, ref_d) and det_n == ref_det
+
+    def test_fallback_non_dominant(self, monkeypatch):
+        # at width 14 the 664 core's blocks have no positive Varah margin
+        q = build_recipe("paley1(331);double")
+        b = sample_border_columns(trial_generator(11, 0), q.order, 14)
+        g = _sign_completion(b, q)[1]
+        assert border_mod._greedy_certified(g, q.weight) is None
+        calls = self._count_calls(monkeypatch)
+        d_block, det_n = greedy_complete(g, q.weight)
+        assert calls == {"det_adj_exact": 1, "det_exact": 1}
+        ref_d, ref_det, _ = reference_greedy(g, q.weight)
+        assert np.array_equal(d_block, ref_d) and det_n == ref_det
+
+    @pytest.mark.parametrize("error", [1e-9, 1e-3, np.nan])
+    def test_fallback_perturbed_inverse(self, error, monkeypatch):
+        # a float inverse off by more than its certificates allow sends the
+        # block to the exact path, with the same D and det
+        q = build_recipe("paley2(1433)")
+        b = sample_border_columns(trial_generator(11, 1), q.order, 10)
+        g = _sign_completion(b, q)[1]
+        want = border_mod._greedy_certified(g, q.weight)
+        real = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: real(a) * (1 + error) + error)
+        assert border_mod._greedy_certified(g, q.weight) is None
+        calls = self._count_calls(monkeypatch)
+        d_block, det_n = greedy_complete(g, q.weight)
+        assert calls == {"det_adj_exact": 1, "det_exact": 1}
+        assert np.array_equal(d_block, want[0]) and det_n == want[1]
 
     @staticmethod
     def _count_calls(monkeypatch):
@@ -301,15 +347,23 @@ class TestGreedy:
             monkeypatch.setattr(border_mod, name, counted)
         return calls
 
-    @pytest.mark.parametrize("d", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 5, 7, 12])
     def test_determinant_count(self, d, monkeypatch):
         # a nonsingular midpoint: one Gauss-Jordan pass for the midpoint
-        # and its adjugate, one direct determinant for the final check
+        # and its adjugate, one direct determinant for the final check.
+        # From width 7 the diagonal below makes the block dominant, so the
+        # float path takes its two direct determinants and no adjugate
         g = trial_generator(3, d).integers(-9, 10, size=(d, d))
+        wide = d >= border_mod.FLOAT_GREEDY_MIN_WIDTH
+        if wide:
+            g += 20 * d * np.eye(d, dtype=np.int64)
         assert det_exact(g + 4 * np.eye(d, dtype=np.int64)) != 0
         calls = self._count_calls(monkeypatch)
-        greedy_complete(g, 4)
-        assert calls == {"det_adj_exact": 1, "det_exact": 1}
+        d_block, det_n = greedy_complete(g, 4)
+        assert calls == ({"det_adj_exact": 0, "det_exact": 2} if wide
+                         else {"det_adj_exact": 1, "det_exact": 1})
+        ref_d, ref_det, _ = reference_greedy(g, 4)
+        assert np.array_equal(d_block, ref_d) and det_n == ref_det
 
     def test_determinant_count_singular_midpoint(self, monkeypatch):
         # det(G + I) = 0: row 0 takes its 3 cofactors directly, det N turns
@@ -355,6 +409,41 @@ class TestGreedy:
                                  Path(maxdet.__file__).parents[1])})
         assert out.stdout.split() == ["midpoint", "1", "running", "1",
                                       "laplace", "1"]
+
+    def test_float_path_checked_under_optimize(self):
+        # on a dominant width-8 block, a zeroed final determinant falls
+        # below the midpoint, and a doubled one leaves the bracket that the
+        # float certificates give
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from maxdet import border
+            real_det = border.det_exact
+            g = np.random.default_rng(0).integers(-9, 10, size=(8, 8))
+            g += 200 * np.eye(8, dtype=np.int64)
+            print(border._greedy_certified(g, 4) is not None)
+            for scale in (0, 2):
+                calls = []
+
+                def fake(rows):
+                    calls.append(0)
+                    det = real_det(rows)
+                    return det * scale if len(calls) == 2 else det
+                border.det_exact = fake
+                try:
+                    border.greedy_complete(g, 4)
+                except border.SchurConsistencyError as exc:
+                    msg = str(exc)
+                    print("midpoint" if "below" in msg else
+                          "certificate" if "bracket" in msg else msg,
+                          sys.flags.optimize)
+        """)
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(
+                                 Path(maxdet.__file__).parents[1])})
+        assert out.stdout.split() == ["True", "midpoint", "1",
+                                      "certificate", "1"]
 
 
 class TestRunTrialAndSearch:
@@ -550,7 +639,10 @@ class TestWitness:
         best = search(h12, 2, SearchConfig(trials=2, master_seed=11))
         w = witness_dict(best)
         w["B"][0] = "+x"
-        with pytest.raises(WitnessError):
+        with pytest.raises(WitnessError, match="B row 0"):
+            verify_witness(w)
+        w["B"][0], w["B"][7] = w["B"][1], "\u0661+"
+        with pytest.raises(WitnessError, match="B row 7"):
             verify_witness(w)
 
     def test_witness_fields(self, h12):

@@ -288,6 +288,21 @@ class TestWitnessFlow:
         data = json.loads(out.stdout)
         assert data["ok"] is False and "rounding bound" in data["error"]
 
+    def test_verify_refuses_huge_prime_quickly(self, tmp_path):
+        # 2^61 - 1 is a prime = 3 (mod 4); the FFT bound refuses it before
+        # trial division, which would take hours
+        p = (1 << 61) - 1
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({
+            "n": p + 2, "m": p + 1, "d": 1, "weight": p + 1,
+            "kind": "hadamard", "recipe": f"paley1({p})", "B": [],
+            "D_off": "", "det_schur": "1", "ratio_log": 0.0,
+            "ratio_decimal": 1.0}))
+        out = run_capped("verify", str(path), timeout=5)
+        assert out.returncode == 1, out.stderr
+        data = json.loads(out.stdout)
+        assert data["ok"] is False and "rounding bound" in data["error"]
+
 
 class TestTable1:
     def test_row_cores(self):
@@ -333,7 +348,7 @@ class TestTable1:
         assert "[5745]" in err and "5744" in err
 
 
-def run_capped(*argv):
+def run_capped(*argv, timeout=None):
     """Run the CLI in a child process under a 1 GiB address-space cap; BLAS
     keeps one thread, as it reserves address space per thread."""
     def cap():
@@ -341,7 +356,7 @@ def run_capped(*argv):
 
     return subprocess.run(
         [sys.executable, "-m", "maxdet", *argv],
-        capture_output=True, text=True, preexec_fn=cap,
+        capture_output=True, text=True, preexec_fn=cap, timeout=timeout,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
              "PYTHONPATH": str(Path(maxdet.__file__).parents[1])})
 
