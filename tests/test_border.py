@@ -34,7 +34,13 @@ def iter_all_borders(q, d):
     shifts = np.arange(m * d, dtype=np.uint32)
     for pattern in range(1 << (m * d)):
         b = (1 - 2 * ((pattern >> shifts) & 1).astype(np.int8)).reshape(m, d)
-        yield _finish_trial(q, b, *_sign_completion(b, q), pattern, None)
+        yield _finish_trial(q, b, _sign_completion(b, q)[1], pattern, None)
+
+
+def dense_sign_completion(b, q):
+    """C = sgn(B^T Q), sgn(0) = +1, from the dense core: the oracle for the
+    C that ``_sign_completion`` makes."""
+    return np.where(b.T.astype(np.int64) @ q.dense() >= 0, 1, -1)
 
 
 def exhaustive_search(q, d):
@@ -242,7 +248,7 @@ class TestGramBlock:
 
     def test_matches_exact_matmul(self, h8):
         border = run_trial(h8, 3, trial_generator(9, 1)).border
-        oracle = (border.C.astype(np.int64) @ h8.dense().T
+        oracle = (dense_sign_completion(border.B, h8) @ h8.dense().T
                   @ border.B.astype(np.int64))
         assert border.G.dtype == np.int64
         assert np.array_equal(border.G, oracle)
@@ -509,7 +515,7 @@ def _same_trial(a, b):
     return (a.trial_index == b.trial_index and a.det_n == b.det_n
             and a.ratio == b.ratio
             and all(np.array_equal(getattr(a.border, f), getattr(b.border, f))
-                    for f in ("B", "C", "D", "G")))
+                    for f in ("B", "D", "G")))
 
 
 class TestSearchWidths:
@@ -583,8 +589,8 @@ class TestSchurConsistency:
         res = run_trial(h4, 2, trial_generator(1, 1))
         bad_d = res.border.D.copy()
         bad_d[0, 1] = -bad_d[0, 1]
-        tampered = replace(res, border=Border(B=res.border.B, C=res.border.C,
-                                              D=bad_d, G=res.border.G))
+        tampered = replace(res, border=Border(B=res.border.B, D=bad_d,
+                                              G=res.border.G))
         with pytest.raises((WitnessError, SchurConsistencyError)):
             verify_witness(tampered)
 
@@ -608,6 +614,19 @@ class TestWitness:
         bad_b[0, 0] = -bad_b[0, 0]
         tampered = replace(res, border=replace(res.border, B=bad_b))
         with pytest.raises((WitnessError, SchurConsistencyError)):
+            verify_witness(tampered)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (40, 1), (67, 2)])
+    def test_flipped_b_entry_fails_det_schur(self, entry):
+        # n = 71 is above DIRECT_CHECK_LIMIT, and a TrialResult carries no
+        # C: verify recomputes C and G from the changed B, so the stored
+        # det_schur is what catches it
+        res = search(build_recipe("paley1(67)"), 3,
+                     SearchConfig(trials=4, master_seed=12))
+        bad_b = res.border.B.copy()
+        bad_b[entry] = -bad_b[entry]
+        tampered = replace(res, border=replace(res.border, B=bad_b))
+        with pytest.raises(WitnessError, match="det_schur"):
             verify_witness(tampered)
 
     def test_tampered_det_schur_raises(self, h12):
@@ -658,7 +677,11 @@ class TestWitness:
 class TestAssemble:
     def test_shape_and_blocks(self, h4):
         res = run_trial(h4, 2, trial_generator(0, 0))
-        full = assemble_bordered(h4, res.border)
-        assert len(full) == 6 and all(len(row) == 6 for row in full)
-        assert full[0][0] == 1
+        c = dense_sign_completion(res.border.B, h4)
+        full = np.array(assemble_bordered(h4, res.border.B, c, res.border.D))
+        assert full.shape == (6, 6)
+        assert np.array_equal(full[:4, :4], h4.dense())
+        assert np.array_equal(full[:4, 4:], res.border.B)
+        assert np.array_equal(full[4:, :4], c)
+        assert np.array_equal(full[4:, 4:], res.border.D)
         assert full[4][4] == -1 and full[5][5] == -1

@@ -37,6 +37,18 @@ class TestBasicCommands:
         assert data["witness_pair"] == [100, 104]
 
     @pytest.mark.parametrize("argv", [
+        ("bound", "3000000000000000000"),
+        ("sieve", "--max", "3000000000000000000"),
+        ("gaps", "3000000000000000000"),
+        ("resolve", "3000000000000000000"),
+        ("sieve", "--max", "16777217"),
+    ], ids=["bound", "sieve", "gaps", "resolve", "sieve-max-plus-one"])
+    def test_sieve_limit_above_max_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "error: sieve limit" in err and "16777216" in err
+
+    @pytest.mark.parametrize("argv", [
         ("oracle", "4"),
         ("bound", "13", "--method", "paley1"),
         ("bound", "13", "--method", "paley2"),
@@ -272,6 +284,24 @@ class TestWitnessFlow:
         code, out, err = run_cli(capsys, "search", "--order", "92", "--d", "1")
         assert code == 1 and out == ""
         assert "order 92" in err
+
+    def test_search_by_huge_order_fails_fast(self):
+        # 2^61: 2^61 - 1 and 2^60 - 1 are refused without trial division,
+        # and the planned paley1(524287) doubled 42 times is refused before
+        # a border of that order is drawn
+        out = run_capped("search", "--order", str(1 << 61), "--d", "1",
+                         timeout=8)
+        assert out.returncode == 1 and out.stdout == ""
+        assert "error:" in out.stderr and "Traceback" not in out.stderr
+
+    def test_conference_walk_stops_at_oversized_prime(self, capsys):
+        # the walk down from n must not pass the first p = 1 (mod 4) that
+        # the FFT bound refuses (1.59e6 orders down to a core and a border
+        # of that width)
+        code, out, err = run_cli(capsys, "bound", "3000000", "--method",
+                                 "conference", "--trials", "1")
+        assert code == 1 and out == ""
+        assert "error: FFT rounding bound" in err and "2999997" in err
 
     def test_verify_rejects_oversized_paley_prime(self, tmp_path):
         # a forged witness whose core is far beyond what the FFT bound can

@@ -499,6 +499,18 @@ class TestRecipes:
         assert plan_recipe(HADAMARD, 92) is None
         assert plan_recipe(CONFERENCE, 8) is None
 
+    def test_plan_refuses_oversized_primes_without_trial_division(self):
+        # 2^61 - 1 (paley1) and 2^60 - 1 (paley2) fail the residue or the
+        # FFT bound first; the walk ends at the Mersenne prime 2^19 - 1
+        assert plan_recipe(HADAMARD, 1 << 61) == (
+            "paley1(524287)" + ";double" * 42)
+        # a conference order has no recipe to fall through to: 2^61 + 1 is
+        # 1 (mod 4) (and 3 | 2^61 + 1), so the bound refuses it
+        with pytest.raises(ExactnessError, match="rounding bound"):
+            plan_recipe(CONFERENCE, (1 << 61) + 2)
+        # 4000039 = 3 (mod 4) is prime but above the bound
+        assert plan_recipe(HADAMARD, 4000040) != "paley1(4000039)"
+
     def test_plan_round_trip(self):
         for order in (4, 8, 12, 20, 24, 28, 32, 44, 48, 664, 672):
             recipe = plan_recipe(HADAMARD, order)

@@ -191,8 +191,12 @@ class TestBuild:
         got = build_order_set(limit, rules)
         want = reference_build_order_set(limit, rules)
         assert np.array_equal(got.bits, want.bits)
-        assert (got.has1, got.has2) == (want.has1, want.has2)
         assert got.rule_tags == want.rule_tags
+
+    @pytest.mark.parametrize("limit", [3, sieve.SIEVE_MAX + 1, 3 * 10 ** 18])
+    def test_limit_out_of_range_refused(self, limit):
+        with pytest.raises(ValueError, match="sieve limit"):
+            build_order_set(limit)
 
     def test_limit_100_all_multiples_of_four(self):
         s = build_order_set(100)
@@ -304,7 +308,7 @@ class TestCache:
         s.save(path)
         loaded = OrderSet.load(path)
         assert loaded.limit == s.limit
-        assert loaded.has1 and loaded.has2
+        assert 1 in loaded and 2 in loaded
         assert np.array_equal(loaded.bits, s.bits)
         assert loaded.rules == s.rules == DEFAULT_RULES
         assert loaded.rule_tags == s.rule_tags and len(s.rule_tags) > 900
@@ -336,6 +340,19 @@ class TestCache:
         path = tmp_path / "junk.sieve"
         path.write_bytes(b"NOTASIEVE" + b"\x00" * 32)
         with pytest.raises(ValueError, match="HADSIEVE2"):
+            OrderSet.load(path)
+
+    @pytest.mark.parametrize("header", [0, 1, 2, 7, 255])
+    def test_other_header_byte_is_foreign(self, tmp_path, header):
+        s = build_order_set(4096)
+        path = tmp_path / "orders.sieve"
+        s.save(path)
+        blob = bytearray(path.read_bytes())
+        at = len(sieve.MAGIC) + 10 + (s.bits.size + 7) // 8
+        assert blob[at] == 3
+        blob[at] = header
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="not a HADSIEVE2"):
             OrderSet.load(path)
 
     def test_truncated(self, tmp_path):
