@@ -5,17 +5,17 @@ no-cancellation sign rule C = sgn(B^T Q), greedily fixes the d x d corner
 D (diagonal -1), and evaluates the bordered determinant exactly through
 the integer Schur block N = G - k D with G = C Q^T B.  det N is linear in
 each row of D, with coefficients the cofactors of that row, so the greedy
-decides each entry by the sign of one cofactor.  Blocks narrower than
-``FLOAT_GREEDY_MIN_WIDTH``, and blocks without a positive Varah margin,
-take those signs from the exact adjugate of N, refreshed by one exact
-rank-one update per row.  Wider blocks whose rows are diagonally dominant
-by an integer margin at every D take them from float solves kept current
-by Sherman-Morrison updates; each sign is certified by an exact integer
-residual and Varah's bound, and any sign that cannot be certified sends
-the block to the exact path.  Either way D and det N are the exact
-greedy's, det N comes from Bareiss, and the checks are raised, also under
-``python -O``.  Ratios |det| / n^(n/2) are carried in log scale; d = 0 is
-the bare core.
+decides each entry by the sign of one cofactor.  A search decides the
+corners of all its trials at one width together (``greedy_corners``):
+every block whose rows are diagonally dominant by an integer margin at
+every D takes its signs from float solves, vectorized over the stack and
+kept current by Sherman-Morrison updates, and each sign is certified by an
+exact integer residual and Varah's bound.  Any other block, and any block
+with a sign that cannot be certified, takes the exact adjugate of N,
+refreshed by one exact rank-one update per row (``greedy_complete``).
+Either way D and det N are the exact greedy's, det N comes from Bareiss,
+and the checks are raised, also under ``python -O``.  Ratios
+|det| / n^(n/2) are carried in log scale; d = 0 is the bare core.
 
 Each trial does one exact product over Q, P = B^T Q, through the core's
 operator (``QuasiOrthogonal.rmatmul``, exact by the checks described in
@@ -28,8 +28,12 @@ B, D and G, and a witness keeps B and D.  Border widths nest: B is drawn
 as a d x m array and transposed, and the draw is prefix-stable, so the
 first w columns of a trial's width-W block are its width-w block.  Entry
 (i, j) of G depends only on columns i and j of B, so the width-w trial's
-G is the leading block G[:w, :w] of the width-W one.  ``search_widths``
-uses this to serve every width of a core from one product per trial.
+G is the leading block G[:w, :w] of the width-W one, and its midpoint
+det(G[:w, :w] + kI) is a leading principal minor of G + kI.  A search
+keeps G of every trial at the largest width it serves (``SharedBlocks``):
+one product per trial, one pivot-free Bareiss run per trial for the
+midpoints of every width (``leading_minors``), and one batched greedy per
+width.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ import numpy as np
 
 from .constructions import (ExactnessError, QuasiOrthogonal, build_recipe,
                             work_array)
-from .exact import LogScalar, det_adj_exact, det_exact, normalized_ratio
+from .exact import (LogScalar, det_adj_exact, det_exact, leading_minors,
+                    normalized_ratio)
 
 
 class WitnessError(ValueError):
@@ -69,12 +74,6 @@ DEFAULT_CONFIG = SearchConfig()
 
 # verify_witness also checks the full bordered determinant up to this n
 DIRECT_CHECK_LIMIT = 64
-
-# the narrowest Gram block that greedy_complete decides by certified float
-# solves: per block on the 5744 row's core (adjugate vs float, 2-core
-# sandbox), 51 vs 111 us at d = 4, 152 vs 151 at d = 6, 236 vs 183 at d = 7
-FLOAT_GREEDY_MIN_WIDTH = 7
-
 
 @dataclass(frozen=True)
 class Border:
@@ -170,14 +169,11 @@ def greedy_complete(g, k: int) -> tuple[np.ndarray, int]:
     and |det + k cof_ij|, +1 winning ties, so |det N| never falls below the
     midpoint |det(G + kI)| where it starts.
 
-    A block at least ``FLOAT_GREEDY_MIN_WIDTH`` wide, with k > 0 and a
-    positive Varah margin, is decided by certified float solves
-    (``_greedy_certified``); if any of its decisions cannot be certified,
-    it comes back here.  Every other block takes the adjugate path below.
-
-    The midpoint and its adjugate come from one fraction-free Gauss-Jordan
-    pass (``det_adj_exact``).  After row i moves by delta, the cofactor
-    rows still to be used are refreshed by the exact rank-one update
+    This is the exact path of ``greedy_corners``, for the blocks that its
+    certified float solves do not decide.  The midpoint and its adjugate
+    come from one fraction-free Gauss-Jordan pass (``det_adj_exact``).
+    After row i moves by delta, the cofactor rows still to be used are
+    refreshed by the exact rank-one update
     adj' = (det' adj - adj[:, i] (delta^T adj)) / det.  While det N is 0
     (a singular midpoint) a row's cofactors are taken as d direct
     determinants instead, and the adjugate is rebuilt once det N turns
@@ -186,10 +182,6 @@ def greedy_complete(g, k: int) -> tuple[np.ndarray, int]:
     one final direct determinant must reach the midpoint and equal the
     running value.
     """
-    if len(g) >= FLOAT_GREEDY_MIN_WIDTH and k > 0:
-        done = _greedy_certified(np.asarray(g), k)
-        if done is not None:
-            return done
     work = np.asarray(g).tolist()
     d = len(work)
     for i in range(d):
@@ -240,9 +232,13 @@ def greedy_complete(g, k: int) -> tuple[np.ndarray, int]:
     return d_block, det_n
 
 
-def _greedy_certified(g: np.ndarray, k: int) -> tuple[np.ndarray, int] | None:
-    """The greedy corner of ``greedy_complete`` by certified float solves,
-    or None when the block must take the exact path.
+def greedy_corners(grams: np.ndarray, k: int, minors: list
+                   ) -> list[tuple[np.ndarray, int]]:
+    """``greedy_complete`` of every block of a (T, d, d) int64 stack, by
+    certified float solves where they hold.
+
+    ``minors`` gives, for each block, the ``leading_minors`` of a matrix
+    whose leading d x d block is that block's G + kI, or None.
 
     Varah (LAA 11, 1975): a matrix A whose rows are strictly diagonally
     dominant by a margin a > 0 has ||A^-1||_inf <= 1/a.  Every D the greedy
@@ -251,68 +247,81 @@ def _greedy_certified(g: np.ndarray, k: int) -> tuple[np.ndarray, int] | None:
     all of them at once.  With alpha > 0, det N > 0 throughout, and the
     rule of ``greedy_complete`` becomes s_ij = +1 iff cof_ij <= 0, that is
     iff x_j <= 0 for x = N_i^-1 e_i, where N_i is N just before row i is
-    set.  One float inverse of G + kI is kept current by a Sherman-Morrison
-    update after each row.
+    set.  The blocks with k > 0 and alpha > 0 share one stacked float
+    inverse of G + kI, kept current by a Sherman-Morrison update after
+    each row.
 
     Certificate: x' = rint(2^s x) is an integer vector with a residual
     r = N_i x' - 2^s e_i that is exact in int64, so the exact scaled
     solution 2^s x is within ||r||_inf / alpha of x' in every entry.
-    Decision j stands only if alpha |x'_j| > ||r||_inf; one that does not
-    sends the whole block to the exact path.  Entries and k below 2^46 make
-    N exact in float64, and with d < 2^14 they bound every row sum of |N|
-    by R < 2^61.  The scale keeps 2^s (R ||x||_inf + 1) < 2^61, so
-    R ||x'||_inf + 2^s < 2^62 and no int64 step can overflow.
+    Decision j stands only if alpha |x'_j| > ||r||_inf.  Entries and k
+    below 2^46 make N exact in float64, and with d < 2^14 they bound every
+    row sum of |N| by R < 2^61.  The scale keeps 2^s (R ||x||_inf + 1) <
+    2^61, so R ||x'||_inf + 2^s < 2^62 and no int64 step can overflow.
 
-    Two Bareiss determinants, of G + kI and of the final N, close it with
-    two raised checks.  The final determinant must reach the midpoint.  And
-    every certificate must have held: row i multiplies det N by
-    1 + v.x for its change v of row i (the determinant lemma), v.x' =
-    k sum_j |x'_j| for certified signs, and |v.(2^s x - x')| <=
-    k (d - 1) ||r||_inf / alpha, so det N / det(G + kI) lies in the product
-    of these brackets.
+    A certified block closes with the midpoint det(G + kI), its minor of
+    order d, and a Bareiss run for the final det N, with two raised checks.
+    The final determinant must reach the midpoint.  And every certificate
+    must have held: row i multiplies det N by 1 + v.x for its change v of
+    row i (the determinant lemma), v.x' = k sum_j |x'_j| for certified
+    signs, and |v.(2^s x - x')| <= k (d - 1) ||r||_inf / alpha, so
+    det N / det(G + kI) lies in the product of these brackets.  A block
+    with alpha <= 0, a sign that cannot be certified, or no minors (a zero
+    pivot) takes ``greedy_complete`` alone.
     """
-    d = len(g)
+    count, d = grams.shape[:2]
+    corners = [None] * count
     lim = 1 << 46
-    if not (g.dtype == np.int64 and d < 1 << 14 and k < lim
-            and -lim < g.min() and g.max() < lim):
-        return None
-    abs_g = np.abs(g)
-    rows = abs_g.sum(axis=1) + d * k
-    alpha = int((np.diagonal(g) + np.diagonal(abs_g) + 2 * k - rows).min())
-    if alpha <= 0:
-        return None
-    n0 = g + k * np.eye(d, dtype=np.int64)
-    inv = np.linalg.inv(n0.astype(np.float64))
-    xs = np.empty((d, d))  # column i: x = N_i^-1 e_i
-    vs = np.empty((d, d))  # row i: the change -k D[i] made to row i of N
-    for i in range(d):
-        x, v = xs[:, i], vs[i]
-        x[...] = inv[:, i]
-        # s_ij = +1 iff x_j <= 0; a zero x_j is never certified below
-        np.copysign(k, x, out=v)
-        v[i] = 0
-        w = v @ inv
-        inv -= x[:, None] * (w / (1 + w[i]))
-    d_block = (vs < 0).astype(np.int8) * 2 - 1
+    if d and 0 < k < lim and d < 1 << 14 and grams.dtype == np.int64:
+        abs_g = np.abs(grams)
+        rows = abs_g.sum(axis=2) + d * k
+        alpha = (np.diagonal(grams, axis1=1, axis2=2)
+                 + np.diagonal(abs_g, axis1=1, axis2=2) + 2 * k - rows).min(1)
+        idx = np.flatnonzero((alpha > 0) & (-lim < grams.min(axis=(1, 2)))
+                             & (grams.max(axis=(1, 2)) < lim))
+        n0 = grams[idx] + k * np.eye(d, dtype=np.int64)
+        inv = np.linalg.inv(n0.astype(np.float64))
+        xs = np.empty(inv.shape)  # column i: x = N_i^-1 e_i
+        vs = np.empty(inv.shape)  # row i: the change -k D[i] made to row i
+        for i in range(d):
+            x, v = xs[:, :, i], vs[:, i]
+            x[...] = inv[:, :, i]
+            # s_ij = +1 iff x_j <= 0; a zero x_j is never certified below
+            np.copysign(k, x, out=v)
+            v[:, i] = 0
+            w = (v[:, None] @ inv)[:, 0]
+            inv -= x[:, :, None] * (w / (1 + w[:, i:i + 1]))[:, None]
+        big = rows[idx].max(axis=1)
+        x_max = np.abs(xs).max(axis=1)
+        scale = 61 - np.frexp(big[:, None] * x_max + 1)[1].astype(np.int64)
+        keep = np.isfinite(x_max).all(axis=1) & (scale.min(axis=1) >= 0)
+        idx, n0, xs, vs, scale = (a[keep] for a in (idx, n0, xs, vs, scale))
+        xp = np.rint(np.ldexp(xs, scale[:, None])).astype(np.int64)
+        nf = n0 + vs.astype(np.int64)
+        # column i's residual takes the set rows of N for j < i
+        res = np.where(np.triu(np.ones((d, d), dtype=bool), 1), nf @ xp,
+                       n0 @ xp)
+        diag = np.arange(d)
+        res[:, diag, diag] -= np.left_shift(1, scale)
+        r_norm = np.abs(res).max(axis=1)
+        abs_xp = np.abs(xp)
+        certified = alpha[idx, None, None] * abs_xp > r_norm[:, None]
+        certified[:, diag, diag] = True
+        d_blocks = (vs < 0).astype(np.int8) * 2 - 1
+        for j in np.flatnonzero(certified.all(axis=(1, 2))):
+            t = int(idx[j])
+            mids = minors[t]
+            if mids is not None:
+                corners[t] = (d_blocks[j], _close_certified(
+                    nf[j], mids[d - 1], int(alpha[t]), k, scale[j],
+                    r_norm[j], abs_xp[j]))
+    return [corner if corner is not None else greedy_complete(g, k)
+            for corner, g in zip(corners, grams)]
 
-    big = int(rows.max())
-    x_max = np.abs(xs).max(axis=0)
-    scale = 61 - np.frexp(big * x_max + 1)[1].astype(np.int64)
-    if not (np.isfinite(x_max).all() and scale.min() >= 0):
-        return None
-    xp = np.rint(np.ldexp(xs, scale)).astype(np.int64)
-    nf = n0 + vs.astype(np.int64)
-    # column i's residual takes the set rows of N for j < i
-    res = np.where(np.triu(np.ones((d, d), dtype=bool), 1), nf @ xp, n0 @ xp)
-    res[np.diag_indices(d)] -= np.left_shift(1, scale)
-    r_norm = np.abs(res).max(axis=0)
-    abs_xp = np.abs(xp)
-    certified = alpha * abs_xp > r_norm
-    np.fill_diagonal(certified, True)
-    if not certified.all():
-        return None
 
-    midpoint = det_exact(n0.tolist())
+def _close_certified(nf, midpoint, alpha, k, scale, r_norm, abs_xp) -> int:
+    """det N of a certified block, after its two raised checks."""
+    d = len(nf)
     det_n = det_exact(nf.tolist())
     if abs(det_n) < abs(midpoint):
         raise SchurConsistencyError(
@@ -329,7 +338,7 @@ def _greedy_certified(g: np.ndarray, k: int) -> tuple[np.ndarray, int] | None:
         raise SchurConsistencyError(
             f"greedy corner det {det_n} is outside the bracket that the "
             f"float certificates give from the midpoint {midpoint}")
-    return d_block, det_n
+    return det_n
 
 
 def _ratio_from_det(det_n: int, m: int, k: int, d: int) -> LogScalar:
@@ -345,12 +354,31 @@ def _ratio_from_det(det_n: int, m: int, k: int, d: int) -> LogScalar:
 
 @dataclass
 class SharedBlocks:
-    """G of each trial at the largest width W of one ``search_widths``,
-    W x W int64, kept from the trial's first width to the end: T trials
-    hold 8 T W^2 bytes."""
+    """The trials of one search at the largest width W it serves, kept from
+    the first trial to the end: every trial's G (T x W x W int64, 8 T W^2
+    bytes), the leading principal minors of each G + kI, which are the
+    midpoints of every width, and each width's greedy corners."""
 
     width: int
-    grams: dict = field(default_factory=dict)
+    config: SearchConfig
+    grams: np.ndarray | None = None
+    minors: list = field(default_factory=list)
+    corners: dict = field(default_factory=dict)
+
+    def fill(self, q: QuasiOrthogonal, d: int) -> None:
+        """Make every trial's G at width W, one product each from the
+        trial's own stream, if not yet made, and every corner at width d."""
+        if self.grams is None:
+            seed, m, top = self.config.master_seed, q.order, self.width
+            self.grams = np.stack([_sign_completion(sample_border_columns(
+                trial_generator(seed, t), m, top), q)[1]
+                for t in range(self.config.trials)])
+            eye = q.weight * np.eye(top, dtype=np.int64)
+            self.minors = [leading_minors((g + eye).tolist())
+                           for g in self.grams]
+        if d not in self.corners:
+            self.corners[d] = greedy_corners(self.grams[:, :d, :d], q.weight,
+                                             self.minors)
 
 
 def run_trial(q: QuasiOrthogonal, d: int, rng: np.random.Generator,
@@ -358,26 +386,26 @@ def run_trial(q: QuasiOrthogonal, d: int, rng: np.random.Generator,
               shared: SharedBlocks | None = None) -> TrialResult:
     """One bordering trial; d = 0 gives the bare core ratio k^(m/2)/m^(m/2).
 
-    With ``shared``, the first call for a trial index draws B at the shared
-    width W >= d and makes G there; later widths redraw their B from the
-    trial's own stream and read the kept leading block of G.
+    The trial draws its B at width d from ``rng``.  With ``shared`` (and
+    d > 0), the search's first trial at each width fills the whole search
+    (``SharedBlocks.fill``), and every trial reads its G and corner there;
+    ``rng`` must then be the trial's own stream.  Without it the trial
+    makes its own product and takes its corner from ``greedy_complete``.
     """
-    g = None if shared is None else shared.grams.get(trial_index)
-    if g is None:
-        b = sample_border_columns(rng, q.order,
-                                  d if shared is None else shared.width)
-        g = _sign_completion(b, q)[1]
-        if shared is not None:
-            shared.grams[trial_index] = g
-        b = b[:, :d]
-    else:
-        b = sample_border_columns(rng, q.order, d)
-    return _finish_trial(q, b, g[:d, :d], trial_index, master_seed)
+    b = sample_border_columns(rng, q.order, d)
+    if shared is None or d == 0:
+        return _finish_trial(q, b, _sign_completion(b, q)[1], trial_index,
+                             master_seed)
+    shared.fill(q, d)
+    return _finish_trial(q, b, shared.grams[trial_index, :d, :d],
+                         trial_index, master_seed,
+                         shared.corners[d][trial_index])
 
 
-def _finish_trial(q, b, g, trial_index, master_seed) -> TrialResult:
+def _finish_trial(q, b, g, trial_index, master_seed, corner=None
+                  ) -> TrialResult:
     m, k, d = q.order, q.weight, b.shape[1]
-    d_block, det_n = greedy_complete(g, k)
+    d_block, det_n = greedy_complete(g, k) if corner is None else corner
     ratio = _ratio_from_det(det_n, m, k, d)
     return TrialResult(ratio=ratio, trial_index=trial_index, n=m + d, m=m, d=d,
                        kind=q.kind, weight=k, recipe=q.recipe,
@@ -391,12 +419,15 @@ def search(q: QuasiOrthogonal, d: int, config: SearchConfig = DEFAULT_CONFIG,
 
     The reduction keeps the highest ratio; the lowest trial index wins a
     tie.  With d = 0 every trial is the bare core, so only trial 0 runs.
-    ``shared`` comes from ``search_widths``; without it a search keeps
-    nothing between trials.
+    ``shared`` comes from ``search_widths``, with the same config; without
+    it the search keeps its own at width d.
     """
-    top = d if shared is None else shared.width
-    if not 0 <= d <= top:
-        raise ValueError(f"width {d} is outside 0..{top}")
+    if d < 0:
+        raise ValueError(f"border width must be >= 0, got {d}")
+    if shared is None:
+        shared = SharedBlocks(d, config)
+    if d > shared.width:
+        raise ValueError(f"width {d} is outside 0..{shared.width}")
     _check_gram_order(q.order)  # before a B of that order is drawn
     trials = config.trials if d else 1
     return max((run_trial(q, d, trial_generator(config.master_seed, t), t,
@@ -409,9 +440,10 @@ def search_widths(q: QuasiOrthogonal, widths: list[int],
     """The best trial at each border width, in the order given.
 
     Each equals ``search(q, w, config)``: trial t makes one product over Q
-    at the largest width, and every width reads the leading block of its G.
+    at the largest width, and every width reads the leading block of its G
+    and the leading minors of its G + kI.
     """
-    shared = SharedBlocks(max(widths)) if len(widths) > 1 else None
+    shared = SharedBlocks(max(widths, default=0), config)
     return [search(q, d, config, shared) for d in widths]
 
 

@@ -10,7 +10,9 @@ matrices have k = order - 1 and a zero diagonal.
 
 A core is held only as its exact product X -> X Q, built from its parts
 in O(order) memory: the Jacobsthal circulant by a checked FFT convolution
-that certifies its character when built (``_paley_circulant``), the Paley
+that certifies its character when built and, where its rounding bound
+allows, packs two integer rows into one transformed row, exactly
+recovered by rounding (``_paley_circulant``), the Paley
 borders by row sums, doubling as a butterfly and Kronecker factors by
 reshaping, all else in int64.  The constructor docstrings prove that the
 certificate gives Q Q^T = k I for every core a recipe builds.
@@ -212,10 +214,24 @@ def _paley_circulant(p: int, eps: int, name: str
     Each row of X J is the cyclic convolution of that row with chi, taken
     as a linear convolution by FFTs of the smallest 5-smooth length
     N >= 2p - 1 and folded mod p.  Two raised checks: the a-priori bound
-    |x|_2 |chi|_2 E(N) of ``_fft_error_factor`` must be below 1/4 for every
-    row x, and every computed value must lie within 1/4 of an integer.  As
-    the certificate in (3) convolves chi itself, ``_paley_fft`` checks its
-    bound (p - 1) E(N) before chi is built.
+    |z|_2 |chi|_2 E(N) of ``_fft_error_factor`` must be below 1/4 for every
+    transformed row z, and every computed value must lie within 1/4 of an
+    integer.  As the certificate in (3) convolves chi itself, ``_paley_fft``
+    checks its bound (p - 1) E(N) before chi is built.
+
+    Two lanes: for amp = max |X| and base = 2 amp (p - 1) + 1, rows 2i and
+    2i + 1 are transformed as the one row z = x_2i + base x_2i+1 (an odd
+    last row goes alone) when X has at least two rows and the worst case
+    sqrt(p) amp (1 + base) |chi|_2 E(N) of the bound is below 1/4, which
+    also keeps |z| <= amp (1 + base) below 2^52, exact in float64.  The
+    convolution is linear, so z's cyclic image is Y = y_lo + base y_hi for
+    the images y_lo of x_2i and y_hi of x_2i+1, each a sum of at most
+    p - 1 terms of size amp, so |y_lo| <= (base - 1)/2.  The bound also
+    caps |Y| <= |z|_2 |chi|_2 < 1/(4 E(N)) < 2^52, as E(N) > 4 N u.  So
+    once Y is rounded to its integer, y_hi = rint(Y / base) is exact (the
+    quotient is off by less than 1/2 even after its own rounding) and
+    y_lo = Y - base y_hi is an exact float64 difference.  Both checks run
+    on the packed rows, which halves the transforms.
     The float work arrays are kept between calls (grown to the largest row
     count seen), so a search's products allocate no array here; pocketfft
     still takes its own scratch inside each transform.
@@ -239,27 +255,39 @@ def _paley_circulant(p: int, eps: int, name: str
 
     def right_mul(x: np.ndarray, out: np.ndarray) -> None:
         c = x.shape[0]
-        pad = work_array(work, "pad", (c, size))
+        amp = max(-int(x.min(initial=0)), int(x.max(initial=0)))
+        base = 2 * amp * (p - 1) + 1
+        lanes = 2 if c > 1 and (math.sqrt(p) * amp * (1 + base) * factor
+                                < 0.25) else 1
+        rows = -(-c // lanes)
+        pad = work_array(work, "pad", (rows, size))
         xf = pad[:, :p]  # the tail of pad stays zero
-        xf[...] = x
+        xf[...] = x[::lanes]
+        if lanes == 2:
+            xf[:c // 2] += base * x[1::2]
         norm = math.sqrt(float(np.einsum("ij,ij->i", xf, xf).max(initial=0)))
         bound = norm * factor
         if not bound < 0.25:
             raise ExactnessError(f"FFT rounding bound {bound:.3g} is not "
                                  "below 1/4")
         spec = np.fft.rfft(pad, out=work_array(
-            work, "spec", (c, size // 2 + 1), complex))
+            work, "spec", (rows, size // 2 + 1), complex))
         spec *= chi_hat
-        y = np.fft.irfft(spec, size, out=work_array(work, "y", (c, size)))
+        y = np.fft.irfft(spec, size, out=work_array(work, "y", (rows, size)))
         y = y[:, :2 * p - 1]
-        r = np.rint(y, out=work_array(work, "r", (c, 2 * p - 1)))
+        r = np.rint(y, out=work_array(work, "r", (rows, 2 * p - 1)))
         y -= r
         residual = float(np.abs(y, out=y).max(initial=0))
         if not residual < 0.25:
             raise ExactnessError(f"FFT rounding residual {residual:.3g} is "
                                  "not below 1/4")
-        r[:, :p - 1] += r[:, p:]  # integers below 2^53: exact
-        out[...] = r[:, :p]
+        r[:, :p - 1] += r[:, p:]  # integers below 2^52: exact
+        r = r[:, :p]
+        if lanes == 2:
+            hi = np.rint(np.divide(r, base, out=y[:, :p]), out=y[:, :p])
+            out[1::2] = hi[:c // 2]
+            r -= np.multiply(hi, base, out=hi)
+        out[::lanes] = r
 
     image = np.empty((1, p), dtype=np.int64)
     right_mul(chi[None], image)

@@ -52,6 +52,37 @@ def det_exact(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def leading_minors(rows: Sequence[Sequence[int]]) -> list[int] | None:
+    """The leading principal minors det N[:1, :1], ..., det N[:n, :n] of a
+    square integer matrix, or None if any of them is 0.
+
+    Bareiss elimination without row swaps makes entry (i, j) before step
+    k the minor on rows 0..k-1, i and columns 0..k-1, j (Sylvester's
+    identity), so the pivot of step k is the leading minor of order k + 1;
+    a zero pivot stops it.  One pass of O(n^3) exact integer work gives
+    all n minors.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant of non-square matrix")
+    a = [list(map(int, row)) for row in rows]
+    minors = []
+    prev = 1
+    for k in range(n):
+        rowk = a[k]
+        pivot = rowk[k]
+        if pivot == 0:
+            return None
+        minors.append(pivot)
+        for i in range(k + 1, n):
+            rowi = a[i]
+            aik = rowi[k]
+            for j in range(k + 1, n):
+                rowi[j] = (pivot * rowi[j] - aik * rowk[j]) // prev
+        prev = pivot
+    return minors
+
+
 def det_adj_exact(rows: Sequence[Sequence[int]]
                   ) -> tuple[int, list[list[int]] | None]:
     """Exact determinant and adjugate by fraction-free Gauss-Jordan.

@@ -13,8 +13,9 @@ import pytest
 import maxdet
 from maxdet import border as border_mod
 from maxdet.border import (Border, SchurConsistencyError, SearchConfig,
-                           WitnessError, _finish_trial, _sign_completion,
-                           assemble_bordered, greedy_complete, run_trial,
+                           SharedBlocks, WitnessError, _finish_trial,
+                           _sign_completion, assemble_bordered,
+                           greedy_complete, greedy_corners, run_trial,
                            sample_border_columns, save_witness, search,
                            search_widths, trial_generator, verify_witness,
                            witness_dict)
@@ -22,7 +23,7 @@ from maxdet.cli import (EXCEPTIONAL_FAST_CORE_MAX, EXCEPTIONAL_ROWS,
                         _table1_core)
 from maxdet.constructions import (ExactnessError, build_recipe,
                                   paley_conference)
-from maxdet.exact import det_exact
+from maxdet.exact import det_exact, leading_minors
 
 
 def iter_all_borders(q, d):
@@ -73,6 +74,13 @@ def reference_greedy(g, k):
             d_block[i, j] = sign
             work[i][j] = base - k * sign
     return d_block, det_exact(work), tied
+
+
+def batched_greedy(grams, k):
+    """``greedy_corners`` of a stack, each block with its own minors."""
+    eye = k * np.eye(grams.shape[1], dtype=np.int64)
+    return greedy_corners(grams, k, [leading_minors((g + eye).tolist())
+                                     for g in grams])
 
 
 class TestSampling:
@@ -292,7 +300,8 @@ class TestGreedy:
             singular += det_n == 0
         assert ties > 0 and singular > 0
 
-    @pytest.mark.parametrize("recipe,d", [("conference(709)", 7),
+    @pytest.mark.parametrize("recipe,d", [("conference(709)", 4),
+                                          ("conference(709)", 7),
                                           ("paley2(1433)", 8),
                                           ("paley2(1433)", 10),
                                           ("conference(709)", 9),
@@ -301,15 +310,18 @@ class TestGreedy:
                                           ("paley2(1433)", 12),
                                           ("conference(5749)", 14),
                                           ("paley1(5023);double", 22)])
-    def test_matches_reference_on_trial_blocks(self, recipe, d):
-        # every block here is wide and dominant, so it takes the float path;
-        # the d = 22 reference alone takes 924 determinants, so one trial
+    def test_matches_reference_on_trial_blocks(self, recipe, d, monkeypatch):
+        # every block here is dominant, so it takes the float path; the
+        # d = 22 reference alone takes 924 determinants, so one trial
         q = build_recipe(recipe)
-        for t in range(2 if d < 20 else 1):
-            b = sample_border_columns(trial_generator(11, t), q.order, d)
-            g = _sign_completion(b, q)[1]
+        grams = np.stack([_sign_completion(sample_border_columns(
+            trial_generator(11, t), q.order, d), q)[1]
+            for t in range(2 if d < 20 else 1)])
+        calls = self._count_calls(monkeypatch)
+        corners = batched_greedy(grams, q.weight)
+        assert calls == {"det_adj_exact": 0, "det_exact": len(grams)}
+        for g, (d_block, det_n) in zip(grams, corners):
             ref_d, ref_det, _ = reference_greedy(g, q.weight)
-            d_block, det_n = border_mod._greedy_certified(g, q.weight)
             assert np.array_equal(d_block, ref_d) and det_n == ref_det
 
     def test_fallback_non_dominant(self, monkeypatch):
@@ -317,9 +329,8 @@ class TestGreedy:
         q = build_recipe("paley1(331);double")
         b = sample_border_columns(trial_generator(11, 0), q.order, 14)
         g = _sign_completion(b, q)[1]
-        assert border_mod._greedy_certified(g, q.weight) is None
         calls = self._count_calls(monkeypatch)
-        d_block, det_n = greedy_complete(g, q.weight)
+        [(d_block, det_n)] = batched_greedy(g[None], q.weight)
         assert calls == {"det_adj_exact": 1, "det_exact": 1}
         ref_d, ref_det, _ = reference_greedy(g, q.weight)
         assert np.array_equal(d_block, ref_d) and det_n == ref_det
@@ -331,15 +342,45 @@ class TestGreedy:
         q = build_recipe("paley2(1433)")
         b = sample_border_columns(trial_generator(11, 1), q.order, 10)
         g = _sign_completion(b, q)[1]
-        want = border_mod._greedy_certified(g, q.weight)
+        calls = self._count_calls(monkeypatch)
+        [want] = batched_greedy(g[None], q.weight)
+        assert calls == {"det_adj_exact": 0, "det_exact": 1}
         real = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv",
                             lambda a: real(a) * (1 + error) + error)
-        assert border_mod._greedy_certified(g, q.weight) is None
-        calls = self._count_calls(monkeypatch)
-        d_block, det_n = greedy_complete(g, q.weight)
-        assert calls == {"det_adj_exact": 1, "det_exact": 1}
+        [(d_block, det_n)] = batched_greedy(g[None], q.weight)
+        assert calls == {"det_adj_exact": 1, "det_exact": 2}
         assert np.array_equal(d_block, want[0]) and det_n == want[1]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_batched_matches_reference_on_mixed_stacks(self, d, monkeypatch):
+        # even blocks are dominant and take the float path; odd ones, and
+        # block 3 with G + kI singular, take the exact path alone, each as
+        # if decided by itself, in a stack of 7 and in stacks of one.  With
+        # k above every |G_ij| no entry of N turns 0, which could tie
+        rng = np.random.default_rng(d)
+        k, eye = 10, np.eye(d, dtype=np.int64)
+        grams = rng.integers(-9, 10, size=(7, d, d))
+        grams[0::2] += 20 * d * eye
+        grams[1::2] -= 20 * d * eye  # G_ii + |G_ii| = 0: no margin
+        grams[3, -1] = grams[3, 0] if d > 1 else 0  # det(G + kI) = 0 ...
+        grams[3] -= k * eye  # ... once kI is taken off
+        assert det_exact(grams[3] + k * eye) == 0
+        calls = []
+        real = border_mod.greedy_complete
+        monkeypatch.setattr(border_mod, "greedy_complete",
+                            lambda g, k: calls.append(0) or real(g, k))
+        for idx in ([0, 1, 2, 3, 4, 5, 6], [0], [1], [3]):
+            calls.clear()
+            corners = batched_greedy(grams[idx], k)
+            for g, (d_block, det_n) in zip(grams[idx], corners):
+                ref_d, ref_det, _ = reference_greedy(g, k)
+                assert np.array_equal(d_block, ref_d) and det_n == ref_det
+            assert len(calls) == sum(i % 2 for i in idx)
+
+    def test_batched_zero_width(self):
+        assert [(c[0].shape, c[1]) for c in batched_greedy(
+            np.zeros((3, 0, 0), np.int64), 4)] == [((0, 0), 1)] * 3
 
     @staticmethod
     def _count_calls(monkeypatch):
@@ -355,21 +396,25 @@ class TestGreedy:
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3, 5, 7, 12])
     def test_determinant_count(self, d, monkeypatch):
-        # a nonsingular midpoint: one Gauss-Jordan pass for the midpoint
-        # and its adjugate, one direct determinant for the final check.
-        # From width 7 the diagonal below makes the block dominant, so the
-        # float path takes its two direct determinants and no adjugate
+        # a nonsingular midpoint: the exact path takes one Gauss-Jordan
+        # pass for the midpoint and its adjugate and one direct determinant
+        # for the final check.  With the diagonal made dominant the batched
+        # path takes only the final direct determinant: its midpoint is a
+        # leading minor
         g = trial_generator(3, d).integers(-9, 10, size=(d, d))
-        wide = d >= border_mod.FLOAT_GREEDY_MIN_WIDTH
-        if wide:
-            g += 20 * d * np.eye(d, dtype=np.int64)
         assert det_exact(g + 4 * np.eye(d, dtype=np.int64)) != 0
         calls = self._count_calls(monkeypatch)
         d_block, det_n = greedy_complete(g, 4)
-        assert calls == ({"det_adj_exact": 0, "det_exact": 2} if wide
-                         else {"det_adj_exact": 1, "det_exact": 1})
+        assert calls == {"det_adj_exact": 1, "det_exact": 1}
         ref_d, ref_det, _ = reference_greedy(g, 4)
         assert np.array_equal(d_block, ref_d) and det_n == ref_det
+        if d:
+            g += 20 * d * np.eye(d, dtype=np.int64)
+            calls.update(det_adj_exact=0, det_exact=0)
+            [(d_block, det_n)] = batched_greedy(g[None], 4)
+            assert calls == {"det_adj_exact": 0, "det_exact": 1}
+            ref_d, ref_det, _ = reference_greedy(g, 4)
+            assert np.array_equal(d_block, ref_d) and det_n == ref_det
 
     def test_determinant_count_singular_midpoint(self, monkeypatch):
         # det(G + I) = 0: row 0 takes its 3 cofactors directly, det N turns
@@ -417,17 +462,20 @@ class TestGreedy:
                                       "laplace", "1"]
 
     def test_float_path_checked_under_optimize(self):
-        # on a dominant width-8 block, a zeroed final determinant falls
-        # below the midpoint, and a doubled one leaves the bracket that the
-        # float certificates give
+        # in a stack of three dominant width-8 blocks, a zeroed final
+        # determinant of the second falls below its midpoint, and a doubled
+        # one leaves the bracket that the float certificates give
         script = textwrap.dedent("""
             import sys
             import numpy as np
             from maxdet import border
+            from maxdet.exact import leading_minors
             real_det = border.det_exact
-            g = np.random.default_rng(0).integers(-9, 10, size=(8, 8))
-            g += 200 * np.eye(8, dtype=np.int64)
-            print(border._greedy_certified(g, 4) is not None)
+            grams = np.random.default_rng(0).integers(-9, 10, size=(3, 8, 8))
+            grams += 200 * np.eye(8, dtype=np.int64)
+            minors = [leading_minors((g + 4 * np.eye(8, dtype=int)).tolist())
+                      for g in grams]
+            border.greedy_complete = None  # every block takes the float path
             for scale in (0, 2):
                 calls = []
 
@@ -437,7 +485,7 @@ class TestGreedy:
                     return det * scale if len(calls) == 2 else det
                 border.det_exact = fake
                 try:
-                    border.greedy_complete(g, 4)
+                    border.greedy_corners(grams, 4, minors)
                 except border.SchurConsistencyError as exc:
                     msg = str(exc)
                     print("midpoint" if "below" in msg else
@@ -448,8 +496,33 @@ class TestGreedy:
                              capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": str(
                                  Path(maxdet.__file__).parents[1])})
-        assert out.stdout.split() == ["True", "midpoint", "1",
-                                      "certificate", "1"]
+        assert out.stdout.split() == ["midpoint", "1", "certificate", "1"]
+
+    def test_search_path_checked_under_optimize(self):
+        # the same two checks on the blocks that a search decides together
+        # at every width, from the minors of its largest width
+        script = textwrap.dedent("""
+            import sys
+            from maxdet import border, build_recipe
+            q = build_recipe("conference(709)")
+            config = border.SearchConfig(trials=3, master_seed=1)
+            real_det = border.det_exact
+            border.greedy_complete = None  # every block takes the float path
+            for scale in (0, 2):
+                border.det_exact = lambda rows: real_det(rows) * scale
+                try:
+                    border.search_widths(q, [7, 5], config)
+                except border.SchurConsistencyError as exc:
+                    msg = str(exc)
+                    print("midpoint" if "below" in msg else
+                          "certificate" if "bracket" in msg else msg,
+                          sys.flags.optimize)
+        """)
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(
+                                 Path(maxdet.__file__).parents[1])})
+        assert out.stdout.split() == ["midpoint", "1", "certificate", "1"]
 
 
 class TestRunTrialAndSearch:
@@ -556,10 +629,28 @@ class TestSearchWidths:
         assert calls == [3] * 5
 
     def test_width_outside_shared_range(self, h12):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be >= 0, got -1"):
             search(h12, -1, SearchConfig(trials=1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be >= 0"):
             search_widths(h12, [2, -1], SearchConfig(trials=1))
+        config = SearchConfig(trials=1)
+        with pytest.raises(ValueError, match="width 3 is outside 0..2"):
+            search(h12, 3, config, SharedBlocks(2, config))
+
+    def test_minors_are_the_midpoints_of_every_width(self, h12):
+        # one pivot-free Bareiss run per trial at the largest width gives
+        # det(G[:w, :w] + kI) for every w; each width's corners are decided
+        # once, by its first trial
+        config = SearchConfig(trials=6, master_seed=1)
+        shared = SharedBlocks(5, config)
+        for d in (5, 2, 2):
+            search(h12, d, config, shared)
+        assert shared.grams.shape == (6, 5, 5)
+        assert sorted(shared.corners) == [2, 5]
+        for g, minors in zip(shared.grams, shared.minors):
+            want = [det_exact(g[:w, :w] + h12.weight * np.eye(w, dtype=int))
+                    for w in range(1, 6)]
+            assert minors == (None if 0 in want else want)
 
 
 class TestSchurConsistency:

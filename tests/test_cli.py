@@ -274,6 +274,12 @@ class TestWitnessFlow:
                                  "conference(13)", "--d", "1")
         assert code == 1 and out == "" and "character" in err
 
+    def test_search_negative_width(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--recipe", "paley1(331)",
+                                 "--d", "-1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "must be >= 0, got -1" in err
+
     def test_search_by_order(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--order", "12", "--d", "1",
                                "--trials", "4")

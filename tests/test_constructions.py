@@ -315,6 +315,105 @@ class TestFFTLength:
         assert set(seen) == {constructions._smooth_length(2 * p - 1)}
 
 
+def circulant_reference(x, p):
+    """X J for the Jacobsthal matrix J[i, j] = chi(j - i) of p, by exact
+    integer convolutions with chi from Euler's criterion, folded mod p."""
+    chi = np.array([legendre(i, p) for i in range(p)], dtype=np.int64)
+    out = np.empty_like(x)
+    for row, y in zip(x, out):
+        lin = np.convolve(row, chi)
+        y[...] = lin[:p]
+        y[:p - 1] += lin[p:]
+    return out
+
+
+class TestTwoLanes:
+    """Two rows share one transformed row when the worst case of the FFT
+    bound allows it, and the products stay exact either way."""
+
+    @staticmethod
+    def transformed_rows(monkeypatch):
+        rows = []
+        rfft = np.fft.rfft
+
+        def rfft_logged(a, *args, **kwargs):
+            rows.append(np.shape(a)[0] if np.ndim(a) > 1 else 1)
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", rfft_logged)
+        return rows
+
+    # (p, amp, lanes): every table1 fast-row core takes two lanes, also on
+    # the amp = 2 rows of a doubling or of Paley II; 11213 is the largest
+    # prime with two lanes for sign rows and 11239 the next admitted one
+    @pytest.mark.parametrize("p,amp,lanes", [
+        (13, 1, 2), (331, 2, 2), (709, 1, 2), (1433, 2, 2), (5749, 1, 2),
+        (5023, 2, 2), (11117, 1, 2), (11117, 2, 1), (11213, 1, 2),
+        (11239, 1, 1)])
+    def test_products_equal_reference(self, monkeypatch, p, amp, lanes):
+        eps = 1 if p % 4 == 1 else -1
+        conv = constructions._paley_circulant(p, eps, "test")
+        rows = self.transformed_rows(monkeypatch)
+        rng = np.random.default_rng(p)
+        for c in ((1, 2, 3, 4, 5) if p < 2000 else (3,)):
+            signs = rng.integers(0, 2, size=(2, c, p)) * 2 - 1
+            x = signs[0] if amp == 1 else signs[0] + signs[1]  # a doubling
+            x[:, 0] = amp
+            out = np.empty_like(x)
+            rows.clear()
+            conv(x, out)
+            assert rows == [-(-c // lanes) if c > 1 else 1]
+            assert np.array_equal(out, circulant_reference(x, p)), c
+
+    def test_dense_cores_through_both_lanes(self):
+        # a Paley II core of a two-lane prime, with odd and even row counts
+        q = paley_two(13)
+        dense = q.dense()
+        rng = np.random.default_rng(3)
+        for c in (2, 3, 6, 7):
+            x = rng.integers(-3, 4, size=(c, q.order))
+            out = np.empty_like(x)
+            q.right_mul(x, out)
+            assert np.array_equal(out, x @ dense), c
+
+    def test_checks_raise_on_packed_rows_under_optimize(self):
+        # a forced residual (irfft off by 0.3) and a forced norm (the row
+        # norms 10^6 times too large) must each raise on a call of 4 rows
+        # that transforms 2
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from maxdet import constructions as c
+            conv = c._paley_circulant(331, -1, "test")
+            x = np.ones((4, 331), dtype=np.int64)
+            out = np.empty_like(x)
+            irfft, einsum = np.fft.irfft, np.einsum
+            seen = []
+
+            def fake_irfft(spec, *args, **kwargs):
+                seen.append(len(spec))
+                return irfft(spec, *args, **kwargs) + 0.3
+
+            def fake_einsum(spec, a, b):
+                seen.append(len(a))
+                return einsum(spec, a, b) * 1e12
+            fakes = [("irfft", fake_irfft), ("einsum", fake_einsum)]
+            for name, fake in fakes:
+                np.fft.irfft, np.einsum = irfft, einsum
+                setattr(np.fft if name == "irfft" else np, name, fake)
+                try:
+                    conv(x, out)
+                except c.ExactnessError as exc:
+                    print("residual" if "residual" in str(exc) else "bound",
+                          seen.pop(), sys.flags.optimize)
+        """)
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(
+                                 Path(maxdet.__file__).parents[1])})
+        assert out.stdout.split() == ["residual", "2", "1", "bound", "2", "1"]
+
+
 class TestOversizedPrime:
     """A prime whose certificate the FFT bound cannot cover is refused
     before the character, or anything else of size p, is allocated."""

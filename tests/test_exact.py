@@ -6,7 +6,7 @@ import pytest
 
 from maxdet.constructions import build_recipe
 from maxdet.exact import (LogScalar, det_adj_exact, det_exact,
-                          normalized_ratio)
+                          leading_minors, normalized_ratio)
 
 
 def cofactor_det(rows):
@@ -127,6 +127,37 @@ class TestDetAdjExact:
                      [[1, 2, 3], [2, 4, 6], [0, 1, 5]],   # dependent rows
                      [[2, -1], [-4, 2]]):
             assert det_adj_exact(rows) == (0, None)
+
+
+class TestLeadingMinors:
+    def test_empty_and_non_square(self):
+        assert leading_minors([]) == []
+        with pytest.raises(ValueError):
+            leading_minors([[1, 2, 3], [4, 5, 6]])
+
+    def test_random_against_det_exact(self):
+        # every leading block's determinant, also past 2^63 and on int64
+        rng = random.Random(5)
+        for _ in range(2000):
+            n = rng.randint(1, 8)
+            r = rng.choice([2, 9, 3 ** 30])
+            rows = [[rng.randint(-r, r) for _ in range(n)] for _ in range(n)]
+            want = [det_exact([row[:w] for row in rows[:w]])
+                    for w in range(1, n + 1)]
+            got = leading_minors(rows)
+            assert got == (None if 0 in want else want)
+        a = np.array([[3 ** 39, 1, 0], [1, 3 ** 39, 1], [0, 1, 3 ** 39]],
+                     dtype=np.int64)
+        assert leading_minors(a) == [det_exact(a[:w, :w])
+                                     for w in (1, 2, 3)]
+        assert leading_minors(a)[-1] > 2 ** 63
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1], [1, 0]],                    # zero first pivot
+        [[1, 2, 0], [2, 4, 1], [0, 1, 1]],   # zero second pivot
+        [[1, 2], [2, 4]]])                   # zero last minor
+    def test_zero_pivot(self, rows):
+        assert leading_minors(rows) is None
 
 
 class TestLogScalar:
