@@ -7,15 +7,15 @@ the integer Schur block N = G - k D with G = C Q^T B.  det N is linear in
 each row of D, with coefficients the cofactors of that row, so the greedy
 decides each entry by the sign of one cofactor.  A search decides the
 corners of all its trials at one width together (``greedy_corners``):
-every block whose rows are diagonally dominant by an integer margin at
-every D takes its signs from float solves, vectorized over the stack and
-kept current by Sherman-Morrison updates, and each sign is certified by an
-exact integer residual and Varah's bound.  Any other block, and any block
-with a sign that cannot be certified, takes the exact adjugate of N,
-refreshed by one exact rank-one update per row (``greedy_complete``).
-Either way D and det N are the exact greedy's, det N comes from Bareiss,
-and the checks are raised, also under ``python -O``.  Ratios
-|det| / n^(n/2) are carried in log scale; d = 0 is the bare core.
+every block with nonzero leading minors of G + kI takes its signs from
+float solves, vectorized over the stack and kept current by Sherman-Morrison
+updates, and each sign is certified by an exact integer residual and a
+Hadamard bound on the inverse.  A block with k = 0, a zero leading
+minor, or a sign that cannot be certified takes d direct cofactors per
+row (``_greedy_exact``).  Either way D and det N are the exact greedy's,
+det N comes from Bareiss, and the checks are raised, also under
+``python -O``.  Ratios |det| / n^(n/2) are carried in log scale; d = 0 is
+the bare core.
 
 Each trial does one exact product over Q, P = B^T Q, through the core's
 operator (``QuasiOrthogonal.rmatmul``, exact by the checks described in
@@ -48,8 +48,7 @@ import numpy as np
 
 from .constructions import (ExactnessError, QuasiOrthogonal, build_recipe,
                             work_array)
-from .exact import (LogScalar, det_adj_exact, det_exact, leading_minors,
-                    normalized_ratio)
+from .exact import LogScalar, det_exact, leading_minors, normalized_ratio
 
 
 class WitnessError(ValueError):
@@ -157,7 +156,7 @@ def _sign_completion(b: np.ndarray, q: QuasiOrthogonal
     return c.astype(np.int8), g.astype(np.int64)
 
 
-def greedy_complete(g, k: int) -> tuple[np.ndarray, int]:
+def _greedy_exact(g, k: int) -> tuple[np.ndarray, int]:
     """Fix D entrywise to maximize |det N| for the Schur block N = G - k D.
 
     g is the square integer Gram block, as an array or a list of rows.
@@ -170,56 +169,34 @@ def greedy_complete(g, k: int) -> tuple[np.ndarray, int]:
     midpoint |det(G + kI)| where it starts.
 
     This is the exact path of ``greedy_corners``, for the blocks that its
-    certified float solves do not decide.  The midpoint and its adjugate
-    come from one fraction-free Gauss-Jordan pass (``det_adj_exact``).
-    After row i moves by delta, the cofactor rows still to be used are
-    refreshed by the exact rank-one update
-    adj' = (det' adj - adj[:, i] (delta^T adj)) / det.  While det N is 0
-    (a singular midpoint) a row's cofactors are taken as d direct
-    determinants instead, and the adjugate is rebuilt once det N turns
-    nonzero; from then on it cannot return to 0.  Three raised checks:
-    each row's Laplace expansion must equal the running determinant, and
-    one final direct determinant must reach the midpoint and equal the
-    running value.
+    certified float solves do not decide: each cofactor of row i is one
+    direct determinant, N with row i replaced by a unit row.  Three raised
+    checks: each row's Laplace expansion must equal the running
+    determinant, and one final direct determinant must reach the midpoint
+    and equal the running value.
     """
     work = np.asarray(g).tolist()
     d = len(work)
     for i in range(d):
         work[i][i] += k
-    # cof[i] is the cofactor row of row i: adj(N^T) = adj(N)^T
-    midpoint, cof = det_adj_exact(list(zip(*work)))
-    running = midpoint
+    midpoint = running = det_exact(work)
     d_block = -np.eye(d, dtype=np.int8)
     for i in range(d):
         row = work[i]
-        if cof is None:
-            cof_i = [det_exact(work[:i] + [[int(c == j) for c in range(d)]]
-                               + work[i + 1:]) for j in range(d)]
-        else:
-            cof_i = cof[i]
-        before = running
-        delta = [0] * d
+        cof_i = [det_exact(work[:i] + [[int(c == j) for c in range(d)]]
+                           + work[i + 1:]) for j in range(d)]
         for j in range(d):
             if j != i:
                 step = k * cof_i[j]
                 sign = 1 if abs(running - step) >= abs(running + step) else -1
                 d_block[i, j] = sign
-                delta[j] = -k * sign
-                row[j] += delta[j]
+                row[j] -= k * sign
                 running -= sign * step
         laplace = sum(map(mul, row, cof_i))
         if laplace != running:
             raise SchurConsistencyError(
                 f"row {i} Laplace expansion {laplace} differs from the "
                 f"running determinant {running}")
-        if cof is not None:
-            for c in range(i + 1, d):
-                col = cof[c]
-                w = sum(map(mul, delta, col))
-                cof[c] = [(running * x - w * u) // before
-                          for x, u in zip(col, cof_i)]
-        elif running and i + 1 < d:
-            cof = det_adj_exact(list(zip(*work)))[1]
     det_n = det_exact(work)
     if abs(det_n) < abs(midpoint):
         raise SchurConsistencyError(
@@ -234,53 +211,58 @@ def greedy_complete(g, k: int) -> tuple[np.ndarray, int]:
 
 def greedy_corners(grams: np.ndarray, k: int, minors: list
                    ) -> list[tuple[np.ndarray, int]]:
-    """``greedy_complete`` of every block of a (T, d, d) int64 stack, by
-    certified float solves where they hold.
+    """The greedy corner (``_greedy_exact``) of every block of a (T, d, d)
+    int64 stack, by certified float solves where they hold.
 
     ``minors`` gives, for each block, the ``leading_minors`` of a matrix
     whose leading d x d block is that block's G + kI, or None.
 
-    Varah (LAA 11, 1975): a matrix A whose rows are strictly diagonally
-    dominant by a margin a > 0 has ||A^-1||_inf <= 1/a.  Every D the greedy
-    visits keeps |N_ij| <= |G_ij| + k off the diagonal, so the integer
-    margin alpha = min_i (G_ii + k - sum_{j != i} (|G_ij| + k)) holds for
-    all of them at once.  With alpha > 0, det N > 0 throughout, and the
-    rule of ``greedy_complete`` becomes s_ij = +1 iff cof_ij <= 0, that is
-    iff x_j <= 0 for x = N_i^-1 e_i, where N_i is N just before row i is
-    set.  The blocks with k > 0 and alpha > 0 share one stacked float
-    inverse of G + kI, kept current by a Sherman-Morrison update after
-    each row.
+    Sign rule.  Once det N is nonzero, each step of the greedy moves it
+    away from 0, so it never changes sign and |det N| never falls below
+    the midpoint det(G + kI) = minors[d - 1].  So with N_i the block just
+    before row i is set, the rule becomes s_ij = +1 iff cof_ij det N_i <= 0,
+    that is iff x_j <= 0 for x = N_i^-1 e_i.  The blocks with k > 0 and a
+    nonzero midpoint share one stacked float inverse of G + kI, kept current
+    by a Sherman-Morrison update after each row.
+
+    Bound.  Every D the greedy visits keeps |N_rc| <= |G_rc| + k, so
+    R_r = sum_c |G_rc| + d k bounds row r of |N| in the 1-norm, and by
+    Hadamard's inequality every cofactor of N_i is at most prod_r R_r /
+    min_r R_r.  With |det N_i| >= |midpoint| this gives
+    ||N_i^-1||_inf <= beta = d prod_r R_r / (min_r R_r |midpoint|).
 
     Certificate: x' = rint(2^s x) is an integer vector with a residual
     r = N_i x' - 2^s e_i that is exact in int64, so the exact scaled
-    solution 2^s x is within ||r||_inf / alpha of x' in every entry.
-    Decision j stands only if alpha |x'_j| > ||r||_inf.  Entries and k
-    below 2^46 make N exact in float64, and with d < 2^14 they bound every
-    row sum of |N| by R < 2^61.  The scale keeps 2^s (R ||x||_inf + 1) <
-    2^61, so R ||x'||_inf + 2^s < 2^62 and no int64 step can overflow.
+    solution 2^s x is within beta ||r||_inf of x' in every entry.
+    Decision j stands only if |x'_j| > beta ||r||_inf, compared in
+    integers.  Entries and k below 2^46 make N exact in float64, and with
+    d < 2^14 they bound every R_r by 2^61.  The scale keeps
+    2^s (max_r R_r ||x||_inf + 1) < 2^61, so no int64 step can overflow.
 
-    A certified block closes with the midpoint det(G + kI), its minor of
-    order d, and a Bareiss run for the final det N, with two raised checks.
-    The final determinant must reach the midpoint.  And every certificate
-    must have held: row i multiplies det N by 1 + v.x for its change v of
-    row i (the determinant lemma), v.x' = k sum_j |x'_j| for certified
-    signs, and |v.(2^s x - x')| <= k (d - 1) ||r||_inf / alpha, so
-    det N / det(G + kI) lies in the product of these brackets.  A block
-    with alpha <= 0, a sign that cannot be certified, or no minors (a zero
-    pivot) takes ``greedy_complete`` alone.
+    A certified block closes with a Bareiss run for the final det N and
+    two raised checks.  The final determinant must reach the midpoint.
+    And every certificate must have held: row i multiplies det N by
+    1 + v.x for its change v of row i (the determinant lemma),
+    v.x' = k sum_j |x'_j| for certified signs, and
+    |v.(2^s x - x')| <= k (d - 1) beta ||r||_inf, so det N / det(G + kI)
+    lies in the product of these brackets.  A block with k = 0, no minors
+    (a zero pivot), a sign that cannot be certified, or in a stack whose
+    float inverse fails, takes ``_greedy_exact`` alone.
     """
     count, d = grams.shape[:2]
     corners = [None] * count
     lim = 1 << 46
     if d and 0 < k < lim and d < 1 << 14 and grams.dtype == np.int64:
-        abs_g = np.abs(grams)
-        rows = abs_g.sum(axis=2) + d * k
-        alpha = (np.diagonal(grams, axis1=1, axis2=2)
-                 + np.diagonal(abs_g, axis1=1, axis2=2) + 2 * k - rows).min(1)
-        idx = np.flatnonzero((alpha > 0) & (-lim < grams.min(axis=(1, 2)))
+        rows = np.abs(grams).sum(axis=2) + d * k
+        has_minors = np.array([mids is not None for mids in minors],
+                              dtype=bool)
+        idx = np.flatnonzero(has_minors & (-lim < grams.min(axis=(1, 2)))
                              & (grams.max(axis=(1, 2)) < lim))
         n0 = grams[idx] + k * np.eye(d, dtype=np.int64)
-        inv = np.linalg.inv(n0.astype(np.float64))
+        try:
+            inv = np.linalg.inv(n0.astype(np.float64))
+        except np.linalg.LinAlgError:  # singular in floats: all go exact
+            inv = np.full(n0.shape, np.nan)
         xs = np.empty(inv.shape)  # column i: x = N_i^-1 e_i
         vs = np.empty(inv.shape)  # row i: the change -k D[i] made to row i
         for i in range(d):
@@ -305,36 +287,43 @@ def greedy_corners(grams: np.ndarray, k: int, minors: list
         res[:, diag, diag] -= np.left_shift(1, scale)
         r_norm = np.abs(res).max(axis=1)
         abs_xp = np.abs(xp)
-        certified = alpha[idx, None, None] * abs_xp > r_norm[:, None]
-        certified[:, diag, diag] = True
+        # the smallest decided |x'_j| of each column; none when d = 1
+        low = np.where(np.eye(d, dtype=bool), np.iinfo(np.int64).max,
+                       abs_xp).min(axis=1)
         d_blocks = (vs < 0).astype(np.int8) * 2 - 1
-        for j in np.flatnonzero(certified.all(axis=(1, 2))):
-            t = int(idx[j])
-            mids = minors[t]
-            if mids is not None:
+        for j, t in enumerate(idx.tolist()):
+            midpoint, r_t = minors[t][d - 1], rows[t].tolist()
+            num, den = d * math.prod(r_t), min(r_t) * abs(midpoint)
+            if all(x * den > num * r for x, r in zip(low[j].tolist(),
+                                                     r_norm[j].tolist())):
                 corners[t] = (d_blocks[j], _close_certified(
-                    nf[j], mids[d - 1], int(alpha[t]), k, scale[j],
-                    r_norm[j], abs_xp[j]))
-    return [corner if corner is not None else greedy_complete(g, k)
+                    nf[j], midpoint, num, den, k, scale[j], r_norm[j],
+                    abs_xp[j]))
+    return [corner if corner is not None else _greedy_exact(g, k)
             for corner, g in zip(corners, grams)]
 
 
-def _close_certified(nf, midpoint, alpha, k, scale, r_norm, abs_xp) -> int:
-    """det N of a certified block, after its two raised checks."""
+def _close_certified(nf, midpoint, num, den, k, scale, r_norm, abs_xp
+                     ) -> int:
+    """det N of a certified block, after its two raised checks; the bound
+    on its inverse is beta = num / den."""
     d = len(nf)
     det_n = det_exact(nf.tolist())
     if abs(det_n) < abs(midpoint):
         raise SchurConsistencyError(
             f"greedy corner det {det_n} fell below the midpoint "
             f"det(G + kI) = {midpoint}")
-    lo = hi = den = 1
+    lo = hi = unit = 1
     for s, r, total, own in zip(scale.tolist(), r_norm.tolist(),
                                 abs_xp.sum(axis=0).tolist(),
                                 np.diagonal(abs_xp).tolist()):
-        base = (alpha << s) + k * alpha * (total - own)
-        slack = k * (d - 1) * r
-        lo, hi, den = lo * (base - slack), hi * (base + slack), den * (alpha << s)
-    if not midpoint * lo <= det_n * den <= midpoint * hi:
+        base = (den << s) + k * den * (total - own)
+        slack = k * (d - 1) * num * r
+        lo, hi = lo * (base - slack), hi * (base + slack)
+        unit *= den << s
+    # det N / midpoint > 0: the greedy never changes the sign of det N
+    size, signed = abs(midpoint), det_n if midpoint > 0 else -det_n
+    if not size * lo <= signed * unit <= size * hi:
         raise SchurConsistencyError(
             f"greedy corner det {det_n} is outside the bracket that the "
             f"float certificates give from the midpoint {midpoint}")
@@ -390,22 +379,25 @@ def run_trial(q: QuasiOrthogonal, d: int, rng: np.random.Generator,
     d > 0), the search's first trial at each width fills the whole search
     (``SharedBlocks.fill``), and every trial reads its G and corner there;
     ``rng`` must then be the trial's own stream.  Without it the trial
-    makes its own product and takes its corner from ``greedy_complete``.
+    makes its own product and takes its corner from ``greedy_corners`` as
+    a stack of one.
     """
     b = sample_border_columns(rng, q.order, d)
     if shared is None or d == 0:
-        return _finish_trial(q, b, _sign_completion(b, q)[1], trial_index,
-                             master_seed)
-    shared.fill(q, d)
-    return _finish_trial(q, b, shared.grams[trial_index, :d, :d],
-                         trial_index, master_seed,
-                         shared.corners[d][trial_index])
+        g = _sign_completion(b, q)[1]
+        eye = q.weight * np.eye(d, dtype=np.int64)
+        [corner] = greedy_corners(g[None], q.weight,
+                                  [leading_minors((g + eye).tolist())])
+    else:
+        shared.fill(q, d)
+        g = shared.grams[trial_index, :d, :d]
+        corner = shared.corners[d][trial_index]
+    return _finish_trial(q, b, g, trial_index, master_seed, corner)
 
 
-def _finish_trial(q, b, g, trial_index, master_seed, corner=None
-                  ) -> TrialResult:
+def _finish_trial(q, b, g, trial_index, master_seed, corner) -> TrialResult:
     m, k, d = q.order, q.weight, b.shape[1]
-    d_block, det_n = greedy_complete(g, k) if corner is None else corner
+    d_block, det_n = corner
     ratio = _ratio_from_det(det_n, m, k, d)
     return TrialResult(ratio=ratio, trial_index=trial_index, n=m + d, m=m, d=d,
                        kind=q.kind, weight=k, recipe=q.recipe,
@@ -428,6 +420,9 @@ def search(q: QuasiOrthogonal, d: int, config: SearchConfig = DEFAULT_CONFIG,
         shared = SharedBlocks(d, config)
     if d > shared.width:
         raise ValueError(f"width {d} is outside 0..{shared.width}")
+    if shared.width > q.order:
+        raise ValueError(f"border width {shared.width} exceeds the core "
+                         f"order {q.order}")
     _check_gram_order(q.order)  # before a B of that order is drawn
     trials = config.trials if d else 1
     return max((run_trial(q, d, trial_generator(config.master_seed, t), t,

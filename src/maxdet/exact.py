@@ -1,8 +1,8 @@
 """Fraction-free determinants and log-scale scalars.
 
-Determinants and adjugates are exact: entries are taken as Python ints of
-arbitrary size and eliminated fraction-free (Bareiss), so there is no
-rounding anywhere.  Log-scale values are the one deliberate exception: a
+Determinants are exact: entries are taken as Python ints of arbitrary
+size and eliminated fraction-free (Bareiss), so there is no rounding
+anywhere.  Log-scale values are the one deliberate exception: a
 LogScalar carries a sign and ln|x| so that quantities like det/n^(n/2)
 stay representable for n in the thousands.
 """
@@ -81,52 +81,6 @@ def leading_minors(rows: Sequence[Sequence[int]]) -> list[int] | None:
                 rowi[j] = (pivot * rowi[j] - aik * rowk[j]) // prev
         prev = pivot
     return minors
-
-
-def det_adj_exact(rows: Sequence[Sequence[int]]
-                  ) -> tuple[int, list[list[int]] | None]:
-    """Exact determinant and adjugate by fraction-free Gauss-Jordan.
-
-    Eliminates [N | I] in place.  Step k clears column k of N, leaving it
-    zero but for the pivot, and fills in the right-hand column of the
-    pivot row's unit entry, so one n x n array holds both halves: slot k
-    keeps that right-hand column.  Every entry stays a minor of the
-    row-swapped [N | I], so each division by the previous pivot is exact,
-    as in Bareiss.  The final pivot is det N and the right-hand block is
-    adj N, both times the sign of the row swaps.  Returns (det, adj) with
-    N adj = det I, or (0, None) when N is singular.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of non-square matrix")
-    a = [list(map(int, row)) for row in rows]
-    order = list(range(n))  # original index of the row at each position
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    order[k], order[i] = order[i], order[k]
-                    sign = -sign
-                    break
-            else:
-                return 0, None
-        rowk = a[k]
-        pivot = rowk[k]
-        for i in range(n):
-            if i == k:
-                continue
-            rowi = a[i]
-            f = rowi[k]
-            for j in range(n):
-                rowi[j] = (pivot * rowi[j] - f * rowk[j]) // prev
-            rowi[k] = -f
-        rowk[k] = prev
-        prev = pivot
-    slot = sorted(range(n), key=order.__getitem__)  # the slot of column c
-    return sign * prev, [[sign * row[s] for s in slot] for row in a]
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ import maxdet
 from maxdet import border as border_mod
 from maxdet.border import (Border, SchurConsistencyError, SearchConfig,
                            SharedBlocks, WitnessError, _finish_trial,
-                           _sign_completion, assemble_bordered,
-                           greedy_complete, greedy_corners, run_trial,
+                           _greedy_exact, _sign_completion,
+                           assemble_bordered, greedy_corners, run_trial,
                            sample_border_columns, save_witness, search,
                            search_widths, trial_generator, verify_witness,
                            witness_dict)
@@ -35,7 +35,9 @@ def iter_all_borders(q, d):
     shifts = np.arange(m * d, dtype=np.uint32)
     for pattern in range(1 << (m * d)):
         b = (1 - 2 * ((pattern >> shifts) & 1).astype(np.int8)).reshape(m, d)
-        yield _finish_trial(q, b, _sign_completion(b, q)[1], pattern, None)
+        g = _sign_completion(b, q)[1]
+        yield _finish_trial(q, b, g, pattern, None,
+                            batched_greedy(g[None], q.weight)[0])
 
 
 def dense_sign_completion(b, q):
@@ -264,12 +266,12 @@ class TestGramBlock:
 
 class TestGreedy:
     def test_d1(self):
-        d_block, det_n = greedy_complete(np.array([[6]]), 4)
+        d_block, det_n = _greedy_exact(np.array([[6]]), 4)
         assert d_block.tolist() == [[-1]]
         assert det_n == 10
 
     def test_all_zero_g(self):
-        d_block, det_n = greedy_complete(np.zeros((2, 2), np.int64), 1)
+        d_block, det_n = _greedy_exact(np.zeros((2, 2), np.int64), 1)
         assert abs(det_n) >= 1
         assert np.all(np.diagonal(d_block) == -1)
 
@@ -291,14 +293,18 @@ class TestGreedy:
             if d > 1 and rng.random() < 0.3:
                 g[:, 1] = g[:, 0]  # repeated columns
             cases.append((g, k))
-        ties = singular = 0
+        # the batched path must agree on every block, dominant or not,
+        # with a positive, negative or zero midpoint
+        ties = singular = negative = 0
         for g, k in cases:
             ref_d, ref_det, tied = reference_greedy(g, k)
-            d_block, det_n = greedy_complete(g, k)
-            assert np.array_equal(d_block, ref_d) and det_n == ref_det
+            for d_block, det_n in (_greedy_exact(g, k),
+                                   batched_greedy(np.asarray(g)[None], k)[0]):
+                assert np.array_equal(d_block, ref_d) and det_n == ref_det
             ties += tied
             singular += det_n == 0
-        assert ties > 0 and singular > 0
+            negative += det_n < 0
+        assert ties > 0 and singular > 0 and negative > 0
 
     @pytest.mark.parametrize("recipe,d", [("conference(709)", 4),
                                           ("conference(709)", 7),
@@ -311,27 +317,30 @@ class TestGreedy:
                                           ("conference(5749)", 14),
                                           ("paley1(5023);double", 22)])
     def test_matches_reference_on_trial_blocks(self, recipe, d, monkeypatch):
-        # every block here is dominant, so it takes the float path; the
-        # d = 22 reference alone takes 924 determinants, so one trial
+        # every block here takes the float path; the d = 22 reference
+        # alone takes 924 determinants, so one trial
         q = build_recipe(recipe)
         grams = np.stack([_sign_completion(sample_border_columns(
             trial_generator(11, t), q.order, d), q)[1]
             for t in range(2 if d < 20 else 1)])
         calls = self._count_calls(monkeypatch)
         corners = batched_greedy(grams, q.weight)
-        assert calls == {"det_adj_exact": 0, "det_exact": len(grams)}
+        assert calls == {"_greedy_exact": 0, "det_exact": len(grams)}
         for g, (d_block, det_n) in zip(grams, corners):
             ref_d, ref_det, _ = reference_greedy(g, q.weight)
             assert np.array_equal(d_block, ref_d) and det_n == ref_det
 
     def test_fallback_non_dominant(self, monkeypatch):
-        # at width 14 the 664 core's blocks have no positive Varah margin
+        # at width 14 the 664 core's blocks are not diagonally dominant,
+        # and the float path certifies them without the exact fallback
         q = build_recipe("paley1(331);double")
         b = sample_border_columns(trial_generator(11, 0), q.order, 14)
         g = _sign_completion(b, q)[1]
+        assert (2 * np.diagonal(g) + 2 * q.weight
+                <= np.abs(g).sum(axis=1) + 14 * q.weight).any()
         calls = self._count_calls(monkeypatch)
         [(d_block, det_n)] = batched_greedy(g[None], q.weight)
-        assert calls == {"det_adj_exact": 1, "det_exact": 1}
+        assert calls == {"_greedy_exact": 0, "det_exact": 1}
         ref_d, ref_det, _ = reference_greedy(g, q.weight)
         assert np.array_equal(d_block, ref_d) and det_n == ref_det
 
@@ -344,110 +353,173 @@ class TestGreedy:
         g = _sign_completion(b, q)[1]
         calls = self._count_calls(monkeypatch)
         [want] = batched_greedy(g[None], q.weight)
-        assert calls == {"det_adj_exact": 0, "det_exact": 1}
+        assert calls == {"_greedy_exact": 0, "det_exact": 1}
         real = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv",
                             lambda a: real(a) * (1 + error) + error)
         [(d_block, det_n)] = batched_greedy(g[None], q.weight)
-        assert calls == {"det_adj_exact": 1, "det_exact": 2}
+        # the exact path: the midpoint, 10 x 10 cofactors and the final det
+        assert calls == {"_greedy_exact": 1, "det_exact": 1 + 102}
         assert np.array_equal(d_block, want[0]) and det_n == want[1]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     def test_batched_matches_reference_on_mixed_stacks(self, d, monkeypatch):
-        # even blocks are dominant and take the float path; odd ones, and
-        # block 3 with G + kI singular, take the exact path alone, each as
-        # if decided by itself, in a stack of 7 and in stacks of one.  With
-        # k above every |G_ij| no entry of N turns 0, which could tie
+        # even blocks are dominant, odd ones have a negative diagonal (and,
+        # at odd d, a negative midpoint); both take the float path.  Block
+        # 3, with G + kI singular, takes the exact path alone, as if decided
+        # by itself, in a stack of 7 and in stacks of one.  With k above
+        # every |G_ij| no entry of N turns 0, which could tie
         rng = np.random.default_rng(d)
         k, eye = 10, np.eye(d, dtype=np.int64)
         grams = rng.integers(-9, 10, size=(7, d, d))
         grams[0::2] += 20 * d * eye
-        grams[1::2] -= 20 * d * eye  # G_ii + |G_ii| = 0: no margin
+        grams[1::2] -= 20 * d * eye
         grams[3, -1] = grams[3, 0] if d > 1 else 0  # det(G + kI) = 0 ...
         grams[3] -= k * eye  # ... once kI is taken off
         assert det_exact(grams[3] + k * eye) == 0
-        calls = []
-        real = border_mod.greedy_complete
-        monkeypatch.setattr(border_mod, "greedy_complete",
-                            lambda g, k: calls.append(0) or real(g, k))
+        calls = self._count_calls(monkeypatch)
         for idx in ([0, 1, 2, 3, 4, 5, 6], [0], [1], [3]):
-            calls.clear()
+            calls["_greedy_exact"] = 0
             corners = batched_greedy(grams[idx], k)
             for g, (d_block, det_n) in zip(grams[idx], corners):
                 ref_d, ref_det, _ = reference_greedy(g, k)
                 assert np.array_equal(d_block, ref_d) and det_n == ref_det
-            assert len(calls) == sum(i % 2 for i in idx)
+            assert calls["_greedy_exact"] == idx.count(3)
+
+    def test_negative_midpoint_non_dominant(self, monkeypatch):
+        # G + kI is far from dominant and has a negative determinant; the
+        # float path certifies it, and D and det N are the exact greedy's
+        g, k = self.NEGATIVE_BLOCK
+        assert det_exact(g + k * np.eye(5, dtype=np.int64)) < 0
+        calls = self._count_calls(monkeypatch)
+        [(d_block, det_n)] = batched_greedy(g[None], k)
+        assert calls == {"_greedy_exact": 0, "det_exact": 1}
+        ref_d, ref_det, _ = reference_greedy(g, k)
+        assert np.array_equal(d_block, ref_d) and det_n == ref_det < 0
+
+    def test_negative_midpoint_checked_under_optimize(self):
+        # a doubled final determinant, and a negated one, of the negative
+        # block leave the bracket that its certificates give, even under
+        # python -O
+        script = textwrap.dedent(f"""
+            import sys
+            import numpy as np
+            from maxdet import border
+            from maxdet.exact import leading_minors
+            g = np.array({self.NEGATIVE_BLOCK[0].tolist()})
+            minors = [leading_minors((g + 4 * np.eye(5, dtype=int)).tolist())]
+            real_det = border.det_exact
+            border._greedy_exact = None  # the block takes the float path
+            for scale in (2, -1):
+                border.det_exact = lambda rows: real_det(rows) * scale
+                try:
+                    border.greedy_corners(g[None], 4, minors)
+                except border.SchurConsistencyError as exc:
+                    msg = str(exc)
+                    print("certificate" if "bracket" in msg else msg,
+                          sys.flags.optimize)
+        """)
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(
+                                 Path(maxdet.__file__).parents[1])})
+        assert out.stdout.split() == ["certificate", "1", "certificate", "1"]
+
+    def test_singular_float_inverse_goes_exact(self, monkeypatch):
+        # a stack whose float inverse raises takes the exact path, block by
+        # block, with the same D and det N
+        q = build_recipe("conference(13)")
+        grams = np.stack([_sign_completion(sample_border_columns(
+            trial_generator(2, t), q.order, 4), q)[1] for t in range(3)])
+
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        calls = self._count_calls(monkeypatch)
+        for g, (d_block, det_n) in zip(grams, batched_greedy(grams,
+                                                              q.weight)):
+            ref_d, ref_det, _ = reference_greedy(g, q.weight)
+            assert np.array_equal(d_block, ref_d) and det_n == ref_det
+        assert calls["_greedy_exact"] == len(grams)
 
     def test_batched_zero_width(self):
         assert [(c[0].shape, c[1]) for c in batched_greedy(
             np.zeros((3, 0, 0), np.int64), 4)] == [((0, 0), 1)] * 3
 
+    # a non-dominant block whose midpoint det(G + 4I) is negative
+    NEGATIVE_BLOCK = (np.array([[-3, 8, -6, 2, 7], [5, -9, 1, -4, 3],
+                                [-2, 6, 4, -8, 1], [7, -1, -5, 3, -6],
+                                [1, 4, 9, -2, -7]]), 4)
+
     @staticmethod
     def _count_calls(monkeypatch):
-        calls = {"det_adj_exact": 0, "det_exact": 0}
+        calls = {"_greedy_exact": 0, "det_exact": 0}
         for name in calls:
             real = getattr(border_mod, name)
 
-            def counted(rows, name=name, real=real):
+            def counted(*args, name=name, real=real):
                 calls[name] += 1
-                return real(rows)
+                return real(*args)
             monkeypatch.setattr(border_mod, name, counted)
         return calls
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3, 5, 7, 12])
     def test_determinant_count(self, d, monkeypatch):
-        # a nonsingular midpoint: the exact path takes one Gauss-Jordan
-        # pass for the midpoint and its adjugate and one direct determinant
+        # a nonsingular midpoint: the exact path takes one direct
+        # determinant for the midpoint, d per row for the cofactors and one
         # for the final check.  With the diagonal made dominant the batched
         # path takes only the final direct determinant: its midpoint is a
         # leading minor
         g = trial_generator(3, d).integers(-9, 10, size=(d, d))
         assert det_exact(g + 4 * np.eye(d, dtype=np.int64)) != 0
         calls = self._count_calls(monkeypatch)
-        d_block, det_n = greedy_complete(g, 4)
-        assert calls == {"det_adj_exact": 1, "det_exact": 1}
+        d_block, det_n = border_mod._greedy_exact(g, 4)
+        assert calls == {"_greedy_exact": 1, "det_exact": d * d + 2}
         ref_d, ref_det, _ = reference_greedy(g, 4)
         assert np.array_equal(d_block, ref_d) and det_n == ref_det
         if d:
             g += 20 * d * np.eye(d, dtype=np.int64)
-            calls.update(det_adj_exact=0, det_exact=0)
+            calls.update(_greedy_exact=0, det_exact=0)
             [(d_block, det_n)] = batched_greedy(g[None], 4)
-            assert calls == {"det_adj_exact": 0, "det_exact": 1}
+            assert calls == {"_greedy_exact": 0, "det_exact": 1}
             ref_d, ref_det, _ = reference_greedy(g, 4)
             assert np.array_equal(d_block, ref_d) and det_n == ref_det
 
     def test_determinant_count_singular_midpoint(self, monkeypatch):
-        # det(G + I) = 0: row 0 takes its 3 cofactors directly, det N turns
-        # nonzero there, so one more Gauss-Jordan pass rebuilds the
-        # adjugate for rows 1 and 2; then the final direct determinant
+        # det(G + I) = 0: no leading minors, so the block takes the exact
+        # path: the midpoint, 3 cofactors for each of 3 rows, and the final
+        # direct determinant
         g = np.array([[-1, 0, 0], [3, -2, 0], [-3, -1, 3]])
         assert det_exact(g + np.eye(3, dtype=np.int64)) == 0
         calls = self._count_calls(monkeypatch)
-        d_block, det_n = greedy_complete(g, 1)
-        assert calls == {"det_adj_exact": 2, "det_exact": 4}
+        [(d_block, det_n)] = batched_greedy(g[None], 1)
+        assert calls == {"_greedy_exact": 1, "det_exact": 11}
         ref_d, ref_det, _ = reference_greedy(g, 1)
         assert np.array_equal(d_block, ref_d) and det_n == ref_det == 32
 
     def test_guarantee_checked_under_optimize(self):
-        # each of the three raised checks must fire even under python -O:
-        # a zeroed final determinant falls below the midpoint, a negated
-        # one differs from the running value, and a midpoint off by one
-        # breaks row 0's Laplace expansion
+        # each of the three raised checks of the exact path must fire even
+        # under python -O: a zeroed final determinant (the 6th of a 2 x 2
+        # block) falls below the midpoint, a negated one differs from the
+        # running value, and a midpoint (the 1st) off by one breaks row 0's
+        # Laplace expansion
         script = textwrap.dedent("""
             import sys
             import numpy as np
             from maxdet import border
-            real_det, real_adj = border.det_exact, border.det_adj_exact
-            fakes = [("det_exact", lambda rows: 0),
-                     ("det_exact", lambda rows: -real_det(rows)),
-                     ("det_adj_exact",
-                      lambda rows: (real_adj(rows)[0] + 1,
-                                    real_adj(rows)[1]))]
-            for name, fake in fakes:
-                border.det_exact, border.det_adj_exact = real_det, real_adj
-                setattr(border, name, fake)
+            real_det = border.det_exact
+            fakes = [(6, lambda det: 0), (6, lambda det: -det),
+                     (1, lambda det: det + 1)]
+            for call, fake in fakes:
+                calls = []
+
+                def det_exact(rows):
+                    calls.append(0)
+                    det = real_det(rows)
+                    return fake(det) if len(calls) == call else det
+                border.det_exact = det_exact
                 try:
-                    border.greedy_complete(np.array([[5, 1], [-2, 7]]), 4)
+                    border._greedy_exact(np.array([[5, 1], [-2, 7]]), 4)
                 except border.SchurConsistencyError as exc:
                     msg = str(exc)
                     check = ("midpoint" if "below" in msg else
@@ -475,7 +547,7 @@ class TestGreedy:
             grams += 200 * np.eye(8, dtype=np.int64)
             minors = [leading_minors((g + 4 * np.eye(8, dtype=int)).tolist())
                       for g in grams]
-            border.greedy_complete = None  # every block takes the float path
+            border._greedy_exact = None  # every block takes the float path
             for scale in (0, 2):
                 calls = []
 
@@ -507,7 +579,7 @@ class TestGreedy:
             q = build_recipe("conference(709)")
             config = border.SearchConfig(trials=3, master_seed=1)
             real_det = border.det_exact
-            border.greedy_complete = None  # every block takes the float path
+            border._greedy_exact = None  # every block takes the float path
             for scale in (0, 2):
                 border.det_exact = lambda rows: real_det(rows) * scale
                 try:
@@ -547,6 +619,13 @@ class TestRunTrialAndSearch:
         b = run_trial(h12, 2, trial_generator(42, 0), trial_index=0,
                       master_seed=42)
         assert a.ratio == b.ratio and a.trial_index == 0
+
+    def test_width_beyond_core_order(self, h4):
+        assert search(h4, 4, SearchConfig(trials=2)).d == 4
+        with pytest.raises(ValueError, match="exceeds the core order 4"):
+            search(h4, 5, SearchConfig(trials=2))
+        with pytest.raises(ValueError, match="border width 5 exceeds"):
+            search_widths(h4, [1, 5], SearchConfig(trials=2))
 
     def test_best_nondecreasing_in_trials(self, h12):
         vals = []

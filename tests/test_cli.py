@@ -300,6 +300,16 @@ class TestWitnessFlow:
         assert out.returncode == 1 and out.stdout == ""
         assert "error:" in out.stderr and "Traceback" not in out.stderr
 
+    def test_search_wider_than_core_refused(self):
+        # a border wider than its core is refused before any G of that
+        # width (8 d^2 bytes a trial) is made
+        out = run_capped("search", "--recipe", "paley1(331)", "--d",
+                         "100000", "--trials", "1", timeout=8)
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.startswith("error: ")
+        assert "Traceback" not in out.stderr
+        assert "border width 100000 exceeds the core order 332" in out.stderr
+
     def test_conference_walk_stops_at_oversized_prime(self, capsys):
         # the walk down from n must not pass the first p = 1 (mod 4) that
         # the FFT bound refuses (1.59e6 orders down to a core and a border

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from maxdet.constructions import build_recipe
-from maxdet.exact import (LogScalar, det_adj_exact, det_exact,
-                          leading_minors, normalized_ratio)
+from maxdet.exact import LogScalar, det_exact, leading_minors, normalized_ratio
 
 
 def cofactor_det(rows):
@@ -79,54 +78,6 @@ def assert_adjugate(rows, det, adj):
         for j in range(n):
             s = sum(rows[i][t] * adj[t][j] for t in range(n))
             assert s == (det if i == j else 0)
-
-
-class TestDetAdjExact:
-    def test_empty_and_1x1(self):
-        assert det_adj_exact([]) == (1, [])
-        assert det_adj_exact([[-7]]) == (-7, [[1]])
-        assert det_adj_exact([[0]]) == (0, None)
-
-    def test_non_square(self):
-        with pytest.raises(ValueError):
-            det_adj_exact([[1, 2, 3], [4, 5, 6]])
-
-    def test_adjugate_random(self):
-        # N adj = det I on random matrices up to 7 x 7; a zeroed leading
-        # entry forces a row swap, at times past several zero rows
-        rng = random.Random(17)
-        forced = 0
-        for _ in range(3000):
-            n = rng.randint(1, 7)
-            r = rng.choice([1, 3, 40])
-            rows = [[rng.randint(-r, r) for _ in range(n)] for _ in range(n)]
-            if n > 1 and rng.random() < 0.4:
-                for i in range(rng.randint(1, n - 1)):
-                    rows[i][0] = 0
-                forced += 1
-            det, adj = det_adj_exact(rows)
-            assert det == det_exact(rows)
-            if n <= 5:
-                assert det == cofactor_det(rows)
-            if det == 0:
-                assert adj is None
-            else:
-                assert_adjugate(rows, det, adj)
-        assert forced > 500
-
-    def test_int64_input_beyond_2_63(self):
-        a = np.array([[0, 3 ** 39, 1], [3 ** 39, 1, 0], [1, 0, 3 ** 39]],
-                     dtype=np.int64)
-        det, adj = det_adj_exact(a)
-        assert det == cofactor_det(a.tolist()) and abs(det) > 2 ** 63
-        assert max(abs(x) for row in adj for x in row) > 2 ** 63
-        assert_adjugate(a.tolist(), det, adj)
-
-    def test_singular(self):
-        for rows in ([[0, 1, 1], [0, 2, 2], [1, 3, 4]],   # zero pivot column
-                     [[1, 2, 3], [2, 4, 6], [0, 1, 5]],   # dependent rows
-                     [[2, -1], [-4, 2]]):
-            assert det_adj_exact(rows) == (0, None)
 
 
 class TestLeadingMinors:
