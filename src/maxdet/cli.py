@@ -59,7 +59,7 @@ def _meta(args, oset=None) -> dict:
         meta["master_seed"] = args.seed
     if oset is not None:
         meta["sieve_limit"] = oset.limit
-        meta["rule_set"] = sorted(oset.rules)
+        meta["rule_set"] = sorted(sieve_mod.ALL_RULES)
     return meta
 
 
@@ -72,9 +72,7 @@ def _load_sieve(args, need_limit: int | None = None) -> sieve_mod.OrderSet:
         except ValueError as exc:
             _log(f"unusable sieve cache {cache} ({exc}); rebuilding")
         else:
-            if oset.rules != sieve_mod.DEFAULT_RULES:
-                _log(f"sieve cache {cache} has other rules; rebuilding")
-            elif oset.limit < limit:
+            if oset.limit < limit:
                 _log(f"cache limit {oset.limit} below required {limit}; "
                      "rebuilding")
             else:
@@ -272,7 +270,7 @@ def cmd_table1(args) -> int:
         interior = [x for x in range(h + 4, hp, 4) if x in oset]
         entry["endpoints_member"] = (h in oset) and (hp in oset)
         entry["interior_members"] = [
-            {"order": x, "rule": oset.rule_tags.get(x)} for x in interior]
+            {"order": x, "rule": oset.rule_of(x)} for x in interior]
         if not entry["endpoints_member"]:
             entry["status"] = "fail"
             rows_out.append(entry)

@@ -8,15 +8,18 @@ boolean array for order 4j.
 
 The static rules run once.  The four rules that read the member set
 (8ab, 16abcd, Miyamoto I, Yamada) then run in that order, round after
-round, until a round adds nothing, so the set is closed under the
-selected rules below the limit.  Each rule call is array code: it reads
-the members as they stand, collects what it derives in a boolean hit mask
-over bit indices, and marks the new orders in one step, tagged with that
-rule.  The products fill their masks with strided ORs: 8ab at bit 2ab is
-one OR per smaller factor a, and 16abcd at bit 4(ab)(cd) combines the pair
-products ab, which need only reach limit/16.  No temporary is larger
-than the prime-power mask (limit + 1 bytes), so a build at the default
-limit 65536 stays below glibc's 128 KiB mmap threshold.
+round, until a round adds nothing, so the set is closed under all the
+rules below the limit.  Each rule call is array code: it reads the
+members as they stand, collects what it derives in a boolean hit mask
+over bit indices, and marks the new orders in one step.  A uint8 array
+indexed like the bits tags each member with the index in ALL_RULES of the
+rule that first marked it (0xFF for a non-member); it is the cache's own
+tag section, so save and load copy it as it is.  The products fill their
+masks with strided ORs: 8ab at bit 2ab is one OR per smaller factor a,
+and 16abcd at bit 4(ab)(cd) combines the pair products ab, which need
+only reach limit/16.  No temporary is larger than the prime-power mask
+(limit + 1 bytes), so a build at the default limit 65536 stays below
+glibc's 128 KiB mmap threshold.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -34,9 +36,10 @@ from .primes import prime_power_mask
 MAGIC = b"HADSIEVE2"
 _HEADER = 3  # cache byte after the bitset: orders 1 and 2, always members
 
-# The largest sieve limit.  A build to 2^24 takes about 3 s and peaks at
-# 402 MB RSS, most of it the rule tags (2-core sandbox, Python 3.11, numpy
-# 2.4); a larger limit is refused before anything of its size is allocated.
+# The largest sieve limit.  `sieve --max 16777216` takes about 1.4 s and
+# peaks at 97 MB RSS, most of it the interpreter, numpy and the prime-power
+# mask (2-core sandbox, Python 3.11, numpy 2.4); a larger limit is refused
+# before anything of its size is allocated.
 SIEVE_MAX = 1 << 24
 
 RULE_PALEY = "paley"                # 2^j (p^k + 1), incl. powers of two
@@ -59,8 +62,8 @@ ALL_RULES = (
     RULE_SMALL, RULE_BAUMERT_HALL, RULE_SEBERRY_YAMADA,
     RULE_TURYN_WILLIAMSON, RULE_LIVINSKYI,
 )
-DEFAULT_RULES = frozenset(ALL_RULES)
-_NO_TAG = 0xFF  # cache byte of an order that no rule marked
+_RULE_SET = (1 << len(ALL_RULES)) - 1  # cache field: every rule applied
+_NO_TAG = 0xFF  # tag of an order that no rule marked
 
 # Orders <= 2056 divisible by 4 whose existence was still unresolved.
 SMALL_ORDER_EXCEPTIONS = frozenset({
@@ -76,26 +79,34 @@ BAUMERT_HALL_EXCEPTIONS = frozenset({97, 103})
 class OrderSet:
     """Bitset of achievable orders: 1, 2, and multiples of 4 up to limit."""
 
-    def __init__(self, limit: int, rules: frozenset[str]):
+    def __init__(self, limit: int):
         if not 4 <= limit <= SIEVE_MAX:
             raise ValueError(f"sieve limit {limit} is outside 4..{SIEVE_MAX}")
         self.limit = limit
-        self.rules = rules
         self.bits = np.zeros(limit // 4 + 1, dtype=bool)  # index j <-> order 4j
-        self.rule_tags: dict[int, str] = {}
+        self.tags = np.full(self.bits.size, _NO_TAG, dtype=np.uint8)
 
     def __contains__(self, n: int) -> bool:
         return n in (1, 2) or (n % 4 == 0 and 4 <= n <= self.limit
                                and bool(self.bits[n // 4]))
 
     def _mark(self, hit: np.ndarray, rule: str) -> bool:
-        """Add the orders 4j with hit[j] set; tag the new ones with rule."""
-        new = np.flatnonzero(hit & ~self.bits)
-        if new.size == 0:
+        """Add the orders 4j with hit[j] set; tag the new ones with rule.
+
+        hit is overwritten with the mask of the new orders.
+        """
+        hit &= ~self.bits
+        if not hit.any():
             return False
-        self.bits[new] = True
-        self.rule_tags.update(dict.fromkeys((new * 4).tolist(), rule))
+        self.bits |= hit
+        self.tags[hit] = ALL_RULES.index(rule)
         return True
+
+    def rule_of(self, n: int) -> str | None:
+        """The rule that first marked order n; None for 1, 2 and non-members."""
+        if n < 4 or n not in self:
+            return None
+        return ALL_RULES[self.tags[n // 4]]
 
     def members(self) -> np.ndarray:
         """All members in increasing order (includes 1 and 2)."""
@@ -137,37 +148,30 @@ class OrderSet:
         """
         if limit > self.limit:
             raise ValueError(f"limit {limit} exceeds {self.limit}")
-        out = OrderSet(limit, self.rules)
-        out.bits = self.bits[:limit // 4 + 1].copy()
-        out.rule_tags = (self.rule_tags.copy() if limit == self.limit else
-                         {n: r for n, r in self.rule_tags.items() if n <= limit})
+        out = OrderSet(limit)
+        out.bits = self.bits[:out.bits.size].copy()
+        out.tags = self.tags[:out.tags.size].copy()
         return out
 
     def save(self, path) -> None:
         """Cache format: magic, u64-LE limit, u16-LE rule set, bitset
         (LE-packed), header byte, rule tags.
 
-        Bit i of the rule set selects ALL_RULES[i].  One bit per multiple
-        of 4 (bit j <-> order 4j); the header byte is 3, for orders 1 and 2
-        (load refuses any other); then one byte per multiple of 4 gives the
-        index in ALL_RULES of the rule that first marked it, 0xFF for none.
+        The rule set has bit i set for each ALL_RULES[i], so it is always
+        0x1FFF (load refuses any other).  One bit per multiple of 4 (bit j
+        <-> order 4j); the header byte is 3, for orders 1 and 2 (load
+        refuses any other); then the tag array, one byte per multiple of 4.
         The file is written beside the target and renamed into place.
         """
-        mask = sum(1 << i for i, r in enumerate(ALL_RULES) if r in self.rules)
         packed = np.packbits(self.bits, bitorder="little").tobytes()
-        tags = np.full(self.bits.size, _NO_TAG, dtype=np.uint8)
-        index = {r: i for i, r in enumerate(ALL_RULES)}
-        count = len(self.rule_tags)
-        tags[np.fromiter(self.rule_tags, np.int64, count) // 4] = np.fromiter(
-            map(index.__getitem__, self.rule_tags.values()), np.uint8, count)
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
                 fh.write(MAGIC)
-                fh.write(struct.pack("<QH", self.limit, mask))
+                fh.write(struct.pack("<QH", self.limit, _RULE_SET))
                 fh.write(packed)
                 fh.write(bytes([_HEADER]))
-                fh.write(tags.tobytes())
+                fh.write(self.tags.tobytes())
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -190,16 +194,17 @@ class OrderSet:
             raise ValueError(f"truncated {MAGIC.decode()} cache file")
         if blob[off + nbytes] != _HEADER:
             raise ValueError(f"not a {MAGIC.decode()} cache file")
-        out = cls(limit, frozenset(r for i, r in enumerate(ALL_RULES)
-                                   if mask >> i & 1))
+        if mask != _RULE_SET:
+            raise ValueError(f"cache built with other rules (0x{mask:04x})")
+        out = cls(limit)
         raw = np.frombuffer(blob, np.uint8, nbytes, off)
-        out.bits = np.unpackbits(raw, count=nbits, bitorder="little").astype(bool)
-        tags = np.frombuffer(blob, np.uint8, nbits, off + nbytes + 1)
-        tagged = np.flatnonzero(tags != _NO_TAG)
-        if tagged.size and tags[tagged].max() >= len(ALL_RULES):
+        out.bits = np.unpackbits(raw, count=nbits, bitorder="little").view(bool)
+        out.tags = np.frombuffer(blob, np.uint8, nbits, off + nbytes + 1).copy()
+        tagged = out.tags != _NO_TAG
+        if out.bits[0] or not np.array_equal(tagged, out.bits):
+            raise ValueError("cache rule tags disagree with its members")
+        if out.tags[tagged].max(initial=0) >= len(ALL_RULES):
             raise ValueError("unknown rule index in cache file")
-        names = np.array(ALL_RULES, dtype=object)[tags[tagged]]
-        out.rule_tags = dict(zip((4 * tagged).tolist(), names.tolist()))
         return out
 
 
@@ -308,18 +313,17 @@ def _rule_small(oset: OrderSet) -> None:
     oset._mark(_hits_of(oset, orders), RULE_SMALL)
 
 
-def williamson_orders(limit: int, rules: frozenset[str],
-                      pp_orders: np.ndarray, ppm: np.ndarray) -> list[int]:
-    """Known Williamson orders up to limit under the selected rules."""
+def williamson_orders(limit: int, pp_orders: np.ndarray,
+                      ppm: np.ndarray) -> list[int]:
+    """Known Williamson orders up to limit: the small bases, the Seberry-
+    Yamada orders 2q + 3 and the Turyn orders (q + 1)/2."""
     wil = {w for w in range(1, WILLIAMSON_BASE_MAX + 1)
            if w not in WILLIAMSON_BASE_EXCEPTIONS}
-    if RULE_SEBERRY_YAMADA in rules:
-        w = 2 * pp_orders + 3
-        w = w[w <= limit]
-        wil.update(w[ppm[w]].tolist())
-    if RULE_TURYN_WILLIAMSON in rules:
-        w = (pp_orders[pp_orders % 4 == 1] + 1) // 2
-        wil.update(w[w <= limit].tolist())
+    w = 2 * pp_orders + 3
+    w = w[w <= limit]
+    wil.update(w[ppm[w]].tolist())
+    w = (pp_orders[pp_orders % 4 == 1] + 1) // 2
+    wil.update(w[w <= limit].tolist())
     return sorted(w for w in wil if w <= limit)
 
 
@@ -333,12 +337,12 @@ def baumert_hall_orders(limit: int) -> list[int]:
     return sorted(b for b in bh if b <= limit)
 
 
-def _rule_baumert_hall(oset: OrderSet, rules: frozenset[str],
-                       pp_orders: np.ndarray, ppm: np.ndarray) -> None:
+def _rule_baumert_hall(oset: OrderSet, pp_orders: np.ndarray,
+                       ppm: np.ndarray) -> None:
     # orders 4bw: bit index b w
     top = oset.bits.size - 1
     wil = np.zeros(top + 1, dtype=bool)
-    wil[williamson_orders(top, rules, pp_orders, ppm)] = True
+    wil[williamson_orders(top, pp_orders, ppm)] = True
     hit = np.zeros_like(oset.bits)
     for b in baumert_hall_orders(top):
         view = hit[b::b]
@@ -395,47 +399,30 @@ def _rule_yamada(oset: OrderSet, pp_orders: np.ndarray) -> bool:
     return oset._mark(hits, RULE_YAMADA)
 
 
-def build_order_set(limit: int, rules: Iterable[str] | None = None) -> OrderSet:
-    """Build the order set up to limit under the selected rules.
+def build_order_set(limit: int) -> OrderSet:
+    """Build the order set up to limit under all the rules.
 
     Product and membership-dependent rules (8ab, 16abcd, Miyamoto-I,
     Yamada) are iterated to a fixpoint; the rest are static.
     """
-    ruleset = DEFAULT_RULES if rules is None else frozenset(rules)
-    unknown = ruleset - set(ALL_RULES)
-    if unknown:
-        raise ValueError(f"unknown rules: {sorted(unknown)}")
-    oset = OrderSet(limit, ruleset)
-
+    oset = OrderSet(limit)
     ppm = prime_power_mask(limit)
     pp_orders = np.flatnonzero(ppm).astype(np.int64)
 
-    if RULE_PALEY in ruleset:
-        _rule_paley(oset, ppm)
-    if RULE_TWIN_PRIME in ruleset:
-        _rule_twin_prime(oset, ppm)
-    if RULE_COMPLEX_GOLAY in ruleset:
-        _rule_complex_golay(oset)
-    if RULE_MIYAMOTO2 in ruleset:
-        _rule_miyamoto2(oset, pp_orders, ppm)
-    if RULE_SMALL in ruleset:
-        _rule_small(oset)
-    if RULE_BAUMERT_HALL in ruleset:
-        _rule_baumert_hall(oset, ruleset, pp_orders, ppm)
-    if RULE_LIVINSKYI in ruleset:
-        _rule_livinskyi(oset)
+    _rule_paley(oset, ppm)
+    _rule_twin_prime(oset, ppm)
+    _rule_complex_golay(oset)
+    _rule_miyamoto2(oset, pp_orders, ppm)
+    _rule_small(oset)
+    _rule_baumert_hall(oset, pp_orders, ppm)
+    _rule_livinskyi(oset)
 
     changed = True
     while changed:
-        changed = False
-        if RULE_PRODUCT8 in ruleset:
-            changed |= _rule_product8(oset)
-        if RULE_PRODUCT16 in ruleset:
-            changed |= _rule_product16(oset)
-        if RULE_MIYAMOTO1 in ruleset:
-            changed |= _rule_miyamoto1(oset, pp_orders)
-        if RULE_YAMADA in ruleset:
-            changed |= _rule_yamada(oset, pp_orders)
+        changed = _rule_product8(oset)
+        changed |= _rule_product16(oset)
+        changed |= _rule_miyamoto1(oset, pp_orders)
+        changed |= _rule_yamada(oset, pp_orders)
     return oset
 
 

@@ -193,7 +193,7 @@ def test_criterion_07_sieve_calibration(order_set):
         assert hp in order_set, hp
         for x in range(h + 4, hp, 4):
             if x in order_set:
-                rule = order_set.rule_tags.get(x)
+                rule = order_set.rule_of(x)
                 deviations.append((h, hp, x, rule))
                 assert x in EXPECTED_INTERIOR_MEMBERS, (x, rule)
                 assert rule == EXPECTED_INTERIOR_MEMBERS[x], (x, rule)

@@ -488,11 +488,40 @@ def test_truncated_cache_is_rebuilt(tmp_path, capsys):
     assert code == 0 and "loaded sieve cache" in err
 
 
-def test_cache_with_other_rules_is_rebuilt(tmp_path, capsys):
-    from maxdet.sieve import RULE_PALEY, build_order_set
+def _patched_cache(tmp_path, capsys, at, value: bytes):
+    """A 512 cache with value written at offset at, and the fresh stdout."""
     cache = tmp_path / "c.sieve"
-    build_order_set(512, rules={RULE_PALEY}).save(cache)
+    code, fresh, _ = run_cli(capsys, "resolve", "100", "--max", "512",
+                             "--cache", str(cache))
+    assert code == 0
+    blob = bytearray(cache.read_bytes())
+    blob[at:at + len(value)] = value
+    cache.write_bytes(bytes(blob))
+    return cache, fresh
+
+
+def test_cache_with_other_rules_is_rebuilt(tmp_path, capsys):
+    from maxdet.sieve import MAGIC, RULE_PALEY
+    # the u16 rule-set field after the u64 limit: only Paley's bit
+    cache, fresh = _patched_cache(tmp_path, capsys, len(MAGIC) + 8,
+                                  b"\x01\x00")
     code, out, err = run_cli(capsys, "resolve", "100", "--max", "512",
                              "--cache", str(cache))
-    assert code == 0 and "other rules" in err
+    assert code == 0 and "other rules" in err and "rebuilding" in err
+    assert out == fresh
+    assert RULE_PALEY in json.loads(out)["meta"]["rule_set"]
     assert len(json.loads(out)["meta"]["rule_set"]) == 13
+
+
+def test_cache_with_bad_tag_is_rebuilt(tmp_path, capsys):
+    from maxdet.sieve import MAGIC
+    # order 100's tag byte, after the header, the bitset and its byte 3
+    at = len(MAGIC) + 10 + (512 // 4 + 1 + 7) // 8 + 1 + 100 // 4
+    cache, fresh = _patched_cache(tmp_path, capsys, at, b"\xff")
+    code, out, err = run_cli(capsys, "resolve", "100", "--max", "512",
+                             "--cache", str(cache))
+    assert code == 0 and "disagree" in err and "rebuilding" in err
+    assert out == fresh
+    code, _, err = run_cli(capsys, "resolve", "100", "--max", "512",
+                           "--cache", str(cache))
+    assert code == 0 and "loaded sieve cache" in err

@@ -3,9 +3,10 @@ import pytest
 
 from maxdet import sieve
 from maxdet.primes import prime_power_mask
-from maxdet.sieve import (ALL_RULES, DEFAULT_RULES, RULE_LIVINSKYI,
+from maxdet.sieve import (ALL_RULES, RULE_BAUMERT_HALL, RULE_LIVINSKYI,
                           RULE_MIYAMOTO1, RULE_PALEY, RULE_PRODUCT8,
-                          RULE_PRODUCT16, RULE_SMALL, RULE_YAMADA,
+                          RULE_PRODUCT16, RULE_SEBERRY_YAMADA, RULE_SMALL,
+                          RULE_TURYN_WILLIAMSON, RULE_YAMADA,
                           SMALL_ORDER_EXCEPTIONS, OrderSet, build_order_set,
                           gap_function, resolve)
 from oracles import hadregion_violations
@@ -13,7 +14,9 @@ from oracles import hadregion_violations
 
 # ---------------------------------------------------------------------------
 # reference sieve: the rules as per-order loops, marking order lists one
-# call at a time, in the same fixpoint order as build_order_set
+# call at a time, in the same fixpoint order as build_order_set; it takes a
+# rule subset, so each rule's array code can be checked without the others
+# marking its orders first
 
 
 def _ref_mark(oset, orders, rule):
@@ -27,8 +30,7 @@ def _ref_mark(oset, orders, rule):
     if idx.size == 0:
         return False
     oset.bits[idx] = True
-    for j in idx:
-        oset.rule_tags[int(j) * 4] = rule
+    oset.tags[idx] = ALL_RULES.index(rule)
     return True
 
 
@@ -139,8 +141,8 @@ def _ref_product16(oset):
 
 def reference_build_order_set(limit, rules=None):
     """build_order_set as per-order loops, kept as an oracle."""
-    ruleset = DEFAULT_RULES if rules is None else frozenset(rules)
-    oset = OrderSet(limit, ruleset)
+    ruleset = frozenset(ALL_RULES if rules is None else rules)
+    oset = OrderSet(limit)
     ppm = prime_power_mask(limit)
     pp_orders = np.flatnonzero(ppm).astype(np.int64)
     _ref_static_rules(oset, ruleset, pp_orders, ppm)
@@ -163,11 +165,53 @@ def reference_build_order_set(limit, rules=None):
     return oset
 
 
+def apply_rules(limit, rules):
+    """build_order_set with only the given rules: direct _rule_* calls on a
+    fresh OrderSet(limit), in build_order_set's order."""
+    # the Williamson orders behind Baumert-Hall always include both families
+    assert (RULE_BAUMERT_HALL not in rules
+            or {RULE_SEBERRY_YAMADA, RULE_TURYN_WILLIAMSON} <= set(rules))
+    oset = OrderSet(limit)
+    ppm = prime_power_mask(limit)
+    pp_orders = np.flatnonzero(ppm).astype(np.int64)
+    static = {
+        RULE_PALEY: lambda: sieve._rule_paley(oset, ppm),
+        sieve.RULE_TWIN_PRIME: lambda: sieve._rule_twin_prime(oset, ppm),
+        sieve.RULE_COMPLEX_GOLAY: lambda: sieve._rule_complex_golay(oset),
+        sieve.RULE_MIYAMOTO2: lambda: sieve._rule_miyamoto2(oset, pp_orders,
+                                                            ppm),
+        RULE_SMALL: lambda: sieve._rule_small(oset),
+        RULE_BAUMERT_HALL: lambda: sieve._rule_baumert_hall(oset, pp_orders,
+                                                            ppm),
+        RULE_LIVINSKYI: lambda: sieve._rule_livinskyi(oset),
+    }
+    fixpoint = {
+        RULE_PRODUCT8: lambda: sieve._rule_product8(oset),
+        RULE_PRODUCT16: lambda: sieve._rule_product16(oset),
+        RULE_MIYAMOTO1: lambda: sieve._rule_miyamoto1(oset, pp_orders),
+        RULE_YAMADA: lambda: sieve._rule_yamada(oset, pp_orders),
+    }
+    for rule, call in static.items():
+        if rule in rules:
+            call()
+    changed = True
+    while changed:
+        changed = False
+        for rule, call in fixpoint.items():
+            if rule in rules:
+                changed |= call()
+    return oset
+
+
+# the full build at ten limits, then rule subsets through apply_rules: each
+# rule left out in turn (the Williamson families only feed Baumert-Hall, so
+# they are checked through williamson_orders instead), and four small sets
 ORACLE_CASES = (
     [(limit, None) for limit in (4, 8, 12, 100, 700, 2056, 4096, 20000,
                                  65536, 131072)]
-    + [(limit, DEFAULT_RULES - {rule}) for limit in (20000, 65536)
-       for rule in ALL_RULES]
+    + [(limit, frozenset(ALL_RULES) - {rule}) for limit in (20000, 65536)
+       for rule in ALL_RULES
+       if rule not in (RULE_SEBERRY_YAMADA, RULE_TURYN_WILLIAMSON)]
     + [(65536, frozenset(rules)) for rules in (
         {RULE_PALEY, RULE_PRODUCT8, RULE_PRODUCT16},
         {RULE_PALEY, RULE_PRODUCT16},
@@ -188,10 +232,18 @@ class TestBuild:
     @pytest.mark.parametrize("case", ORACLE_CASES, ids=_case_id)
     def test_matches_reference_loops(self, case):
         limit, rules = case
-        got = build_order_set(limit, rules)
+        got = (build_order_set(limit) if rules is None
+               else apply_rules(limit, rules))
         want = reference_build_order_set(limit, rules)
         assert np.array_equal(got.bits, want.bits)
-        assert got.rule_tags == want.rule_tags
+        assert np.array_equal(got.tags, want.tags)
+
+    @pytest.mark.parametrize("limit", [3, 100, 2056, 65536, 131072])
+    def test_williamson_orders_match_reference(self, limit):
+        ppm = prime_power_mask(limit)
+        pp_orders = np.flatnonzero(ppm).astype(np.int64)
+        assert sieve.williamson_orders(limit, pp_orders, ppm) == \
+            _ref_williamson_orders(limit, ALL_RULES, pp_orders, ppm)
 
     @pytest.mark.parametrize("limit", [3, sieve.SIEVE_MAX + 1, 3 * 10 ** 18])
     def test_limit_out_of_range_refused(self, limit):
@@ -211,35 +263,42 @@ class TestBuild:
         assert 668 not in s
 
     def test_only_paley_rule_limit4(self):
-        s = build_order_set(4, rules={RULE_PALEY})
+        s = OrderSet(4)
+        sieve._rule_paley(s, prime_power_mask(4))
         assert sorted(int(x) for x in s.members()) == [1, 2, 4]
+        assert s.rule_of(4) == RULE_PALEY
 
     def test_livinskyi_alone(self):
-        s = build_order_set(8192, rules={RULE_LIVINSKYI})
+        s = OrderSet(8192)
+        sieve._rule_livinskyi(s)
         assert sorted(int(x) for x in s.members()) == [1, 2, 2048, 4096, 6144, 8192]
 
     def test_monotone_in_rules(self):
         limit = 2048
-        small = build_order_set(limit, rules={RULE_PALEY})
-        mid = build_order_set(limit, rules={RULE_PALEY, RULE_PRODUCT8})
+        small = apply_rules(limit, {RULE_PALEY})
+        mid = apply_rules(limit, {RULE_PALEY, RULE_PRODUCT8})
         full = build_order_set(limit)
         assert set(small.members().tolist()) <= set(mid.members().tolist())
         assert set(mid.members().tolist()) <= set(full.members().tolist())
 
-    def test_other_rules_never_generate_small_exceptions(self):
-        # the 13 unresolved orders must come from no rule but the table
-        s = build_order_set(2056, rules=DEFAULT_RULES - {RULE_SMALL})
-        for n in SMALL_ORDER_EXCEPTIONS:
-            assert n not in s, n
+    def test_other_rules_never_generate_small_exceptions(self, order_set):
+        # the 13 unresolved orders come from no rule: the full build holds
+        # every build under fewer rules, so none of them has any
+        for s in (build_order_set(2056), order_set):
+            for n in SMALL_ORDER_EXCEPTIONS:
+                assert n not in s and s.rule_of(n) is None, n
+
+    def test_tags_name_each_member(self, order_set):
+        assert np.array_equal(order_set.tags != 0xFF, order_set.bits)
+        assert order_set.rule_of(1) is order_set.rule_of(2) is None
+        assert order_set.rule_of(668) is order_set.rule_of(670) is None
+        assert order_set.rule_of(4) == RULE_PALEY
+        assert order_set.rule_of(order_set.limit + 4) is None
 
     def test_members_multiples_of_four(self, order_set):
         members = order_set.members()
         assert members[0] == 1 and members[1] == 2
         assert np.all(members[2:] % 4 == 0)
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            build_order_set(100, rules={"nope"})
 
 
 class TestQueries:
@@ -301,6 +360,17 @@ class TestQueries:
             hadregion_violations(order_set, order_set.limit + 1)
 
 
+def _saved(tmp_path, oset):
+    path = tmp_path / "orders.sieve"
+    oset.save(path)
+    return path, bytearray(path.read_bytes())
+
+
+def _tag_at(oset, n):
+    """Offset of order n's tag byte in oset's cache file."""
+    return len(sieve.MAGIC) + 10 + (oset.bits.size + 7) // 8 + 1 + n // 4
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         s = build_order_set(4096)
@@ -310,18 +380,55 @@ class TestCache:
         assert loaded.limit == s.limit
         assert 1 in loaded and 2 in loaded
         assert np.array_equal(loaded.bits, s.bits)
-        assert loaded.rules == s.rules == DEFAULT_RULES
-        assert loaded.rule_tags == s.rule_tags and len(s.rule_tags) > 900
+        assert np.array_equal(loaded.tags, s.tags)
+        assert np.count_nonzero(s.tags != 0xFF) > 900
         assert [p.name for p in tmp_path.iterdir()] == ["orders.sieve"]
 
-    def test_round_trip_rule_subset(self, tmp_path):
-        s = build_order_set(2048, rules={RULE_PALEY, RULE_PRODUCT8})
-        path = tmp_path / "orders.sieve"
-        s.save(path)
-        loaded = OrderSet.load(path)
-        assert loaded.rules == {RULE_PALEY, RULE_PRODUCT8}
-        assert loaded.rule_tags == s.rule_tags
-        assert set(s.rule_tags.values()) == {RULE_PALEY, RULE_PRODUCT8}
+    @pytest.mark.parametrize("limit", [4, 4096, 65536])
+    def test_save_of_load_same_bytes(self, tmp_path, limit):
+        path, blob = _saved(tmp_path, build_order_set(limit))
+        again = tmp_path / "again.sieve"
+        OrderSet.load(path).save(again)
+        assert again.read_bytes() == blob
+
+    def test_restricted_saves_fresh_bytes(self, tmp_path):
+        cut = tmp_path / "cut.sieve"
+        build_order_set(65536).restricted(4096).save(cut)
+        _, fresh = _saved(tmp_path, build_order_set(4096))
+        assert cut.read_bytes() == fresh
+
+    @pytest.mark.parametrize("mask", [0x0000, 0x0003, 0x0FFF, 0x3FFF])
+    def test_other_rule_set_is_refused(self, tmp_path, mask):
+        s = build_order_set(2048)
+        path, blob = _saved(tmp_path, s)
+        at = len(sieve.MAGIC) + 8
+        assert blob[at:at + 2] == b"\xff\x1f"  # bit i <-> ALL_RULES[i]
+        blob[at:at + 2] = mask.to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="other rules"):
+            OrderSet.load(path)
+
+    @pytest.mark.parametrize("order, tag", [
+        (672, 0xFF),          # a member without a tag
+        (668, 0),             # a tag on a non-member
+        (0, 0),               # a tag on order 0
+    ], ids=["untagged-member", "tagged-non-member", "tagged-order-0"])
+    def test_tags_disagreeing_with_members_refused(self, tmp_path, order, tag):
+        s = build_order_set(2048)
+        path, blob = _saved(tmp_path, s)
+        assert (blob[_tag_at(s, order)] == 0xFF) == (order not in s)
+        blob[_tag_at(s, order)] = tag
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="disagree"):
+            OrderSet.load(path)
+
+    def test_unknown_rule_index_refused(self, tmp_path):
+        s = build_order_set(2048)
+        path, blob = _saved(tmp_path, s)
+        blob[_tag_at(s, 672)] = len(ALL_RULES)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="unknown rule index"):
+            OrderSet.load(path)
 
     def test_old_format_is_foreign(self, tmp_path):
         path = tmp_path / "old.sieve"
@@ -334,7 +441,7 @@ class TestCache:
             cut, fresh = order_set.restricted(limit), build_order_set(limit)
             assert cut.limit == limit
             assert np.array_equal(cut.bits, fresh.bits)
-            assert cut.rule_tags == fresh.rule_tags
+            assert np.array_equal(cut.tags, fresh.tags)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.sieve"
