@@ -15,8 +15,8 @@ from .constructions import (CONFERENCE, HADAMARD, QuasiOrthogonal,
 from .exact import LogScalar, det_exact, normalized_ratio
 from .sieve import (OrderSet, GapReport, Resolution, build_order_set,
                     gap_function, resolve)
-from .border import (Border, SearchConfig, TrialResult, run_trial,
-                     sample_border_columns, search, verify_witness)
+from .border import (SearchConfig, TrialResult, sample_border_columns,
+                     search, verify_witness)
 from .bounds import BoundReport, evaluate_bounds, g_of_h, h0
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "LogScalar", "det_exact", "normalized_ratio",
     "OrderSet", "GapReport", "Resolution", "build_order_set",
     "gap_function", "resolve",
-    "Border", "SearchConfig", "TrialResult", "run_trial",
-    "sample_border_columns", "search", "verify_witness",
+    "SearchConfig", "TrialResult", "sample_border_columns", "search",
+    "verify_witness",
     "BoundReport", "evaluate_bounds", "g_of_h", "h0",
 ]

@@ -23,17 +23,18 @@ operator (``QuasiOrthogonal.rmatmul``, exact by the checks described in
 float64 product that is exact because every partial sum is an integer of
 size at most m^2 < 2^53 (a raised check on the order).
 
-A trial is fixed by B and D: C and G follow from B, so a ``Border`` keeps
-B, D and G, and a witness keeps B and D.  Border widths nest: B is drawn
-as a d x m array and transposed, and the draw is prefix-stable, so the
-first w columns of a trial's width-W block are its width-w block.  Entry
-(i, j) of G depends only on columns i and j of B, so the width-w trial's
-G is the leading block G[:w, :w] of the width-W one, and its midpoint
-det(G[:w, :w] + kI) is a leading principal minor of G + kI.  A search
-keeps G of every trial at the largest width it serves (``SharedBlocks``):
-one product per trial, one pivot-free Bareiss run per trial for the
-midpoints of every width (``leading_minors``), and one batched greedy per
-width.
+A trial is fixed by its stream, Philox keyed by (master_seed, trial_index),
+which draws B: C and G follow from B, and D from G.  A ``TrialResult``
+keeps D and det N, and B is drawn again for a witness, which keeps B and D.
+Border widths nest: B is drawn as a d x m array and transposed, and the
+draw is prefix-stable, so the first w columns of a trial's width-W block
+are its width-w block.  Entry (i, j) of G depends only on columns i and j
+of B, so the width-w trial's G is the leading block G[:w, :w] of the
+width-W one, and its midpoint det(G[:w, :w] + kI) is a leading principal
+minor of G + kI.  Every trial runs in a search, which keeps G of every
+trial at the largest width it serves (``SharedBlocks``): one stream and one
+product per trial, one pivot-free Bareiss run per trial for the midpoints
+of every width (``leading_minors``), and one batched greedy per width.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, mul
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .constructions import (ExactnessError, QuasiOrthogonal, build_recipe,
                             work_array)
@@ -75,17 +77,9 @@ DEFAULT_CONFIG = SearchConfig()
 DIRECT_CHECK_LIMIT = 64
 
 @dataclass(frozen=True)
-class Border:
-    """The blocks that fix a trial, B (m x d) and D (d x d), and the Gram
-    block G = C Q^T B (int64) for C = sgn(B^T Q)."""
-
-    B: np.ndarray
-    D: np.ndarray
-    G: np.ndarray  # int64
-
-
-@dataclass(frozen=True)
 class TrialResult:
+    """One trial of a search: its corner D (int8) and det N = det(G - k D)."""
+
     ratio: LogScalar
     trial_index: int
     n: int
@@ -94,12 +88,19 @@ class TrialResult:
     kind: str
     weight: int
     recipe: str
-    master_seed: int | None
+    master_seed: int
     det_n: int
-    border: Border
+    D: np.ndarray
+
+    @property
+    def B(self) -> np.ndarray:
+        """B, drawn again from the trial's stream; the draw is prefix-stable,
+        so this is the leading block of the one the search's product used."""
+        return sample_border_columns(
+            trial_generator(self.master_seed, self.trial_index), self.m, self.d)
 
 
-def trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:
+def trial_generator(master_seed: int, trial_index: int) -> Generator:
     """Per-trial stream: Philox keyed by (master_seed, trial_index).
 
     This is the documented mixing function; streams for distinct trial
@@ -108,10 +109,10 @@ def trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:
     """
     key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF,
                     trial_index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
-def sample_border_columns(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
+def sample_border_columns(rng: Generator, m: int, d: int) -> np.ndarray:
     """m x d matrix of independent fair +-1 entries (d = 0 gives m x 0).
 
     Entry t of the row-major d x m draw is +1 iff bit 7 of byte t of the
@@ -370,45 +371,33 @@ class SharedBlocks:
                                              self.minors)
 
 
-def run_trial(q: QuasiOrthogonal, d: int, rng: np.random.Generator,
-              trial_index: int = 0, master_seed: int | None = None,
-              shared: SharedBlocks | None = None) -> TrialResult:
-    """One bordering trial; d = 0 gives the bare core ratio k^(m/2)/m^(m/2).
+def run_trial(q: QuasiOrthogonal, d: int, trial_index: int,
+              shared: SharedBlocks) -> TrialResult:
+    """Trial ``trial_index`` of the search that ``shared`` serves.
 
-    The trial draws its B at width d from ``rng``.  With ``shared`` (and
-    d > 0), the search's first trial at each width fills the whole search
-    (``SharedBlocks.fill``), and every trial reads its G and corner there;
-    ``rng`` must then be the trial's own stream.  Without it the trial
-    makes its own product and takes its corner from ``greedy_corners`` as
-    a stack of one.
+    At d > 0 the search's first trial at each width fills the whole search
+    (``SharedBlocks.fill``), and every trial reads its D and det N there.
+    d = 0 is the bare core, ratio k^(m/2)/m^(m/2): an empty corner with
+    det N = 1, and no product.
     """
-    b = sample_border_columns(rng, q.order, d)
-    if shared is None or d == 0:
-        g = _sign_completion(b, q)[1]
-        eye = q.weight * np.eye(d, dtype=np.int64)
-        [corner] = greedy_corners(g[None], q.weight,
-                                  [leading_minors((g + eye).tolist())])
-    else:
+    if d:
         shared.fill(q, d)
-        g = shared.grams[trial_index, :d, :d]
-        corner = shared.corners[d][trial_index]
-    return _finish_trial(q, b, g, trial_index, master_seed, corner)
-
-
-def _finish_trial(q, b, g, trial_index, master_seed, corner) -> TrialResult:
-    m, k, d = q.order, q.weight, b.shape[1]
-    d_block, det_n = corner
-    ratio = _ratio_from_det(det_n, m, k, d)
-    return TrialResult(ratio=ratio, trial_index=trial_index, n=m + d, m=m, d=d,
+        d_block, det_n = shared.corners[d][trial_index]
+    else:
+        d_block, det_n = np.zeros((0, 0), dtype=np.int8), 1
+    m, k = q.order, q.weight
+    return TrialResult(ratio=_ratio_from_det(det_n, m, k, d),
+                       trial_index=trial_index, n=m + d, m=m, d=d,
                        kind=q.kind, weight=k, recipe=q.recipe,
-                       master_seed=master_seed, det_n=det_n,
-                       border=Border(B=b, D=d_block, G=g))
+                       master_seed=shared.config.master_seed, det_n=det_n,
+                       D=d_block)
 
 
 def search(q: QuasiOrthogonal, d: int, config: SearchConfig = DEFAULT_CONFIG,
            shared: SharedBlocks | None = None) -> TrialResult:
     """Best trial over indices 0..trials-1; deterministic for a given seed.
 
+    Each trial is one ``run_trial`` call, which reads the search's blocks.
     The reduction keeps the highest ratio; the lowest trial index wins a
     tie.  With d = 0 every trial is the bare core, so only trial 0 runs.
     ``shared`` comes from ``search_widths``, with the same config; without
@@ -425,9 +414,8 @@ def search(q: QuasiOrthogonal, d: int, config: SearchConfig = DEFAULT_CONFIG,
                          f"order {q.order}")
     _check_gram_order(q.order)  # before a B of that order is drawn
     trials = config.trials if d else 1
-    return max((run_trial(q, d, trial_generator(config.master_seed, t), t,
-                          config.master_seed, shared)
-                for t in range(trials)), key=attrgetter("ratio"))
+    return max((run_trial(q, d, t, shared) for t in range(trials)),
+               key=attrgetter("ratio"))
 
 
 def search_widths(q: QuasiOrthogonal, widths: list[int],
@@ -469,14 +457,14 @@ def _sign_strings(block: np.ndarray) -> list[str]:
 def witness_dict(result: TrialResult) -> dict:
     """Serializable witness; C is omitted (recomputed from B on verify)."""
     d = result.d
-    d_off = result.border.D[~np.eye(d, dtype=bool)]
+    d_off = result.D[~np.eye(d, dtype=bool)]
     return {
         "n": result.n, "m": result.m, "d": d,
         "kind": result.kind, "weight": result.weight,
         "recipe": result.recipe,
         "master_seed": result.master_seed,
         "trial_index": result.trial_index,
-        "B": _sign_strings(result.border.B),
+        "B": _sign_strings(result.B),
         "D_off": _sign_strings(d_off[None])[0],
         "det_schur": str(result.det_n),
         "ratio_log": result.ratio.log_abs,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -423,6 +424,9 @@ def unit() -> QuasiOrthogonal:
 
 _GEN_RE = re.compile(r"^(paley1|paley2|conference)\((\d+)\)$")
 
+# kron(...) nests recursion, in the build and in every product
+RECIPE_NESTING_LIMIT = 64
+
 
 def _split_top(s: str, sep: str) -> list[str]:
     parts, depth, cur = [], 0, []
@@ -442,6 +446,10 @@ def _split_top(s: str, sep: str) -> list[str]:
 
 def build_recipe(recipe: str) -> QuasiOrthogonal:
     """Rebuild a matrix from its recipe string, e.g. 'paley1(331);double'."""
+    depth = max(accumulate((c == "(") - (c == ")") for c in recipe), default=0)
+    if depth > RECIPE_NESTING_LIMIT:
+        raise ValueError(f"recipe nests {depth} levels of parentheses; the "
+                         f"limit is {RECIPE_NESTING_LIMIT}")
     tokens = _split_top(recipe.strip(), ";")
     if not tokens or not tokens[0]:
         raise ValueError("empty recipe")

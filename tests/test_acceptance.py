@@ -13,14 +13,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maxdet.border import (SearchConfig, run_trial, search, trial_generator,
-                           verify_witness)
+from maxdet.border import (SearchConfig, SharedBlocks, run_trial, search,
+                           trial_generator, verify_witness)
 from maxdet.bounds import evaluate_bounds
 from maxdet.cli import EXCEPTIONAL_ROWS
 from maxdet.constructions import (CONFERENCE, HADAMARD, build_recipe,
                                   paley_conference, plan_recipe)
 from oracles import hadregion_violations, maxdet_oracle, validate
-from test_border import exhaustive_search, iter_all_borders
+from test_border import exhaustive_search, iter_all_borders, trials_of
 
 # documented deviation for criterion 7: fixpoint closure of the product
 # rule over Yamada-rule orders lands inside two of the table's intervals
@@ -62,7 +62,7 @@ def test_criterion_01_construction_validity():
 
 def test_criterion_02_exact_expectations(h4):
     # E f11 = g(h) - 1 is test_lemmas.py::test_diagonal_mean_exact
-    f12_sq = [Fraction(res.border.G[0, 1], 4) ** 2
+    f12_sq = [Fraction(res.G[0, 1], 4) ** 2
               for res in iter_all_borders(h4, 2)]
     assert len(f12_sq) == 256
     assert sum(f12_sq) / 256 == 1
@@ -123,8 +123,9 @@ def test_criterion_05_oracle_agreement(h4):
     # exhaustive bordering attains the true maximum at n = 5, exactly
     assert 4 * abs(best.det_n) == d5
     assert abs(best.ratio.log_abs - oracle_log) < 1e-9
+    shared = SharedBlocks(1, SearchConfig(trials=50, master_seed=31337))
     for t in range(50):
-        res = run_trial(h4, 1, trial_generator(31337, t))
+        res = run_trial(h4, 1, t, shared)
         assert res.ratio.log_abs <= oracle_log + 1e-12
     elapsed = time.time() - t0
     assert elapsed < 10
@@ -224,18 +225,17 @@ def test_criterion_08_schur_direct_consistency():
              "conference(17)", "conference(29)", "conference(37)",
              "conference(41)", "conference(53)"]
     rng = np.random.default_rng(888)
-    checked = 0
+    orders = {recipe: build_recipe(recipe).order for recipe in cores}
+    cases = []
     t = 0
-    while checked < 100:
-        q = build_recipe(cores[rng.integers(len(cores))])
-        max_d = min(8, 64 - q.order)
+    while len(cases) < 100:
+        recipe = cores[rng.integers(len(cores))]
+        max_d = min(8, 64 - orders[recipe])
         t += 1
-        if max_d < 1:
-            continue
-        d = int(rng.integers(1, max_d + 1))
-        res = run_trial(q, d, trial_generator(4242, t), trial_index=t)
+        if max_d >= 1:
+            cases.append((recipe, int(rng.integers(1, max_d + 1)), t))
+    for res in trials_of(cases, 4242):
         verify_witness(res)  # raises unless direct == Schur, exactly
-        checked += 1
     elapsed = time.time() - t0
     assert elapsed < 30
     _report(8, "Schur vs direct determinants", f"100 cases, {elapsed:.1f}s")

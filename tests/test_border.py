@@ -6,15 +6,16 @@ import sys
 import textwrap
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import maxdet
 from maxdet import border as border_mod
-from maxdet.border import (Border, SchurConsistencyError, SearchConfig,
-                           SharedBlocks, WitnessError, _finish_trial,
-                           _greedy_exact, _sign_completion,
+from maxdet.border import (SchurConsistencyError, SearchConfig,
+                           SharedBlocks, WitnessError, _greedy_exact,
+                           _ratio_from_det, _sign_completion,
                            assemble_bordered, greedy_corners, run_trial,
                            sample_border_columns, save_witness, search,
                            search_widths, trial_generator, verify_witness,
@@ -23,21 +24,51 @@ from maxdet.cli import (EXCEPTIONAL_FAST_CORE_MAX, EXCEPTIONAL_ROWS,
                         _table1_core)
 from maxdet.constructions import (ExactnessError, build_recipe,
                                   paley_conference)
-from maxdet.exact import det_exact, leading_minors
+from maxdet.exact import LogScalar, det_exact, leading_minors
+
+
+class Enumerated(NamedTuple):
+    """The Gram block, det N and ratio of one sign block B's trial."""
+
+    G: np.ndarray
+    det_n: int
+    ratio: LogScalar
 
 
 def iter_all_borders(q, d):
     """The trial for each of the 2^(m d) sign blocks B, for exhaustive small
-    cases.  Bit t of the pattern index, which is also the trial index, makes
-    row-major entry t of B equal to -1."""
-    m = q.order
+    cases.  Bit t of the pattern index makes row-major entry t of B equal
+    to -1."""
+    m, k = q.order, q.weight
     assert m * d <= 24, "exhaustive enumeration is limited to m*d <= 24"
     shifts = np.arange(m * d, dtype=np.uint32)
     for pattern in range(1 << (m * d)):
         b = (1 - 2 * ((pattern >> shifts) & 1).astype(np.int8)).reshape(m, d)
         g = _sign_completion(b, q)[1]
-        yield _finish_trial(q, b, g, pattern, None,
-                            batched_greedy(g[None], q.weight)[0])
+        [(_, det_n)] = batched_greedy(g[None], k)
+        yield Enumerated(g, det_n, _ratio_from_det(det_n, m, k, d))
+
+
+def trials_of(cases, master_seed):
+    """``run_trial`` for each (recipe, d, t): trial t of a search under
+    ``master_seed``.  The cases on one recipe share one ``SharedBlocks`` at
+    their largest width; widths nest, so each result is the trial that a
+    width-d search gives."""
+    top = {}
+    for recipe, d, t in cases:
+        width, trials = top.get(recipe, (0, 0))
+        top[recipe] = max(width, d), max(trials, t + 1)
+    cores = {recipe: build_recipe(recipe) for recipe in top}
+    blocks = {recipe: SharedBlocks(width, SearchConfig(
+        trials=trials, master_seed=master_seed))
+        for recipe, (width, trials) in top.items()}
+    return [run_trial(cores[recipe], d, t, blocks[recipe])
+            for recipe, d, t in cases]
+
+
+def flip_sign(row: str, j: int) -> str:
+    """A sign string with entry j flipped."""
+    return row[:j] + ("-" if row[j] == "+" else "+") + row[j + 1:]
 
 
 def dense_sign_completion(b, q):
@@ -124,6 +155,17 @@ class TestSampling:
                                                  dtype=np.int8) * 2 - 1
             new = sample_border_columns(trial_generator(5, t), m, d)
             assert new.dtype == np.int8 and np.array_equal(new, old.T)
+
+    def test_border_import_loads_numpy_random(self):
+        # numpy loads numpy.random on first use; border imports it, so its
+        # cost falls on import and not on a search's first trial
+        script = ("import sys, maxdet.border; "
+                  "print('numpy.random' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(
+                                 Path(maxdet.__file__).parents[1])})
+        assert out.stdout.split() == ["True"]
 
     @pytest.mark.parametrize("m", [664, 5750])
     def test_prefix_stable(self, m):
@@ -233,7 +275,7 @@ class TestGramBlock:
     def test_diag_range_exhaustive_h4(self, h4):
         seen = set()
         for res in iter_all_borders(h4, 1):
-            g11 = res.border.G[0, 0]
+            g11 = res.G[0, 0]
             seen.add(g11)
             assert 0 <= g11 <= 8  # h^(3/2)
         assert seen == {4, 8}
@@ -257,11 +299,12 @@ class TestGramBlock:
         assert np.all((cqt ** 2).sum(axis=1) == 5 * 6)
 
     def test_matches_exact_matmul(self, h8):
-        border = run_trial(h8, 3, trial_generator(9, 1)).border
-        oracle = (dense_sign_completion(border.B, h8) @ h8.dense().T
-                  @ border.B.astype(np.int64))
-        assert border.G.dtype == np.int64
-        assert np.array_equal(border.G, oracle)
+        shared = SharedBlocks(3, SearchConfig(trials=2, master_seed=9))
+        b = run_trial(h8, 3, 1, shared).B
+        oracle = (dense_sign_completion(b, h8) @ h8.dense().T
+                  @ b.astype(np.int64))
+        assert shared.grams.dtype == np.int64
+        assert np.array_equal(shared.grams[1], oracle)
 
 
 class TestGreedy:
@@ -276,9 +319,11 @@ class TestGreedy:
         assert np.all(np.diagonal(d_block) == -1)
 
     def test_guarantee_random_h8_d3(self, h8):
+        shared = SharedBlocks(3, SearchConfig(trials=10_000, master_seed=100))
+        eye = 8 * np.eye(3, dtype=np.int64)
         for t in range(10_000):
-            res = run_trial(h8, 3, trial_generator(100, t))
-            midpoint = det_exact(res.border.G + 8 * np.eye(3, dtype=np.int64))
+            res = run_trial(h8, 3, t, shared)
+            midpoint = det_exact(shared.grams[t] + eye)
             assert abs(res.det_n) >= abs(midpoint)
 
     def test_matches_two_determinant_reference(self):
@@ -599,12 +644,16 @@ class TestGreedy:
 
 class TestRunTrialAndSearch:
     def test_d0_hadamard(self, h4):
-        res = run_trial(h4, 0, trial_generator(0, 0))
+        shared = SharedBlocks(0, SearchConfig(trials=1))
+        res = run_trial(h4, 0, 0, shared)
         assert res.ratio.sign == 1 and abs(res.ratio.log_abs) < 1e-12
+        # the bare core makes no product
+        assert (res.det_n, res.D.shape, res.B.shape) == (1, (0, 0), (4, 0))
+        assert shared.grams is None and res.master_seed == 0
 
     def test_d0_conference(self):
         q = paley_conference(5)
-        res = run_trial(q, 0, trial_generator(0, 0))
+        res = run_trial(q, 0, 0, SharedBlocks(0, SearchConfig(trials=1)))
         assert math.isclose(res.ratio.value(), 125 / 216, rel_tol=1e-12)
 
     def test_exhaustive_h4_d1(self, h4):
@@ -614,11 +663,12 @@ class TestRunTrialAndSearch:
         assert 4 * abs(best.det_n) == 48
 
     def test_trials1_is_trial0(self, h12):
-        cfg = SearchConfig(trials=1, master_seed=42)
-        a = search(h12, 2, cfg)
-        b = run_trial(h12, 2, trial_generator(42, 0), trial_index=0,
-                      master_seed=42)
+        # trial 0 of a larger search is the same trial
+        a = search(h12, 2, SearchConfig(trials=1, master_seed=42))
+        b = run_trial(h12, 2, 0,
+                      SharedBlocks(2, SearchConfig(trials=4, master_seed=42)))
         assert a.ratio == b.ratio and a.trial_index == 0
+        assert a.det_n == b.det_n and np.array_equal(a.D, b.D)
 
     def test_width_beyond_core_order(self, h4):
         assert search(h4, 4, SearchConfig(trials=2)).d == 4
@@ -663,49 +713,84 @@ class TestRunTrialAndSearch:
         assert (best.trial_index, best.det_n) == (index, det_schur)
 
 
-def _same_trial(a, b):
-    return (a.trial_index == b.trial_index and a.det_n == b.det_n
-            and a.ratio == b.ratio
-            and all(np.array_equal(getattr(a.border, f), getattr(b.border, f))
-                    for f in ("B", "D", "G")))
+@pytest.fixture
+def made_blocks(monkeypatch):
+    """Every ``SharedBlocks`` that a search makes, in order."""
+    made = []
+
+    class Recorded(SharedBlocks):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+    monkeypatch.setattr(border_mod, "SharedBlocks", Recorded)
+    return made
+
+
+def _same_trial(a, a_blocks, b, b_blocks):
+    """The same trial: index, det N, ratio, B and D, and the G that each
+    search's blocks hold for it (none at width 0)."""
+    t, d = a.trial_index, a.d
+    return (t == b.trial_index and d == b.d and a.det_n == b.det_n
+            and a.ratio == b.ratio and np.array_equal(a.B, b.B)
+            and np.array_equal(a.D, b.D)
+            and (d == 0 or np.array_equal(a_blocks.grams[t, :d, :d],
+                                          b_blocks.grams[t, :d, :d])))
 
 
 class TestSearchWidths:
     @pytest.mark.parametrize("row", [r for r in EXCEPTIONAL_ROWS
                                      if r[0] <= EXCEPTIONAL_FAST_CORE_MAX],
                              ids=lambda r: str(r[0]))
-    def test_fast_row_cells_equal_standalone_search(self, row):
+    def test_fast_row_cells_equal_standalone_search(self, row, made_blocks):
         h, _, ds, p, method = row
         q = build_recipe(_table1_core(h, p, method))
         widths = [h + d - q.order for d in ds]
         config = SearchConfig(trials=8, master_seed=3)
-        shared = search_widths(q, widths, config)
-        assert [r.d for r in shared] == widths
-        for w, res in zip(widths, shared):
-            assert _same_trial(res, search(q, w, config)), w
+        found = search_widths(q, widths, config)
+        shared = made_blocks[-1]
+        assert [r.d for r in found] == widths
+        for w, res in zip(widths, found):
+            alone = search(q, w, config)
+            assert _same_trial(res, shared, alone, made_blocks[-1]), w
 
-    def test_one_width_equals_search(self, h12):
+    def test_one_width_equals_search(self, h12, made_blocks):
         config = SearchConfig(trials=16, master_seed=8)
         [res] = search_widths(h12, [3], config)
-        assert _same_trial(res, search(h12, 3, config))
+        alone = search(h12, 3, config)
+        assert _same_trial(res, made_blocks[0], alone, made_blocks[1])
 
-    def test_any_order_and_bare_core(self, h12):
+    def test_any_order_and_bare_core(self, h12, made_blocks):
         # widths in any order, repeated, or 0, each as if searched alone
         config = SearchConfig(trials=6, master_seed=2)
         widths = [2, 0, 4, 2]
-        for w, res in zip(widths, search_widths(h12, widths, config)):
-            assert _same_trial(res, search(h12, w, config)), w
+        found = search_widths(h12, widths, config)
+        shared = made_blocks[-1]
+        for w, res in zip(widths, found):
+            alone = search(h12, w, config)
+            assert _same_trial(res, shared, alone, made_blocks[-1]), w
 
     def test_one_product_per_trial(self, h12, monkeypatch):
-        calls = []
+        # one stream and one product per trial, and one more stream for
+        # each witness written
+        calls, streams = [], []
         real = border_mod._sign_completion
+        real_stream = border_mod.trial_generator
 
         def counted(b, q):
             calls.append(b.shape[1])
             return real(b, q)
+
+        def counted_stream(master_seed, trial_index):
+            streams.append((master_seed, trial_index))
+            return real_stream(master_seed, trial_index)
         monkeypatch.setattr(border_mod, "_sign_completion", counted)
-        search_widths(h12, [1, 3, 2], SearchConfig(trials=5, master_seed=0))
+        monkeypatch.setattr(border_mod, "trial_generator", counted_stream)
+        found = search_widths(h12, [1, 3, 2],
+                              SearchConfig(trials=5, master_seed=0))
         assert calls == [3] * 5
+        assert streams == [(0, t) for t in range(5)]
+        witness_dict(found[1])
+        assert streams[5:] == [(0, found[1].trial_index)]
 
     def test_width_outside_shared_range(self, h12):
         with pytest.raises(ValueError, match="must be >= 0, got -1"):
@@ -740,29 +825,25 @@ class TestSchurConsistency:
                  "paley1(23)", "conference(5)", "conference(13)",
                  "conference(17)", "paley2(5)", "paley2(13)", "paley1(43)",
                  "paley1(31)", "conference(29)", "conference(37)"]
-        checked = 0
+        orders = {recipe: build_recipe(recipe).order for recipe in cores}
+        cases = []
         t = 0
-        while checked < 100:
+        while len(cases) < 100:
             recipe = cores[rng.integers(len(cores))]
-            q = build_recipe(recipe)
-            max_d = min(8, 64 - q.order)
-            if max_d < 1:
-                t += 1
-                continue
-            d = int(rng.integers(1, max_d + 1))
-            res = run_trial(q, d, trial_generator(777, t), trial_index=t)
-            verify_witness(res)  # n <= 64: includes the direct determinant
-            checked += 1
+            max_d = min(8, 64 - orders[recipe])
+            if max_d >= 1:
+                cases.append((recipe, int(rng.integers(1, max_d + 1)), t))
             t += 1
+        for res in trials_of(cases, 777):
+            verify_witness(res)  # n <= 64: includes the direct determinant
 
     def test_direct_check_catches_mismatch(self, h4):
-        res = run_trial(h4, 2, trial_generator(1, 1))
-        bad_d = res.border.D.copy()
-        bad_d[0, 1] = -bad_d[0, 1]
-        tampered = replace(res, border=Border(B=res.border.B, D=bad_d,
-                                              G=res.border.G))
+        res = run_trial(h4, 2, 1,
+                        SharedBlocks(2, SearchConfig(trials=2, master_seed=1)))
+        w = witness_dict(res)
+        w["D_off"] = flip_sign(w["D_off"], 0)  # D[0, 1]
         with pytest.raises((WitnessError, SchurConsistencyError)):
-            verify_witness(tampered)
+            verify_witness(w)
 
 
 class TestWitness:
@@ -779,25 +860,22 @@ class TestWitness:
         assert abs(ratio.log_abs - best.ratio.log_abs) < 1e-12
 
     def test_tampered_b_raises(self, h12):
-        res = search(h12, 2, SearchConfig(trials=4, master_seed=9))
-        bad_b = res.border.B.copy()
-        bad_b[0, 0] = -bad_b[0, 0]
-        tampered = replace(res, border=replace(res.border, B=bad_b))
+        w = witness_dict(search(h12, 2, SearchConfig(trials=4, master_seed=9)))
+        w["B"][0] = flip_sign(w["B"][0], 0)
         with pytest.raises((WitnessError, SchurConsistencyError)):
-            verify_witness(tampered)
+            verify_witness(w)
 
     @pytest.mark.parametrize("entry", [(0, 0), (40, 1), (67, 2)])
     def test_flipped_b_entry_fails_det_schur(self, entry):
-        # n = 71 is above DIRECT_CHECK_LIMIT, and a TrialResult carries no
-        # C: verify recomputes C and G from the changed B, so the stored
+        # n = 71 is above DIRECT_CHECK_LIMIT, and a witness carries no C:
+        # verify recomputes C and G from the changed B, so the stored
         # det_schur is what catches it
-        res = search(build_recipe("paley1(67)"), 3,
-                     SearchConfig(trials=4, master_seed=12))
-        bad_b = res.border.B.copy()
-        bad_b[entry] = -bad_b[entry]
-        tampered = replace(res, border=replace(res.border, B=bad_b))
+        w = witness_dict(search(build_recipe("paley1(67)"), 3,
+                                SearchConfig(trials=4, master_seed=12)))
+        i, j = entry
+        w["B"][i] = flip_sign(w["B"][i], j)
         with pytest.raises(WitnessError, match="det_schur"):
-            verify_witness(tampered)
+            verify_witness(w)
 
     def test_tampered_det_schur_raises(self, h12):
         best = search(h12, 2, SearchConfig(trials=4, master_seed=10))
@@ -846,12 +924,13 @@ class TestWitness:
 
 class TestAssemble:
     def test_shape_and_blocks(self, h4):
-        res = run_trial(h4, 2, trial_generator(0, 0))
-        c = dense_sign_completion(res.border.B, h4)
-        full = np.array(assemble_bordered(h4, res.border.B, c, res.border.D))
+        res = run_trial(h4, 2, 0, SharedBlocks(2, SearchConfig(trials=1)))
+        b = res.B
+        c = dense_sign_completion(b, h4)
+        full = np.array(assemble_bordered(h4, b, c, res.D))
         assert full.shape == (6, 6)
         assert np.array_equal(full[:4, :4], h4.dense())
-        assert np.array_equal(full[:4, 4:], res.border.B)
+        assert np.array_equal(full[:4, 4:], b)
         assert np.array_equal(full[4:, :4], c)
-        assert np.array_equal(full[4:, 4:], res.border.D)
+        assert np.array_equal(full[4:, 4:], res.D)
         assert full[4][4] == -1 and full[5][5] == -1

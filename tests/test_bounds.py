@@ -194,7 +194,7 @@ class TestES152:
             check_es152([2], 0)
 
     def test_exhaustive_f11_distribution(self, h4):
-        xs = [Fraction(int(res.border.G[0, 0]), 8)
+        xs = [Fraction(int(res.G[0, 0]), 8)
               for res in iter_all_borders(h4, 1)]
         assert len(xs) == 16
         assert check_es152(xs, Fraction(1, 2)) is True

@@ -13,6 +13,10 @@ from maxdet import constructions
 from maxdet.cli import EXCEPTIONAL_ROWS, _table1_core, main
 
 
+# the order-1 Hadamard matrix as a kron product nested 1000 deep
+DEEP_RECIPE = "kron(unit," * 1000 + "unit" + ")" * 1000
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -162,18 +166,20 @@ class TestBound:
         assert header == "name,applicable,target,value_log,value_decimal"
 
     @pytest.mark.parametrize("argv, digest", [
-        (("670",),
+        (("670", "--trials", "16"),
          "7fa87ed18f276dba519e556a0098c63805662e76251f5b101fcacdc6ed589fbb"),
-        (("717", "--method", "conference"),
+        (("717", "--method", "conference", "--trials", "16"),
          "5eaf690b9e7cecbbd85dd0261881e2e9e6add5d1947332de533c371a06452889"),
-        (("670", "--format", "csv"),
+        (("670", "--format", "csv", "--trials", "16"),
          "db715e5c736beddca953e3e7bfd1bc8159cbe16b6f8619721287b392137c8fc6"),
-    ], ids=["670", "717-conference", "670-csv"])
+        # 664 is an order of the sieve: the bare core, width 0
+        (("664", "--trials", "8"),
+         "4393d1d96cea77343c604da07b580c41a0ebe3521a60acbdf06fa44b84ef918c"),
+    ], ids=["670", "717-conference", "670-csv", "664-bare-core"])
     def test_stdout_bytes_pinned(self, capsys, argv, digest):
         # the formula bounds next to the constructive one, as JSON and CSV;
         # any change to these bytes must be deliberate and named
-        code, out, _ = run_cli(capsys, "bound", *argv, "--trials", "16",
-                               "--seed", "0")
+        code, out, _ = run_cli(capsys, "bound", *argv, "--seed", "0")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -188,6 +194,19 @@ class TestWitnessFlow:
         code, out, _ = run_cli(capsys, "verify", str(path))
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("bound", "670", "--trials", "16", "--seed", "0"),
+         "f52cc766eed06c78cf8f50eae6fd9dd5d4977ae4b747cc8818a2c834cb6937ba"),
+        (("search", "--recipe", "conference(709)", "--d", "0"),
+         "4929593ef47d8a69b79263052cf6d52ac674468f5b1a2561fffb747951383d0c"),
+    ], ids=["bound-670", "search-709-bare-core"])
+    def test_witness_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        # B is drawn again from the best trial's stream for the witness
+        path = tmp_path / "w.json"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_verify_catches_corruption(self, capsys, tmp_path):
         path = tmp_path / "w.json"
@@ -309,6 +328,29 @@ class TestWitnessFlow:
         assert out.stderr.startswith("error: ")
         assert "Traceback" not in out.stderr
         assert "border width 100000 exceeds the core order 332" in out.stderr
+
+    def test_search_refuses_deep_recipe(self):
+        # 1000 nested kron( would exhaust the recursion limit
+        out = run_capped("search", "--recipe", DEEP_RECIPE, "--d", "1",
+                         timeout=8)
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.startswith("error: ")
+        assert "Traceback" not in out.stderr
+        assert f"the limit is {constructions.RECIPE_NESTING_LIMIT}" in (
+            out.stderr)
+
+    def test_verify_refuses_deep_recipe(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({
+            "n": 2, "m": 1, "d": 1, "weight": 1, "kind": "hadamard",
+            "recipe": DEEP_RECIPE, "B": ["+"], "D_off": "",
+            "det_schur": "1", "ratio_log": 0.0, "ratio_decimal": 1.0}))
+        out = run_capped("verify", str(path), timeout=8)
+        assert out.returncode == 1 and "Traceback" not in out.stderr
+        data = json.loads(out.stdout)
+        assert data["ok"] is False
+        assert (f"the limit is {constructions.RECIPE_NESTING_LIMIT}"
+                in data["error"])
 
     def test_conference_walk_stops_at_oversized_prime(self, capsys):
         # the walk down from n must not pass the first p = 1 (mod 4) that

@@ -212,14 +212,14 @@ def test_diagonal_mean_exact():
     # E f11 = g(h) - 1 for f11 = G_11 / h, over every border column
     for h in (4, 8):
         q = build_recipe("unit" + ";double" * (h.bit_length() - 1))
-        g11 = [int(res.border.G[0, 0]) for res in iter_all_borders(q, 1)]
+        g11 = [int(res.G[0, 0]) for res in iter_all_borders(q, 1)]
         assert Fraction(sum(g11), h * len(g11)) == g_of_h(h) - 1, h
 
 
 def test_reverse_markov_exhaustive(h4):
     # the exact distribution of f11 / sqrt(h) = G_11 / 8 at h = 4; its
     # mean is 3/4, where the lemma says nothing
-    xs = [Fraction(int(res.border.G[0, 0]), 8)
+    xs = [Fraction(int(res.G[0, 0]), 8)
           for res in iter_all_borders(h4, 1)]
     outcomes = [check_es152(xs, Fraction(j, 4)) for j in range(4)]
     assert outcomes == [True, True, True, None]
