@@ -227,10 +227,14 @@ def greedy_corners(grams: np.ndarray, k: int, minors: list
     by a Sherman-Morrison update after each row.
 
     Bound.  Every D the greedy visits keeps |N_rc| <= |G_rc| + k, so
-    R_r = sum_c |G_rc| + d k bounds row r of |N| in the 1-norm, and by
-    Hadamard's inequality every cofactor of N_i is at most prod_r R_r /
-    min_r R_r.  With |det N_i| >= |midpoint| this gives
-    ||N_i^-1||_inf <= beta = d prod_r R_r / (min_r R_r |midpoint|).
+    S_r = sum_c (|G_rc| + k)^2 bounds the squared 2-norm of row r of N,
+    and by Hadamard's inequality every cofactor of N_i is at most
+    sqrt(prod_r S_r / min_r S_r).  With |det N_i| >= |midpoint| this gives
+    ||N_i^-1||_inf <= beta = d ceil(sqrt(prod_r S_r / min_r S_r)) /
+    |midpoint|, computed in integers.  The 1-norms R_r = sum_c |G_rc| + d k
+    give the cofactor bound prod_r R_r / min_r R_r, which is never smaller
+    since sqrt(S_r) <= R_r; the root is capped by it, and where S could
+    overflow int64 the 1-norm bound stands alone.
 
     Certificate: x' = rint(2^s x) is an integer vector with a residual
     r = N_i x' - 2^s e_i that is exact in int64, so the exact scaled
@@ -254,7 +258,11 @@ def greedy_corners(grams: np.ndarray, k: int, minors: list
     corners = [None] * count
     lim = 1 << 46
     if d and 0 < k < lim and d < 1 << 14 and grams.dtype == np.int64:
-        rows = np.abs(grams).sum(axis=2) + d * k
+        a = np.abs(grams) + k  # |N_rc| <= a_rc for every D visited
+        rows = a.sum(axis=2)
+        # S_r = sum_c a_rc^2, where int64 holds it
+        sq = ((a * a).sum(axis=2) if d * int(a.max(initial=0)) ** 2 < 1 << 63
+              else None)
         has_minors = np.array([mids is not None for mids in minors],
                               dtype=bool)
         idx = np.flatnonzero(has_minors & (-lim < grams.min(axis=(1, 2)))
@@ -293,8 +301,13 @@ def greedy_corners(grams: np.ndarray, k: int, minors: list
                        abs_xp).min(axis=1)
         d_blocks = (vs < 0).astype(np.int8) * 2 - 1
         for j, t in enumerate(idx.tolist()):
-            midpoint, r_t = minors[t][d - 1], rows[t].tolist()
-            num, den = d * math.prod(r_t), min(r_t) * abs(midpoint)
+            r_t = rows[t].tolist()
+            cof = math.prod(r_t) // min(r_t)
+            if sq is not None:
+                s_t = sq[t].tolist()
+                cof = min(cof, math.isqrt(math.prod(s_t) // min(s_t) - 1) + 1)
+            midpoint = minors[t][d - 1]
+            num, den = d * cof, abs(midpoint)
             if all(x * den > num * r for x, r in zip(low[j].tolist(),
                                                      r_norm[j].tolist())):
                 corners[t] = (d_blocks[j], _close_certified(

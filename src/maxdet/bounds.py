@@ -1,4 +1,4 @@
-"""Closed-form determinant bounds and their exact floor decisions.
+"""Closed-form determinant bounds and their certified floor decisions.
 
 Bound values are carried as LogScalar (sign + ln).  The supporting lemmas
 of the paper are checked by tests/test_lemmas.py, and the exhaustive D(n)
@@ -11,16 +11,43 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .exact import LogScalar
+from .primes import prime_mask
 
 C_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+
+def central_binomial(h: int) -> int:
+    """binom(h, h/2) for even h >= 0, from its prime factorization.
+
+    By Legendre's formula the prime p divides it
+    sum_i (floor(h / p^i) - 2 floor(h / (2 p^i))) times.  The prime powers
+    are multiplied in a balanced product tree, so the big products are of
+    operands of like size.
+    """
+    half = h // 2
+    primes = np.flatnonzero(prime_mask(h))
+    exps = np.zeros_like(primes)
+    power = primes.copy()  # p^i, held at h + 1 once above h (a zero term)
+    while power.size and power[0] <= h:
+        exps += h // power - 2 * (half // power)
+        power = np.minimum(power * primes, h + 1)
+    keep = exps > 0
+    factors = [p ** e for p, e in zip(primes[keep].tolist(),
+                                      exps[keep].tolist())]
+    while len(factors) > 1:
+        factors = [math.prod(factors[i:i + 2])
+                   for i in range(0, len(factors), 2)]
+    return factors[0] if factors else 1
 
 
 def g_of_h(h: int) -> Fraction:
     """g(h) = 1 + 2^-h * h * binom(h, h/2), exactly."""
     if h < 2 or h % 2:
         raise ValueError("h must be an even integer >= 2")
-    return 1 + Fraction(h * math.comb(h, h // 2), 2 ** h)
+    return 1 + Fraction(h * central_binomial(h), 2 ** h)
 
 
 def h0(d: int) -> float:
@@ -109,7 +136,9 @@ class BoundReport:
 def make_context(n: int, h: int, d: int) -> BoundContext:
     eps = math.sqrt(4.0 * d * math.log(h) / h) if d >= 1 and h >= 3 else 0.0
     delta = 6.0 * d ** 3 / h
-    gh = float(g_of_h(h)) if h >= 2 and h % 2 == 0 else None
+    # one correctly rounded int division: float(g_of_h(h)), bit for bit
+    gh = ((2 ** h + h * central_binomial(h)) / 2 ** h
+          if h >= 2 and h % 2 == 0 else None)
     return BoundContext(n=n, h=h, d=d, epsilon=eps, delta=delta,
                         c=C_SQRT_2_OVER_PI,
                         g_h=gh, h0_d=h0(d) if d >= 1 else None)
@@ -187,13 +216,49 @@ def evaluate_bounds(n: int, h: int, d: int) -> BoundReport:
     return BoundReport(n=n, h=h, d=d, context=ctx, entries=tuple(entries))
 
 
+# a float floor decision stands only if its gap exceeds this share of the
+# magnitudes of its terms (see _dbar_sq_above)
+LOG_DECISION_MARGIN = 2.0 ** -40
+
+
 def _dbar_sq_above(det_n: int, m: int, k: int, width: int,
                    floor: Fraction) -> bool:
-    """Exactly decide Dbar(n)^2 > floor for a core of order m and weight k
-    bordered to n = m + width with Schur determinant det_n, as
-    Dbar(n)^2 = k^m det_n^2 / (k^(2 width) n^n), cleared of denominators."""
+    """Decide Dbar(n)^2 > floor for a core of order m and weight k bordered
+    to n = m + width with Schur determinant det_n, where
+    Dbar(n)^2 = k^m det_n^2 / (k^(2 width) n^n).
+
+    First in logarithms: the sign of the math.fsum of the terms
+    2 ln|det_n|, (m - 2 width) ln k, ln(floor.denominator), -n ln n and
+    -ln(floor.numerator).  Error bound, with u = 2^-53: each term is an
+    integer below 2^53 (exact as a float) times math.log of a positive
+    integer.  math.log rounds that integer to a float (below 2^1024) or
+    to its frexp mantissa f times 2^e (above, returning ln f + e ln 2),
+    each with relative error u, so with a libm log within one ulp every
+    log is within 5u of its value relative to it, and every term within
+    6u.  fsum rounds the exact sum once, so the computed gap is within
+    8u = 2^-50 times the sum of the terms' magnitudes of the true one.
+    The float answer stands only if the gap exceeds LOG_DECISION_MARGIN =
+    2^-40 times that sum, which leaves a factor 2^10 for a less accurate
+    libm.  Otherwise, and always for det_n = 0, ``_dbar_sq_above_exact``
+    decides in integers.
+    """
     n = m + width
-    lhs = int(det_n) ** 2 * k ** max(m - 2 * width, 0) * floor.denominator
+    det_n = int(det_n)
+    if det_n and k > 0:
+        terms = (2 * math.log(abs(det_n)), (m - 2 * width) * math.log(k),
+                 math.log(floor.denominator), -n * math.log(n),
+                 -math.log(floor.numerator))
+        gap = math.fsum(terms)
+        if abs(gap) > LOG_DECISION_MARGIN * math.fsum(map(abs, terms)):
+            return gap > 0
+    return _dbar_sq_above_exact(det_n, m, k, width, floor)
+
+
+def _dbar_sq_above_exact(det_n: int, m: int, k: int, width: int,
+                         floor: Fraction) -> bool:
+    """``_dbar_sq_above`` in integers, cleared of denominators."""
+    n = m + width
+    lhs = det_n ** 2 * k ** max(m - 2 * width, 0) * floor.denominator
     rhs = n ** n * k ** max(2 * width - m, 0) * floor.numerator
     return lhs > rhs
 

@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--slow", action="store_true",
                    help="include rows with core order above 6000")
-    p.add_argument("--rows", type=int, nargs="*", default=None,
+    p.add_argument("--rows", type=int, nargs="+", default=None,
                    help="restrict to rows with these h values")
     _add_sieve_flags(p)
     p.set_defaults(func=cmd_table1)

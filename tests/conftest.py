@@ -1,5 +1,6 @@
 import pytest
 
+from maxdet import bounds
 from maxdet.constructions import build_recipe
 from maxdet.sieve import build_order_set
 
@@ -25,3 +26,14 @@ def h8():
 @pytest.fixture(scope="session")
 def h12():
     return build_recipe("paley1(11)")
+
+
+@pytest.fixture
+def exact_floor_calls(monkeypatch):
+    """Arguments of every floor decision that the logarithms leave to the
+    exact integer comparison."""
+    calls = []
+    real = bounds._dbar_sq_above_exact
+    monkeypatch.setattr(bounds, "_dbar_sq_above_exact",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls

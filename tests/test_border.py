@@ -530,6 +530,31 @@ class TestGreedy:
             ref_d, ref_det, _ = reference_greedy(g, 4)
             assert np.array_equal(d_block, ref_d) and det_n == ref_det
 
+    def test_two_norm_bound_certifies_ill_conditioned(self, monkeypatch):
+        # every leading minor of G + 4I is nonzero but the block is far
+        # from dominant: the row 2-norm bound on its inverse certifies
+        # every sign, where the 1-norm bound left 146 determinants to the
+        # exact path
+        g = trial_generator(3, 12).integers(-9, 10, size=(12, 12))
+        calls = self._count_calls(monkeypatch)
+        [(d_block, det_n)] = batched_greedy(g[None], 4)
+        assert calls == {"_greedy_exact": 0, "det_exact": 1}
+        ref_d, ref_det, _ = reference_greedy(g, 4)
+        assert np.array_equal(d_block, ref_d) and det_n == ref_det
+
+    def test_one_norm_bound_where_two_norms_overflow(self, monkeypatch):
+        # entries near 2^34 would overflow the int64 squared row norms, so
+        # the 1-norm bound alone certifies the block
+        rng = np.random.default_rng(0)
+        g = (rng.integers(-(1 << 31), 1 << 31, size=(6, 6))
+             + (1 << 34) * np.eye(6, dtype=np.int64))
+        assert 6 * (int(np.abs(g).max()) + 4) ** 2 >= 1 << 63
+        calls = self._count_calls(monkeypatch)
+        [(d_block, det_n)] = batched_greedy(g[None], 4)
+        assert calls == {"_greedy_exact": 0, "det_exact": 1}
+        ref_d, ref_det, _ = reference_greedy(g, 4)
+        assert np.array_equal(d_block, ref_d) and det_n == ref_det
+
     def test_determinant_count_singular_midpoint(self, monkeypatch):
         # det(G + I) = 0: no leading minors, so the block takes the exact
         # path: the midpoint, 3 cofactors for each of 3 rows, and the final

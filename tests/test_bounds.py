@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maxdet.bounds import (PI_E_HI, PI_E_LO, evaluate_bounds, g_of_h, h0,
+from maxdet.bounds import (PI_E_HI, PI_E_LO, central_binomial,
+                           evaluate_bounds, g_of_h, h0, make_context,
                            passes_small_border_floor,
                            passes_uniform_floor)
 from oracles import maxdet_oracle
@@ -34,6 +35,46 @@ class TestGofH:
     def test_odd_h_rejected(self):
         with pytest.raises(ValueError):
             g_of_h(5)
+
+    @pytest.mark.parametrize("h", [2, 4, 6, 16, 30, 1020, 11060, 65536])
+    def test_context_float_from_prime_exponents(self, h):
+        # Legendre's exponents give the binomial exactly, and one int
+        # division gives the float of the exact g(h), bit for bit
+        assert central_binomial(h) == math.comb(h, h // 2)
+        assert make_context(h, h, 0).g_h == float(g_of_h(h))
+
+
+# far above 2^40 the logarithms cannot tell a threshold from its neighbour
+LOG_RESOLUTION = 1 << 40
+
+
+def uniform_floor(d):
+    return Fraction(49, 10 ** 4) * Fraction(44, 125) ** (2 * d)
+
+
+def floor_sides(m, k, width, floor):
+    """Dbar(n)^2 > floor iff k^(m - 2 width) det_n^2 > floor n^n: the
+    Fraction k^(m - 2 width) and the right side.  Every Fraction step has
+    one small operand, so no gcd of two big integers is taken."""
+    n = m + width
+    return Fraction(k) ** (m - 2 * width), floor * Fraction(n) ** n
+
+
+def sampled_dets(m, k, width, floor, seed):
+    """det_n values near the floor's threshold, far from it, and 0, 1."""
+    unit, rhs = floor_sides(m, k, width, floor)
+    x = (rhs.numerator * unit.denominator) // (rhs.denominator
+                                               * unit.numerator)
+    t = math.isqrt(x) + 1  # the smallest |det_n| above the floor
+    rng = np.random.default_rng(seed)
+    far = [t * int(f) // 1000 for f in rng.integers(1, 10 ** 6, size=4)]
+    return [t - 1, -t, 0, 1, *far]
+
+
+# (m, k, width, d) of Table 1 cells, up to the core of its largest row
+TABLE1_SAMPLES = [(664, 664, 5, 5), (710, 709, 6, 6), (2868, 2868, 10, 10),
+                  (5750, 5749, 8, 14), (23994, 23993, 4, 18),
+                  (60458, 60457, 20, 22)]
 
 
 class TestH0:
@@ -228,13 +269,25 @@ class TestUniformFloor:
     @pytest.mark.parametrize("m,k,width,d", [
         (4, 4, 1, 1), (12, 12, 3, 3), (6, 5, 4, 2), (2, 2, 5, 5),
         (664, 664, 5, 5), (710, 709, 7, 5)])
-    def test_boundary_matches_fractions(self, m, k, width, d):
+    def test_boundary_matches_fractions(self, m, k, width, d, exact_floor_calls):
         t = self.threshold(m, k, width, d)
         for det_n in (t - 1, t, -t, t + 1, 0, 1):
             assert passes_uniform_floor(det_n, m, k, width, d) \
                 == self.oracle(det_n, m, k, width, d), det_n
-        assert passes_uniform_floor(t, m, k, width, d)
-        assert not passes_uniform_floor(t - 1, m, k, width, d)
+        for det_n in (t - 1, t):
+            exact_floor_calls.clear()
+            assert passes_uniform_floor(det_n, m, k, width, d) == (det_n == t)
+            # the logarithms decide unless the threshold is too large for
+            # them to separate t - 1 from t (or det N = 0)
+            assert len(exact_floor_calls) == (det_n == 0 or t > LOG_RESOLUTION)
+
+    @pytest.mark.parametrize("m,k,width,d", TABLE1_SAMPLES)
+    def test_table1_samples_match_fractions(self, m, k, width, d):
+        floor = uniform_floor(d)
+        unit, rhs = floor_sides(m, k, width, floor)
+        for det_n in sampled_dets(m, k, width, floor, m):
+            assert passes_uniform_floor(det_n, m, k, width, d) \
+                == (unit * det_n ** 2 > rhs), det_n
 
     def test_numpy_det(self):
         assert passes_uniform_floor(np.int64(48), 4, 4, 1, 1) is True
@@ -284,7 +337,7 @@ class TestSmallBorderFloor:
     @pytest.mark.parametrize("m,k,width,d", [
         (4, 4, 1, 1), (12, 12, 3, 3), (6, 5, 4, 2), (2, 2, 5, 5),
         (664, 664, 5, 5), (710, 709, 7, 5), (4096, 4096, 20, 20)])
-    def test_boundary_matches_fractions(self, m, k, width, d):
+    def test_boundary_matches_fractions(self, m, k, width, d, exact_floor_calls):
         t_true = self.threshold(m, k, width, d, PI_E_LO)
         t_open = self.threshold(m, k, width, d, PI_E_HI)  # first non-false
         assert t_open <= t_true
@@ -296,6 +349,22 @@ class TestSmallBorderFloor:
         below = passes_small_border_floor(t_true - 1, m, k, width, d)
         assert below is (None if t_true - 1 >= t_open else False)
         assert passes_small_border_floor(t_open - 1, m, k, width, d) is False
+        # the logarithms decide unless the thresholds are too large for
+        # them to separate neighbours
+        for det_n in (t_true - 1, t_true, t_open - 1, t_open):
+            exact_floor_calls.clear()
+            passes_small_border_floor(det_n, m, k, width, d)
+            assert bool(exact_floor_calls) == (t_open > LOG_RESOLUTION), det_n
+
+    @pytest.mark.parametrize("m,k,width,d", TABLE1_SAMPLES)
+    def test_table1_samples_match_fractions(self, m, k, width, d):
+        lo, hi = (floor_sides(m, k, width, (2 / pi_e) ** d)
+                  for pi_e in (PI_E_LO, PI_E_HI))
+        for det_n in sampled_dets(m, k, width, (2 / PI_E_LO) ** d, m):
+            want = (True if lo[0] * det_n ** 2 > lo[1] else
+                    False if hi[0] * det_n ** 2 <= hi[1] else None)
+            assert passes_small_border_floor(det_n, m, k, width, d) is want, \
+                det_n
 
     def test_undecided_band(self):
         # at m = 4096, d = 20 the thresholds are near 10^108 and the bracket

@@ -420,14 +420,25 @@ class TestTable1:
         data = json.loads(out)
         assert data["rows"][0]["status"] == "skipped"
 
-    def test_stdout_bytes_pinned(self, capsys):
+    def test_stdout_bytes_pinned(self, capsys, exact_floor_calls):
         # the benchmark's own command; any change to these bytes must be
-        # deliberate and named
+        # deliberate and named.  Logarithms decide every floor of its 16
+        # cells, with no exact comparison
         code, out, _ = run_cli(capsys, "table1", "--trials", "8",
                                "--seed", "5")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "22e8afa8e75c0d32815bdeaa7cff61ea2b10c7d59adacc04dbe7ddde3aed1fb3")
+        assert sum(len(row.get("checks", ()))
+                   for row in json.loads(out)["rows"]) == 16
+        assert exact_floor_calls == []
+
+    def test_empty_rows_is_usage_error(self, capsys):
+        # an empty --rows would otherwise select every row
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--rows", "--trials", "1"])
+        assert exc.value.code == 2
+        assert "--rows" in capsys.readouterr().err
 
     def test_unknown_row_rejected(self, capsys):
         code, out, err = run_cli(capsys, "table1", "--rows", "664", "5745",
