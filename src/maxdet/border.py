@@ -42,8 +42,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from operator import attrgetter, mul
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -61,14 +61,11 @@ class SchurConsistencyError(RuntimeError):
     """An exact cross-check of the determinant failed (internal bug)."""
 
 
-@dataclass(frozen=True)
 class SearchConfig:
-    trials: int = 256
-    master_seed: int = 0
-
-    def __post_init__(self):
-        if self.trials < 1:
+    def __init__(self, trials: int = 256, master_seed: int = 0):
+        if trials < 1:
             raise ValueError("trials must be >= 1")
+        self.trials, self.master_seed = trials, master_seed
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -76,8 +73,7 @@ DEFAULT_CONFIG = SearchConfig()
 # verify_witness also checks the full bordered determinant up to this n
 DIRECT_CHECK_LIMIT = 64
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     """One trial of a search: its corner D (int8) and det N = det(G - k D)."""
 
     ratio: LogScalar
@@ -355,18 +351,17 @@ def _ratio_from_det(det_n: int, m: int, k: int, d: int) -> LogScalar:
     return normalized_ratio(LogScalar(1, log_det), m + d)
 
 
-@dataclass
 class SharedBlocks:
     """The trials of one search at the largest width W it serves, kept from
     the first trial to the end: every trial's G (T x W x W int64, 8 T W^2
     bytes), the leading principal minors of each G + kI, which are the
     midpoints of every width, and each width's greedy corners."""
 
-    width: int
-    config: SearchConfig
-    grams: np.ndarray | None = None
-    minors: list = field(default_factory=list)
-    corners: dict = field(default_factory=dict)
+    def __init__(self, width: int, config: SearchConfig):
+        self.width, self.config = width, config
+        self.grams: np.ndarray | None = None
+        self.minors: list = []
+        self.corners: dict = {}
 
     def fill(self, q: QuasiOrthogonal, d: int) -> None:
         """Make every trial's G at width W, one product each from the
@@ -486,9 +481,17 @@ def witness_dict(result: TrialResult) -> dict:
 
 
 def save_witness(path, result: TrialResult) -> None:
+    """The bytes of ``json.dump(witness_dict(result), fh, indent=2)`` and a
+    newline, laid out in one pass and one write.  The one list, B, holds
+    '+'/'-' strings, which JSON quotes without escapes, so its rows are
+    joined as they are: no string per encoded row."""
+    lines = []
+    for key, value in witness_dict(result).items():
+        text = (json.dumps(value) if not isinstance(value, list) else
+                '[\n    "' + '",\n    "'.join(value) + '"\n  ]')
+        lines.append(f"  {json.dumps(key)}: {text}")
     with open(path, "w") as fh:
-        json.dump(witness_dict(result), fh, indent=2)
-        fh.write("\n")
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 def _parse_signs(rows: list[str], name: str, d: int) -> np.ndarray:

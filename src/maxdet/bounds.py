@@ -8,8 +8,8 @@ oracle for n <= 6 lives in tests/oracles.py, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,7 @@ def h0(d: int) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class BoundContext:
+class BoundContext(NamedTuple):
     n: int
     h: int
     d: int
@@ -73,8 +72,7 @@ class BoundContext:
     h0_d: float | None
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     name: str
     applicable: bool
     reason: str
@@ -96,8 +94,7 @@ class BoundEntry:
         return row
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     n: int
     h: int
     d: int
@@ -222,9 +219,9 @@ LOG_DECISION_MARGIN = 2.0 ** -40
 
 
 def _dbar_sq_above(det_n: int, m: int, k: int, width: int,
-                   floor: Fraction) -> bool:
-    """Decide Dbar(n)^2 > floor for a core of order m and weight k bordered
-    to n = m + width with Schur determinant det_n, where
+                   *floors: Fraction) -> list[bool]:
+    """Decide Dbar(n)^2 > floor for each floor, for a core of order m and
+    weight k bordered to n = m + width with Schur determinant det_n, where
     Dbar(n)^2 = k^m det_n^2 / (k^(2 width) n^n).
 
     First in logarithms: the sign of the math.fsum of the terms
@@ -237,37 +234,45 @@ def _dbar_sq_above(det_n: int, m: int, k: int, width: int,
     log is within 5u of its value relative to it, and every term within
     6u.  fsum rounds the exact sum once, so the computed gap is within
     8u = 2^-50 times the sum of the terms' magnitudes of the true one.
-    The float answer stands only if the gap exceeds LOG_DECISION_MARGIN =
+    A float answer stands only if the gap exceeds LOG_DECISION_MARGIN =
     2^-40 times that sum, which leaves a factor 2^10 for a less accurate
-    libm.  Otherwise, and always for det_n = 0, ``_dbar_sq_above_exact``
-    decides in integers.
+    libm.  If any floor is left open, and always for det_n = 0, one call
+    of ``_dbar_sq_above_exact`` decides them all in integers.
     """
     n = m + width
     det_n = int(det_n)
     if det_n and k > 0:
-        terms = (2 * math.log(abs(det_n)), (m - 2 * width) * math.log(k),
-                 math.log(floor.denominator), -n * math.log(n),
-                 -math.log(floor.numerator))
-        gap = math.fsum(terms)
-        if abs(gap) > LOG_DECISION_MARGIN * math.fsum(map(abs, terms)):
-            return gap > 0
-    return _dbar_sq_above_exact(det_n, m, k, width, floor)
+        common = (2 * math.log(abs(det_n)), (m - 2 * width) * math.log(k),
+                  -n * math.log(n))
+        above = []
+        for floor in floors:
+            terms = common + (math.log(floor.denominator),
+                              -math.log(floor.numerator))
+            gap = math.fsum(terms)
+            if abs(gap) <= LOG_DECISION_MARGIN * math.fsum(map(abs, terms)):
+                break
+            above.append(gap > 0)
+        else:
+            return above
+    return _dbar_sq_above_exact(det_n, m, k, width, floors)
 
 
 def _dbar_sq_above_exact(det_n: int, m: int, k: int, width: int,
-                         floor: Fraction) -> bool:
-    """``_dbar_sq_above`` in integers, cleared of denominators."""
+                         floors: tuple[Fraction, ...]) -> list[bool]:
+    """``_dbar_sq_above`` in integers, cleared of denominators: the two
+    sides k^m det_n^2 and k^(2 width) n^n, each without the power of k that
+    they share, are formed once for every floor."""
     n = m + width
-    lhs = det_n ** 2 * k ** max(m - 2 * width, 0) * floor.denominator
-    rhs = n ** n * k ** max(2 * width - m, 0) * floor.numerator
-    return lhs > rhs
+    lhs = det_n ** 2 * k ** max(m - 2 * width, 0)
+    rhs = n ** n * k ** max(2 * width - m, 0)
+    return [lhs * f.denominator > rhs * f.numerator for f in floors]
 
 
 def passes_uniform_floor(det_n: int, m: int, k: int, width: int, d: int
                          ) -> bool:
     """Exactly decide Dbar(n) > (7/100) (44/125)^d for a bordered witness."""
-    return _dbar_sq_above(det_n, m, k, width,
-                          Fraction(49, 10 ** 4) * Fraction(44, 125) ** (2 * d))
+    floor = Fraction(49, 10 ** 4) * Fraction(44, 125) ** (2 * d)
+    return _dbar_sq_above(det_n, m, k, width, floor)[0]
 
 
 # pi e lies strictly between these products of pi and e to 30 decimals
@@ -282,9 +287,7 @@ def passes_small_border_floor(det_n: int, m: int, k: int, width: int, d: int
     """Decide Dbar(n) > (2/(pi e))^(d/2) for a bordered witness in integers:
     True if Dbar(n)^2 > (2/PI_E_LO)^d, False if Dbar(n)^2 <= (2/PI_E_HI)^d,
     and None (undecided) in between."""
-    if _dbar_sq_above(det_n, m, k, width, (2 / PI_E_LO) ** d):
-        return True
-    if not _dbar_sq_above(det_n, m, k, width, (2 / PI_E_HI) ** d):
-        return False
-    return None
+    above_lo, above_hi = _dbar_sq_above(det_n, m, k, width,
+                                        (2 / PI_E_LO) ** d, (2 / PI_E_HI) ** d)
+    return True if above_lo else None if above_hi else False
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -332,6 +333,7 @@ def _add_sieve_flags(p):
                    help="sieve cache file (HADSIEVE2 format)")
 
 
+@functools.cache  # one parser per process, built by the first main()
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="maxdet",

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable
 
@@ -51,25 +50,21 @@ def work_array(work: dict, name: str, shape: tuple, dtype=np.float64
     return a[:shape[0]]
 
 
-@dataclass(frozen=True)
 class QuasiOrthogonal:
     """Square {-1,0,+1} matrix Q with Q Q^T = weight * I, held as the exact
     operator X -> X Q.
 
-    The operator and ``rmatmul`` write into work arrays that the core keeps
-    between calls, so a core is not for concurrent use.
+    ``right_mul(X, out)`` sets out = X Q for an int64 array X with `order`
+    columns and an int64 array out of its shape apart from X, exact in
+    int64.  The operator and ``rmatmul`` write into work arrays that the
+    core keeps between calls, so a core is not for concurrent use.
     """
 
-    order: int
-    weight: int
-    kind: str
-    recipe: str
-    # (X, out) -> out = X Q for an int64 array X with `order` columns and
-    # an int64 array out of its shape apart from X, exact in int64
-    right_mul: Callable[[np.ndarray, np.ndarray], None] = field(
-        compare=False, repr=False)
-    work: dict = field(default_factory=dict, init=False, compare=False,
-                       repr=False)
+    def __init__(self, order: int, weight: int, kind: str, recipe: str,
+                 right_mul: Callable[[np.ndarray, np.ndarray], None]):
+        self.order, self.weight, self.kind = order, weight, kind
+        self.recipe, self.right_mul = recipe, right_mul
+        self.work: dict = {}
 
     def rmatmul(self, b: np.ndarray, out: np.ndarray | None = None
                 ) -> np.ndarray:

@@ -10,8 +10,7 @@ stay representable for n in the thousands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 def det_exact(rows: Sequence[Sequence[int]]) -> int:
@@ -83,8 +82,7 @@ def leading_minors(rows: Sequence[Sequence[int]]) -> list[int] | None:
     return minors
 
 
-@dataclass(frozen=True)
-class LogScalar:
+class LogScalar(NamedTuple):
     """Sign and natural log of absolute value.
 
     log_abs is meaningless when sign == 0 (kept at 0.0 by convention).

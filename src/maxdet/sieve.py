@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,8 +208,7 @@ class OrderSet:
         return out
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """n split as h + d with h the largest member not exceeding n."""
 
     n: int
@@ -217,8 +216,7 @@ class Resolution:
     d: int
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Largest gap between consecutive members starting at or below x."""
 
     x: int

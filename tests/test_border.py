@@ -1,10 +1,11 @@
+import dataclasses
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -13,6 +14,7 @@ import pytest
 
 import maxdet
 from maxdet import border as border_mod
+from maxdet import bounds, cli, constructions, exact, primes, sieve
 from maxdet.border import (SchurConsistencyError, SearchConfig,
                            SharedBlocks, WitnessError, _greedy_exact,
                            _ratio_from_det, _sign_completion,
@@ -22,8 +24,8 @@ from maxdet.border import (SchurConsistencyError, SearchConfig,
                            witness_dict)
 from maxdet.cli import (EXCEPTIONAL_FAST_CORE_MAX, EXCEPTIONAL_ROWS,
                         _table1_core)
-from maxdet.constructions import (ExactnessError, build_recipe,
-                                  paley_conference)
+from maxdet.constructions import (ExactnessError, QuasiOrthogonal,
+                                  build_recipe, paley_conference)
 from maxdet.exact import LogScalar, det_exact, leading_minors
 
 
@@ -64,6 +66,11 @@ def trials_of(cases, master_seed):
         for recipe, (width, trials) in top.items()}
     return [run_trial(cores[recipe], d, t, blocks[recipe])
             for recipe, d, t in cases]
+
+
+def claiming_order(q, order):
+    """A core with q's operator that states another order."""
+    return QuasiOrthogonal(order, q.weight, q.kind, q.recipe, q.right_mul)
 
 
 def flip_sign(row: str, j: int) -> str:
@@ -246,19 +253,21 @@ class TestSignCompletion:
         # the float64 Gram block is exact while m^2 < 2^53; a core that
         # only claims a larger order trips the guard before any product
         b = sample_border_columns(trial_generator(0, 0), 4, 2)
-        _, g = _sign_completion(b, replace(h4, order=94_906_265))
+        _, g = _sign_completion(b, claiming_order(h4, 94_906_265))
         assert np.array_equal(g, _sign_completion(b, h4)[1])
         with pytest.raises(ExactnessError, match="Gram"):
-            _sign_completion(b, replace(h4, order=94_906_266))
+            _sign_completion(b, claiming_order(h4, 94_906_266))
 
     def test_gram_order_guard_under_optimize(self):
         script = textwrap.dedent("""
             import sys
-            from dataclasses import replace
             import numpy as np
             from maxdet.border import _sign_completion
-            from maxdet.constructions import ExactnessError, build_recipe
-            q = replace(build_recipe("unit;double"), order=1 << 27)
+            from maxdet.constructions import (ExactnessError,
+                                              QuasiOrthogonal, build_recipe)
+            h2 = build_recipe("unit;double")
+            q = QuasiOrthogonal(1 << 27, h2.weight, h2.kind, h2.recipe,
+                                h2.right_mul)
             try:
                 _sign_completion(np.ones((2, 1), dtype=np.int8), q)
             except ExactnessError:
@@ -937,6 +946,18 @@ class TestWitness:
         with pytest.raises(WitnessError, match="B row 7"):
             verify_witness(w)
 
+    @pytest.mark.parametrize("recipe,d", [
+        ("unit", 0), ("paley1(11)", 0), ("paley1(11)", 1),
+        ("conference(13)", 3)], ids=["unit", "bare-core", "d1", "conference"])
+    def test_saved_bytes_equal_json_dump(self, tmp_path, recipe, d):
+        # save_witness lays the text out itself, in json.dump's bytes
+        best = search(build_recipe(recipe), d,
+                      SearchConfig(trials=4, master_seed=7))
+        path = tmp_path / "w.json"
+        save_witness(path, best)
+        assert path.read_text() == (
+            json.dumps(witness_dict(best), indent=2) + "\n")
+
     def test_witness_fields(self, h12):
         best = search(h12, 2, SearchConfig(trials=2, master_seed=12))
         w = witness_dict(best)
@@ -945,6 +966,47 @@ class TestWitness:
         assert len(w["D_off"]) == 2
         assert w["recipe"] == "paley1(11)"
         json.dumps(w)  # serializable
+
+
+class TestRecordClasses:
+    def test_no_dataclasses(self):
+        # records are NamedTuples or plain classes: no code generation at
+        # import, and maxdet adds no import of dataclasses
+        for mod in (border_mod, bounds, cli, constructions, exact, primes,
+                    sieve):
+            for name, cls in inspect.getmembers(mod, inspect.isclass):
+                assert not dataclasses.is_dataclass(cls), (mod, name)
+        script = textwrap.dedent("""
+            import sys
+            import numpy
+            before = "dataclasses" in sys.modules
+            import maxdet.cli
+            print(before, "dataclasses" in sys.modules)
+        """)
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(
+                                 Path(maxdet.__file__).parents[1])})
+        before, after = out.stdout.split()
+        assert after == before
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_search_config_needs_a_trial(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            SearchConfig(trials=trials)
+        with pytest.raises(ValueError, match="trials"):
+            SearchConfig(trials, 5)
+
+    def test_search_config_defaults(self):
+        config = SearchConfig()
+        assert (config.trials, config.master_seed) == (256, 0)
+        assert border_mod.DEFAULT_CONFIG.trials == 256
+
+    def test_shared_blocks_start_empty(self):
+        config = SearchConfig(trials=2)
+        a, b = SharedBlocks(3, config), SharedBlocks(3, config)
+        assert a.grams is None and a.minors == [] and a.corners == {}
+        assert a.minors is not b.minors and a.corners is not b.corners
 
 
 class TestAssemble:

@@ -350,21 +350,26 @@ class TestSmallBorderFloor:
         assert below is (None if t_true - 1 >= t_open else False)
         assert passes_small_border_floor(t_open - 1, m, k, width, d) is False
         # the logarithms decide unless the thresholds are too large for
-        # them to separate neighbours
-        for det_n in (t_true - 1, t_true, t_open - 1, t_open):
+        # them to separate neighbours, and then one exact call decides both
+        # floors
+        for det_n in (t_true - 1, t_true, t_open - 1, t_open, 0):
             exact_floor_calls.clear()
             passes_small_border_floor(det_n, m, k, width, d)
-            assert bool(exact_floor_calls) == (t_open > LOG_RESOLUTION), det_n
+            assert len(exact_floor_calls) == (
+                det_n == 0 or t_open > LOG_RESOLUTION), det_n
 
     @pytest.mark.parametrize("m,k,width,d", TABLE1_SAMPLES)
-    def test_table1_samples_match_fractions(self, m, k, width, d):
+    def test_table1_samples_match_fractions(self, m, k, width, d,
+                                            exact_floor_calls):
         lo, hi = (floor_sides(m, k, width, (2 / pi_e) ** d)
                   for pi_e in (PI_E_LO, PI_E_HI))
         for det_n in sampled_dets(m, k, width, (2 / PI_E_LO) ** d, m):
+            exact_floor_calls.clear()
             want = (True if lo[0] * det_n ** 2 > lo[1] else
                     False if hi[0] * det_n ** 2 <= hi[1] else None)
             assert passes_small_border_floor(det_n, m, k, width, d) is want, \
                 det_n
+            assert len(exact_floor_calls) <= 1, det_n
 
     def test_undecided_band(self):
         # at m = 4096, d = 20 the thresholds are near 10^108 and the bracket

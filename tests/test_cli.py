@@ -10,7 +10,7 @@ import pytest
 
 import maxdet
 from maxdet import constructions
-from maxdet.cli import EXCEPTIONAL_ROWS, _table1_core, main
+from maxdet.cli import EXCEPTIONAL_ROWS, _table1_core, build_parser, main
 
 
 # the order-1 Hadamard matrix as a kron product nested 1000 deep
@@ -85,6 +85,36 @@ class TestBasicCommands:
         code, _, _ = run_cli(capsys, "sieve", *limit_args, "--out", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_print_as_first_calls(self, capsys,
+                                                       tmp_path):
+        # main() builds its parser once per process; no call may see what
+        # an earlier one parsed
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        run_cli(capsys, "bound", "50", "--trials", "2", "--out", str(good))
+        blob = json.loads(good.read_text())
+        blob["det_schur"] = str(int(blob["det_schur"]) + 1)
+        bad.write_text(json.dumps(blob))
+        sequence = [
+            ("table1", "--rows", "664", "--trials", "2"),
+            ("table1", "--trials", "2"),
+            ("bound", "670", "--trials", "2", "--format", "csv"),
+            ("bound", "670", "--trials", "2"),
+            ("verify", str(bad)),
+            ("verify", str(good)),
+        ]
+        first = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            first.append(run_cli(capsys, *argv))
+        build_parser.cache_clear()
+        assert [run_cli(capsys, *argv) for argv in sequence] == first
+        assert build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in first] == [0, 0, 0, 0, 1, 0]
+        assert json.loads(first[1][1])["rows"][1]["h"] == 712
+        assert first[2][1].startswith("name,applicable")
 
 
 class TestDeterminism:
@@ -200,13 +230,19 @@ class TestWitnessFlow:
          "f52cc766eed06c78cf8f50eae6fd9dd5d4977ae4b747cc8818a2c834cb6937ba"),
         (("search", "--recipe", "conference(709)", "--d", "0"),
          "4929593ef47d8a69b79263052cf6d52ac674468f5b1a2561fffb747951383d0c"),
-    ], ids=["bound-670", "search-709-bare-core"])
+        (("bound", "11062", "--method", "conference", "--trials", "4",
+          "--seed", "5"),
+         "d86acc07ee2b8e03173d1117004eed2237ec069a3c4a668ba21003fff968cb3d"),
+    ], ids=["bound-670", "search-709-bare-core", "bound-11062-conference"])
     def test_witness_bytes_pinned(self, capsys, tmp_path, argv, digest):
-        # B is drawn again from the best trial's stream for the witness
+        # B is drawn again from the best trial's stream for the witness,
+        # and the file is what json.dump(..., indent=2) writes, newline ended
         path = tmp_path / "w.json"
         code, _, _ = run_cli(capsys, *argv, "--out", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     def test_verify_catches_corruption(self, capsys, tmp_path):
         path = tmp_path / "w.json"

@@ -90,6 +90,14 @@ def matrix_core(m, kind=HADAMARD, weight=None):
                            lambda x, out: np.matmul(x, m, out=out))
 
 
+class TestCoreRecord:
+    def test_work_not_shared(self):
+        a, b = build_recipe("paley1(11)"), build_recipe("paley1(11)")
+        assert a.work == {} and a.work is not b.work
+        a.rmatmul(np.ones((12, 2), dtype=np.int8))
+        assert a.work and b.work == {}
+
+
 class TestPaleyOne:
     def test_order4(self):
         q = paley_one(3)

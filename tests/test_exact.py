@@ -129,6 +129,31 @@ class TestLogScalar:
         assert LogScalar(-1, log(5)) < LogScalar(0, 0.0) < LogScalar(1, log(3))
         assert LogScalar(-1, log(2)) > LogScalar(-1, log(7))
         assert LogScalar(1, log(9)) > LogScalar(1, log(8))
+        xs = [LogScalar(1, 2.0), LogScalar(-1, 1.0), LogScalar(-1, 3.0),
+              LogScalar(0, 0.0), LogScalar(1, -1.0)]
+        assert sorted(xs) == [LogScalar(-1, 3.0), LogScalar(-1, 1.0),
+                              LogScalar(0, 0.0), LogScalar(1, -1.0),
+                              LogScalar(1, 2.0)]
+        assert max(xs) == LogScalar(1, 2.0)
+        assert min(xs) == LogScalar(-1, 3.0)
+
+    def test_equality_and_hash(self):
+        # equal iff both fields are, hashed as the pair (sign, log_abs)
+        a, b = LogScalar(1, 0.5), LogScalar(1, 0.5)
+        assert a == b and not a != b
+        assert hash(a) == hash(b) == hash((1, 0.5))
+        assert a != LogScalar(-1, 0.5) and a != LogScalar(1, 0.25)
+        assert len({a, b, LogScalar(-1, 0.5), LogScalar(1, 0.25)}) == 3
+        # the order ignores log_abs at sign 0, equality does not
+        zero, other = LogScalar(0, 0.0), LogScalar(0, 3.0)
+        assert zero != other
+        assert zero <= other and zero >= other
+        assert not (zero < other or zero > other)
+
+    def test_immutable(self):
+        x = LogScalar(1, 0.5)
+        with pytest.raises(AttributeError):
+            x.sign = -1
 
 
 class TestNormalizedRatio:
