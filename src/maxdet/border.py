@@ -454,16 +454,29 @@ def assemble_bordered(q: QuasiOrthogonal, b: np.ndarray, c: np.ndarray,
 # witnesses
 
 
+def _sign_rows(block: np.ndarray, lead: bytes = b"", tail: bytes = b""
+               ) -> np.ndarray:
+    """One uint8 buffer whose row i is lead, row i of a 2-d sign array as
+    '+' and '-', then tail."""
+    m, d = block.shape
+    end = len(lead) + d
+    rows = np.empty((m, end + len(tail)), dtype=np.uint8)
+    rows[:, :len(lead)] = np.frombuffer(lead, dtype=np.uint8)
+    rows[:, end:] = np.frombuffer(tail, dtype=np.uint8)
+    signs = rows[:, len(lead):end]
+    signs[...] = ord("-")
+    np.copyto(signs, ord("+"), where=block > 0)
+    return rows
+
+
 def _sign_strings(block: np.ndarray) -> list[str]:
     """Each row of a 2-d sign array as a string of '+' and '-'."""
     m, d = block.shape
-    chars = np.where(block > 0, ord("+"), ord("-")).astype(np.uint8)
-    text = chars.tobytes().decode("ascii")
+    text = _sign_rows(block).tobytes().decode("ascii")
     return [text[i:i + d] for i in range(0, m * d, d)] if d else [""] * m
 
 
-def witness_dict(result: TrialResult) -> dict:
-    """Serializable witness; C is omitted (recomputed from B on verify)."""
+def _witness_fields(result: TrialResult, b) -> dict:
     d = result.d
     d_off = result.D[~np.eye(d, dtype=bool)]
     return {
@@ -472,7 +485,7 @@ def witness_dict(result: TrialResult) -> dict:
         "recipe": result.recipe,
         "master_seed": result.master_seed,
         "trial_index": result.trial_index,
-        "B": _sign_strings(result.B),
+        "B": b,
         "D_off": _sign_strings(d_off[None])[0],
         "det_schur": str(result.det_n),
         "ratio_log": result.ratio.log_abs,
@@ -480,18 +493,24 @@ def witness_dict(result: TrialResult) -> dict:
     }
 
 
+def witness_dict(result: TrialResult) -> dict:
+    """Serializable witness; C is omitted (recomputed from B on verify)."""
+    return _witness_fields(result, _sign_strings(result.B))
+
+
 def save_witness(path, result: TrialResult) -> None:
     """The bytes of ``json.dump(witness_dict(result), fh, indent=2)`` and a
-    newline, laid out in one pass and one write.  The one list, B, holds
-    '+'/'-' strings, which JSON quotes without escapes, so its rows are
-    joined as they are: no string per encoded row."""
-    lines = []
-    for key, value in witness_dict(result).items():
-        text = (json.dumps(value) if not isinstance(value, list) else
-                '[\n    "' + '",\n    "'.join(value) + '"\n  ]')
-        lines.append(f"  {json.dumps(key)}: {text}")
-    with open(path, "w") as fh:
-        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+    newline.  B's m rows are '+'/'-' strings, which JSON quotes without
+    escapes, so they are laid out as one uint8 buffer straight from the
+    sign array, with no string per row; json lays out every other field
+    around an empty B."""
+    rows = _sign_rows(result.B, b'    "', b'",\n')
+    head, _, rest = json.dumps(_witness_fields(result, []),
+                               indent=2).partition('"B": []')
+    with open(path, "wb") as fh:
+        fh.write(f'{head}"B": [\n'.encode())
+        fh.write(rows.reshape(-1)[:-2])  # the last row takes no comma
+        fh.write(f"\n  ]{rest}\n".encode())
 
 
 def _parse_signs(rows: list[str], name: str, d: int) -> np.ndarray:

@@ -402,6 +402,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, ExactnessError) as exc:
         _log(f"error: {exc}")
         return 1
+    except MemoryError as exc:  # numpy's _ArrayMemoryError is one
+        _log(f"error: out of memory ({exc})" if str(exc) else
+             "error: out of memory")
+        return 1
 
 
 if __name__ == "__main__":

@@ -56,8 +56,10 @@ class QuasiOrthogonal:
 
     ``right_mul(X, out)`` sets out = X Q for an int64 array X with `order`
     columns and an int64 array out of its shape apart from X, exact in
-    int64.  The operator and ``rmatmul`` write into work arrays that the
-    core keeps between calls, so a core is not for concurrent use.
+    int64.  A doubled core views out's rows as two halves each and raises
+    ValueError when out's layout does not allow that view.  The operator
+    and ``rmatmul`` write into work arrays that the core keeps between
+    calls, so a core is not for concurrent use.
     """
 
     def __init__(self, order: int, weight: int, kind: str, recipe: str,
@@ -228,9 +230,11 @@ def _paley_circulant(p: int, eps: int, name: str
     quotient is off by less than 1/2 even after its own rounding) and
     y_lo = Y - base y_hi is an exact float64 difference.  Both checks run
     on the packed rows, which halves the transforms.
-    The float work arrays are kept between calls (grown to the largest row
-    count seen), so a search's products allocate no array here; pocketfft
-    still takes its own scratch inside each transform.
+    Two float work arrays are kept between calls (grown to the largest row
+    count seen): the padded rows, which then take the inverse transform,
+    and the spectrum, whose float64 view then takes the rounded values.
+    So a search's products allocate no array here; pocketfft still takes
+    its own scratch inside each transform.
 
     The certificate raises ExactnessError, so it also runs under python -O:
     (1) chi(0) = 0, |chi| = 1 elsewhere and sum chi = 0, so J 1 = 0;
@@ -257,10 +261,14 @@ def _paley_circulant(p: int, eps: int, name: str
                                 < 0.25) else 1
         rows = -(-c // lanes)
         pad = work_array(work, "pad", (rows, size))
-        xf = pad[:, :p]  # the tail of pad stays zero
-        xf[...] = x[::lanes]
+        pad[:, p:] = 0  # the last irfft wrote there
+        xf = pad[:, :p]
         if lanes == 2:
-            xf[:c // 2] += base * x[1::2]
+            np.multiply(x[1::2], base, out=xf[:c // 2])
+            xf[c // 2:] = 0  # an odd last row goes alone
+            xf += x[::2]
+        else:
+            xf[...] = x
         norm = math.sqrt(float(np.einsum("ij,ij->i", xf, xf).max(initial=0)))
         bound = norm * factor
         if not bound < 0.25:
@@ -269,9 +277,10 @@ def _paley_circulant(p: int, eps: int, name: str
         spec = np.fft.rfft(pad, out=work_array(
             work, "spec", (rows, size // 2 + 1), complex))
         spec *= chi_hat
-        y = np.fft.irfft(spec, size, out=work_array(work, "y", (rows, size)))
-        y = y[:, :2 * p - 1]
-        r = np.rint(y, out=work_array(work, "r", (rows, 2 * p - 1)))
+        # pad, spent once transformed, takes the inverse, and the float64
+        # view of spec, spent once inverted, takes its rounding
+        y = np.fft.irfft(spec, size, out=pad)[:, :2 * p - 1]
+        r = np.rint(y, out=spec.view(np.float64)[:, :2 * p - 1])
         y -= r
         residual = float(np.abs(y, out=y).max(initial=0))
         if not residual < 0.25:
@@ -308,9 +317,8 @@ def paley_one(p: int) -> QuasiOrthogonal:
         out[:, :1] = x0 + xr.sum(axis=1, keepdims=True)
         yr = out[:, 1:]
         conv(xr, yr)
-        np.negative(yr, out=yr)
-        yr -= xr
-        yr += x0
+        yr += xr
+        np.subtract(x0, yr, out=yr)
 
     return QuasiOrthogonal(p + 1, p + 1, HADAMARD, f"paley1({p})", right_mul)
 
@@ -372,16 +380,16 @@ def sylvester_double(q: QuasiOrthogonal) -> QuasiOrthogonal:
     work = {}
 
     def right_mul(x, out):
-        # [X1 | X2] [[Q, Q], [Q, -Q]] = [(X1 + X2) Q | (X1 - X2) Q]
+        # [X1 | X2] [[Q, Q], [Q, -Q]] = [(X1 + X2) Q | (X1 - X2) Q]: row i
+        # of z is (X1 + X2)_i then (X1 - X2)_i, and of out its two images
         c = x.shape[0]
         x1, x2 = x[:, :half], x[:, half:]
-        z = work_array(work, "z", (2 * c, half), np.int64)
-        y = work_array(work, "y", (2 * c, half), np.int64)
-        np.add(x1, x2, out=z[:c])
-        np.subtract(x1, x2, out=z[c:])
-        q.right_mul(z, y)
-        out[:, :half] = y[:c]
-        out[:, half:] = y[c:]
+        z = work_array(work, "z", (c, 2, half), np.int64)
+        np.add(x1, x2, out=z[:, 0])
+        np.subtract(x1, x2, out=z[:, 1])
+        # a view or a ValueError, never a copy that would lose the result
+        q.right_mul(z.reshape(2 * c, half),
+                    np.reshape(out, (2 * c, half), copy=False))
 
     return QuasiOrthogonal(2 * half, 2 * half, HADAMARD,
                            q.recipe + ";double", right_mul)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import maxdet
@@ -15,6 +16,10 @@ from maxdet.cli import EXCEPTIONAL_ROWS, _table1_core, build_parser, main
 
 # the order-1 Hadamard matrix as a kron product nested 1000 deep
 DEEP_RECIPE = "kron(unit," * 1000 + "unit" + ")" * 1000
+
+
+def _no_memory(*args):
+    raise MemoryError
 
 
 def run_cli(capsys, *argv):
@@ -354,6 +359,18 @@ class TestWitnessFlow:
                          timeout=8)
         assert out.returncode == 1 and out.stdout == ""
         assert "error:" in out.stderr and "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("exhausted", [
+        lambda *args: np.empty(1 << 62, dtype=np.uint8),  # numpy's own
+        _no_memory], ids=["numpy", "bare"])
+    def test_memory_error_is_an_error_line(self, capsys, monkeypatch,
+                                           exhausted):
+        # the core's first product finds no memory for its work arrays
+        monkeypatch.setattr(constructions, "work_array", exhausted)
+        code, out, err = run_cli(capsys, "bound", "670", "--trials", "1")
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1].startswith("error: out of memory")
+        assert "Traceback" not in err
 
     def test_search_wider_than_core_refused(self):
         # a border wider than its core is refused before any G of that

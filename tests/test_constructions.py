@@ -373,6 +373,24 @@ class TestTwoLanes:
             assert rows == [-(-c // lanes) if c > 1 else 1]
             assert np.array_equal(out, circulant_reference(x, p)), c
 
+    def test_one_circulant_through_changing_row_counts(self, monkeypatch):
+        # 4, 1, 3 and 2 rows take 2, 1, 2 and 1 transformed rows of the same
+        # work arrays, so each call reuses rows that the last call left
+        # holding its decoded values and, in the tail, its rounding noise,
+        # which would grow from call to call if not cleared; amp, and with
+        # it base, changes between calls
+        conv = constructions._paley_circulant(331, -1, "test")
+        rows = self.transformed_rows(monkeypatch)
+        rng = np.random.default_rng(8)
+        for c, lanes, amp in ((4, 2, 2), (1, 1, 1), (3, 2, 1), (2, 2, 2)) * 4:
+            x = rng.integers(-amp, amp + 1, size=(c, 331))
+            x[:, 0] = amp
+            out = np.empty_like(x)
+            rows.clear()
+            conv(x, out)
+            assert rows == [-(-c // lanes)], c
+            assert np.array_equal(out, circulant_reference(x, 331)), c
+
     def test_dense_cores_through_both_lanes(self):
         # a Paley II core of a two-lane prime, with odd and even row counts
         q = paley_two(13)
@@ -459,6 +477,42 @@ class TestSylvesterAndKronecker:
     def test_double_matches_np_block(self, recipe):
         assert np.array_equal(build_recipe(recipe).dense(),
                               recipe_oracle(recipe))
+
+    @pytest.mark.parametrize("recipe", ["paley1(43);double;double",
+                                        "paley2(13);double"])
+    def test_doubled_products_equal_dense(self, recipe):
+        # each level writes its rows straight into its caller's out
+        q = build_recipe(recipe)
+        dense = q.dense()
+        rng = np.random.default_rng(6)
+        for c in (1, 2, 3, 5):
+            x = rng.integers(-3, 4, size=(c, q.order))
+            out = np.empty_like(x)
+            q.right_mul(x, out)
+            assert np.array_equal(out, x @ dense), c
+
+    def test_double_refuses_an_out_it_cannot_view(self):
+        q = build_recipe("paley1(7);double")
+        x = np.ones((3, q.order), dtype=np.int64)
+        out = np.zeros((3, q.order + 1), dtype=np.int64)[:, :-1]
+        with pytest.raises(ValueError, match="copy"):
+            q.right_mul(x, out)
+
+    def test_doubled_product_work_arrays(self):
+        # one rmatmul allocates B^T, its result, one z per doubling level
+        # and the leaf's two FFT buffers, each about d * order * 8 bytes
+        # (7.8 of them are traced); a second work array per level and two
+        # more FFT buffers (12.8 traced) exceed the bound
+        q = build_recipe("paley1(1019);double;double;double")
+        d = 4
+        b = np.random.default_rng(0).integers(0, 2, size=(q.order, d)) * 2 - 1
+        tracemalloc.start()
+        try:
+            q.rmatmul(b.astype(np.int8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * d * q.order * 8
 
     def test_double_rejects_conference(self):
         with pytest.raises(ValueError):
