@@ -19,9 +19,10 @@ the bare core.
 
 Each trial does one exact product over Q, P = B^T Q, through the core's
 operator (``QuasiOrthogonal.rmatmul``, exact by the checks described in
-``constructions``).  Since Q^T B = P^T, the Gram block is G = C P^T, a
-float64 product that is exact because every partial sum is an integer of
-size at most m^2 < 2^53 (a raised check on the order).
+``constructions``), which reads B^T in place and writes P in float64.
+Since Q^T B = P^T, the Gram block is G = C P^T, a float64 product that
+reads P where the operator wrote it and is exact because every partial sum
+is an integer of size at most m^2 < 2^53 (a raised check on the order).
 
 A trial is fixed by its stream, Philox keyed by (master_seed, trial_index),
 which draws B: C and G follow from B, and D from G.  A ``TrialResult``
@@ -133,24 +134,22 @@ def _check_gram_order(m: int) -> None:
 
 def _sign_completion(b: np.ndarray, q: QuasiOrthogonal
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """C = sgn(P) as int8 (sgn(0) = +1) and G = C Q^T B = C P^T as int64,
-    for P = B^T Q.
+    """C = sgn(P) as float64 (sgn(0) = +1) and G = C Q^T B = C P^T as
+    int64, for P = B^T Q.
 
-    B is a sign block, so |P| <= m and every partial sum of C P^T is an
-    integer of size at most m^2: below 2^53 the float64 (BLAS) product is
-    exact in any summation order.  P, in int64 and in float64, lives in
-    work arrays of the core; only the returned C and G are new.
+    The core's operator writes P in float64, exact as its entries are
+    integers below 2^53 (``QuasiOrthogonal.rmatmul``), into a work array of
+    the core, and the Gram block reads it there.  B is a sign block, so
+    |P| <= m and every partial sum of C P^T is an integer of size at most
+    m^2: below 2^53 the float64 (BLAS) product is exact in any summation
+    order.  Only the returned C and G are new.
     """
     _check_gram_order(q.order)
-    shape = b.shape[::-1]
-    exact = q.rmatmul(b, work_array(q.work, "product", shape, np.int64))
-    p = work_array(q.work, "p", shape)
-    p[...] = exact
-    # C goes into the int64 result's buffer, which is dead after the cast;
-    # an integer zero casts to +0.0, so sgn(0) = +1
-    c = np.copysign(1.0, p, out=exact.view(np.float64))
-    g = c @ p.T
-    return c.astype(np.int8), g.astype(np.int64)
+    p = q.rmatmul(b, work_array(q.work, "p", b.shape[::-1]))
+    # -0.0 + 0.0 = +0.0, so every zero of P, whatever its sign bit, gives +1
+    c = np.add(p, 0.0)
+    np.copysign(1.0, c, out=c)
+    return c, (c @ p.T).astype(np.int64)
 
 
 def _greedy_exact(g, k: int) -> tuple[np.ndarray, int]:
@@ -545,9 +544,8 @@ def _witness_blocks(w: dict) -> tuple[QuasiOrthogonal, np.ndarray, np.ndarray]:
     m, d = w["m"], w["d"]
     if d < 0:
         raise WitnessError("d is negative")
-    q = build_recipe(w["recipe"])
-    if q.order != m or q.kind != w["kind"] or q.weight != w["weight"]:
-        raise WitnessError("recipe does not reproduce the stated core matrix")
+    # the blocks are checked against the witness's own m and d first, so a
+    # malformed witness never pays for building the core it names
     if len(w["B"]) != m or any(len(row) != d for row in w["B"]):
         raise WitnessError("B block has wrong shape")
     b = _parse_signs(w["B"], "B", d)
@@ -556,6 +554,9 @@ def _witness_blocks(w: dict) -> tuple[QuasiOrthogonal, np.ndarray, np.ndarray]:
     d_block = -np.eye(d, dtype=np.int8)
     d_block[~np.eye(d, dtype=bool)] = _parse_signs([w["D_off"]], "D_off",
                                                     d * (d - 1))[0]
+    q = build_recipe(w["recipe"])
+    if q.order != m or q.kind != w["kind"] or q.weight != w["weight"]:
+        raise WitnessError("recipe does not reproduce the stated core matrix")
     return q, b, d_block
 
 

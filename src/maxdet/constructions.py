@@ -12,10 +12,16 @@ A core is held only as its exact product X -> X Q, built from its parts
 in O(order) memory: the Jacobsthal circulant by a checked FFT convolution
 that certifies its character when built and, where its rounding bound
 allows, packs two integer rows into one transformed row, exactly
-recovered by rounding (``_paley_circulant``), the Paley
-borders by row sums, doubling as a butterfly and Kronecker factors by
-reshaping, all else in int64.  The constructor docstrings prove that the
-certificate gives Q Q^T = k I for every core a recipe builds.
+recovered by rounding (``_paley_circulant``), the Paley borders by row
+sums, L Sylvester doublings as one in-place Walsh-Hadamard transform of
+X's 2^L column blocks followed by one product over the leaf core, and a
+Kronecker product as its outer factor over the inner factor's column
+blocks followed by one product over the inner factor.  X is read as an
+integer array in place, copied only into the narrowest integer type a
+transform needs; X Q is written in float64, which holds it exactly, as
+every entry and intermediate is an integer below 2^53 (``rmatmul``).  The
+constructor docstrings prove that the certificate gives Q Q^T = k I for
+every core a recipe builds.
 """
 
 from __future__ import annotations
@@ -40,58 +46,82 @@ class ExactnessError(ArithmeticError):
 def work_array(work: dict, name: str, shape: tuple, dtype=np.float64
                ) -> np.ndarray:
     """work[name][:shape[0]]: an array kept between calls and allocated
-    (zeroed) anew only when it has fewer rows or other trailing dimensions,
-    so repeated products allocate nothing.  Its contents are whatever the
-    last user left there.
+    (zeroed) anew only when it has fewer rows, other trailing dimensions or
+    another dtype, so repeated products allocate nothing.  Its contents are
+    whatever the last user left there.
     """
     a = work.get(name)
-    if a is None or len(a) < shape[0] or a.shape[1:] != shape[1:]:
+    if (a is None or len(a) < shape[0] or a.shape[1:] != shape[1:]
+            or a.dtype != dtype):
         a = work[name] = np.zeros(shape, dtype)
     return a[:shape[0]]
+
+
+def _amplitude(x: np.ndarray) -> int:
+    """max |x| as a Python int (0 for an empty array)."""
+    return max(-int(x.min(initial=0)), int(x.max(initial=0)))
+
+
+def _int_type(bound: int) -> type:
+    """The narrowest signed integer type that holds every integer of size
+    at most bound, for bound < 2^63."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if bound <= np.iinfo(t).max)
 
 
 class QuasiOrthogonal:
     """Square {-1,0,+1} matrix Q with Q Q^T = weight * I, held as the exact
     operator X -> X Q.
 
-    ``right_mul(X, out)`` sets out = X Q for an int64 array X with `order`
-    columns and an int64 array out of its shape apart from X, exact in
-    int64.  A doubled core views out's rows as two halves each and raises
-    ValueError when out's layout does not allow that view.  The operator
-    and ``rmatmul`` write into work arrays that the core keeps between
-    calls, so a core is not for concurrent use.
+    ``right_mul(X, out)`` sets out = X Q for an integer array X (any signed
+    integer type, any strides) with `order` columns whose products stay
+    below 2^53 (``rmatmul`` checks this), and a float64 array out of its
+    shape.  A core built by L >= 1 Sylvester doublings of a leaf core, or
+    by ``kronecker``, views out's rows as the rows of its inner product and
+    raises ValueError when out's layout does not allow that view; ``leaf``
+    and ``levels`` name that leaf and L (None and 0 for any other core).
+    The operator and ``rmatmul``'s callers write into work arrays that the
+    core keeps between calls, so a core is not for concurrent use.
     """
 
     def __init__(self, order: int, weight: int, kind: str, recipe: str,
-                 right_mul: Callable[[np.ndarray, np.ndarray], None]):
+                 right_mul: Callable[[np.ndarray, np.ndarray], None],
+                 leaf: QuasiOrthogonal | None = None, levels: int = 0):
         self.order, self.weight, self.kind = order, weight, kind
         self.recipe, self.right_mul = recipe, right_mul
+        self.leaf, self.levels = leaf, levels
         self.work: dict = {}
 
     def rmatmul(self, b: np.ndarray, out: np.ndarray | None = None
                 ) -> np.ndarray:
-        """Exact B^T Q as int64 for an integer block B with `order` rows,
-        written into `out` if given and returned.  The int64 copy of B^T is
-        a work array of the core."""
+        """Exact B^T Q as float64 for an integer block B with `order` rows,
+        written into `out` if given and returned.  B^T is read in place as
+        the view ``b.T``.
+
+        Every entry of B^T Q, and every intermediate of the operator, is an
+        integer of size at most max|B| * order (a transform's blocks and a
+        leaf's row sums stay within it; the FFT checks its own values), so
+        below 2^53 each is exact in float64.  That bound is a raised check,
+        so it also holds under python -O.
+        """
         b = np.asarray(b)
-        # every intermediate of right_mul is bounded by order * max|B|
-        if b.size and max(-int(b.min()), int(b.max())) * self.order >= 1 << 62:
-            raise ExactnessError("B^T Q could overflow int64")
-        x = work_array(self.work, "bt", b.shape[::-1], np.int64)
-        np.copyto(x, b.T)
+        if _amplitude(b) * self.order >= 1 << 53:
+            raise ExactnessError("B^T Q could leave the integers below 2^53 "
+                                 "that float64 holds exactly")
         if out is None:
-            out = np.empty_like(x)
-        self.right_mul(x, out)
+            out = np.empty(b.shape[::-1])
+        self.right_mul(b.T, out)
         return out
 
     def dense(self) -> np.ndarray:
-        """Q as int64 from right_mul(I), 64 rows at a time: O(order^2) memory,
-        for the bordered matrix at n <= 64 and for tests."""
+        """Q as int64 from ``rmatmul`` of the identity, 64 rows at a time:
+        O(order^2) memory, for the bordered matrix at n <= 64 and for
+        tests."""
         m = self.order
         q = np.empty((m, m), dtype=np.int64)
         for i in range(0, m, 64):
-            self.right_mul(np.eye(min(64, m - i), m, i, dtype=np.int64),
-                           q[i:i + 64])
+            q[i:i + 64] = self.rmatmul(np.eye(m, min(64, m - i), -i,
+                                              dtype=np.int8))
         return q
 
 
@@ -206,7 +236,7 @@ def _paley_fft(p: int, eps: int, name: str) -> tuple[int, float]:
 
 def _paley_circulant(p: int, eps: int, name: str
                      ) -> Callable[[np.ndarray, np.ndarray], None]:
-    """(X, out) -> out = X J, exact in int64, for the Jacobsthal matrix
+    """(X, out) -> out = X J, exact in float64, for the Jacobsthal matrix
     J[i, j] = chi(j - i) of the prime p, after certifying chi.
 
     Each row of X J is the cyclic convolution of that row with chi, taken
@@ -245,7 +275,7 @@ def _paley_circulant(p: int, eps: int, name: str
     (J J^T)[r, s] = a(s - r) gives J J^T = p I - 1 1^T.
     """
     size, factor = _paley_fft(p, eps, name)
-    chi = _quadratic_character(p).astype(np.int64)
+    chi = _quadratic_character(p)
     if not (chi[0] == 0 and np.all(np.abs(chi[1:]) == 1) and chi.sum() == 0
             and np.array_equal(chi[-np.arange(p) % p], eps * chi)):
         raise ExactnessError(f"the quadratic character of {p} fails its "
@@ -255,7 +285,7 @@ def _paley_circulant(p: int, eps: int, name: str
 
     def right_mul(x: np.ndarray, out: np.ndarray) -> None:
         c = x.shape[0]
-        amp = max(-int(x.min(initial=0)), int(x.max(initial=0)))
+        amp = _amplitude(x)
         base = 2 * amp * (p - 1) + 1
         lanes = 2 if c > 1 and (math.sqrt(p) * amp * (1 + base) * factor
                                 < 0.25) else 1
@@ -264,7 +294,7 @@ def _paley_circulant(p: int, eps: int, name: str
         pad[:, p:] = 0  # the last irfft wrote there
         xf = pad[:, :p]
         if lanes == 2:
-            np.multiply(x[1::2], base, out=xf[:c // 2])
+            np.multiply(x[1::2], float(base), out=xf[:c // 2])
             xf[c // 2:] = 0  # an odd last row goes alone
             xf += x[::2]
         else:
@@ -294,7 +324,7 @@ def _paley_circulant(p: int, eps: int, name: str
             r -= np.multiply(hi, base, out=hi)
         out[::lanes] = r
 
-    image = np.empty((1, p), dtype=np.int64)
+    image = np.empty((1, p))
     right_mul(chi[None], image)
     if image[0, 0] != eps * (p - 1) or np.any(image[0, 1:] != -eps):
         raise ExactnessError(f"the quadratic character of {p} fails its "
@@ -348,6 +378,9 @@ def paley_two(p: int) -> QuasiOrthogonal:
     K = [[1, 1], [1, -1]] and L = [[1, -1], [-1, -1]], is a sign matrix as
     C has a zero diagonal.  K K^T = L L^T = 2I, L K^T = -K L^T and C = C^T,
     so H H^T = C C^T (x) 2I + (C - C^T) (x) K L^T + 2I = 2(p + 1) I.
+    The pair sums and differences z, of size at most 2 max|X|, take the
+    narrowest integer type that holds them, and C's image of them a float64
+    work array.
     """
     conf = paley_conference(p)  # validates p
     m = p + 1
@@ -358,10 +391,10 @@ def paley_two(p: int) -> QuasiOrthogonal:
         # and [a b] L = [a - b, -(a + b)]
         c = x.shape[0]
         a, b = x[:, 0::2], x[:, 1::2]
-        z = work_array(work, "z", (c, 2, m), np.int64)
-        y = work_array(work, "y", (c, 2, m), np.int64)
-        np.add(a, b, out=z[:, 0])
-        np.subtract(a, b, out=z[:, 1])
+        z = work_array(work, "z", (c, 2, m), _int_type(2 * _amplitude(x)))
+        y = work_array(work, "y", (c, 2, m))
+        np.add(a, b, out=z[:, 0], dtype=z.dtype)
+        np.subtract(a, b, out=z[:, 1], dtype=z.dtype)
         conf.right_mul(z.reshape(2 * c, m), y.reshape(2 * c, m))
         np.add(y[:, 0], z[:, 1], out=out[:, 0::2])
         np.subtract(y[:, 1], z[:, 0], out=out[:, 1::2])
@@ -370,48 +403,79 @@ def paley_two(p: int) -> QuasiOrthogonal:
 
 
 def sylvester_double(q: QuasiOrthogonal) -> QuasiOrthogonal:
-    """Order-doubling [[Q, Q], [Q, -Q]]; Hadamard input only.
+    """Order-doubling [[Q, Q], [Q, -Q]] = H_2 (x) Q; Hadamard input only.
 
     Its Gram matrix is [[2 Q Q^T, 0], [0, 2 Q Q^T]] = 2k I.
+
+    The product does not recurse.  L doublings of a leaf Q0 of order h give
+    H (x) Q0 for Sylvester's H = H_2 (x) ... (x) H_2 of order 2^L, so for X
+    cut into 2^L column blocks X_i of width h, block l of X (H (x) Q0) is
+    Z_l Q0 with Z_l = sum_i H[i, l] X_i: a Walsh-Hadamard transform of the
+    blocks.  Z is one integer copy of X: the first butterfly writes
+    (X1 + X2, X1 - X2) from X's halves, as [X1 | X2] [[Q, Q], [Q, -Q]]
+    = [(X1 + X2) Q | (X1 - X2) Q], and each further level does the same to
+    the two halves (U, V) of every block, in place, as U += V, V *= -2,
+    V += U.  After s levels every entry is at most 2^s max|X| in size, and
+    so is 2V on the way, so Z takes the narrowest integer type that holds
+    2^L max|X|.  Viewed as c 2^L rows of width h, out is then Z's rows
+    times Q0, made by one call of Q0's operator whose out is that view; an
+    out that cannot be viewed so raises ValueError.
     """
     if q.kind != HADAMARD:
         raise ValueError("sylvester_double requires a Hadamard matrix")
-    half = q.order
+    leaf, levels = q.leaf if q.levels else q, q.levels + 1
+    order, h = 2 * q.order, leaf.order
     work = {}
 
     def right_mul(x, out):
-        # [X1 | X2] [[Q, Q], [Q, -Q]] = [(X1 + X2) Q | (X1 - X2) Q]: row i
-        # of z is (X1 + X2)_i then (X1 - X2)_i, and of out its two images
-        c = x.shape[0]
+        c, half = x.shape[0], order // 2
+        z = work_array(work, "z", (c, order),
+                       _int_type(_amplitude(x) << levels))
         x1, x2 = x[:, :half], x[:, half:]
-        z = work_array(work, "z", (c, 2, half), np.int64)
-        np.add(x1, x2, out=z[:, 0])
-        np.subtract(x1, x2, out=z[:, 1])
+        np.add(x1, x2, out=z[:, :half], dtype=z.dtype)
+        np.subtract(x1, x2, out=z[:, half:], dtype=z.dtype)
+        for s in range(1, levels):
+            halves = z.reshape(c << s, 2, half >> s)
+            u, v = halves[:, 0], halves[:, 1]
+            u += v
+            v *= -2
+            v += u
         # a view or a ValueError, never a copy that would lose the result
-        q.right_mul(z.reshape(2 * c, half),
-                    np.reshape(out, (2 * c, half), copy=False))
+        leaf.right_mul(z.reshape(c << levels, h),
+                       np.reshape(out, (c << levels, h), copy=False))
 
-    return QuasiOrthogonal(2 * half, 2 * half, HADAMARD,
-                           q.recipe + ";double", right_mul)
+    return QuasiOrthogonal(order, order, HADAMARD, q.recipe + ";double",
+                           right_mul, leaf, levels)
 
 
 def kronecker(q1: QuasiOrthogonal, q2: QuasiOrthogonal) -> QuasiOrthogonal:
     """Kronecker product of two Hadamard matrices.
 
     (A (x) B)(A (x) B)^T = A A^T (x) B B^T = ab I for orders a and b.
+
+    For X cut into a column blocks X_i of width b, block l of X (A (x) B) is
+    Z_l B with Z_l = sum_i A[i, l] X_i.  The outer factor A runs once on
+    the c b rows of length a of an integer copy of X's blocks transposed,
+    writing into out as scratch; its image is copied back block by block
+    into Z, in the narrowest integer type that holds a max|X|; then B runs
+    once on Z's c a rows, writing into a view of out's rows.  An out that
+    cannot be viewed so raises ValueError.
     """
     if q1.kind != HADAMARD or q2.kind != HADAMARD:
         raise ValueError("kronecker requires Hadamard matrices")
     a, b = q1.order, q2.order
+    work = {}
 
     def right_mul(x, out):
         c = x.shape[0]
-        y = np.empty((c * a, b), dtype=np.int64)
-        q2.right_mul(x.reshape(c * a, b), y)
-        z = np.empty((c * b, a), dtype=np.int64)
-        q1.right_mul(y.reshape(c, a, b).transpose(0, 2, 1).reshape(c * b, a),
-                     z)
-        out[...] = z.reshape(c, b, a).transpose(0, 2, 1).reshape(c, a * b)
+        scratch = np.reshape(out, (c * b, a), copy=False)
+        # the transposed blocks' rows cannot be a view of X: one copy
+        q1.right_mul(x.reshape(c, a, b).transpose(0, 2, 1).reshape(c * b, a),
+                     scratch)
+        z = work_array(work, "z", (c, a, b), _int_type(a * _amplitude(x)))
+        z[...] = scratch.reshape(c, b, a).transpose(0, 2, 1)
+        q2.right_mul(z.reshape(c * a, b),
+                     np.reshape(out, (c * a, b), copy=False))
 
     return QuasiOrthogonal(a * b, a * b, HADAMARD,
                            f"kron({q1.recipe},{q2.recipe})", right_mul)

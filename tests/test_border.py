@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -945,6 +946,28 @@ class TestWitness:
         w["B"][0], w["B"][7] = w["B"][1], "\u0661+"
         with pytest.raises(WitnessError, match="B row 7"):
             verify_witness(w)
+
+    @pytest.mark.parametrize("change,error", [
+        ({"B": []}, "B block has wrong shape"),
+        ({"B": ["+-"] * 1004}, "B block has wrong shape"),
+        ({"B": ["+"] * 1003 + ["*"]}, "B row 1003"),
+        ({"D_off": "+"}, "D off-diagonal block has wrong length"),
+        ({"d": 2, "B": ["+-"] * 1004, "D_off": "+?"}, "D_off row 0")],
+        ids=["no-rows", "wide-rows", "bad-sign", "short-d-off",
+             "bad-d-off"])
+    def test_malformed_blocks_refused_before_the_core(self, monkeypatch,
+                                                      change, error):
+        # a forged witness naming paley1(1000003) whose blocks do not fit
+        # its own m and d is refused before that core is built
+        built = []
+        monkeypatch.setattr(border_mod, "build_recipe", built.append)
+        w = {"n": 1005, "m": 1004, "d": 1, "weight": 1004,
+             "kind": "hadamard", "recipe": "paley1(1000003)",
+             "B": ["+"] * 1004, "D_off": "", "det_schur": "1",
+             "ratio_log": 0.0, "ratio_decimal": 1.0, **change}
+        with pytest.raises(WitnessError, match=re.escape(error)):
+            verify_witness(w)
+        assert built == []
 
     @pytest.mark.parametrize("recipe,d", [
         ("unit", 0), ("paley1(11)", 0), ("paley1(11)", 1),

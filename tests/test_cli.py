@@ -249,6 +249,28 @@ class TestWitnessFlow:
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
+    @pytest.mark.parametrize("recipe, stdout_digest, witness_digest", [
+        ("kron(paley1(3),paley1(7))",
+         "3f71ef30a8eaa6e9b3b60ac3babe1d06c6b6b8c52426414fedf77b707727d8b5",
+         "238a5cb97652389483f185e45d2038a669ed6a5f75303598112f5ce29bd10591"),
+        ("paley2(13);double;double;double",
+         "50fff72e19dccc3c440674a9839b77e7e1c2ed6c545a3f7e404525948888cdcc",
+         "959f77877514d9bed80c4cd4c748982f4619361c5233cb63795d9f0bea59bade"),
+    ], ids=["kron", "paley2-doubled-thrice"])
+    def test_search_bytes_pinned(self, capsys, tmp_path, recipe,
+                                 stdout_digest, witness_digest):
+        # a Kronecker core and a Paley II core under three doublings: the
+        # product paths through an outer factor and a transform tower
+        argv = ("search", "--recipe", recipe, "--d", "3", "--trials", "8",
+                "--seed", "0")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+        path = tmp_path / "w.json"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == witness_digest
+
     def test_verify_catches_corruption(self, capsys, tmp_path):
         path = tmp_path / "w.json"
         run_cli(capsys, "search", "--recipe", "paley1(19)", "--d", "2",
@@ -416,8 +438,9 @@ class TestWitnessFlow:
 
     def test_verify_rejects_oversized_paley_prime(self, tmp_path):
         # a forged witness whose core is far beyond what the FFT bound can
-        # certify: refused before the core is built, in 1 GiB of address
-        # space, as a JSON error rather than a traceback
+        # certify, with no rows of B: refused by its own shape before the
+        # core is built, in 1 GiB of address space, as a JSON error rather
+        # than a traceback
         path = tmp_path / "w.json"
         path.write_text(json.dumps({
             "n": 1000000009, "m": 1000000008, "d": 1, "weight": 1000000008,
@@ -427,11 +450,11 @@ class TestWitnessFlow:
         out = run_capped("verify", str(path))
         assert out.returncode == 1, out.stderr
         data = json.loads(out.stdout)
-        assert data["ok"] is False and "rounding bound" in data["error"]
+        assert data["ok"] is False and "wrong shape" in data["error"]
 
     def test_verify_refuses_huge_prime_quickly(self, tmp_path):
-        # 2^61 - 1 is a prime = 3 (mod 4); the FFT bound refuses it before
-        # trial division, which would take hours
+        # 2^61 - 1 is a prime = 3 (mod 4), which trial division would take
+        # hours to confirm; B's shape refuses the witness before the core
         p = (1 << 61) - 1
         path = tmp_path / "w.json"
         path.write_text(json.dumps({
@@ -442,7 +465,7 @@ class TestWitnessFlow:
         out = run_capped("verify", str(path), timeout=5)
         assert out.returncode == 1, out.stderr
         data = json.loads(out.stdout)
-        assert data["ok"] is False and "rounding bound" in data["error"]
+        assert data["ok"] is False and "wrong shape" in data["error"]
 
 
 class TestTable1:

@@ -11,6 +11,7 @@ import pytest
 
 import maxdet
 from maxdet import constructions
+from maxdet.border import _sign_completion
 from maxdet.constructions import (CONFERENCE, HADAMARD, ExactnessError,
                                   QuasiOrthogonal, build_recipe, kronecker,
                                   paley_conference, paley_one, paley_two,
@@ -92,10 +93,14 @@ def matrix_core(m, kind=HADAMARD, weight=None):
 
 class TestCoreRecord:
     def test_work_not_shared(self):
+        # rmatmul reads B^T in place and keeps nothing in the core's work;
+        # the sign completion keeps P there, in the core that made it
         a, b = build_recipe("paley1(11)"), build_recipe("paley1(11)")
         assert a.work == {} and a.work is not b.work
         a.rmatmul(np.ones((12, 2), dtype=np.int8))
-        assert a.work and b.work == {}
+        assert a.work == {}
+        _sign_completion(np.ones((12, 2), dtype=np.int8), a)
+        assert set(a.work) == {"p"} and b.work == {}
 
 
 class TestPaleyOne:
@@ -398,7 +403,7 @@ class TestTwoLanes:
         rng = np.random.default_rng(3)
         for c in (2, 3, 6, 7):
             x = rng.integers(-3, 4, size=(c, q.order))
-            out = np.empty_like(x)
+            out = np.empty(x.shape)
             q.right_mul(x, out)
             assert np.array_equal(out, x @ dense), c
 
@@ -487,7 +492,7 @@ class TestSylvesterAndKronecker:
         rng = np.random.default_rng(6)
         for c in (1, 2, 3, 5):
             x = rng.integers(-3, 4, size=(c, q.order))
-            out = np.empty_like(x)
+            out = np.empty(x.shape)
             q.right_mul(x, out)
             assert np.array_equal(out, x @ dense), c
 
@@ -499,10 +504,11 @@ class TestSylvesterAndKronecker:
             q.right_mul(x, out)
 
     def test_doubled_product_work_arrays(self):
-        # one rmatmul allocates B^T, its result, one z per doubling level
-        # and the leaf's two FFT buffers, each about d * order * 8 bytes
-        # (7.8 of them are traced); a second work array per level and two
-        # more FFT buffers (12.8 traced) exceed the bound
+        # one rmatmul allocates its float64 result, one int8 copy of B^T
+        # for the three doublings and the leaf's two FFT buffers, each but
+        # the copy about d * order * 8 bytes (3.9 units are traced); an
+        # int64 copy of B^T or an int64 work array per doubling level (7.8
+        # traced before products wrote float64) exceeds the bound
         q = build_recipe("paley1(1019);double;double;double")
         d = 4
         b = np.random.default_rng(0).integers(0, 2, size=(q.order, d)) * 2 - 1
@@ -512,7 +518,7 @@ class TestSylvesterAndKronecker:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 9 * d * q.order * 8
+        assert peak < 4.5 * d * q.order * 8
 
     def test_double_rejects_conference(self):
         with pytest.raises(ValueError):
@@ -557,7 +563,7 @@ class TestRmatmul:
         rng = np.random.default_rng(seed)
         b = (rng.integers(0, 2, size=(q.order, d)) * 2 - 1).astype(np.int8)
         p = q.rmatmul(b)
-        assert p.dtype == np.int64 and p.shape == (d, q.order)
+        assert p.dtype == np.float64 and p.shape == (d, q.order)
         # sign rows and {-1,0,1} entries: float32 sums below 2^24 are exact
         oracle = b.T.astype(np.float32) @ recipe_oracle(recipe).astype(
             np.float32)
@@ -590,7 +596,7 @@ class TestRmatmul:
         q = build_recipe(recipe)
         b = np.random.default_rng(5).integers(-1, 2, size=(q.order, 6))
         full = b.T @ recipe_oracle(recipe).astype(np.int64)
-        out = np.empty((6, q.order), dtype=np.int64)
+        out = np.empty((6, q.order))
         for d in (2, 6, 5):
             rows = out[:d]
             assert q.rmatmul(b[:, :d], rows) is rows
@@ -600,7 +606,7 @@ class TestRmatmul:
     def test_empty_block(self, recipe):
         q = build_recipe(recipe)
         p = q.rmatmul(np.zeros((q.order, 0), dtype=np.int8))
-        assert p.shape == (0, q.order) and p.dtype == np.int64
+        assert p.shape == (0, q.order) and p.dtype == np.float64
 
     def test_hand_built_parts(self):
         q = matrix_core(recipe_oracle("paley2(5)"))
@@ -616,6 +622,92 @@ class TestRmatmul:
         b = np.random.default_rng(1).integers(-9, 10, size=(q.order, 3))
         assert np.array_equal(q.rmatmul(b),
                               b.T @ recipe_oracle(recipe).astype(np.int64))
+
+
+class TestFloatProducts:
+    """P = B^T Q in float64 through every kind of part, against the dense
+    oracle, for int8 and int64 blocks."""
+
+    @pytest.mark.parametrize("recipe", [
+        "unit", "paley1(7)", "paley2(5)", "conference(13)", "unit;double",
+        "paley1(7);double", "paley2(5);double;double",
+        "paley1(11);double;double;double", "kron(paley1(3),paley2(5))",
+        "kron(unit;double,paley1(3));double"])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_equals_dense(self, recipe, dtype):
+        q = build_recipe(recipe)
+        oracle = recipe_oracle(recipe).astype(np.int64)
+        rng = np.random.default_rng(q.order)
+        for c in (1, 2, 3, 5):
+            b = rng.integers(-4, 5, size=(q.order, c)).astype(dtype)
+            p = q.rmatmul(b)
+            assert p.dtype == np.float64
+            assert np.array_equal(p, b.T.astype(np.int64) @ oracle), c
+
+    def test_one_leaf_call_per_product(self, monkeypatch):
+        # three doublings transform B^T's eight column blocks themselves
+        # and hand all 8 c rows to the leaf at once, as int8 for sign rows
+        q = build_recipe("paley1(7);double;double;double")
+        calls = []
+        real = q.leaf.right_mul
+
+        def logged(x, out):
+            calls.append((x.shape, x.dtype))
+            real(x, out)
+
+        monkeypatch.setattr(q.leaf, "right_mul", logged)
+        b = np.random.default_rng(1).integers(0, 2, size=(64, 3)) * 2 - 1
+        p = q.rmatmul(b.astype(np.int8))
+        assert calls == [((24, 8), np.int8)]
+        assert np.array_equal(p, b.T @ recipe_oracle(q.recipe))
+
+    @pytest.mark.parametrize("amp,levels,dtype", [
+        (1, 6, np.int8), (1, 7, np.int16), (127, 1, np.int16),
+        (1 << 8, 7, np.int32), (1 << 24, 7, np.int64)])
+    def test_transform_type_holds_its_values(self, amp, levels, dtype):
+        # the blocks reach 2^L max|B|: at each type's edge the next one
+        # is taken, and the product stays exact
+        q = build_recipe("unit" + ";double" * levels)
+        seen = []
+        real = q.leaf.right_mul
+        q.leaf.right_mul = lambda x, out: (seen.append(x.dtype),
+                                           real(x, out))
+        b = np.full((q.order, 2), amp, dtype=np.int64)
+        b[1::3, 0] = -amp
+        p = q.rmatmul(b)
+        assert seen == [dtype]
+        assert np.array_equal(p, b.T @ recipe_oracle(q.recipe).astype(
+            np.int64))
+
+    def test_overflow_guard(self):
+        # max|B| * order must stay below 2^53, where float64 holds every
+        # integer; just below it the product is exact
+        q = build_recipe("unit;double;double;double")
+        oracle = recipe_oracle(q.recipe).astype(object)
+        b = np.full((8, 1), (1 << 50) - 1, dtype=np.int64)
+        b[3] = -b[3]
+        assert q.rmatmul(b).astype(object).tolist() == (
+            b.T.astype(object) @ oracle).tolist()
+        b[3] = -(1 << 50)
+        with pytest.raises(ExactnessError, match="2\\^53"):
+            q.rmatmul(b)
+
+    def test_overflow_guard_under_optimize(self):
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from maxdet.constructions import ExactnessError, build_recipe
+            q = build_recipe("unit;double;double;double")
+            try:
+                q.rmatmul(np.full((8, 1), 1 << 50, dtype=np.int64))
+            except ExactnessError:
+                print(sys.flags.optimize, "2^53")
+        """)
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(
+                                 Path(maxdet.__file__).parents[1])})
+        assert out.stdout.split() == ["1", "2^53"]
 
 
 class TestValidate:
