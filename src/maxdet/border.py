@@ -20,9 +20,10 @@ the bare core.
 Each trial does one exact product over Q, P = B^T Q, through the core's
 operator (``QuasiOrthogonal.rmatmul``, exact by the checks described in
 ``constructions``), which reads B^T in place and writes P in float64.
-Since Q^T B = P^T, the Gram block is G = C P^T, a float64 product that
-reads P where the operator wrote it and is exact because every partial sum
-is an integer of size at most m^2 < 2^53 (a raised check on the order).
+Since Q^T B = P^T, the Gram block is G = C P^T, summed by float64
+products over blocks of P's columns where the operator wrote P, so C is
+held one block at a time; it is exact because every partial sum is an
+integer of size at most m^2 < 2^53 (a raised check on the order).
 
 A trial is fixed by its stream, Philox keyed by (master_seed, trial_index),
 which draws B: C and G follow from B, and D from G.  A ``TrialResult``
@@ -49,8 +50,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .constructions import (ExactnessError, QuasiOrthogonal, build_recipe,
-                            work_array)
+from .constructions import (PRODUCT_BUDGET, ExactnessError, QuasiOrthogonal,
+                            build_recipe, work_array)
 from .exact import LogScalar, det_exact, leading_minors, normalized_ratio
 
 
@@ -132,24 +133,37 @@ def _check_gram_order(m: int) -> None:
                              f"Gram block")
 
 
-def _sign_completion(b: np.ndarray, q: QuasiOrthogonal
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """C = sgn(P) as float64 (sgn(0) = +1) and G = C Q^T B = C P^T as
-    int64, for P = B^T Q.
+def _signs(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sgn(P) as float64 +-1, with sgn(0) = +1, into out if given."""
+    # -0.0 + 0.0 = +0.0, so every zero of P, whatever its sign bit, gives +1
+    c = np.add(p, 0.0, out=out)
+    return np.copysign(1.0, c, out=c)
+
+
+def _sign_completion(b: np.ndarray, q: QuasiOrthogonal) -> np.ndarray:
+    """G = C Q^T B = C P^T as int64, for P = B^T Q and C = sgn(P)
+    (``_signs``).
 
     The core's operator writes P in float64, exact as its entries are
     integers below 2^53 (``QuasiOrthogonal.rmatmul``), into a work array of
-    the core, and the Gram block reads it there.  B is a sign block, so
-    |P| <= m and every partial sum of C P^T is an integer of size at most
-    m^2: below 2^53 the float64 (BLAS) product is exact in any summation
-    order.  Only the returned C and G are new.
+    the core, and the Gram block reads it there, one block of columns at a
+    time: each block's C goes into a second work array of at most
+    PRODUCT_BUDGET entries and adds its block's C P^T to G.  B is a sign
+    block, so |P| <= m and every partial sum, within a block or across
+    blocks, is an integer of size at most m^2: below 2^53 the float64
+    (BLAS) products and their sum are exact in any summation order.  Only
+    the returned G is new; C is never held whole.
     """
     _check_gram_order(q.order)
     p = q.rmatmul(b, work_array(q.work, "p", b.shape[::-1]))
-    # -0.0 + 0.0 = +0.0, so every zero of P, whatever its sign bit, gives +1
-    c = np.add(p, 0.0)
-    np.copysign(1.0, c, out=c)
-    return c, (c @ p.T).astype(np.int64)
+    d, m = p.shape
+    width = min(m, max(1, PRODUCT_BUDGET // max(d, 1)))
+    c = work_array(q.work, "c", (d, width))
+    g = np.zeros((d, d))
+    for j in range(0, m, width):
+        block = p[:, j:j + width]
+        g += _signs(block, c[:, :block.shape[1]]) @ block.T
+    return g.astype(np.int64)
 
 
 def _greedy_exact(g, k: int) -> tuple[np.ndarray, int]:
@@ -368,7 +382,7 @@ class SharedBlocks:
         if self.grams is None:
             seed, m, top = self.config.master_seed, q.order, self.width
             self.grams = np.stack([_sign_completion(sample_border_columns(
-                trial_generator(seed, t), m, top), q)[1]
+                trial_generator(seed, t), m, top), q)
                 for t in range(self.config.trials)])
             eye = q.weight * np.eye(top, dtype=np.int64)
             self.minors = [leading_minors((g + eye).tolist())
@@ -564,10 +578,11 @@ def verify_witness(source) -> LogScalar:
     """Recompute a witness's ratio from scratch; raise on any inconsistency.
 
     Accepts a TrialResult, a witness dict, or a path to a witness file.
-    Each is read as its witness dict: C and G are recomputed from B, so a
+    Each is read as its witness dict: G is recomputed from B, so a
     changed B shows as a wrong det_schur or ratio_log.
-    For n <= DIRECT_CHECK_LIMIT the full bordered matrix is also
-    assembled and its exact determinant is checked against the Schur path:
+    For n <= DIRECT_CHECK_LIMIT the full bordered matrix, with the whole
+    C, is also assembled and its exact determinant is checked against the
+    Schur path:
     |det A~| * k^d = k^(m/2) * |det N| as integers.
     """
     if isinstance(source, TrialResult):
@@ -586,7 +601,7 @@ def verify_witness(source) -> LogScalar:
     if n != m + d:
         raise WitnessError("n != m + d")
 
-    c, g = _sign_completion(b, q)
+    g = _sign_completion(b, q)
     det_n = det_exact(g - k * d_block.astype(np.int64))
     if det_n != int(w["det_schur"]):
         raise WitnessError(f"stored det_schur {w['det_schur']} does not "
@@ -600,7 +615,7 @@ def verify_witness(source) -> LogScalar:
             f"{ratio.log_abs}")
 
     if n <= DIRECT_CHECK_LIMIT:
-        full = assemble_bordered(q, b, c, d_block)
+        full = assemble_bordered(q, b, _signs(q.rmatmul(b)), d_block)
         det_full = det_exact(full)
         if abs(det_full) * k ** d != math.isqrt(k ** m) * abs(det_n):
             raise SchurConsistencyError(

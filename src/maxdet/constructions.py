@@ -19,9 +19,11 @@ Kronecker product as its outer factor over the inner factor's column
 blocks followed by one product over the inner factor.  X is read as an
 integer array in place, copied only into the narrowest integer type a
 transform needs; X Q is written in float64, which holds it exactly, as
-every entry and intermediate is an integer below 2^53 (``rmatmul``).  The
-constructor docstrings prove that the certificate gives Q Q^T = k I for
-every core a recipe builds.
+every entry and intermediate is an integer below 2^53 (``rmatmul``).
+Every other float array a product keeps holds at most ``PRODUCT_BUDGET``
+entries, or one row where a row is longer: the FFT and Paley II take X's
+rows in groups of that size.  The constructor docstrings prove that the
+certificate gives Q Q^T = k I for every core a recipe builds.
 """
 
 from __future__ import annotations
@@ -55,6 +57,14 @@ def work_array(work: dict, name: str, shape: tuple, dtype=np.float64
             or a.dtype != dtype):
         a = work[name] = np.zeros(shape, dtype)
     return a[:shape[0]]
+
+
+# The float work arrays of a product hold at most this many float64 entries
+# (256 KiB), or one row where a row is longer: X's rows pass through the
+# FFT, through Paley II's pairs and through the Gram block in groups that
+# fit it.  So what a product keeps besides P does not grow with the border
+# width, at the price of one call of each step per group.
+PRODUCT_BUDGET = 1 << 15
 
 
 def _amplitude(x: np.ndarray) -> int:
@@ -260,9 +270,17 @@ def _paley_circulant(p: int, eps: int, name: str
     quotient is off by less than 1/2 even after its own rounding) and
     y_lo = Y - base y_hi is an exact float64 difference.  Both checks run
     on the packed rows, which halves the transforms.
-    Two float work arrays are kept between calls (grown to the largest row
-    count seen): the padded rows, which then take the inverse transform,
-    and the spectrum, whose float64 view then takes the rounded values.
+
+    Groups: X's rows are transformed lanes * max(1, PRODUCT_BUDGET // N)
+    at a time.  The lanes are decided once for the whole X, so a pair
+    never straddles two groups, and both checks run on every group.  Two
+    float work arrays of one group's transformed rows are kept between
+    calls: the padded rows, which then take the inverse transform, and
+    the spectrum, whose float64 view then takes the rounded values.  Each
+    holds about max(PRODUCT_BUDGET, N) float64 entries, whatever the row
+    count: one transformed row for N > 2^14, as at conference(11117)
+    (N = 22500, two sign rows a group) and paley2(31249) (N = 62500, one),
+    and two for the primes near 5750 of the table1 fast rows (N = 11520).
     So a search's products allocate no array here; pocketfft still takes
     its own scratch inside each transform.
 
@@ -283,12 +301,9 @@ def _paley_circulant(p: int, eps: int, name: str
     chi_hat = np.fft.rfft(chi.astype(np.float64), size)
     work = {}
 
-    def right_mul(x: np.ndarray, out: np.ndarray) -> None:
+    def transform(x: np.ndarray, out: np.ndarray, lanes: int, base: int
+                  ) -> None:
         c = x.shape[0]
-        amp = _amplitude(x)
-        base = 2 * amp * (p - 1) + 1
-        lanes = 2 if c > 1 and (math.sqrt(p) * amp * (1 + base) * factor
-                                < 0.25) else 1
         rows = -(-c // lanes)
         pad = work_array(work, "pad", (rows, size))
         pad[:, p:] = 0  # the last irfft wrote there
@@ -323,6 +338,16 @@ def _paley_circulant(p: int, eps: int, name: str
             out[1::2] = hi[:c // 2]
             r -= np.multiply(hi, base, out=hi)
         out[::lanes] = r
+
+    def right_mul(x: np.ndarray, out: np.ndarray) -> None:
+        c = x.shape[0]
+        amp = _amplitude(x)
+        base = 2 * amp * (p - 1) + 1
+        lanes = 2 if c > 1 and (math.sqrt(p) * amp * (1 + base) * factor
+                                < 0.25) else 1
+        group = lanes * max(1, PRODUCT_BUDGET // size)
+        for i in range(0, c, group):
+            transform(x[i:i + group], out[i:i + group], lanes, base)
 
     image = np.empty((1, p))
     right_mul(chi[None], image)
@@ -378,9 +403,10 @@ def paley_two(p: int) -> QuasiOrthogonal:
     K = [[1, 1], [1, -1]] and L = [[1, -1], [-1, -1]], is a sign matrix as
     C has a zero diagonal.  K K^T = L L^T = 2I, L K^T = -K L^T and C = C^T,
     so H H^T = C C^T (x) 2I + (C - C^T) (x) K L^T + 2I = 2(p + 1) I.
-    The pair sums and differences z, of size at most 2 max|X|, take the
+    X's rows go in groups of max(1, PRODUCT_BUDGET // (2 (p + 1))): each
+    group's pair sums and differences z, of size at most 2 max|X|, take the
     narrowest integer type that holds them, and C's image of them a float64
-    work array.
+    work array y of at most a budget (or of one row's 2 (p + 1) entries).
     """
     conf = paley_conference(p)  # validates p
     m = p + 1
@@ -389,15 +415,19 @@ def paley_two(p: int) -> QuasiOrthogonal:
     def right_mul(x, out):
         # column 2j + s of X is entry s of pair j: [a b] K = [a + b, a - b]
         # and [a b] L = [a - b, -(a + b)]
-        c = x.shape[0]
-        a, b = x[:, 0::2], x[:, 1::2]
-        z = work_array(work, "z", (c, 2, m), _int_type(2 * _amplitude(x)))
-        y = work_array(work, "y", (c, 2, m))
-        np.add(a, b, out=z[:, 0], dtype=z.dtype)
-        np.subtract(a, b, out=z[:, 1], dtype=z.dtype)
-        conf.right_mul(z.reshape(2 * c, m), y.reshape(2 * c, m))
-        np.add(y[:, 0], z[:, 1], out=out[:, 0::2])
-        np.subtract(y[:, 1], z[:, 0], out=out[:, 1::2])
+        dtype = _int_type(2 * _amplitude(x))
+        group = max(1, PRODUCT_BUDGET // (2 * m))  # rows whose y fits
+        for i in range(0, x.shape[0], group):
+            xg, og = x[i:i + group], out[i:i + group]
+            c = xg.shape[0]
+            a, b = xg[:, 0::2], xg[:, 1::2]
+            z = work_array(work, "z", (c, 2, m), dtype)
+            y = work_array(work, "y", (c, 2, m))
+            np.add(a, b, out=z[:, 0], dtype=dtype)
+            np.subtract(a, b, out=z[:, 1], dtype=dtype)
+            conf.right_mul(z.reshape(2 * c, m), y.reshape(2 * c, m))
+            np.add(y[:, 0], z[:, 1], out=og[:, 0::2])
+            np.subtract(y[:, 1], z[:, 0], out=og[:, 1::2])
 
     return QuasiOrthogonal(2 * m, 2 * m, HADAMARD, f"paley2({p})", right_mul)
 

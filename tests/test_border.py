@@ -18,7 +18,7 @@ from maxdet import border as border_mod
 from maxdet import bounds, cli, constructions, exact, primes, sieve
 from maxdet.border import (SchurConsistencyError, SearchConfig,
                            SharedBlocks, WitnessError, _greedy_exact,
-                           _ratio_from_det, _sign_completion,
+                           _ratio_from_det, _sign_completion, _signs,
                            assemble_bordered, greedy_corners, run_trial,
                            sample_border_columns, save_witness, search,
                            search_widths, trial_generator, verify_witness,
@@ -47,7 +47,7 @@ def iter_all_borders(q, d):
     shifts = np.arange(m * d, dtype=np.uint32)
     for pattern in range(1 << (m * d)):
         b = (1 - 2 * ((pattern >> shifts) & 1).astype(np.int8)).reshape(m, d)
-        g = _sign_completion(b, q)[1]
+        g = _sign_completion(b, q)
         [(_, det_n)] = batched_greedy(g[None], k)
         yield Enumerated(g, det_n, _ratio_from_det(det_n, m, k, d))
 
@@ -79,9 +79,15 @@ def flip_sign(row: str, j: int) -> str:
     return row[:j] + ("-" if row[j] == "+" else "+") + row[j + 1:]
 
 
+def sign_block(b, q):
+    """The whole C = sgn(B^T Q) of the sign rule that ``_sign_completion``
+    applies block by block."""
+    return _signs(q.rmatmul(b))
+
+
 def dense_sign_completion(b, q):
     """C = sgn(B^T Q), sgn(0) = +1, from the dense core: the oracle for the
-    C that ``_sign_completion`` makes."""
+    C that ``_sign_completion`` applies."""
     return np.where(b.T.astype(np.int64) @ q.dense() >= 0, 1, -1)
 
 
@@ -188,23 +194,26 @@ class TestSignCompletion:
     def test_zero_maps_to_plus(self, h4):
         b = np.array([[1], [1], [-1], [-1]], dtype=np.int8)
         p = b.T.astype(int) @ h4.dense()
-        c = _sign_completion(b, h4)[0]
+        c = sign_block(b, h4)
         assert np.any(p == 0)
         assert np.all(c[p == 0] == 1)
+        # the Gram block is formed with this C
+        assert np.array_equal(_sign_completion(b, h4),
+                              c.astype(int) @ p.T)
 
     def test_row_depends_only_on_own_column(self, h4):
         rng = trial_generator(2, 0)
         b = sample_border_columns(rng, 4, 2)
-        c = _sign_completion(b, h4)[0]
+        c = sign_block(b, h4)
         b2 = b.copy()
         b2[:, 1] = -b2[:, 1]
-        c2 = _sign_completion(b2, h4)[0]
+        c2 = sign_block(b2, h4)
         assert np.array_equal(c[0], c2[0])
         assert not np.array_equal(c[1], c2[1])
 
     def test_diagonal_has_no_cancellation(self, h4):
         b = h4.dense()[:, :1].copy()
-        _, g = _sign_completion(b, h4)
+        g = _sign_completion(b, h4)
         p = b.T.astype(int) @ h4.dense()
         assert g[0, 0] == int(np.abs(p).sum())
 
@@ -254,8 +263,8 @@ class TestSignCompletion:
         # the float64 Gram block is exact while m^2 < 2^53; a core that
         # only claims a larger order trips the guard before any product
         b = sample_border_columns(trial_generator(0, 0), 4, 2)
-        _, g = _sign_completion(b, claiming_order(h4, 94_906_265))
-        assert np.array_equal(g, _sign_completion(b, h4)[1])
+        g = _sign_completion(b, claiming_order(h4, 94_906_265))
+        assert np.array_equal(g, _sign_completion(b, h4))
         with pytest.raises(ExactnessError, match="Gram"):
             _sign_completion(b, claiming_order(h4, 94_906_266))
 
@@ -295,7 +304,7 @@ class TestGramBlock:
         q = {4: h4, 8: h8, 12: h12}[h]
         rng = trial_generator(5, h)
         b = sample_border_columns(rng, h, 3)
-        c = _sign_completion(b, q)[0]
+        c = sign_block(b, q)
         cqt = c.astype(np.int64) @ q.dense().T
         norms = (cqt ** 2).sum(axis=1)
         assert np.all(norms == h * h)
@@ -304,7 +313,7 @@ class TestGramBlock:
         q = paley_conference(5)
         rng = trial_generator(6, 0)
         b = sample_border_columns(rng, 6, 2)
-        c = _sign_completion(b, q)[0]
+        c = sign_block(b, q)
         cqt = c.astype(np.int64) @ q.dense().T
         assert np.all((cqt ** 2).sum(axis=1) == 5 * 6)
 
@@ -376,7 +385,7 @@ class TestGreedy:
         # alone takes 924 determinants, so one trial
         q = build_recipe(recipe)
         grams = np.stack([_sign_completion(sample_border_columns(
-            trial_generator(11, t), q.order, d), q)[1]
+            trial_generator(11, t), q.order, d), q)
             for t in range(2 if d < 20 else 1)])
         calls = self._count_calls(monkeypatch)
         corners = batched_greedy(grams, q.weight)
@@ -390,7 +399,7 @@ class TestGreedy:
         # and the float path certifies them without the exact fallback
         q = build_recipe("paley1(331);double")
         b = sample_border_columns(trial_generator(11, 0), q.order, 14)
-        g = _sign_completion(b, q)[1]
+        g = _sign_completion(b, q)
         assert (2 * np.diagonal(g) + 2 * q.weight
                 <= np.abs(g).sum(axis=1) + 14 * q.weight).any()
         calls = self._count_calls(monkeypatch)
@@ -405,7 +414,7 @@ class TestGreedy:
         # block to the exact path, with the same D and det
         q = build_recipe("paley2(1433)")
         b = sample_border_columns(trial_generator(11, 1), q.order, 10)
-        g = _sign_completion(b, q)[1]
+        g = _sign_completion(b, q)
         calls = self._count_calls(monkeypatch)
         [want] = batched_greedy(g[None], q.weight)
         assert calls == {"_greedy_exact": 0, "det_exact": 1}
@@ -485,7 +494,7 @@ class TestGreedy:
         # block, with the same D and det N
         q = build_recipe("conference(13)")
         grams = np.stack([_sign_completion(sample_border_columns(
-            trial_generator(2, t), q.order, 4), q)[1] for t in range(3)])
+            trial_generator(2, t), q.order, 4), q) for t in range(3)])
 
         def singular(a):
             raise np.linalg.LinAlgError("Singular matrix")

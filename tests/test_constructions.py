@@ -94,13 +94,14 @@ def matrix_core(m, kind=HADAMARD, weight=None):
 class TestCoreRecord:
     def test_work_not_shared(self):
         # rmatmul reads B^T in place and keeps nothing in the core's work;
-        # the sign completion keeps P there, in the core that made it
+        # the sign completion keeps P and a block of C there, in the core
+        # that made them
         a, b = build_recipe("paley1(11)"), build_recipe("paley1(11)")
         assert a.work == {} and a.work is not b.work
         a.rmatmul(np.ones((12, 2), dtype=np.int8))
         assert a.work == {}
         _sign_completion(np.ones((12, 2), dtype=np.int8), a)
-        assert set(a.work) == {"p"} and b.work == {}
+        assert set(a.work) == {"p", "c"} and b.work == {}
 
 
 class TestPaleyOne:
@@ -368,6 +369,10 @@ class TestTwoLanes:
         conv = constructions._paley_circulant(p, eps, "test")
         rows = self.transformed_rows(monkeypatch)
         rng = np.random.default_rng(p)
+        # transformed rows per call: a budget's worth, or one longer row
+        size = constructions._smooth_length(2 * p - 1)
+        per = max(1, constructions.PRODUCT_BUDGET // size)
+        assert (per == 1) == (p > 11000)
         for c in ((1, 2, 3, 4, 5) if p < 2000 else (3,)):
             signs = rng.integers(0, 2, size=(2, c, p)) * 2 - 1
             x = signs[0] if amp == 1 else signs[0] + signs[1]  # a doubling
@@ -375,7 +380,9 @@ class TestTwoLanes:
             out = np.empty_like(x)
             rows.clear()
             conv(x, out)
-            assert rows == [-(-c // lanes) if c > 1 else 1]
+            packed = -(-c // lanes) if c > 1 else 1
+            assert rows == [min(per, packed - i)
+                            for i in range(0, packed, per)], c
             assert np.array_equal(out, circulant_reference(x, p)), c
 
     def test_one_circulant_through_changing_row_counts(self, monkeypatch):
@@ -443,6 +450,97 @@ class TestTwoLanes:
                              env={**os.environ, "PYTHONPATH": str(
                                  Path(maxdet.__file__).parents[1])})
         assert out.stdout.split() == ["residual", "2", "1", "bound", "2", "1"]
+
+
+class TestProductGroups:
+    """A product passes its rows through the FFT, Paley II's pairs and the
+    Gram block in groups of at most ``PRODUCT_BUDGET`` float64 entries (or
+    one longer row); the groups change no bit of the result, and every
+    group is checked."""
+
+    # 1 and 40 leave one transformed row per group, 64 to 150 two to six
+    # on the smaller leaves; 1 << 40 makes every product one call
+    @pytest.mark.parametrize("budget", [1, 40, 64, 100, 150])
+    @pytest.mark.parametrize("recipe", [
+        "paley1(43)", "conference(13)", "paley2(13)",
+        "paley2(13);double;double", "kron(paley1(7),paley2(5))"])
+    def test_grouped_equal_one_call(self, monkeypatch, recipe, budget):
+        # odd row counts, so the odd last row of the two lanes, and at
+        # small budgets a lane pair, ends a group
+        q = build_recipe(recipe)
+        dense = q.dense()
+        rng = np.random.default_rng(q.order)
+        for c in (1, 5, 7):
+            x = (rng.integers(0, 2, size=(c, q.order)) * 2 - 1).astype(
+                np.int8)
+            whole, grouped = np.empty(x.shape), np.empty(x.shape)
+            monkeypatch.setattr(constructions, "PRODUCT_BUDGET", 1 << 40)
+            q.right_mul(x, whole)
+            monkeypatch.setattr(constructions, "PRODUCT_BUDGET", budget)
+            q.right_mul(x, grouped)
+            assert np.array_equal(whole.view(np.int64),
+                                  grouped.view(np.int64)), c
+            assert np.array_equal(grouped, x.astype(np.int64) @ dense), c
+
+    @pytest.mark.parametrize("budget,width", [(1, 1), (7, 2),
+                                              (1 << 40, 664)])
+    def test_gram_block_in_column_blocks(self, monkeypatch, budget, width):
+        # G summed over blocks of 1, 2 or all 664 columns of P
+        from maxdet import border
+        q = build_recipe("paley1(331);double")
+        b = (np.random.default_rng(2).integers(0, 2, size=(q.order, 3)) * 2
+             - 1).astype(np.int8)
+        p = b.T.astype(np.int64) @ q.dense()
+        oracle = np.where(p >= 0, 1, -1) @ p.T
+        monkeypatch.setattr(border, "PRODUCT_BUDGET", budget)
+        g = _sign_completion(b, q)
+        assert g.dtype == np.int64 and np.array_equal(g, oracle)
+        assert q.work["c"].shape == (3, width)
+
+    @pytest.mark.parametrize("name,fake", [
+        ("irfft", lambda real, *a, **k: real(*a, **k) + 0.4),
+        ("einsum", lambda real, *a: real(*a) * 1e12)])
+    def test_a_later_group_is_checked(self, monkeypatch, name, fake):
+        # six rows in three groups of two lanes: the first group passes,
+        # the second fails its residual or its bound
+        conv = constructions._paley_circulant(331, -1, "test")
+        monkeypatch.setattr(constructions, "PRODUCT_BUDGET", 1)
+        owner = np.fft if name == "irfft" else np
+        real, calls = getattr(owner, name), []
+
+        def second_call_off(*args, **kwargs):
+            calls.append(len(args[1] if name == "einsum" else args[0]))
+            if len(calls) == 1:
+                return real(*args, **kwargs)
+            return fake(real, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, second_call_off)
+        x = np.ones((6, 331), dtype=np.int8)
+        with pytest.raises(ExactnessError,
+                           match="residual" if name == "irfft" else "bound"):
+            conv(x, np.empty(x.shape))
+        assert calls == [1, 1]
+
+    def test_product_buffers_within_budgets(self):
+        # one sign completion at width 14 on a fresh conference(11117) core
+        # keeps P (14 x 11118) and, beside it, about a budget and a half:
+        # a C block of one budget and transforms of one row; with every row
+        # transformed at once, and C whole, it traced 14 budgets beside P
+        q = paley_conference(11117)
+        d = 14
+        b = (np.random.default_rng(0).integers(0, 2, size=(q.order, d)) * 2
+             - 1).astype(np.int8)
+        tracemalloc.start()
+        try:
+            g = _sign_completion(b, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = constructions.PRODUCT_BUDGET * 8
+        assert peak < d * q.order * 8 + 3 * budget
+        p = q.rmatmul(b)
+        assert np.array_equal(g, (np.where(p >= 0, 1.0, -1.0) @ p.T).astype(
+            np.int64))
 
 
 class TestOversizedPrime:

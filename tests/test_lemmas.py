@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maxdet.border import _sign_completion
+from maxdet.border import _signs
 from maxdet.bounds import C_SQRT_2_OVER_PI as C, g_of_h
 from maxdet.constructions import build_recipe
 from test_border import iter_all_borders
@@ -238,7 +238,7 @@ def test_hoeffding_tail(draws):
     # columns b2, against the Hoeffding bound plus 0.02 of sampling slack
     h = 256
     q = build_recipe("unit" + ";double" * 8)
-    c1 = _sign_completion(draws["b1"], q)[0]
+    c1 = _signs(q.rmatmul(draws["b1"]))
     u = (c1.astype(np.float64) @ q.dense().astype(np.float64).T) / h
     f12 = (u @ draws["others"].astype(np.float64)).ravel()
     bound = hoeffding_bound(2.0, [(-abs(x), abs(x)) for x in u.ravel()])
