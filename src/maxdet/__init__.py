@@ -17,7 +17,7 @@ from .sieve import (OrderSet, GapReport, Resolution, build_order_set,
                     gap_function, resolve)
 from .border import (SearchConfig, TrialResult, sample_border_columns,
                      search, verify_witness)
-from .bounds import BoundReport, evaluate_bounds, g_of_h, h0
+from .bounds import evaluate_bounds, g_of_h, h0
 
 __all__ = [
     "__version__",
@@ -29,5 +29,5 @@ __all__ = [
     "gap_function", "resolve",
     "SearchConfig", "TrialResult", "sample_border_columns", "search",
     "verify_witness",
-    "BoundReport", "evaluate_bounds", "g_of_h", "h0",
+    "evaluate_bounds", "g_of_h", "h0",
 ]

@@ -482,48 +482,41 @@ def _sign_rows(block: np.ndarray, lead: bytes = b"", tail: bytes = b""
     return rows
 
 
-def _sign_strings(block: np.ndarray) -> list[str]:
-    """Each row of a 2-d sign array as a string of '+' and '-'."""
-    m, d = block.shape
-    text = _sign_rows(block).tobytes().decode("ascii")
-    return [text[i:i + d] for i in range(0, m * d, d)] if d else [""] * m
-
-
-def _witness_fields(result: TrialResult, b) -> dict:
+def _witness_chunks(result: TrialResult) -> tuple:
+    """The witness file in three buffers: ``json.dumps(witness, indent=2)``
+    and a newline, with C omitted (recomputed from B on verify).  B's m
+    rows are '+'/'-' strings, which JSON quotes without escapes, so they
+    are laid out as one uint8 buffer straight from the sign array, with no
+    string per row; json lays out every other field around an empty B."""
     d = result.d
-    d_off = result.D[~np.eye(d, dtype=bool)]
-    return {
+    d_off = _sign_rows(result.D[~np.eye(d, dtype=bool)][None])
+    head, _, rest = json.dumps({
         "n": result.n, "m": result.m, "d": d,
         "kind": result.kind, "weight": result.weight,
         "recipe": result.recipe,
         "master_seed": result.master_seed,
         "trial_index": result.trial_index,
-        "B": b,
-        "D_off": _sign_strings(d_off[None])[0],
+        "B": [],
+        "D_off": d_off.tobytes().decode("ascii"),
         "det_schur": str(result.det_n),
         "ratio_log": result.ratio.log_abs,
         "ratio_decimal": result.ratio.value(),
-    }
+    }, indent=2).partition('"B": []')
+    rows = _sign_rows(result.B, b'    "', b'",\n')
+    return (f'{head}"B": [\n'.encode(),
+            rows.reshape(-1)[:-2],  # the last row takes no comma
+            f"\n  ]{rest}\n".encode())
 
 
 def witness_dict(result: TrialResult) -> dict:
-    """Serializable witness; C is omitted (recomputed from B on verify)."""
-    return _witness_fields(result, _sign_strings(result.B))
+    """The witness as ``save_witness`` writes it, read back as JSON."""
+    return json.loads(b"".join(_witness_chunks(result)))
 
 
 def save_witness(path, result: TrialResult) -> None:
-    """The bytes of ``json.dump(witness_dict(result), fh, indent=2)`` and a
-    newline.  B's m rows are '+'/'-' strings, which JSON quotes without
-    escapes, so they are laid out as one uint8 buffer straight from the
-    sign array, with no string per row; json lays out every other field
-    around an empty B."""
-    rows = _sign_rows(result.B, b'    "', b'",\n')
-    head, _, rest = json.dumps(_witness_fields(result, []),
-                               indent=2).partition('"B": []')
+    """Write the witness file that ``_witness_chunks`` lays out."""
     with open(path, "wb") as fh:
-        fh.write(f'{head}"B": [\n'.encode())
-        fh.write(rows.reshape(-1)[:-2])  # the last row takes no comma
-        fh.write(f"\n  ]{rest}\n".encode())
+        fh.writelines(_witness_chunks(result))
 
 
 def _parse_signs(rows: list[str], name: str, d: int) -> np.ndarray:

@@ -1,15 +1,15 @@
 """Closed-form determinant bounds and their certified floor decisions.
 
-Bound values are carried as LogScalar (sign + ln).  The supporting lemmas
-of the paper are checked by tests/test_lemmas.py, and the exhaustive D(n)
-oracle for n <= 6 lives in tests/oracles.py, not here.
+``evaluate_bounds`` gives the bounds as the plain rows that ``bound``
+prints, each value as its natural log and its decimal.  The supporting
+lemmas of the paper are checked by tests/test_lemmas.py, and the
+exhaustive D(n) oracle for n <= 6 lives in tests/oracles.py, not here.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,156 +61,87 @@ def h0(d: int) -> float:
         return math.inf
 
 
-class BoundContext(NamedTuple):
-    n: int
-    h: int
-    d: int
-    epsilon: float     # sqrt(4 d ln h / h), 0 when d = 0
-    delta: float       # 6 d^3 / h
-    c: float
-    g_h: float | None  # None when h is odd (no central binomial)
-    h0_d: float | None
+# the CSV columns of a bound row; its JSON row adds a "reason" at the end
+BOUND_COLUMNS = ("name", "applicable", "target", "value_log", "value_decimal")
 
 
-class BoundEntry(NamedTuple):
-    name: str
-    applicable: bool
-    reason: str
-    target: str                  # "D(n)/h^(h/2)", "D(n)/h^(n/2)", "Dbar(n)"
-    value: LogScalar | None
-
-    def as_row(self) -> dict:
-        return {
-            "name": self.name,
-            "applicable": self.applicable,
-            "target": self.target,
-            "value_log": None if self.value is None else self.value.log_abs,
-            "value_decimal": None if self.value is None else self.value.value(),
-        }
-
-    def as_json(self) -> dict:
-        row = self.as_row()
-        row["reason"] = self.reason
-        return row
+def _row(name: str, target: str, reason: str, value_log: float | None
+         ) -> dict:
+    """One bound's row; value_log is None where the bound does not apply."""
+    return {"name": name, "applicable": value_log is not None,
+            "target": target,  # "D(n)/h^(h/2)", "D(n)/h^(n/2)" or "Dbar(n)"
+            "value_log": value_log,
+            "value_decimal": (None if value_log is None
+                              else LogScalar(1, value_log).value()),
+            "reason": reason}
 
 
-class BoundReport(NamedTuple):
-    n: int
-    h: int
-    d: int
-    context: BoundContext
-    entries: tuple[BoundEntry, ...]
-
-    def entry(self, name: str) -> BoundEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n, "h": self.h, "d": self.d,
-            "context": {
-                "epsilon": self.context.epsilon,
-                "delta": self.context.delta,
-                "c": self.context.c,
-                "g_h": self.context.g_h,
-                "h0_d": self.context.h0_d,
-            },
-            "bounds": [e.as_json() for e in self.entries],
-        }
-
-    def csv_rows(self) -> list[list]:
-        # fixed column order: name, applicable, target, value_log, value_decimal
-        rows = [["name", "applicable", "target", "value_log", "value_decimal"]]
-        for e in self.entries:
-            r = e.as_row()
-            rows.append([r["name"], r["applicable"], r["target"],
-                         r["value_log"], r["value_decimal"]])
-        return rows
-
-
-def make_context(n: int, h: int, d: int) -> BoundContext:
-    eps = math.sqrt(4.0 * d * math.log(h) / h) if d >= 1 and h >= 3 else 0.0
-    delta = 6.0 * d ** 3 / h
-    # one correctly rounded int division: float(g_of_h(h)), bit for bit
-    gh = ((2 ** h + h * central_binomial(h)) / 2 ** h
-          if h >= 2 and h % 2 == 0 else None)
-    return BoundContext(n=n, h=h, d=d, epsilon=eps, delta=delta,
-                        c=C_SQRT_2_OVER_PI,
-                        g_h=gh, h0_d=h0(d) if d >= 1 else None)
-
-
-def _log_entry(name, target, ok, reason, log_value) -> BoundEntry:
-    value = LogScalar(1, log_value) if ok else None
-    return BoundEntry(name=name, applicable=ok, reason=reason,
-                      target=target, value=value)
-
-
-def evaluate_bounds(n: int, h: int, d: int) -> BoundReport:
-    """Every closed-form bound at (n, h, d) with its applicability flag."""
+def evaluate_bounds(n: int, h: int, d: int) -> dict:
+    """Every closed-form bound at (n, h, d), as ``bound`` prints it: n, h,
+    d, a context dict and a ``bounds`` list of rows.  Each value is
+    computed only where its bound applies."""
     if n != h + d:
         raise ValueError("n must equal h + d")
     if h < 1 or d < 0:
         raise ValueError("need h >= 1 and d >= 0")
-    ctx = make_context(n, h, d)
-    eps, delta = ctx.epsilon, ctx.delta
-    c = C_SQRT_2_OVER_PI
-    entries = []
+    eps = math.sqrt(4.0 * d * math.log(h) / h) if d >= 1 and h >= 3 else 0.0
+    delta = 6.0 * d ** 3 / h
+    h0_d = h0(d) if d >= 1 else None
+    power = 0.5 * d * math.log(2.0 * n / math.pi)
+    normalized = 0.5 * d * math.log(2.0 / (math.pi * math.e))
 
     # direct-expectation bound: D(n)/h^(h/2) > (2n/pi)^(d/2) for h >= h0(d)
-    ok = d >= 1 and ctx.h0_d is not None and h >= ctx.h0_d
-    entries.append(_log_entry(
-        "direct_expectation", "D(n)/h^(h/2)", ok,
-        "requires d >= 1 and h >= h0(d)",
-        0.5 * d * math.log(2.0 * n / math.pi) if ok else 0.0))
-
+    direct = d >= 1 and h >= h0_d
     # small borders: same bound for every Hadamard core when 1 <= d <= 3
-    ok = 1 <= d <= 3 and h >= 4
-    entries.append(_log_entry(
-        "small_border", "D(n)/h^(h/2)", ok,
-        "requires 1 <= d <= 3 and h >= 4",
-        0.5 * d * math.log(2.0 * n / math.pi) if ok else 0.0))
-    entries.append(_log_entry(
-        "small_border_normalized", "Dbar(n)", ok,
-        "requires 1 <= d <= 3 and h >= 4",
-        0.5 * d * math.log(2.0 / (math.pi * math.e)) if ok else 0.0))
-
-    ok = d >= 1 and ctx.h0_d is not None and h >= ctx.h0_d
-    entries.append(_log_entry(
-        "direct_expectation_normalized", "Dbar(n)", ok,
-        "requires d >= 1 and h >= h0(d)",
-        0.5 * d * math.log(2.0 / (math.pi * math.e)) if ok else 0.0))
-
+    small = 1 <= d <= 3 and h >= 4
     # tail-bound theorem: needs a large core, h/ln h >= 16 d^3
-    t2_ok = h >= 656 and 16 * d ** 3 <= h / math.log(h)
-    entries.append(_log_entry(
-        "tail_bound", "D(n)/h^(n/2)", t2_ok,
-        "requires h >= 656 and 16 d^3 <= h/ln h",
-        0.5 * d * math.log(2.0 / math.pi) - 2.31 * d * eps if t2_ok else 0.0))
-    entries.append(_log_entry(
-        "tail_bound_normalized", "Dbar(n)", t2_ok,
-        "requires h >= 656 and 16 d^3 <= h/ln h",
-        0.5 * d * math.log(2.0 / (math.pi * math.e)) - 2.38 * d * eps
-        if t2_ok else 0.0))
-
+    tail = h >= 656 and 16 * d ** 3 <= h / math.log(h)
     # relaxed-core theorem: only needs 6 d^3 <= h
-    t3_ok = d >= 1 and delta <= 1.0
-    entries.append(_log_entry(
-        "relaxed_core", "D(n)/h^(n/2)", t3_ok,
-        "requires d >= 1 and 6 d^3 <= h",
-        d * math.log(0.594) + math.log1p(-0.93 * delta) if t3_ok else 0.0))
-    entries.append(_log_entry(
-        "relaxed_core_normalized", "Dbar(n)", t3_ok,
-        "requires d >= 1 and 6 d^3 <= h",
-        d * math.log(0.352) + math.log1p(-0.93 * delta) if t3_ok else 0.0))
-
-    # universal floor: Dbar(n) > 0.07 * 0.352^d, no conditions
-    entries.append(_log_entry(
-        "universal_floor", "Dbar(n)", True, "always applicable",
-        math.log(0.07) + d * math.log(0.352)))
-
-    return BoundReport(n=n, h=h, d=d, context=ctx, entries=tuple(entries))
+    relaxed = d >= 1 and delta <= 1.0
+    bounds = [
+        _row("direct_expectation", "D(n)/h^(h/2)",
+             "requires d >= 1 and h >= h0(d)", power if direct else None),
+        _row("small_border", "D(n)/h^(h/2)",
+             "requires 1 <= d <= 3 and h >= 4", power if small else None),
+        _row("small_border_normalized", "Dbar(n)",
+             "requires 1 <= d <= 3 and h >= 4",
+             normalized if small else None),
+        _row("direct_expectation_normalized", "Dbar(n)",
+             "requires d >= 1 and h >= h0(d)",
+             normalized if direct else None),
+        _row("tail_bound", "D(n)/h^(n/2)",
+             "requires h >= 656 and 16 d^3 <= h/ln h",
+             0.5 * d * math.log(2.0 / math.pi) - 2.31 * d * eps
+             if tail else None),
+        _row("tail_bound_normalized", "Dbar(n)",
+             "requires h >= 656 and 16 d^3 <= h/ln h",
+             normalized - 2.38 * d * eps if tail else None),
+        _row("relaxed_core", "D(n)/h^(n/2)",
+             "requires d >= 1 and 6 d^3 <= h",
+             d * math.log(0.594) + math.log1p(-0.93 * delta)
+             if relaxed else None),
+        _row("relaxed_core_normalized", "Dbar(n)",
+             "requires d >= 1 and 6 d^3 <= h",
+             d * math.log(0.352) + math.log1p(-0.93 * delta)
+             if relaxed else None),
+        # universal floor: Dbar(n) > 0.07 * 0.352^d, no conditions
+        _row("universal_floor", "Dbar(n)", "always applicable",
+             math.log(0.07) + d * math.log(0.352)),
+    ]
+    return {
+        "n": n, "h": h, "d": d,
+        "context": {
+            "epsilon": eps,  # sqrt(4 d ln h / h), 0 when d = 0
+            "delta": delta,  # 6 d^3 / h
+            "c": C_SQRT_2_OVER_PI,
+            # one correctly rounded int division: float(g_of_h(h)), bit for
+            # bit; None when h is odd (no central binomial)
+            "g_h": ((2 ** h + h * central_binomial(h)) / 2 ** h
+                    if h >= 2 and h % 2 == 0 else None),
+            "h0_d": h0_d,
+        },
+        "bounds": bounds,
+    }
 
 
 # a float floor decision stands only if its gap exceeds this share of the

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -152,21 +153,25 @@ def cmd_bound(args) -> int:
     recipe, res = _select_core(args, oset, args.n)
     q = build_recipe(recipe)
     width = args.n - q.order
-    if width < 0:
-        raise ValueError(f"core order {q.order} exceeds n = {args.n}")
     config = border_mod.SearchConfig(trials=args.trials, master_seed=args.seed)
     _log(f"n={args.n}: resolve h={res.h} d={res.d}; core {recipe} "
          f"(order {q.order}, border {width}); {args.trials} trials")
     best = border_mod.search(q, width, config)
     report = bounds_mod.evaluate_bounds(args.n, res.h, res.d)
 
-    applicable = [e for e in report.entries
-                  if e.applicable and e.target == "Dbar(n)"]
-    best_formula = max((e.value for e in applicable), default=None)
     constructive = best.ratio
-    winner = "constructive"
-    if best_formula is not None and best_formula > constructive:
-        winner = "formula"
+    top = max((row for row in report["bounds"]
+               if row["applicable"] and row["target"] == "Dbar(n)"),
+              key=itemgetter("value_log"), default=None)
+    # the formula wins when the constructive ratio is 0 or has a smaller log
+    if top is not None and (constructive.sign == 0
+                            or top["value_log"] > constructive.log_abs):
+        winner = {"source": "formula", "value_log": top["value_log"],
+                  "value_decimal": top["value_decimal"]}
+    else:
+        winner = {"source": "constructive",
+                  "value_log": constructive.log_abs,
+                  "value_decimal": constructive.value()}
     out = {
         "meta": _meta(args, oset),
         "n": args.n,
@@ -180,14 +185,8 @@ def cmd_bound(args) -> int:
             "trial_index": best.trial_index,
             "border_width": width,
         },
-        "formula_bounds": report.to_json_dict(),
-        "best_lower_bound": {
-            "source": winner,
-            "value_log": (constructive if winner == "constructive"
-                          else best_formula).log_abs,
-            "value_decimal": (constructive if winner == "constructive"
-                              else best_formula).value(),
-        },
+        "formula_bounds": report,
+        "best_lower_bound": winner,
     }
     if args.out:
         border_mod.save_witness(args.out, best)
@@ -195,8 +194,10 @@ def cmd_bound(args) -> int:
         _log(f"wrote witness to {args.out}")
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerows(report.csv_rows())
+        writer = csv.DictWriter(buf, bounds_mod.BOUND_COLUMNS,
+                                extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(report["bounds"])
         sys.stdout.write(buf.getvalue())
     else:
         _emit(out)
@@ -287,19 +288,13 @@ def cmd_table1(args) -> int:
         checks = []
         row_ok = True
         widths = [h + d - q.order for d in ds]
-        searched = [w for w in widths if w >= 0]
         config = border_mod.SearchConfig(trials=args.trials,
                                          master_seed=args.seed)
-        _log(f"table1 row h={h}: borders {searched}, {args.trials} trials "
+        _log(f"table1 row h={h}: borders {widths}, {args.trials} trials "
              f"each, one product per trial")
-        found = iter(border_mod.search_widths(q, searched, config))
-        for d, width in zip(ds, widths):
+        found = border_mod.search_widths(q, widths, config)
+        for d, width, best in zip(ds, widths, found):
             n = h + d
-            if width < 0:
-                checks.append({"d": d, "n": n, "status": "skipped",
-                               "note": f"core order {q.order} exceeds n"})
-                continue
-            best = next(found)
             target_log = math.log(0.07) + d * math.log(0.352)
             ok = bounds_mod.passes_uniform_floor(best.det_n, q.order,
                                                  q.weight, width, d)

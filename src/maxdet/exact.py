@@ -3,8 +3,8 @@
 Determinants are exact: entries are taken as Python ints of arbitrary
 size and eliminated fraction-free (Bareiss), so there is no rounding
 anywhere.  Log-scale values are the one deliberate exception: a
-LogScalar carries a sign and ln|x| so that quantities like det/n^(n/2)
-stay representable for n in the thousands.
+LogScalar carries ln|x| and whether x is 0, so that quantities like
+|det|/n^(n/2) stay representable for n in the thousands.
 """
 
 from __future__ import annotations
@@ -83,38 +83,21 @@ def leading_minors(rows: Sequence[Sequence[int]]) -> list[int] | None:
 
 
 class LogScalar(NamedTuple):
-    """Sign and natural log of absolute value.
-
-    log_abs is meaningless when sign == 0 (kept at 0.0 by convention).
-    """
+    """A nonnegative magnitude as its natural log: sign is 1, or 0 for the
+    value 0 with log_abs 0.0.  Values compare in tuple order, which is
+    their numeric order."""
 
     sign: int
     log_abs: float
 
     def value(self) -> float:
-        """Decimal value; overflows to +-inf rather than raising."""
+        """Decimal value; overflows to inf rather than raising."""
         if self.sign == 0:
             return 0.0
         try:
-            return self.sign * math.exp(self.log_abs)
+            return math.exp(self.log_abs)
         except OverflowError:
-            return self.sign * math.inf
-
-    def _key(self):
-        # total order: sign dominates; within a sign, log_abs ordered by sign
-        return (self.sign, self.sign * self.log_abs if self.sign else 0.0)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        return self._key() >= other._key()
+            return math.inf
 
 
 def normalized_ratio(det_abs_log: LogScalar, n: int) -> LogScalar:

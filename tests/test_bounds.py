@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maxdet.bounds import (PI_E_HI, PI_E_LO, central_binomial,
-                           evaluate_bounds, g_of_h, h0, make_context,
+from maxdet.bounds import (BOUND_COLUMNS, PI_E_HI, PI_E_LO,
+                           central_binomial, evaluate_bounds, g_of_h, h0,
                            passes_small_border_floor,
                            passes_uniform_floor)
 from oracles import maxdet_oracle
@@ -41,7 +41,8 @@ class TestGofH:
         # Legendre's exponents give the binomial exactly, and one int
         # division gives the float of the exact g(h), bit for bit
         assert central_binomial(h) == math.comb(h, h // 2)
-        assert make_context(h, h, 0).g_h == float(g_of_h(h))
+        assert evaluate_bounds(h, h, 0)["context"]["g_h"] == float(
+            g_of_h(h))
 
 
 # far above 2^40 the logarithms cannot tell a threshold from its neighbour
@@ -97,58 +98,62 @@ class TestH0:
             h0(0)
 
 
+def entry(n, h, d, name):
+    """The row of bound ``name`` at (n, h, d)."""
+    rows = evaluate_bounds(n, h, d)["bounds"]
+    return next(row for row in rows if row["name"] == name)
+
+
 class TestEvaluateBounds:
     def test_assume_h_constant(self):
-        rep = evaluate_bounds(15, 12, 3)
-        val = rep.entry("small_border_normalized").value.value()
+        val = entry(15, 12, 3, "small_border_normalized")["value_decimal"]
         assert 0.1133 < val < 0.1134
 
     def test_tail_bound_at_656(self):
-        rep = evaluate_bounds(657, 656, 1)
-        assert abs(rep.context.epsilon - 0.19888) < 1e-4
-        e = rep.entry("tail_bound")
-        assert e.applicable
-        expected = math.sqrt(2 / math.pi) * math.exp(-2.31 * rep.context.epsilon)
-        assert math.isclose(e.value.value(), expected, rel_tol=1e-12)
-        assert abs(e.value.value() - 0.50399) < 1e-4
+        eps = evaluate_bounds(657, 656, 1)["context"]["epsilon"]
+        assert abs(eps - 0.19888) < 1e-4
+        e = entry(657, 656, 1, "tail_bound")
+        assert e["applicable"]
+        expected = math.sqrt(2 / math.pi) * math.exp(-2.31 * eps)
+        assert math.isclose(e["value_decimal"], expected, rel_tol=1e-12)
+        assert abs(e["value_decimal"] - 0.50399) < 1e-4
 
     def test_tail_bound_applicability_boundary(self):
-        assert evaluate_bounds(657, 656, 1).entry("tail_bound").applicable
-        assert not evaluate_bounds(658, 656, 2).entry("tail_bound").applicable
+        assert entry(657, 656, 1, "tail_bound")["applicable"]
+        assert not entry(658, 656, 2, "tail_bound")["applicable"]
 
     def test_small_border_window(self):
-        assert evaluate_bounds(13, 12, 1).entry("small_border").applicable
-        assert evaluate_bounds(15, 12, 3).entry("small_border").applicable
-        assert not evaluate_bounds(16, 12, 4).entry("small_border").applicable
-        assert not evaluate_bounds(12, 12, 0).entry("small_border").applicable
+        assert entry(13, 12, 1, "small_border")["applicable"]
+        assert entry(15, 12, 3, "small_border")["applicable"]
+        assert not entry(16, 12, 4, "small_border")["applicable"]
+        assert not entry(12, 12, 0, "small_border")["applicable"]
 
     def test_relaxed_core_window(self):
-        assert evaluate_bounds(668, 664, 4).entry("relaxed_core").applicable
+        assert entry(668, 664, 4, "relaxed_core")["applicable"]
         # delta = 6*8^3/664 > 1
-        assert not evaluate_bounds(672, 664, 8).entry("relaxed_core").applicable
+        assert not entry(672, 664, 8, "relaxed_core")["applicable"]
 
     def test_direct_expectation_needs_h0(self):
-        assert evaluate_bounds(21, 20, 1).entry("direct_expectation").applicable
-        assert not evaluate_bounds(17, 16, 1).entry("direct_expectation").applicable
+        assert entry(21, 20, 1, "direct_expectation")["applicable"]
+        assert not entry(17, 16, 1, "direct_expectation")["applicable"]
 
     def test_normalized_values_in_unit_interval(self):
         for h, d in [(664, 0), (664, 1), (664, 3), (664, 6), (2868, 9),
                      (5744, 14), (656, 1), (60456, 22)]:
-            rep = evaluate_bounds(h + d, h, d)
-            for e in rep.entries:
-                if e.applicable and e.target == "Dbar(n)":
-                    assert e.value.sign == 1
-                    assert e.value.log_abs <= 0.0, e.name
+            for e in evaluate_bounds(h + d, h, d)["bounds"]:
+                if e["applicable"] and e["target"] == "Dbar(n)":
+                    assert e["value_decimal"] > 0.0
+                    assert e["value_log"] <= 0.0, e["name"]
 
     def test_strength_ordering(self):
-        rep = evaluate_bounds(664 + 2, 664, 2)
-        tail = rep.entry("tail_bound_normalized")
-        direct = rep.entry("direct_expectation_normalized")
-        if tail.applicable and direct.applicable:
-            assert tail.value < direct.value
-        small = rep.entry("small_border_normalized")
-        assert small.applicable
-        assert rep.entry("universal_floor").value < small.value
+        tail = entry(666, 664, 2, "tail_bound_normalized")
+        direct = entry(666, 664, 2, "direct_expectation_normalized")
+        if tail["applicable"] and direct["applicable"]:
+            assert tail["value_log"] < direct["value_log"]
+        small = entry(666, 664, 2, "small_border_normalized")
+        assert small["applicable"]
+        assert (entry(666, 664, 2, "universal_floor")["value_log"]
+                < small["value_log"])
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -156,12 +161,18 @@ class TestEvaluateBounds:
 
     def test_report_serialization(self):
         rep = evaluate_bounds(669, 664, 5)
-        d = rep.to_json_dict()
-        assert {"n", "h", "d", "context", "bounds"} <= set(d)
-        rows = rep.csv_rows()
-        assert rows[0] == ["name", "applicable", "target", "value_log",
-                          "value_decimal"]
-        assert len(rows) == 1 + len(rep.entries)
+        assert list(rep) == ["n", "h", "d", "context", "bounds"]
+        assert list(rep["context"]) == ["epsilon", "delta", "c", "g_h",
+                                        "h0_d"]
+        assert BOUND_COLUMNS == ("name", "applicable", "target",
+                                 "value_log", "value_decimal")
+        # delta = 6*5^3/664 > 1/0.93, where log1p(-0.93 delta) is undefined:
+        # a bound that does not apply has no value
+        for row in rep["bounds"]:
+            assert tuple(row) == BOUND_COLUMNS + ("reason",)
+            assert (row["value_log"] is None) == (not row["applicable"])
+            assert (row["value_decimal"] is None) == (not row["applicable"])
+        assert len(rep["bounds"]) == 9
 
 
 class TestOracle:

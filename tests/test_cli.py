@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import resource
@@ -11,6 +13,7 @@ import pytest
 
 import maxdet
 from maxdet import constructions
+from maxdet.bounds import BOUND_COLUMNS, evaluate_bounds
 from maxdet.cli import EXCEPTIONAL_ROWS, _table1_core, build_parser, main
 
 
@@ -199,6 +202,24 @@ class TestBound:
         assert code == 0
         header = out.splitlines()[0]
         assert header == "name,applicable,target,value_log,value_decimal"
+
+    @pytest.mark.parametrize("argv, h, d", [
+        (("664",), 664, 0),
+        (("717", "--method", "conference"), 712, 5),
+    ], ids=["664-bare-core", "717-conference"])
+    def test_rows_are_evaluate_bounds(self, capsys, argv, h, d):
+        # bound prints evaluate_bounds as it is, and its CSV holds the same
+        # rows over BOUND_COLUMNS
+        report = evaluate_bounds(h + d, h, d)
+        args = ("bound", *argv, "--trials", "4", "--max", "1024")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert json.loads(out)["formula_bounds"] == report
+        code, out, _ = run_cli(capsys, *args, "--format", "csv")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [list(BOUND_COLUMNS)] + [
+            ["" if row[c] is None else str(row[c]) for c in BOUND_COLUMNS]
+            for row in report["bounds"]]
 
     @pytest.mark.parametrize("argv, digest", [
         (("670", "--trials", "16"),
@@ -470,10 +491,12 @@ class TestWitnessFlow:
 
 class TestTable1:
     def test_row_cores(self):
-        # a Hadamard row's core has order h; a conference row's has p + 1
-        for h, _, _, p, method in EXCEPTIONAL_ROWS:
+        # a Hadamard row's core has order h; a conference row's has p + 1,
+        # and no core exceeds its row's smallest n
+        for h, _, ds, p, method in EXCEPTIONAL_ROWS:
             q = constructions.build_recipe(_table1_core(h, p, method))
             assert q.order == (p + 1 if method == "conference" else h)
+            assert q.order <= h + min(ds)
             assert q.recipe.startswith(f"{method}({p})")
 
     def test_fast_row_664(self, capsys):

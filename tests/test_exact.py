@@ -113,42 +113,37 @@ class TestLeadingMinors:
 
 class TestLogScalar:
     def test_from_int(self):
-        x = LogScalar(-1, math.log(48))
-        assert math.isclose(x.value(), -48.0, rel_tol=1e-12)
+        x = LogScalar(1, math.log(48))
+        assert math.isclose(x.value(), 48.0, rel_tol=1e-12)
         assert LogScalar(0, 0.0).value() == 0.0
 
     def test_huge_int(self):
         # a determinant far beyond float range keeps an accurate log, and
         # its decimal value overflows to inf rather than raising
-        x = LogScalar(-1, math.log(7 ** 4000))
+        x = LogScalar(1, math.log(7 ** 4000))
         assert math.isclose(x.log_abs, 4000 * math.log(7), rel_tol=1e-12)
-        assert x.value() == -math.inf
+        assert x.value() == math.inf
 
     def test_ordering(self):
+        # zero is below every positive value, however small its log
         log = math.log
-        assert LogScalar(-1, log(5)) < LogScalar(0, 0.0) < LogScalar(1, log(3))
-        assert LogScalar(-1, log(2)) > LogScalar(-1, log(7))
+        assert LogScalar(0, 0.0) < LogScalar(1, -700.0) < LogScalar(1, log(3))
         assert LogScalar(1, log(9)) > LogScalar(1, log(8))
-        xs = [LogScalar(1, 2.0), LogScalar(-1, 1.0), LogScalar(-1, 3.0),
-              LogScalar(0, 0.0), LogScalar(1, -1.0)]
-        assert sorted(xs) == [LogScalar(-1, 3.0), LogScalar(-1, 1.0),
-                              LogScalar(0, 0.0), LogScalar(1, -1.0),
-                              LogScalar(1, 2.0)]
+        xs = [LogScalar(1, 2.0), LogScalar(0, 0.0), LogScalar(1, -1.0),
+              LogScalar(1, 0.0)]
+        assert sorted(xs) == [LogScalar(0, 0.0), LogScalar(1, -1.0),
+                              LogScalar(1, 0.0), LogScalar(1, 2.0)]
         assert max(xs) == LogScalar(1, 2.0)
-        assert min(xs) == LogScalar(-1, 3.0)
+        assert min(xs) == LogScalar(0, 0.0)
 
     def test_equality_and_hash(self):
         # equal iff both fields are, hashed as the pair (sign, log_abs)
         a, b = LogScalar(1, 0.5), LogScalar(1, 0.5)
         assert a == b and not a != b
         assert hash(a) == hash(b) == hash((1, 0.5))
-        assert a != LogScalar(-1, 0.5) and a != LogScalar(1, 0.25)
-        assert len({a, b, LogScalar(-1, 0.5), LogScalar(1, 0.25)}) == 3
-        # the order ignores log_abs at sign 0, equality does not
-        zero, other = LogScalar(0, 0.0), LogScalar(0, 3.0)
-        assert zero != other
-        assert zero <= other and zero >= other
-        assert not (zero < other or zero > other)
+        assert a != LogScalar(0, 0.0) and a != LogScalar(1, 0.25)
+        assert len({a, b, LogScalar(0, 0.0), LogScalar(1, 0.25)}) == 3
+        assert a <= b and a >= b and not (a < b or a > b)
 
     def test_immutable(self):
         x = LogScalar(1, 0.5)
