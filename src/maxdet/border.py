@@ -17,13 +17,17 @@ det N comes from Bareiss, and the checks are raised, also under
 ``python -O``.  Ratios |det| / n^(n/2) are carried in log scale; d = 0 is
 the bare core.
 
-Each trial does one exact product over Q, P = B^T Q, through the core's
-operator (``QuasiOrthogonal.rmatmul``, exact by the checks described in
-``constructions``), which reads B^T in place and writes P in float64.
-Since Q^T B = P^T, the Gram block is G = C P^T, summed by float64
-products over blocks of P's columns where the operator wrote P, so C is
-held one block at a time; it is exact because every partial sum is an
-integer of size at most m^2 < 2^53 (a raised check on the order).
+A search makes its products over Q by the chunk of consecutive trials:
+one exact product P = B^T Q of the chunk's stacked B^T rows, through the
+core's operator (``QuasiOrthogonal.rmatmul``, exact by the checks
+described in ``constructions``), which reads them in place and writes P
+in float64.  A chunk takes as many trials as keep P within
+``PRODUCT_BUDGET`` entries, or one trial where its P is larger.  Since
+Q^T B = P^T, each trial's Gram block is G = C P^T over its own rows of P,
+summed by float64 products over blocks of P's columns where the operator
+wrote P, so C is held one block at a time; it is exact because every
+partial sum is an integer of size at most m^2 < 2^53 (a raised check on
+the order).
 
 A trial is fixed by its stream, Philox keyed by (master_seed, trial_index),
 which draws B: C and G follow from B, and D from G.  A ``TrialResult``
@@ -34,9 +38,10 @@ are its width-w block.  Entry (i, j) of G depends only on columns i and j
 of B, so the width-w trial's G is the leading block G[:w, :w] of the
 width-W one, and its midpoint det(G[:w, :w] + kI) is a leading principal
 minor of G + kI.  Every trial runs in a search, which keeps G of every
-trial at the largest width it serves (``SharedBlocks``): one stream and one
-product per trial, one pivot-free Bareiss run per trial for the midpoints
-of every width (``leading_minors``), and one batched greedy per width.
+trial at the largest width it serves (``SharedBlocks``): one stream per
+trial and one product per chunk, one pivot-free Bareiss run per trial for
+the midpoints of every width (``leading_minors``), and one batched greedy
+per width.
 """
 
 from __future__ import annotations
@@ -140,29 +145,34 @@ def _signs(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.copysign(1.0, c, out=c)
 
 
-def _sign_completion(b: np.ndarray, q: QuasiOrthogonal) -> np.ndarray:
-    """G = C Q^T B = C P^T as int64, for P = B^T Q and C = sgn(P)
-    (``_signs``).
+def _sign_completion(bt: np.ndarray, q: QuasiOrthogonal) -> np.ndarray:
+    """The T x W x W int64 stack of G = C Q^T B = C P^T, one per trial, for
+    the T x W x m integer array bt whose slice t is trial t's B^T, with
+    P = B^T Q and C = sgn(P) (``_signs``).
 
-    The core's operator writes P in float64, exact as its entries are
-    integers below 2^53 (``QuasiOrthogonal.rmatmul``), into a work array of
-    the core, and the Gram block reads it there, one block of columns at a
-    time: each block's C goes into a second work array of at most
-    PRODUCT_BUDGET entries and adds its block's C P^T to G.  B is a sign
-    block, so |P| <= m and every partial sum, within a block or across
-    blocks, is an integer of size at most m^2: below 2^53 the float64
-    (BLAS) products and their sum are exact in any summation order.  Only
-    the returned G is new; C is never held whole.
+    The core's operator makes one product of all T W rows of bt, read in
+    place where their layout allows, and writes P in float64, exact as its
+    entries are integers below 2^53 (``QuasiOrthogonal.rmatmul``), into a
+    work array of the core.  Each trial's G reads its own W rows of P
+    there, one block of columns at a time: the block's C goes into a
+    second work array of at most PRODUCT_BUDGET entries (or one column),
+    and each trial adds its C P^T to its G.  B is a sign block, so
+    |P| <= m and every partial sum, within a block or across blocks, is an
+    integer of size at most m^2: below 2^53 the float64 (BLAS) products and
+    their sum are exact in any summation order.  Only the returned stack is
+    new; C is never held whole.
     """
     _check_gram_order(q.order)
-    p = q.rmatmul(b, work_array(q.work, "p", b.shape[::-1]))
-    d, m = p.shape
-    width = min(m, max(1, PRODUCT_BUDGET // max(d, 1)))
-    c = work_array(q.work, "c", (d, width))
-    g = np.zeros((d, d))
+    trials, d, m = bt.shape
+    rows = trials * d
+    p = q.rmatmul(bt.reshape(rows, m).T, work_array(q.work, "p", (rows, m)))
+    width = min(m, max(1, PRODUCT_BUDGET // max(rows, 1)))
+    c = work_array(q.work, "c", (rows, width))
+    g = np.zeros((trials, d, d))
     for j in range(0, m, width):
-        block = p[:, j:j + width]
-        g += _signs(block, c[:, :block.shape[1]]) @ block.T
+        w = min(width, m - j)
+        block = p[:, j:j + w].reshape(trials, d, w)
+        g += _signs(block, c[:, :w].reshape(trials, d, w)) @ block.mT
     return g.astype(np.int64)
 
 
@@ -377,13 +387,26 @@ class SharedBlocks:
         self.corners: dict = {}
 
     def fill(self, q: QuasiOrthogonal, d: int) -> None:
-        """Make every trial's G at width W, one product each from the
-        trial's own stream, if not yet made, and every corner at width d."""
+        """Make every trial's G at width W, if not yet made, and every
+        corner at width d.
+
+        The trials go in chunks of consecutive indices, as many as keep the
+        chunk's P = B^T Q within PRODUCT_BUDGET entries, or one trial: each
+        trial's B^T is drawn from its own stream into the chunk's int8
+        rows, and ``_sign_completion`` makes one product per chunk.
+        """
         if self.grams is None:
             seed, m, top = self.config.master_seed, q.order, self.width
-            self.grams = np.stack([_sign_completion(sample_border_columns(
-                trial_generator(seed, t), m, top), q)
-                for t in range(self.config.trials)])
+            trials = self.config.trials
+            per = min(trials, max(1, PRODUCT_BUDGET // (top * m)))
+            chunk = np.empty((per, top, m), dtype=np.int8)
+            self.grams = np.empty((trials, top, top), dtype=np.int64)
+            for first in range(0, trials, per):
+                bt = chunk[:trials - first]
+                for t, rows in enumerate(bt, first):
+                    rows[...] = sample_border_columns(
+                        trial_generator(seed, t), m, top).T
+                self.grams[first:first + len(bt)] = _sign_completion(bt, q)
             eye = q.weight * np.eye(top, dtype=np.int64)
             self.minors = [leading_minors((g + eye).tolist())
                            for g in self.grams]
@@ -443,9 +466,10 @@ def search_widths(q: QuasiOrthogonal, widths: list[int],
                   config: SearchConfig = DEFAULT_CONFIG) -> list[TrialResult]:
     """The best trial at each border width, in the order given.
 
-    Each equals ``search(q, w, config)``: trial t makes one product over Q
-    at the largest width, and every width reads the leading block of its G
-    and the leading minors of its G + kI.
+    Each equals ``search(q, w, config)``: the trials' products over Q are
+    made at the largest width, by the chunk (``SharedBlocks.fill``), and
+    every width reads the leading block of each trial's G and the leading
+    minors of its G + kI.
     """
     shared = SharedBlocks(max(widths, default=0), config)
     return [search(q, d, config, shared) for d in widths]
@@ -594,7 +618,7 @@ def verify_witness(source) -> LogScalar:
     if n != m + d:
         raise WitnessError("n != m + d")
 
-    g = _sign_completion(b, q)
+    [g] = _sign_completion(b.T[None], q)
     det_n = det_exact(g - k * d_block.astype(np.int64))
     if det_n != int(w["det_schur"]):
         raise WitnessError(f"stored det_schur {w['det_schur']} does not "

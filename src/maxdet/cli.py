@@ -291,7 +291,7 @@ def cmd_table1(args) -> int:
         config = border_mod.SearchConfig(trials=args.trials,
                                          master_seed=args.seed)
         _log(f"table1 row h={h}: borders {widths}, {args.trials} trials "
-             f"each, one product per trial")
+             f"each, products by the chunk of trials")
         found = border_mod.search_widths(q, widths, config)
         for d, width, best in zip(ds, widths, found):
             n = h + d

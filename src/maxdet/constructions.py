@@ -21,8 +21,8 @@ integer array in place, copied only into the narrowest integer type a
 transform needs; X Q is written in float64, which holds it exactly, as
 every entry and intermediate is an integer below 2^53 (``rmatmul``).
 Every other float array a product keeps holds at most ``PRODUCT_BUDGET``
-entries, or one row where a row is longer: the FFT and Paley II take X's
-rows in groups of that size.  The constructor docstrings prove that the
+entries, or one row where a row is longer (two transformed rows in the
+FFT): the FFT and Paley II take X's rows in groups of that size.  The constructor docstrings prove that the
 certificate gives Q Q^T = k I for every core a recipe builds.
 """
 
@@ -60,10 +60,12 @@ def work_array(work: dict, name: str, shape: tuple, dtype=np.float64
 
 
 # The float work arrays of a product hold at most this many float64 entries
-# (256 KiB), or one row where a row is longer: X's rows pass through the
-# FFT, through Paley II's pairs and through the Gram block in groups that
-# fit it.  So what a product keeps besides P does not grow with the border
-# width, at the price of one call of each step per group.
+# (256 KiB), or one row where a row is longer (two transformed rows in the
+# FFT): X's rows pass through the FFT, through Paley II's pairs and through
+# the Gram block in groups that fit it.  So what a product keeps besides P
+# does not grow with the border width, at the price of one call of each
+# step per group.  A search's products take its trials in chunks whose P
+# fits it, or one trial where a trial's P is larger (``border``).
 PRODUCT_BUDGET = 1 << 15
 
 
@@ -271,18 +273,20 @@ def _paley_circulant(p: int, eps: int, name: str
     y_lo = Y - base y_hi is an exact float64 difference.  Both checks run
     on the packed rows, which halves the transforms.
 
-    Groups: X's rows are transformed lanes * max(1, PRODUCT_BUDGET // N)
+    Groups: X's rows are transformed lanes * max(2, PRODUCT_BUDGET // N)
     at a time.  The lanes are decided once for the whole X, so a pair
     never straddles two groups, and both checks run on every group.  Two
     float work arrays of one group's transformed rows are kept between
     calls: the padded rows, which then take the inverse transform, and
     the spectrum, whose float64 view then takes the rounded values.  Each
-    holds about max(PRODUCT_BUDGET, N) float64 entries, whatever the row
-    count: one transformed row for N > 2^14, as at conference(11117)
-    (N = 22500, two sign rows a group) and paley2(31249) (N = 62500, one),
-    and two for the primes near 5750 of the table1 fast rows (N = 11520).
-    So a search's products allocate no array here; pocketfft still takes
-    its own scratch inside each transform.
+    holds about max(PRODUCT_BUDGET, 2 N) float64 entries, whatever the row
+    count: two transformed rows for N > 2^14, as at conference(11117)
+    (N = 22500, four sign rows a group, so one call for a width-4 trial)
+    and paley2(31249) (N = 62500, two), and also two for the primes near
+    5750 of the table1 fast rows (N = 11520).  A group of two rows pays
+    the fixed cost of a call once for both.  So a search's products
+    allocate no array here; pocketfft still takes its own scratch inside
+    each transform.
 
     The certificate raises ExactnessError, so it also runs under python -O:
     (1) chi(0) = 0, |chi| = 1 elsewhere and sum chi = 0, so J 1 = 0;
@@ -345,7 +349,7 @@ def _paley_circulant(p: int, eps: int, name: str
         base = 2 * amp * (p - 1) + 1
         lanes = 2 if c > 1 and (math.sqrt(p) * amp * (1 + base) * factor
                                 < 0.25) else 1
-        group = lanes * max(1, PRODUCT_BUDGET // size)
+        group = lanes * max(2, PRODUCT_BUDGET // size)
         for i in range(0, c, group):
             transform(x[i:i + group], out[i:i + group], lanes, base)
 

@@ -47,9 +47,16 @@ def iter_all_borders(q, d):
     shifts = np.arange(m * d, dtype=np.uint32)
     for pattern in range(1 << (m * d)):
         b = (1 - 2 * ((pattern >> shifts) & 1).astype(np.int8)).reshape(m, d)
-        g = _sign_completion(b, q)
+        g = gram(b, q)
         [(_, det_n)] = batched_greedy(g[None], k)
         yield Enumerated(g, det_n, _ratio_from_det(det_n, m, k, d))
+
+
+def gram(b, q):
+    """G of one trial's m x d sign block B, through ``_sign_completion`` on
+    a chunk of that one trial."""
+    [g] = _sign_completion(b.T[None], q)
+    return g
 
 
 def trials_of(cases, master_seed):
@@ -198,8 +205,7 @@ class TestSignCompletion:
         assert np.any(p == 0)
         assert np.all(c[p == 0] == 1)
         # the Gram block is formed with this C
-        assert np.array_equal(_sign_completion(b, h4),
-                              c.astype(int) @ p.T)
+        assert np.array_equal(gram(b, h4), c.astype(int) @ p.T)
 
     def test_row_depends_only_on_own_column(self, h4):
         rng = trial_generator(2, 0)
@@ -213,7 +219,7 @@ class TestSignCompletion:
 
     def test_diagonal_has_no_cancellation(self, h4):
         b = h4.dense()[:, :1].copy()
-        g = _sign_completion(b, h4)
+        g = gram(b, h4)
         p = b.T.astype(int) @ h4.dense()
         assert g[0, 0] == int(np.abs(p).sum())
 
@@ -223,7 +229,7 @@ class TestSignCompletion:
         q = paley_conference(5)
         b = np.full((6, 1), 1 << 45, dtype=np.int64)
         with pytest.raises(ExactnessError, match="bound"):
-            _sign_completion(b, q)
+            gram(b, q)
 
     def test_residual_guard_raises(self, monkeypatch):
         q = build_recipe("paley1(331);double")
@@ -232,7 +238,7 @@ class TestSignCompletion:
         monkeypatch.setattr(np.fft, "irfft",
                             lambda *a, **k: real(*a, **k) + 0.4)
         with pytest.raises(ExactnessError, match="residual"):
-            _sign_completion(b, q)
+            gram(b, q)
 
     def test_guards_raise_under_optimize(self):
         script = textwrap.dedent("""
@@ -263,10 +269,10 @@ class TestSignCompletion:
         # the float64 Gram block is exact while m^2 < 2^53; a core that
         # only claims a larger order trips the guard before any product
         b = sample_border_columns(trial_generator(0, 0), 4, 2)
-        g = _sign_completion(b, claiming_order(h4, 94_906_265))
-        assert np.array_equal(g, _sign_completion(b, h4))
+        g = gram(b, claiming_order(h4, 94_906_265))
+        assert np.array_equal(g, gram(b, h4))
         with pytest.raises(ExactnessError, match="Gram"):
-            _sign_completion(b, claiming_order(h4, 94_906_266))
+            gram(b, claiming_order(h4, 94_906_266))
 
     def test_gram_order_guard_under_optimize(self):
         script = textwrap.dedent("""
@@ -279,7 +285,7 @@ class TestSignCompletion:
             q = QuasiOrthogonal(1 << 27, h2.weight, h2.kind, h2.recipe,
                                 h2.right_mul)
             try:
-                _sign_completion(np.ones((2, 1), dtype=np.int8), q)
+                _sign_completion(np.ones((1, 1, 2), dtype=np.int8), q)
             except ExactnessError:
                 print(sys.flags.optimize, "order")
         """)
@@ -324,6 +330,36 @@ class TestGramBlock:
                   @ b.astype(np.int64))
         assert shared.grams.dtype == np.int64
         assert np.array_equal(shared.grams[1], oracle)
+
+    # 5 trials: the budget as it is puts them in one chunk, one of 2 W m
+    # entries in chunks of 2, 2 and 1, and one of 1 entry in chunks of one
+    # trial whose Gram block runs over single columns of P
+    @pytest.mark.parametrize("per,chunks", [(None, [5]), (2, [2, 2, 1]),
+                                            (0, [1] * 5)],
+                             ids=["one-chunk", "partial-last", "one-each"])
+    @pytest.mark.parametrize("recipe,width", [
+        ("paley1(331);double", 4), ("paley2(13);double", 3),
+        ("conference(709)", 5), ("kron(paley1(3),paley1(7))", 3)])
+    def test_chunked_stack_equals_dense_oracle(self, monkeypatch, recipe,
+                                               width, per, chunks):
+        q = build_recipe(recipe)
+        m, seed = q.order, 21
+        if per is not None:
+            monkeypatch.setattr(border_mod, "PRODUCT_BUDGET",
+                                max(1, per * width * m))
+        calls = []
+        real = border_mod._sign_completion
+        monkeypatch.setattr(border_mod, "_sign_completion",
+                            lambda bt, q: calls.append(len(bt)) or real(bt, q))
+        shared = SharedBlocks(width, SearchConfig(trials=5, master_seed=seed))
+        shared.fill(q, width)
+        assert calls == chunks
+        dense = q.dense()
+        for t, g in enumerate(shared.grams):
+            # one trial at a time, in exact int64 from the dense core
+            b = sample_border_columns(trial_generator(seed, t), m, width)
+            p = b.T.astype(np.int64) @ dense
+            assert np.array_equal(g, np.where(p >= 0, 1, -1) @ p.T), t
 
 
 class TestGreedy:
@@ -384,9 +420,9 @@ class TestGreedy:
         # every block here takes the float path; the d = 22 reference
         # alone takes 924 determinants, so one trial
         q = build_recipe(recipe)
-        grams = np.stack([_sign_completion(sample_border_columns(
-            trial_generator(11, t), q.order, d), q)
-            for t in range(2 if d < 20 else 1)])
+        grams = _sign_completion(np.stack([sample_border_columns(
+            trial_generator(11, t), q.order, d).T
+            for t in range(2 if d < 20 else 1)]), q)
         calls = self._count_calls(monkeypatch)
         corners = batched_greedy(grams, q.weight)
         assert calls == {"_greedy_exact": 0, "det_exact": len(grams)}
@@ -399,7 +435,7 @@ class TestGreedy:
         # and the float path certifies them without the exact fallback
         q = build_recipe("paley1(331);double")
         b = sample_border_columns(trial_generator(11, 0), q.order, 14)
-        g = _sign_completion(b, q)
+        g = gram(b, q)
         assert (2 * np.diagonal(g) + 2 * q.weight
                 <= np.abs(g).sum(axis=1) + 14 * q.weight).any()
         calls = self._count_calls(monkeypatch)
@@ -414,7 +450,7 @@ class TestGreedy:
         # block to the exact path, with the same D and det
         q = build_recipe("paley2(1433)")
         b = sample_border_columns(trial_generator(11, 1), q.order, 10)
-        g = _sign_completion(b, q)
+        g = gram(b, q)
         calls = self._count_calls(monkeypatch)
         [want] = batched_greedy(g[None], q.weight)
         assert calls == {"_greedy_exact": 0, "det_exact": 1}
@@ -493,8 +529,8 @@ class TestGreedy:
         # a stack whose float inverse raises takes the exact path, block by
         # block, with the same D and det N
         q = build_recipe("conference(13)")
-        grams = np.stack([_sign_completion(sample_border_columns(
-            trial_generator(2, t), q.order, 4), q) for t in range(3)])
+        grams = _sign_completion(np.stack([sample_border_columns(
+            trial_generator(2, t), q.order, 4).T for t in range(3)]), q)
 
         def singular(a):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -813,28 +849,38 @@ class TestSearchWidths:
             alone = search(h12, w, config)
             assert _same_trial(res, shared, alone, made_blocks[-1]), w
 
-    def test_one_product_per_trial(self, h12, monkeypatch):
-        # one stream and one product per trial, and one more stream for
-        # each witness written
+    def test_one_product_per_chunk(self, h12, monkeypatch):
+        # one stream per trial, one product per chunk of trials whose P fits
+        # the budget, and one more stream for each witness written: the 5
+        # trials' 3 x 12 blocks fit one chunk, or chunks of 2 at a budget
+        # of 72 entries, with the last chunk partial
         calls, streams = [], []
         real = border_mod._sign_completion
         real_stream = border_mod.trial_generator
 
-        def counted(b, q):
-            calls.append(b.shape[1])
-            return real(b, q)
+        def counted(bt, q):
+            calls.append(bt.shape[:2])
+            return real(bt, q)
 
         def counted_stream(master_seed, trial_index):
             streams.append((master_seed, trial_index))
             return real_stream(master_seed, trial_index)
         monkeypatch.setattr(border_mod, "_sign_completion", counted)
         monkeypatch.setattr(border_mod, "trial_generator", counted_stream)
-        found = search_widths(h12, [1, 3, 2],
-                              SearchConfig(trials=5, master_seed=0))
-        assert calls == [3] * 5
+        config = SearchConfig(trials=5, master_seed=0)
+        found = search_widths(h12, [1, 3, 2], config)
+        assert calls == [(5, 3)]
         assert streams == [(0, t) for t in range(5)]
         witness_dict(found[1])
         assert streams[5:] == [(0, found[1].trial_index)]
+        calls.clear()
+        streams.clear()
+        monkeypatch.setattr(border_mod, "PRODUCT_BUDGET", 2 * 3 * 12)
+        chunked = search_widths(h12, [1, 3, 2], config)
+        assert calls == [(2, 3), (2, 3), (1, 3)]
+        assert streams == [(0, t) for t in range(5)]
+        assert [(r.trial_index, r.det_n) for r in chunked] == [
+            (r.trial_index, r.det_n) for r in found]
 
     def test_width_outside_shared_range(self, h12):
         with pytest.raises(ValueError, match="must be >= 0, got -1"):

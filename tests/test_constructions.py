@@ -100,7 +100,7 @@ class TestCoreRecord:
         assert a.work == {} and a.work is not b.work
         a.rmatmul(np.ones((12, 2), dtype=np.int8))
         assert a.work == {}
-        _sign_completion(np.ones((12, 2), dtype=np.int8), a)
+        _sign_completion(np.ones((1, 2, 12), dtype=np.int8), a)
         assert set(a.work) == {"p", "c"} and b.work == {}
 
 
@@ -369,11 +369,11 @@ class TestTwoLanes:
         conv = constructions._paley_circulant(p, eps, "test")
         rows = self.transformed_rows(monkeypatch)
         rng = np.random.default_rng(p)
-        # transformed rows per call: a budget's worth, or one longer row
+        # transformed rows per call: a budget's worth, or two longer rows
         size = constructions._smooth_length(2 * p - 1)
-        per = max(1, constructions.PRODUCT_BUDGET // size)
-        assert (per == 1) == (p > 11000)
-        for c in ((1, 2, 3, 4, 5) if p < 2000 else (3,)):
+        per = max(2, constructions.PRODUCT_BUDGET // size)
+        assert (constructions.PRODUCT_BUDGET // size < 2) == (p > 11000)
+        for c in ((1, 2, 3, 4, 5) if p < 2000 else (3, 5)):
             signs = rng.integers(0, 2, size=(2, c, p)) * 2 - 1
             x = signs[0] if amp == 1 else signs[0] + signs[1]  # a doubling
             x[:, 0] = amp
@@ -458,8 +458,8 @@ class TestProductGroups:
     one longer row); the groups change no bit of the result, and every
     group is checked."""
 
-    # 1 and 40 leave one transformed row per group, 64 to 150 two to six
-    # on the smaller leaves; 1 << 40 makes every product one call
+    # 1 leaves two transformed rows per group, 40 to 150 two to sixteen
+    # by leaf (N = 9 to 90); 1 << 40 makes every product one call
     @pytest.mark.parametrize("budget", [1, 40, 64, 100, 150])
     @pytest.mark.parametrize("recipe", [
         "paley1(43)", "conference(13)", "paley2(13)",
@@ -493,7 +493,7 @@ class TestProductGroups:
         p = b.T.astype(np.int64) @ q.dense()
         oracle = np.where(p >= 0, 1, -1) @ p.T
         monkeypatch.setattr(border, "PRODUCT_BUDGET", budget)
-        g = _sign_completion(b, q)
+        [g] = _sign_completion(b.T[None], q)
         assert g.dtype == np.int64 and np.array_equal(g, oracle)
         assert q.work["c"].shape == (3, width)
 
@@ -501,8 +501,9 @@ class TestProductGroups:
         ("irfft", lambda real, *a, **k: real(*a, **k) + 0.4),
         ("einsum", lambda real, *a: real(*a) * 1e12)])
     def test_a_later_group_is_checked(self, monkeypatch, name, fake):
-        # six rows in three groups of two lanes: the first group passes,
-        # the second fails its residual or its bound
+        # ten rows in three groups of two transformed rows of two lanes
+        # (the last one row): the first group passes, the second fails its
+        # residual or its bound
         conv = constructions._paley_circulant(331, -1, "test")
         monkeypatch.setattr(constructions, "PRODUCT_BUDGET", 1)
         owner = np.fft if name == "irfft" else np
@@ -515,29 +516,31 @@ class TestProductGroups:
             return fake(real, *args, **kwargs)
 
         monkeypatch.setattr(owner, name, second_call_off)
-        x = np.ones((6, 331), dtype=np.int8)
+        x = np.ones((10, 331), dtype=np.int8)
         with pytest.raises(ExactnessError,
                            match="residual" if name == "irfft" else "bound"):
             conv(x, np.empty(x.shape))
-        assert calls == [1, 1]
+        assert calls == [2, 2]
 
     def test_product_buffers_within_budgets(self):
         # one sign completion at width 14 on a fresh conference(11117) core
-        # keeps P (14 x 11118) and, beside it, about a budget and a half:
-        # a C block of one budget and transforms of one row; with every row
-        # transformed at once, and C whole, it traced 14 budgets beside P
+        # keeps P (14 x 11118) and, beside it, about four budgets: a C block
+        # of one budget and the FFT's two arrays of two transformed rows
+        # (2.75 budgets, allocated anew since the core's certificate took
+        # one row); with every row transformed at once, and C whole, it
+        # traced 14 budgets beside P
         q = paley_conference(11117)
         d = 14
         b = (np.random.default_rng(0).integers(0, 2, size=(q.order, d)) * 2
              - 1).astype(np.int8)
         tracemalloc.start()
         try:
-            g = _sign_completion(b, q)
+            [g] = _sign_completion(b.T[None], q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         budget = constructions.PRODUCT_BUDGET * 8
-        assert peak < d * q.order * 8 + 3 * budget
+        assert peak < d * q.order * 8 + 5 * budget
         p = q.rmatmul(b)
         assert np.array_equal(g, (np.where(p >= 0, 1.0, -1.0) @ p.T).astype(
             np.int64))
