@@ -85,11 +85,20 @@ class QuasiOrthogonal:
     """Square {-1,0,+1} matrix Q with Q Q^T = weight * I, held as the exact
     operator X -> X Q.
 
-    ``right_mul(X, out)`` sets out = X Q for an integer array X (any signed
-    integer type, any strides) with `order` columns whose products stay
-    below 2^53 (``rmatmul`` checks this), and a float64 array out of its
-    shape.  A core built by L >= 1 Sylvester doublings of a leaf core, or
-    by ``kronecker``, views out's rows as the rows of its inner product and
+    ``right_mul(X, out, amp)`` sets out = X Q for an integer array X (any
+    signed integer type, any strides) with `order` columns whose products
+    stay below 2^53 (``rmatmul`` checks this), a float64 array out of its
+    shape and a bound amp >= max|X|.  Only ``rmatmul`` scans its input, B,
+    for amp; each operator derives the bound on the rows it hands the
+    layer below: 2^L amp for a tower's leaf, 2 amp for Paley II's
+    conference core, amp and a amp for a Kronecker product's outer factor
+    (of order a) and inner factor.  The circulant sizes its lanes by amp,
+    whose decoding is exact only if amp bounds X.  So a leaf's bound for
+    sign rows is a function of the recipe alone, the one ``plan_recipe``
+    admits the leaf on.
+
+    A core built by L >= 1 Sylvester doublings of a leaf core, or by
+    ``kronecker``, views out's rows as the rows of its inner product and
     raises ValueError when out's layout does not allow that view; ``leaf``
     and ``levels`` name that leaf and L (None and 0 for any other core).
     The operator and ``rmatmul``'s callers write into work arrays that the
@@ -97,7 +106,7 @@ class QuasiOrthogonal:
     """
 
     def __init__(self, order: int, weight: int, kind: str, recipe: str,
-                 right_mul: Callable[[np.ndarray, np.ndarray], None],
+                 right_mul: Callable[[np.ndarray, np.ndarray, int], None],
                  leaf: QuasiOrthogonal | None = None, levels: int = 0):
         self.order, self.weight, self.kind = order, weight, kind
         self.recipe, self.right_mul = recipe, right_mul
@@ -114,15 +123,17 @@ class QuasiOrthogonal:
         integer of size at most max|B| * order (a transform's blocks and a
         leaf's row sums stay within it; the FFT checks its own values), so
         below 2^53 each is exact in float64.  That bound is a raised check,
-        so it also holds under python -O.
+        so it also holds under python -O.  max|B| is the one scan of a
+        product: the operator derives every other bound from it.
         """
         b = np.asarray(b)
-        if _amplitude(b) * self.order >= 1 << 53:
+        amp = _amplitude(b)
+        if amp * self.order >= 1 << 53:
             raise ExactnessError("B^T Q could leave the integers below 2^53 "
                                  "that float64 holds exactly")
         if out is None:
             out = np.empty(b.shape[::-1])
-        self.right_mul(b.T, out)
+        self.right_mul(b.T, out, amp)
         return out
 
     def dense(self) -> np.ndarray:
@@ -225,11 +236,17 @@ def _fft_error_factor(size: int) -> float:
                              + 2 * math.log1p(u))
 
 
-def _paley_fft(p: int, eps: int, name: str) -> tuple[int, float]:
-    """N and |chi|_2 E(N) for the circulant of p, once p is admitted: a
-    prime = 3 (mod 4) for eps = -1 or 1 (mod 4) for eps = +1 (else a
-    ValueError naming the generator) whose certificate bound (p - 1) E(N)
-    is below 1/4 (else ExactnessError).  Primality is checked last, so a
+def _paley_fft(p: int, eps: int, name: str, amp: int
+               ) -> tuple[int, float]:
+    """N and |chi|_2 E(N) for the circulant of p, once p is admitted for
+    rows of amplitude amp >= 1: a prime = 3 (mod 4) for eps = -1 or
+    1 (mod 4) for eps = +1 (else a ValueError naming the generator) whose
+    one-lane worst case sqrt(p) amp |chi|_2 E(N) is below 1/4 (else
+    ExactnessError).  A row of p entries of size at most amp has 2-norm at
+    most sqrt(p) amp, so every product of such rows passes the a-priori
+    check; chi is such a row for amp = 1, so the check implies the
+    certificate's bound (p - 1) E(N).  A build passes amp = 1, the planner
+    the bound its leaf will be given.  Primality is checked last, so a
     huge p is refused in O(1) time, not by trial division."""
     residue = 3 if eps < 0 else 1
     refusal = f"{name} needs a prime p = {residue} (mod 4), got {p}"
@@ -237,19 +254,21 @@ def _paley_fft(p: int, eps: int, name: str) -> tuple[int, float]:
         raise ValueError(refusal)
     size = _smooth_length(2 * p - 1)
     factor = _fft_error_factor(size) * math.sqrt(p - 1)  # |chi|_2^2 = p - 1
-    bound = factor * math.sqrt(p - 1)  # the certificate's input is chi
+    bound = math.sqrt(p) * amp * factor
     if not bound < 0.25:
         raise ExactnessError(f"FFT rounding bound {bound:.3g} for the "
-                             f"character of {p} is not below 1/4")
+                             f"character of {p} on rows of amplitude {amp} "
+                             "is not below 1/4")
     if not is_prime(p):
         raise ValueError(refusal)
     return size, factor
 
 
 def _paley_circulant(p: int, eps: int, name: str
-                     ) -> Callable[[np.ndarray, np.ndarray], None]:
-    """(X, out) -> out = X J, exact in float64, for the Jacobsthal matrix
-    J[i, j] = chi(j - i) of the prime p, after certifying chi.
+                     ) -> Callable[[np.ndarray, np.ndarray, int], None]:
+    """(X, out, amp) -> out = X J, exact in float64, for the Jacobsthal
+    matrix J[i, j] = chi(j - i) of the prime p and amp >= max|X|, after
+    certifying chi.
 
     Each row of X J is the cyclic convolution of that row with chi, taken
     as a linear convolution by FFTs of the smallest 5-smooth length
@@ -257,9 +276,10 @@ def _paley_circulant(p: int, eps: int, name: str
     |z|_2 |chi|_2 E(N) of ``_fft_error_factor`` must be below 1/4 for every
     transformed row z, and every computed value must lie within 1/4 of an
     integer.  As the certificate in (3) convolves chi itself, ``_paley_fft``
-    checks its bound (p - 1) E(N) before chi is built.
+    checks its bound (p - 1) E(N), as part of its bound on sign rows,
+    before chi is built.
 
-    Two lanes: for amp = max |X| and base = 2 amp (p - 1) + 1, rows 2i and
+    Two lanes: for the bound amp and base = 2 amp (p - 1) + 1, rows 2i and
     2i + 1 are transformed as the one row z = x_2i + base x_2i+1 (an odd
     last row goes alone) when X has at least two rows and the worst case
     sqrt(p) amp (1 + base) |chi|_2 E(N) of the bound is below 1/4, which
@@ -296,7 +316,7 @@ def _paley_circulant(p: int, eps: int, name: str
     a(s) = sum_x chi(x) chi(x + s) is p - 1 at s = 0 and -1 elsewhere, and
     (J J^T)[r, s] = a(s - r) gives J J^T = p I - 1 1^T.
     """
-    size, factor = _paley_fft(p, eps, name)
+    size, factor = _paley_fft(p, eps, name, 1)
     chi = _quadratic_character(p)
     if not (chi[0] == 0 and np.all(np.abs(chi[1:]) == 1) and chi.sum() == 0
             and np.array_equal(chi[-np.arange(p) % p], eps * chi)):
@@ -343,9 +363,8 @@ def _paley_circulant(p: int, eps: int, name: str
             r -= np.multiply(hi, base, out=hi)
         out[::lanes] = r
 
-    def right_mul(x: np.ndarray, out: np.ndarray) -> None:
+    def right_mul(x: np.ndarray, out: np.ndarray, amp: int) -> None:
         c = x.shape[0]
-        amp = _amplitude(x)
         base = 2 * amp * (p - 1) + 1
         lanes = 2 if c > 1 and (math.sqrt(p) * amp * (1 + base) * factor
                                 < 0.25) else 1
@@ -354,7 +373,7 @@ def _paley_circulant(p: int, eps: int, name: str
             transform(x[i:i + group], out[i:i + group], lanes, base)
 
     image = np.empty((1, p))
-    right_mul(chi[None], image)
+    right_mul(chi[None], image, 1)
     if image[0, 0] != eps * (p - 1) or np.any(image[0, 1:] != -eps):
         raise ExactnessError(f"the quadratic character of {p} fails its "
                              "autocorrelation certificate")
@@ -371,11 +390,11 @@ def paley_one(p: int) -> QuasiOrthogonal:
     """
     conv = _paley_circulant(p, -1, "paley_one")
 
-    def right_mul(x, out):
+    def right_mul(x, out, amp):
         x0, xr = x[:, :1], x[:, 1:]
         out[:, :1] = x0 + xr.sum(axis=1, keepdims=True)
         yr = out[:, 1:]
-        conv(xr, yr)
+        conv(xr, yr, amp)
         yr += xr
         np.subtract(x0, yr, out=yr)
 
@@ -390,10 +409,10 @@ def paley_conference(p: int) -> QuasiOrthogonal:
     """
     conv = _paley_circulant(p, 1, "paley_conference")
 
-    def right_mul(x, out):
+    def right_mul(x, out, amp):
         x0, xr = x[:, :1], x[:, 1:]
         out[:, :1] = xr.sum(axis=1, keepdims=True)
-        conv(xr, out[:, 1:])
+        conv(xr, out[:, 1:], amp)
         out[:, 1:] += x0
 
     return QuasiOrthogonal(p + 1, p, CONFERENCE, f"conference({p})",
@@ -408,18 +427,20 @@ def paley_two(p: int) -> QuasiOrthogonal:
     C has a zero diagonal.  K K^T = L L^T = 2I, L K^T = -K L^T and C = C^T,
     so H H^T = C C^T (x) 2I + (C - C^T) (x) K L^T + 2I = 2(p + 1) I.
     X's rows go in groups of max(1, PRODUCT_BUDGET // (2 (p + 1))): each
-    group's pair sums and differences z, of size at most 2 max|X|, take the
-    narrowest integer type that holds them, and C's image of them a float64
-    work array y of at most a budget (or of one row's 2 (p + 1) entries).
+    group's pair sums and differences z, of size at most 2 amp, take the
+    narrowest integer type that holds them and go to C with that bound,
+    and C's image of them a float64 work array y of at most a budget (or
+    of one row's 2 (p + 1) entries).
     """
     conf = paley_conference(p)  # validates p
     m = p + 1
     work = {}
 
-    def right_mul(x, out):
+    def right_mul(x, out, amp):
         # column 2j + s of X is entry s of pair j: [a b] K = [a + b, a - b]
         # and [a b] L = [a - b, -(a + b)]
-        dtype = _int_type(2 * _amplitude(x))
+        amp *= 2
+        dtype = _int_type(amp)
         group = max(1, PRODUCT_BUDGET // (2 * m))  # rows whose y fits
         for i in range(0, x.shape[0], group):
             xg, og = x[i:i + group], out[i:i + group]
@@ -429,7 +450,7 @@ def paley_two(p: int) -> QuasiOrthogonal:
             y = work_array(work, "y", (c, 2, m))
             np.add(a, b, out=z[:, 0], dtype=dtype)
             np.subtract(a, b, out=z[:, 1], dtype=dtype)
-            conf.right_mul(z.reshape(2 * c, m), y.reshape(2 * c, m))
+            conf.right_mul(z.reshape(2 * c, m), y.reshape(2 * c, m), amp)
             np.add(y[:, 0], z[:, 1], out=og[:, 0::2])
             np.subtract(y[:, 1], z[:, 0], out=og[:, 1::2])
 
@@ -449,11 +470,11 @@ def sylvester_double(q: QuasiOrthogonal) -> QuasiOrthogonal:
     (X1 + X2, X1 - X2) from X's halves, as [X1 | X2] [[Q, Q], [Q, -Q]]
     = [(X1 + X2) Q | (X1 - X2) Q], and each further level does the same to
     the two halves (U, V) of every block, in place, as U += V, V *= -2,
-    V += U.  After s levels every entry is at most 2^s max|X| in size, and
-    so is 2V on the way, so Z takes the narrowest integer type that holds
-    2^L max|X|.  Viewed as c 2^L rows of width h, out is then Z's rows
-    times Q0, made by one call of Q0's operator whose out is that view; an
-    out that cannot be viewed so raises ValueError.
+    V += U.  After s levels every entry is at most 2^s amp in size, and so
+    is 2V on the way, so Z takes the narrowest integer type that holds
+    2^L amp.  Viewed as c 2^L rows of width h, out is then Z's rows times
+    Q0, made by one call of Q0's operator, with the bound 2^L amp, whose
+    out is that view; an out that cannot be viewed so raises ValueError.
     """
     if q.kind != HADAMARD:
         raise ValueError("sylvester_double requires a Hadamard matrix")
@@ -461,10 +482,10 @@ def sylvester_double(q: QuasiOrthogonal) -> QuasiOrthogonal:
     order, h = 2 * q.order, leaf.order
     work = {}
 
-    def right_mul(x, out):
+    def right_mul(x, out, amp):
         c, half = x.shape[0], order // 2
-        z = work_array(work, "z", (c, order),
-                       _int_type(_amplitude(x) << levels))
+        amp <<= levels
+        z = work_array(work, "z", (c, order), _int_type(amp))
         x1, x2 = x[:, :half], x[:, half:]
         np.add(x1, x2, out=z[:, :half], dtype=z.dtype)
         np.subtract(x1, x2, out=z[:, half:], dtype=z.dtype)
@@ -476,7 +497,7 @@ def sylvester_double(q: QuasiOrthogonal) -> QuasiOrthogonal:
             v += u
         # a view or a ValueError, never a copy that would lose the result
         leaf.right_mul(z.reshape(c << levels, h),
-                       np.reshape(out, (c << levels, h), copy=False))
+                       np.reshape(out, (c << levels, h), copy=False), amp)
 
     return QuasiOrthogonal(order, order, HADAMARD, q.recipe + ";double",
                            right_mul, leaf, levels)
@@ -491,25 +512,25 @@ def kronecker(q1: QuasiOrthogonal, q2: QuasiOrthogonal) -> QuasiOrthogonal:
     Z_l B with Z_l = sum_i A[i, l] X_i.  The outer factor A runs once on
     the c b rows of length a of an integer copy of X's blocks transposed,
     writing into out as scratch; its image is copied back block by block
-    into Z, in the narrowest integer type that holds a max|X|; then B runs
-    once on Z's c a rows, writing into a view of out's rows.  An out that
-    cannot be viewed so raises ValueError.
+    into Z, in the narrowest integer type that holds a amp; then B runs
+    once on Z's c a rows, with that bound, writing into a view of out's
+    rows.  An out that cannot be viewed so raises ValueError.
     """
     if q1.kind != HADAMARD or q2.kind != HADAMARD:
         raise ValueError("kronecker requires Hadamard matrices")
     a, b = q1.order, q2.order
     work = {}
 
-    def right_mul(x, out):
+    def right_mul(x, out, amp):
         c = x.shape[0]
         scratch = np.reshape(out, (c * b, a), copy=False)
         # the transposed blocks' rows cannot be a view of X: one copy
         q1.right_mul(x.reshape(c, a, b).transpose(0, 2, 1).reshape(c * b, a),
-                     scratch)
-        z = work_array(work, "z", (c, a, b), _int_type(a * _amplitude(x)))
+                     scratch, amp)
+        z = work_array(work, "z", (c, a, b), _int_type(a * amp))
         z[...] = scratch.reshape(c, b, a).transpose(0, 2, 1)
         q2.right_mul(z.reshape(c * a, b),
-                     np.reshape(out, (c * a, b), copy=False))
+                     np.reshape(out, (c * a, b), copy=False), a * amp)
 
     return QuasiOrthogonal(a * b, a * b, HADAMARD,
                            f"kron({q1.recipe},{q2.recipe})", right_mul)
@@ -517,7 +538,7 @@ def kronecker(q1: QuasiOrthogonal, q2: QuasiOrthogonal) -> QuasiOrthogonal:
 
 def unit() -> QuasiOrthogonal:
     return QuasiOrthogonal(1, 1, HADAMARD, "unit",
-                           lambda x, out: np.copyto(out, x))
+                           lambda x, out, amp: np.copyto(out, x))
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +597,11 @@ def build_recipe(recipe: str) -> QuasiOrthogonal:
     return q
 
 
-def _admits(p: int, eps: int) -> bool:
-    """Whether ``_paley_fft`` admits p, so its Paley generator builds."""
+def _admits(p: int, eps: int, amp: int) -> bool:
+    """Whether ``_paley_fft`` admits p for rows of amplitude amp, so its
+    Paley generator builds and runs the products of such rows."""
     try:
-        _paley_fft(p, eps, "plan_recipe")
+        _paley_fft(p, eps, "plan_recipe", amp)
     except (ValueError, ExactnessError):
         return False
     return True
@@ -591,14 +613,18 @@ def plan_recipe(kind: str, order: int) -> str | None:
     Hadamard search tries, for each number of Sylvester doublings j with
     2^j | order: paley1 (base-1 prime = 3 mod 4), then paley2, then the
     pure power-of-two tower.  Prime moduli only; prime-power fields are
-    not implemented.  A Paley prime must pass ``_paley_fft``, which
-    refuses p above about 1.41e6 without trial division; a Hadamard order
-    then falls through to the next recipe, a conference order raises.
+    not implemented.  A Paley prime must pass ``_paley_fft`` for the rows
+    that sign rows of B become at its leaf (``QuasiOrthogonal``): amplitude
+    2^j for paley1 under j doublings, 2^(j+1) for paley2's conference
+    core, 1 for a conference core.  It refuses p without trial division,
+    at amplitude 1 some p from 1355767 up and every p above 1638399; a
+    Hadamard order then falls through to the next recipe, a conference
+    order raises.
     """
     if kind == CONFERENCE:
         # no other recipe makes one, so a p the FFT bound refuses raises
         try:
-            _paley_fft(order - 1, 1, "plan_recipe")
+            _paley_fft(order - 1, 1, "plan_recipe", 1)
         except ValueError:
             return None
         return f"conference({order - 1})"
@@ -608,9 +634,9 @@ def plan_recipe(kind: str, order: int) -> str | None:
         return None
     base, j = order, 0
     while True:
-        if _admits(base - 1, -1):
+        if _admits(base - 1, -1, 1 << j):
             return f"paley1({base - 1})" + ";double" * j
-        if base % 2 == 0 and _admits(base // 2 - 1, 1):
+        if base % 2 == 0 and _admits(base // 2 - 1, 1, 2 << j):
             return f"paley2({base // 2 - 1})" + ";double" * j
         if base == 1:
             return "unit" + ";double" * j

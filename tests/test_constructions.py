@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import maxdet
-from maxdet import constructions
+from maxdet import cli, constructions
 from maxdet.border import _sign_completion
 from maxdet.constructions import (CONFERENCE, HADAMARD, ExactnessError,
                                   QuasiOrthogonal, build_recipe, kronecker,
@@ -88,7 +88,7 @@ def matrix_core(m, kind=HADAMARD, weight=None):
     m = np.asarray(m, dtype=np.int64)
     return QuasiOrthogonal(len(m), len(m) if weight is None else weight,
                            kind, "by hand",
-                           lambda x, out: np.matmul(x, m, out=out))
+                           lambda x, out, amp: np.matmul(x, m, out=out))
 
 
 class TestCoreRecord:
@@ -379,11 +379,44 @@ class TestTwoLanes:
             x[:, 0] = amp
             out = np.empty_like(x)
             rows.clear()
-            conv(x, out)
+            conv(x, out, amp)
             packed = -(-c // lanes) if c > 1 else 1
             assert rows == [min(per, packed - i)
                             for i in range(0, packed, per)], c
             assert np.array_equal(out, circulant_reference(x, p)), c
+
+    # every table1 fast-row core and the conference cores of the large
+    # certify_roundtrip orders: the bound each layer hands down is the
+    # amplitude the rows reach, so sign rows keep two lanes
+    @pytest.mark.parametrize("recipe", [
+        *(cli._table1_core(h, p, method)
+          for h, _, _, p, method in cli.EXCEPTIONAL_ROWS
+          if h <= cli.EXCEPTIONAL_FAST_CORE_MAX),
+        "conference(11057)", "conference(11069)", "conference(11093)",
+        "conference(11117)"])
+    def test_benchmark_cores_keep_two_lanes(self, monkeypatch, recipe):
+        bounds = []
+        real = constructions._paley_circulant
+
+        def logged_circulant(*args):
+            conv = real(*args)
+
+            def logged(x, out, amp):
+                bounds.append((amp, int(np.abs(x).max())))
+                conv(x, out, amp)
+            return logged
+
+        monkeypatch.setattr(constructions, "_paley_circulant",
+                            logged_circulant)
+        q = build_recipe(recipe)
+        p = int(recipe[recipe.index("(") + 1:recipe.index(")")])
+        rows = self.transformed_rows(monkeypatch)
+        b = (np.random.default_rng(p).integers(0, 2, size=(q.order, 4)) * 2
+             - 1).astype(np.int8)
+        q.rmatmul(b)
+        # 4 sign rows reach the circulant as 4 order / (p + 1) rows
+        assert sum(rows) == 2 * q.order // (p + 1)
+        assert bounds and all(amp == seen for amp, seen in bounds)
 
     def test_one_circulant_through_changing_row_counts(self, monkeypatch):
         # 4, 1, 3 and 2 rows take 2, 1, 2 and 1 transformed rows of the same
@@ -399,7 +432,7 @@ class TestTwoLanes:
             x[:, 0] = amp
             out = np.empty_like(x)
             rows.clear()
-            conv(x, out)
+            conv(x, out, amp)
             assert rows == [-(-c // lanes)], c
             assert np.array_equal(out, circulant_reference(x, 331)), c
 
@@ -411,7 +444,7 @@ class TestTwoLanes:
         for c in (2, 3, 6, 7):
             x = rng.integers(-3, 4, size=(c, q.order))
             out = np.empty(x.shape)
-            q.right_mul(x, out)
+            q.right_mul(x, out, 3)
             assert np.array_equal(out, x @ dense), c
 
     def test_checks_raise_on_packed_rows_under_optimize(self):
@@ -440,7 +473,7 @@ class TestTwoLanes:
                 np.fft.irfft, np.einsum = irfft, einsum
                 setattr(np.fft if name == "irfft" else np, name, fake)
                 try:
-                    conv(x, out)
+                    conv(x, out, 1)
                 except c.ExactnessError as exc:
                     print("residual" if "residual" in str(exc) else "bound",
                           seen.pop(), sys.flags.optimize)
@@ -475,9 +508,9 @@ class TestProductGroups:
                 np.int8)
             whole, grouped = np.empty(x.shape), np.empty(x.shape)
             monkeypatch.setattr(constructions, "PRODUCT_BUDGET", 1 << 40)
-            q.right_mul(x, whole)
+            q.right_mul(x, whole, 1)
             monkeypatch.setattr(constructions, "PRODUCT_BUDGET", budget)
-            q.right_mul(x, grouped)
+            q.right_mul(x, grouped, 1)
             assert np.array_equal(whole.view(np.int64),
                                   grouped.view(np.int64)), c
             assert np.array_equal(grouped, x.astype(np.int64) @ dense), c
@@ -519,7 +552,7 @@ class TestProductGroups:
         x = np.ones((10, 331), dtype=np.int8)
         with pytest.raises(ExactnessError,
                            match="residual" if name == "irfft" else "bound"):
-            conv(x, np.empty(x.shape))
+            conv(x, np.empty(x.shape), 1)
         assert calls == [2, 2]
 
     def test_product_buffers_within_budgets(self):
@@ -594,7 +627,7 @@ class TestSylvesterAndKronecker:
         for c in (1, 2, 3, 5):
             x = rng.integers(-3, 4, size=(c, q.order))
             out = np.empty(x.shape)
-            q.right_mul(x, out)
+            q.right_mul(x, out, 3)
             assert np.array_equal(out, x @ dense), c
 
     def test_double_refuses_an_out_it_cannot_view(self):
@@ -602,7 +635,7 @@ class TestSylvesterAndKronecker:
         x = np.ones((3, q.order), dtype=np.int64)
         out = np.zeros((3, q.order + 1), dtype=np.int64)[:, :-1]
         with pytest.raises(ValueError, match="copy"):
-            q.right_mul(x, out)
+            q.right_mul(x, out, 1)
 
     def test_doubled_product_work_arrays(self):
         # one rmatmul allocates its float64 result, one int8 copy of B^T
@@ -747,20 +780,38 @@ class TestFloatProducts:
 
     def test_one_leaf_call_per_product(self, monkeypatch):
         # three doublings transform B^T's eight column blocks themselves
-        # and hand all 8 c rows to the leaf at once, as int8 for sign rows
+        # and hand all 8 c rows to the leaf at once, as int8 for sign rows,
+        # with the bound 2^3 on their entries
         q = build_recipe("paley1(7);double;double;double")
         calls = []
         real = q.leaf.right_mul
 
-        def logged(x, out):
-            calls.append((x.shape, x.dtype))
-            real(x, out)
+        def logged(x, out, amp):
+            calls.append((x.shape, x.dtype, amp))
+            real(x, out, amp)
 
         monkeypatch.setattr(q.leaf, "right_mul", logged)
         b = np.random.default_rng(1).integers(0, 2, size=(64, 3)) * 2 - 1
         p = q.rmatmul(b.astype(np.int8))
-        assert calls == [((24, 8), np.int8)]
+        assert calls == [((24, 8), np.int8, 8)]
         assert np.array_equal(p, b.T @ recipe_oracle(q.recipe))
+
+    @pytest.mark.parametrize("recipe", [
+        "unit", "paley1(7)", "paley2(5)", "conference(13)", "paley1(7);double",
+        "paley2(5);double;double", "paley1(11);double;double;double",
+        "kron(paley1(3),paley2(5))", "kron(unit;double,paley1(3));double"])
+    def test_one_scan_per_product(self, monkeypatch, recipe):
+        # rmatmul scans B once; every layer below derives its bound
+        q = build_recipe(recipe)
+        scans = []
+        real = constructions._amplitude
+        monkeypatch.setattr(constructions, "_amplitude",
+                            lambda x: scans.append(x.shape) or real(x))
+        b = (np.random.default_rng(q.order).integers(0, 2, size=(q.order, 3))
+             * 2 - 1).astype(np.int8)
+        p = q.rmatmul(b)
+        assert scans == [b.shape]
+        assert np.array_equal(p, b.T @ recipe_oracle(recipe).astype(np.int64))
 
     @pytest.mark.parametrize("amp,levels,dtype", [
         (1, 6, np.int8), (1, 7, np.int16), (127, 1, np.int16),
@@ -771,8 +822,8 @@ class TestFloatProducts:
         q = build_recipe("unit" + ";double" * levels)
         seen = []
         real = q.leaf.right_mul
-        q.leaf.right_mul = lambda x, out: (seen.append(x.dtype),
-                                           real(x, out))
+        q.leaf.right_mul = lambda x, out, amp: (seen.append(x.dtype),
+                                                real(x, out, amp))
         b = np.full((q.order, 2), amp, dtype=np.int64)
         b[1::3, 0] = -amp
         p = q.rmatmul(b)
@@ -855,15 +906,29 @@ class TestRecipes:
 
     def test_plan_refuses_oversized_primes_without_trial_division(self):
         # 2^61 - 1 (paley1) and 2^60 - 1 (paley2) fail the residue or the
-        # FFT bound first; the walk ends at the Mersenne prime 2^19 - 1
-        assert plan_recipe(HADAMARD, 1 << 61) == (
-            "paley1(524287)" + ";double" * 42)
+        # FFT bound first; the Mersenne prime 2^19 - 1 would take rows of
+        # amplitude 2^42, far beyond its bound, so the walk ends at unit
+        assert plan_recipe(HADAMARD, 1 << 61) == "unit" + ";double" * 61
         # a conference order has no recipe to fall through to: 2^61 + 1 is
         # 1 (mod 4) (and 3 | 2^61 + 1), so the bound refuses it
         with pytest.raises(ExactnessError, match="rounding bound"):
             plan_recipe(CONFERENCE, (1 << 61) + 2)
         # 4000039 = 3 (mod 4) is prime but above the bound
         assert plan_recipe(HADAMARD, 4000040) != "paley1(4000039)"
+
+    def test_plan_admits_only_leaves_its_products_run(self):
+        # paley1(1259743) builds, but under one doubling its rows reach
+        # amplitude 2, where its one-lane worst case is not below 1/4 (a
+        # product of sign rows was seen at 0.304); no other recipe makes
+        # either order
+        assert constructions._admits(1259743, -1, 1)
+        assert not constructions._admits(1259743, -1, 2)
+        assert plan_recipe(HADAMARD, 2519488) is None
+        assert plan_recipe(HADAMARD, 15502080) is None
+        # a deep Paley II tower stays admitted: its conference core's rows
+        # reach amplitude 2^6
+        assert plan_recipe(HADAMARD, 2000000) == (
+            "paley2(31249)" + ";double" * 5)
 
     def test_plan_round_trip(self):
         for order in (4, 8, 12, 20, 24, 28, 32, 44, 48, 664, 672):
