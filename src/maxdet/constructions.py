@@ -10,19 +10,15 @@ matrices have k = order - 1 and a zero diagonal.
 
 A core is held only as its exact product X -> X Q, built from its parts
 in O(order) memory: the Jacobsthal circulant by a checked FFT convolution
-that certifies its character when built and, where its rounding bound
-allows, packs two integer rows into one transformed row, exactly
-recovered by rounding (``_paley_circulant``), the Paley borders by row
-sums, L Sylvester doublings as one in-place Walsh-Hadamard transform of
-X's 2^L column blocks followed by one product over the leaf core, and a
-Kronecker product as its outer factor over the inner factor's column
-blocks followed by one product over the inner factor.  X is read as an
-integer array in place, copied only into the narrowest integer type a
-transform needs; X Q is written in float64, which holds it exactly, as
-every entry and intermediate is an integer below 2^53 (``rmatmul``).
-Every other float array a product keeps holds at most ``PRODUCT_BUDGET``
-entries, or one row where a row is longer (two transformed rows in the
-FFT): the FFT and Paley II take X's rows in groups of that size.  The constructor docstrings prove that the
+(``_paley_circulant``), the Paley borders by row sums, L Sylvester
+doublings as one in-place Walsh-Hadamard transform of X's 2^L column
+blocks followed by one product over the leaf core, and a Kronecker product
+as its outer factor over the inner factor's column blocks followed by one
+product over the inner factor.  X is read as an integer array in place,
+copied only into the narrowest integer type a transform needs; X Q is
+written in float64, which holds it exactly (``rmatmul``).  Every other
+float array a product keeps holds at most ``PRODUCT_BUDGET`` entries, or
+one row where a row is longer.  The constructor docstrings prove that the
 certificate gives Q Q^T = k I for every core a recipe builds.
 """
 
@@ -88,21 +84,17 @@ class QuasiOrthogonal:
     ``right_mul(X, out, amp)`` sets out = X Q for an integer array X (any
     signed integer type, any strides) with `order` columns whose products
     stay below 2^53 (``rmatmul`` checks this), a float64 array out of its
-    shape and a bound amp >= max|X|.  Only ``rmatmul`` scans its input, B,
-    for amp; each operator derives the bound on the rows it hands the
-    layer below: 2^L amp for a tower's leaf, 2 amp for Paley II's
-    conference core, amp and a amp for a Kronecker product's outer factor
-    (of order a) and inner factor.  The circulant sizes its lanes by amp,
-    whose decoding is exact only if amp bounds X.  So a leaf's bound for
-    sign rows is a function of the recipe alone, the one ``plan_recipe``
-    admits the leaf on.
-
-    A core built by L >= 1 Sylvester doublings of a leaf core, or by
-    ``kronecker``, views out's rows as the rows of its inner product and
-    raises ValueError when out's layout does not allow that view; ``leaf``
-    and ``levels`` name that leaf and L (None and 0 for any other core).
-    The operator and ``rmatmul``'s callers write into work arrays that the
-    core keeps between calls, so a core is not for concurrent use.
+    shape and amp >= max|X|, required and unchecked (the circulant's two
+    lanes decode wrongly under less).  ``rmatmul`` scans B for it once;
+    each operator derives the bound of the layer below, for sign rows the
+    number of signs summed in a leaf entry, on which ``plan_recipe``
+    admits the leaf.  A core built by L >= 1 Sylvester doublings of a leaf
+    core, or by ``kronecker``, views out's rows as the rows of its inner
+    product and raises ValueError when out's layout does not allow that
+    view; ``leaf`` and ``levels`` name that leaf and L (None and 0 for any
+    other core).  The operator and ``rmatmul``'s callers write into work
+    arrays that the core keeps between calls, so no core is for concurrent
+    use.
     """
 
     def __init__(self, order: int, weight: int, kind: str, recipe: str,
@@ -123,8 +115,7 @@ class QuasiOrthogonal:
         integer of size at most max|B| * order (a transform's blocks and a
         leaf's row sums stay within it; the FFT checks its own values), so
         below 2^53 each is exact in float64.  That bound is a raised check,
-        so it also holds under python -O.  max|B| is the one scan of a
-        product: the operator derives every other bound from it.
+        so it also holds under python -O.
         """
         b = np.asarray(b)
         amp = _amplitude(b)
@@ -236,29 +227,25 @@ def _fft_error_factor(size: int) -> float:
                              + 2 * math.log1p(u))
 
 
-def _paley_fft(p: int, eps: int, name: str, amp: int
-               ) -> tuple[int, float]:
-    """N and |chi|_2 E(N) for the circulant of p, once p is admitted for
-    rows of amplitude amp >= 1: a prime = 3 (mod 4) for eps = -1 or
-    1 (mod 4) for eps = +1 (else a ValueError naming the generator) whose
-    one-lane worst case sqrt(p) amp |chi|_2 E(N) is below 1/4 (else
-    ExactnessError).  A row of p entries of size at most amp has 2-norm at
-    most sqrt(p) amp, so every product of such rows passes the a-priori
-    check; chi is such a row for amp = 1, so the check implies the
-    certificate's bound (p - 1) E(N).  A build passes amp = 1, the planner
-    the bound its leaf will be given.  Primality is checked last, so a
-    huge p is refused in O(1) time, not by trial division."""
+def _paley_fft(p: int, eps: int, name: str, amp: int) -> tuple[int, float]:
+    """N and |chi|_2 E(N) for the circulant of p, admitted for rows of sums
+    of amp fair signs: a prime = 3 (mod 4) for eps = -1 or 1 (mod 4) for
+    eps = +1 (else a ValueError naming the generator) with sqrt(p amp)
+    |chi|_2 E(N) below 1/4 (else ExactnessError), as sqrt(p amp) is such a
+    row's root mean square 2-norm; products still check their own rows.
+    At amp = 1, a build's, this is at least the certificate's (p - 1) E(N).
+    Primality is checked last, so a huge p is refused in O(1) time."""
     residue = 3 if eps < 0 else 1
     refusal = f"{name} needs a prime p = {residue} (mod 4), got {p}"
     if p < 3 or p % 4 != residue:
         raise ValueError(refusal)
     size = _smooth_length(2 * p - 1)
     factor = _fft_error_factor(size) * math.sqrt(p - 1)  # |chi|_2^2 = p - 1
-    bound = math.sqrt(p) * amp * factor
+    bound = math.sqrt(p * amp) * factor
     if not bound < 0.25:
         raise ExactnessError(f"FFT rounding bound {bound:.3g} for the "
-                             f"character of {p} on rows of amplitude {amp} "
-                             "is not below 1/4")
+                             f"character of {p} on sums of {amp} signs is "
+                             "not below 1/4")
     if not is_prime(p):
         raise ValueError(refusal)
     return size, factor
@@ -276,8 +263,7 @@ def _paley_circulant(p: int, eps: int, name: str
     |z|_2 |chi|_2 E(N) of ``_fft_error_factor`` must be below 1/4 for every
     transformed row z, and every computed value must lie within 1/4 of an
     integer.  As the certificate in (3) convolves chi itself, ``_paley_fft``
-    checks its bound (p - 1) E(N), as part of its bound on sign rows,
-    before chi is built.
+    checks its bound (p - 1) E(N) before chi is built.
 
     Two lanes: for the bound amp and base = 2 amp (p - 1) + 1, rows 2i and
     2i + 1 are transformed as the one row z = x_2i + base x_2i+1 (an odd
@@ -294,19 +280,13 @@ def _paley_circulant(p: int, eps: int, name: str
     on the packed rows, which halves the transforms.
 
     Groups: X's rows are transformed lanes * max(2, PRODUCT_BUDGET // N)
-    at a time.  The lanes are decided once for the whole X, so a pair
+    at a time, with the lanes decided once for the whole X, so a pair
     never straddles two groups, and both checks run on every group.  Two
-    float work arrays of one group's transformed rows are kept between
-    calls: the padded rows, which then take the inverse transform, and
-    the spectrum, whose float64 view then takes the rounded values.  Each
-    holds about max(PRODUCT_BUDGET, 2 N) float64 entries, whatever the row
-    count: two transformed rows for N > 2^14, as at conference(11117)
-    (N = 22500, four sign rows a group, so one call for a width-4 trial)
-    and paley2(31249) (N = 62500, two), and also two for the primes near
-    5750 of the table1 fast rows (N = 11520).  A group of two rows pays
-    the fixed cost of a call once for both.  So a search's products
-    allocate no array here; pocketfft still takes its own scratch inside
-    each transform.
+    float work arrays of one group's transformed rows, each of about
+    max(PRODUCT_BUDGET, 2 N) float64 entries, are kept between calls: the
+    padded rows, which then take the inverse transform, and the spectrum,
+    whose float64 view then takes the rounded values.  So a search's
+    products allocate no array here; pocketfft takes its own scratch.
 
     The certificate raises ExactnessError, so it also runs under python -O:
     (1) chi(0) = 0, |chi| = 1 elsewhere and sum chi = 0, so J 1 = 0;
@@ -428,9 +408,8 @@ def paley_two(p: int) -> QuasiOrthogonal:
     so H H^T = C C^T (x) 2I + (C - C^T) (x) K L^T + 2I = 2(p + 1) I.
     X's rows go in groups of max(1, PRODUCT_BUDGET // (2 (p + 1))): each
     group's pair sums and differences z, of size at most 2 amp, take the
-    narrowest integer type that holds them and go to C with that bound,
-    and C's image of them a float64 work array y of at most a budget (or
-    of one row's 2 (p + 1) entries).
+    narrowest integer type that holds them, and C's image of them a float64
+    work array y of at most a budget (or of one row's 2 (p + 1) entries).
     """
     conf = paley_conference(p)  # validates p
     m = p + 1
@@ -460,21 +439,19 @@ def paley_two(p: int) -> QuasiOrthogonal:
 def sylvester_double(q: QuasiOrthogonal) -> QuasiOrthogonal:
     """Order-doubling [[Q, Q], [Q, -Q]] = H_2 (x) Q; Hadamard input only.
 
-    Its Gram matrix is [[2 Q Q^T, 0], [0, 2 Q Q^T]] = 2k I.
-
-    The product does not recurse.  L doublings of a leaf Q0 of order h give
-    H (x) Q0 for Sylvester's H = H_2 (x) ... (x) H_2 of order 2^L, so for X
-    cut into 2^L column blocks X_i of width h, block l of X (H (x) Q0) is
-    Z_l Q0 with Z_l = sum_i H[i, l] X_i: a Walsh-Hadamard transform of the
+    Its Gram matrix is [[2 Q Q^T, 0], [0, 2 Q Q^T]] = 2k I.  The product
+    does not recurse.  L doublings of a leaf Q0 of order h give H (x) Q0
+    for Sylvester's H = H_2 (x) ... (x) H_2 of order 2^L, so for X cut into
+    2^L column blocks X_i of width h, block l of X (H (x) Q0) is Z_l Q0
+    with Z_l = sum_i H[i, l] X_i: a Walsh-Hadamard transform of the
     blocks.  Z is one integer copy of X: the first butterfly writes
     (X1 + X2, X1 - X2) from X's halves, as [X1 | X2] [[Q, Q], [Q, -Q]]
     = [(X1 + X2) Q | (X1 - X2) Q], and each further level does the same to
     the two halves (U, V) of every block, in place, as U += V, V *= -2,
     V += U.  After s levels every entry is at most 2^s amp in size, and so
     is 2V on the way, so Z takes the narrowest integer type that holds
-    2^L amp.  Viewed as c 2^L rows of width h, out is then Z's rows times
-    Q0, made by one call of Q0's operator, with the bound 2^L amp, whose
-    out is that view; an out that cannot be viewed so raises ValueError.
+    2^L amp, the bound Q0's operator gets in its one call, whose out is
+    out viewed as c 2^L rows of width h (else ValueError).
     """
     if q.kind != HADAMARD:
         raise ValueError("sylvester_double requires a Hadamard matrix")
@@ -598,8 +575,7 @@ def build_recipe(recipe: str) -> QuasiOrthogonal:
 
 
 def _admits(p: int, eps: int, amp: int) -> bool:
-    """Whether ``_paley_fft`` admits p for rows of amplitude amp, so its
-    Paley generator builds and runs the products of such rows."""
+    """Whether ``_paley_fft`` admits p for sums of amp signs."""
     try:
         _paley_fft(p, eps, "plan_recipe", amp)
     except (ValueError, ExactnessError):
@@ -613,13 +589,10 @@ def plan_recipe(kind: str, order: int) -> str | None:
     Hadamard search tries, for each number of Sylvester doublings j with
     2^j | order: paley1 (base-1 prime = 3 mod 4), then paley2, then the
     pure power-of-two tower.  Prime moduli only; prime-power fields are
-    not implemented.  A Paley prime must pass ``_paley_fft`` for the rows
-    that sign rows of B become at its leaf (``QuasiOrthogonal``): amplitude
-    2^j for paley1 under j doublings, 2^(j+1) for paley2's conference
-    core, 1 for a conference core.  It refuses p without trial division,
-    at amplitude 1 some p from 1355767 up and every p above 1638399; a
-    Hadamard order then falls through to the next recipe, a conference
-    order raises.
+    not implemented.  A Paley prime must pass ``_paley_fft`` for the 2^j
+    (paley1), 2^(j+1) (paley2) or 1 (conference) signs that each entry of
+    its leaf sums for sign rows of B, without trial division; a Hadamard
+    order then falls through to the next recipe, a conference order raises.
     """
     if kind == CONFERENCE:
         # no other recipe makes one, so a p the FFT bound refuses raises

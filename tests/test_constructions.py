@@ -800,17 +800,42 @@ class TestFloatProducts:
         "unit", "paley1(7)", "paley2(5)", "conference(13)", "paley1(7);double",
         "paley2(5);double;double", "paley1(11);double;double;double",
         "kron(paley1(3),paley2(5))", "kron(unit;double,paley1(3));double"])
-    def test_one_scan_per_product(self, monkeypatch, recipe):
-        # rmatmul scans B once; every layer below derives its bound
+    @pytest.mark.parametrize("signs", [True, False])
+    def test_one_scan_per_product(self, monkeypatch, recipe, signs):
+        # rmatmul scans B once; every layer below derives its bound, which
+        # must bound the rows that each leaf (circulant or unit) is given
+        bounds = []
+        real_circulant, real_unit = (constructions._paley_circulant,
+                                     constructions.unit)
+
+        def logged(right_mul):
+            def run(x, out, amp):
+                bounds.append((amp, int(np.abs(x).max(initial=0))))
+                right_mul(x, out, amp)
+            return run
+
+        monkeypatch.setattr(constructions, "_paley_circulant",
+                            lambda *args: logged(real_circulant(*args)))
+
+        def unit_logged():
+            q = real_unit()
+            q.right_mul = logged(q.right_mul)
+            return q
+
+        monkeypatch.setattr(constructions, "unit", unit_logged)
         q = build_recipe(recipe)
         scans = []
         real = constructions._amplitude
         monkeypatch.setattr(constructions, "_amplitude",
                             lambda x: scans.append(x.shape) or real(x))
-        b = (np.random.default_rng(q.order).integers(0, 2, size=(q.order, 3))
-             * 2 - 1).astype(np.int8)
-        p = q.rmatmul(b)
+        rng = np.random.default_rng(q.order)
+        if signs:
+            b = rng.integers(0, 2, size=(q.order, 3)) * 2 - 1
+        else:
+            b = rng.integers(-3, 4, size=(q.order, 3))
+        p = q.rmatmul(b.astype(np.int8))
         assert scans == [b.shape]
+        assert bounds and all(amp >= seen for amp, seen in bounds)
         assert np.array_equal(p, b.T @ recipe_oracle(recipe).astype(np.int64))
 
     @pytest.mark.parametrize("amp,levels,dtype", [
@@ -906,9 +931,11 @@ class TestRecipes:
 
     def test_plan_refuses_oversized_primes_without_trial_division(self):
         # 2^61 - 1 (paley1) and 2^60 - 1 (paley2) fail the residue or the
-        # FFT bound first; the Mersenne prime 2^19 - 1 would take rows of
-        # amplitude 2^42, far beyond its bound, so the walk ends at unit
-        assert plan_recipe(HADAMARD, 1 << 61) == "unit" + ";double" * 61
+        # FFT bound first; the Mersenne primes 2^19 - 1 to 2^13 - 1 would
+        # take sums of 2^42 to 2^48 signs, beyond their bound, and the walk
+        # ends at 2^7 - 1
+        assert plan_recipe(HADAMARD, 1 << 61) == (
+            "paley1(127)" + ";double" * 54)
         # a conference order has no recipe to fall through to: 2^61 + 1 is
         # 1 (mod 4) (and 3 | 2^61 + 1), so the bound refuses it
         with pytest.raises(ExactnessError, match="rounding bound"):
@@ -917,18 +944,59 @@ class TestRecipes:
         assert plan_recipe(HADAMARD, 4000040) != "paley1(4000039)"
 
     def test_plan_admits_only_leaves_its_products_run(self):
-        # paley1(1259743) builds, but under one doubling its rows reach
-        # amplitude 2, where its one-lane worst case is not below 1/4 (a
-        # product of sign rows was seen at 0.304); no other recipe makes
-        # either order
+        # paley1(1259743) builds, but under one doubling its entries are
+        # sums of 2 signs, whose bound sqrt(2p) |chi|_2 E(N) is 0.304 (a
+        # product of sign rows was seen at 0.304), and no other recipe
+        # makes 2519488; 15502080 is refused paley1(968879) under four
+        # doublings (0.442) and gets paley1(484439) under five
         assert constructions._admits(1259743, -1, 1)
         assert not constructions._admits(1259743, -1, 2)
         assert plan_recipe(HADAMARD, 2519488) is None
-        assert plan_recipe(HADAMARD, 15502080) is None
-        # a deep Paley II tower stays admitted: its conference core's rows
-        # reach amplitude 2^6
+        assert plan_recipe(HADAMARD, 15502080) == (
+            "paley1(484439)" + ";double" * 5)
+        # sums of signs are admitted on their mean square norm, not on
+        # their largest entries: these run for sign rows, at 0.232 and
+        # 0.184, and so does a deep Paley II tower's sums of 2^6 signs
+        assert plan_recipe(HADAMARD, 2654184) == "paley1(1327091);double"
+        assert plan_recipe(HADAMARD, 1944004) == "paley2(972001)"
         assert plan_recipe(HADAMARD, 2000000) == (
             "paley2(31249)" + ";double" * 5)
+
+    @pytest.mark.parametrize("kind,order", [
+        (HADAMARD, 1104), (HADAMARD, 1240), (HADAMARD, 672),
+        (HADAMARD, 2868), (HADAMARD, 5736), (HADAMARD, 112),
+        (CONFERENCE, 710)])
+    def test_planned_leaf_gets_the_bound_it_was_admitted_on(
+            self, monkeypatch, kind, order):
+        # the planner's sums of signs and the operators' derived bound for
+        # sign rows are one rule: what reaches the circulant is what its
+        # prime was admitted on
+        admitted, reached = [], []
+        real_fft, real_circulant = (constructions._paley_fft,
+                                    constructions._paley_circulant)
+
+        def fft_logged(p, eps, name, amp):
+            out = real_fft(p, eps, name, amp)
+            admitted.append((p, amp))
+            return out
+
+        def circulant_logged(*args):
+            conv = real_circulant(*args)
+
+            def logged(x, out, amp):
+                reached.append((args[0], amp))
+                conv(x, out, amp)
+            return logged
+
+        monkeypatch.setattr(constructions, "_paley_fft", fft_logged)
+        recipe = plan_recipe(kind, order)
+        planned = admitted[-1]
+        monkeypatch.setattr(constructions, "_paley_circulant",
+                            circulant_logged)
+        q = build_recipe(recipe)
+        b = np.random.default_rng(order).integers(0, 2, size=(order, 2))
+        q.rmatmul((b * 2 - 1).astype(np.int8))
+        assert reached and set(reached) == {planned}, recipe
 
     def test_plan_round_trip(self):
         for order in (4, 8, 12, 20, 24, 28, 32, 44, 48, 664, 672):
