@@ -13,9 +13,9 @@ updates, and each sign is certified by an exact integer residual and a
 Hadamard bound on the inverse.  A block with k = 0, a zero leading
 minor, or a sign that cannot be certified takes d direct cofactors per
 row (``_greedy_exact``).  Either way D and det N are the exact greedy's,
-det N comes from Bareiss, and the checks are raised, also under
-``python -O``.  Ratios |det| / n^(n/2) are carried in log scale; d = 0 is
-the bare core.
+every determinant and minor comes from ``exact``'s one Bareiss
+elimination, and the checks are raised, also under ``python -O``.
+Ratios |det| / n^(n/2) are carried in log scale; d = 0 is the bare core.
 
 A search makes its products over Q by the chunk of consecutive trials:
 one exact product P = B^T Q of the chunk's stacked B^T rows, through the
@@ -39,9 +39,9 @@ of B, so the width-w trial's G is the leading block G[:w, :w] of the
 width-W one, and its midpoint det(G[:w, :w] + kI) is a leading principal
 minor of G + kI.  Every trial runs in a search, which keeps G of every
 trial at the largest width it serves (``SharedBlocks``): one stream per
-trial and one product per chunk, one pivot-free Bareiss run per trial for
-the midpoints of every width (``leading_minors``), and one batched greedy
-per width.
+trial and one product per chunk, one Bareiss run per trial for the
+midpoints of every width (``leading_minors``: its pivots, when it swaps
+no row), and one batched greedy per width.
 """
 
 from __future__ import annotations

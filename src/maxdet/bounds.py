@@ -124,9 +124,8 @@ def evaluate_bounds(n: int, h: int, d: int) -> dict:
              "requires d >= 1 and 6 d^3 <= h",
              d * math.log(0.352) + math.log1p(-0.93 * delta)
              if relaxed else None),
-        # universal floor: Dbar(n) > 0.07 * 0.352^d, no conditions
         _row("universal_floor", "Dbar(n)", "always applicable",
-             math.log(0.07) + d * math.log(0.352)),
+             uniform_floor_log(d)),
     ]
     return {
         "n": n, "h": h, "d": d,
@@ -197,6 +196,11 @@ def _dbar_sq_above_exact(det_n: int, m: int, k: int, width: int,
     lhs = det_n ** 2 * k ** max(m - 2 * width, 0)
     rhs = n ** n * k ** max(2 * width - m, 0)
     return [lhs * f.denominator > rhs * f.numerator for f in floors]
+
+
+def uniform_floor_log(d: int) -> float:
+    """ln(0.07 * 0.352^d) in floats: Dbar(n)'s unconditional floor."""
+    return math.log(0.07) + d * math.log(0.352)
 
 
 def passes_uniform_floor(det_n: int, m: int, k: int, width: int, d: int

@@ -144,7 +144,7 @@ def _select_core(args, oset, n: int):
             recipe = plan_recipe(CONFERENCE, order)
             if recipe is not None:
                 return recipe, res
-        raise ValueError(f"no conference order available below {n}")
+        raise ValueError(f"no conference order available at or below {n}")
     return _plan(HADAMARD, res.h), res
 
 
@@ -295,7 +295,6 @@ def cmd_table1(args) -> int:
         found = border_mod.search_widths(q, widths, config)
         for d, width, best in zip(ds, widths, found):
             n = h + d
-            target_log = math.log(0.07) + d * math.log(0.352)
             ok = bounds_mod.passes_uniform_floor(best.det_n, q.order,
                                                  q.weight, width, d)
             row_ok &= ok
@@ -303,7 +302,7 @@ def cmd_table1(args) -> int:
                 "d": d, "n": n, "border_width": width,
                 "ratio_log": best.ratio.log_abs,
                 "ratio_decimal": best.ratio.value(),
-                "uniform_floor": math.exp(target_log),
+                "uniform_floor": math.exp(bounds_mod.uniform_floor_log(d)),
                 "passes_uniform_floor": ok,
                 "passes_small_border_floor":
                     bounds_mod.passes_small_border_floor(

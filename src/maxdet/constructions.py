@@ -282,11 +282,12 @@ def _paley_circulant(p: int, eps: int, name: str
     Groups: X's rows are transformed lanes * max(2, PRODUCT_BUDGET // N)
     at a time, with the lanes decided once for the whole X, so a pair
     never straddles two groups, and both checks run on every group.  Two
-    float work arrays of one group's transformed rows, each of about
-    max(PRODUCT_BUDGET, 2 N) float64 entries, are kept between calls: the
-    padded rows, which then take the inverse transform, and the spectrum,
-    whose float64 view then takes the rounded values.  So a search's
-    products allocate no array here; pocketfft takes its own scratch.
+    float work arrays of a full group's transformed rows, each of about
+    max(PRODUCT_BUDGET, 2 N) float64 entries, are made before the
+    certificate and kept between calls: the padded rows, which then take
+    the inverse transform, and the spectrum, whose float64 view then
+    takes the rounded values.  So no product allocates an array here;
+    pocketfft takes its own scratch.
 
     The certificate raises ExactnessError, so it also runs under python -O:
     (1) chi(0) = 0, |chi| = 1 elsewhere and sum chi = 0, so J 1 = 0;
@@ -304,6 +305,9 @@ def _paley_circulant(p: int, eps: int, name: str
                              "sign, sum or symmetry certificate")
     chi_hat = np.fft.rfft(chi.astype(np.float64), size)
     work = {}
+    rows = max(2, PRODUCT_BUDGET // size)
+    work_array(work, "pad", (rows, size))
+    work_array(work, "spec", (rows, size // 2 + 1), complex)
 
     def transform(x: np.ndarray, out: np.ndarray, lanes: int, base: int
                   ) -> None:

@@ -394,6 +394,17 @@ class TestWitnessFlow:
         assert code == 1 and out == ""
         assert "order 92" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("bound", "5", "--method", "conference"),
+         "no conference order available at or below 5"),
+        (("search", "--d", "2"), "search needs --recipe or --order")])
+    def test_refused_arguments(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == [f"error: {message}"]
+        assert "Traceback" not in err
+
     def test_search_by_huge_order_fails_fast(self):
         # 2^61: 2^61 - 1 and 2^60 - 1 are refused without trial division,
         # and the planned paley1(127) doubled 54 times is refused before a
