@@ -575,6 +575,8 @@ def _witness_blocks(w: dict) -> tuple[QuasiOrthogonal, np.ndarray, np.ndarray]:
     m, d = w["m"], w["d"]
     if d < 0:
         raise WitnessError("d is negative")
+    if w["n"] != m + d:
+        raise WitnessError("n != m + d")
     # the blocks are checked against the witness's own m and d first, so a
     # malformed witness never pays for building the core it names
     if len(w["B"]) != m or any(len(row) != d for row in w["B"]):
@@ -615,8 +617,6 @@ def verify_witness(source) -> LogScalar:
 
     q, b, d_block = _witness_blocks(w)
     m, d, k, n = w["m"], w["d"], w["weight"], w["n"]
-    if n != m + d:
-        raise WitnessError("n != m + d")
 
     [g] = _sign_completion(b.T[None], q)
     det_n = det_exact(g - k * d_block.astype(np.int64))

@@ -43,13 +43,6 @@ def central_binomial(h: int) -> int:
     return factors[0] if factors else 1
 
 
-def g_of_h(h: int) -> Fraction:
-    """g(h) = 1 + 2^-h * h * binom(h, h/2), exactly."""
-    if h < 2 or h % 2:
-        raise ValueError("h must be an even integer >= 2")
-    return 1 + Fraction(h * central_binomial(h), 2 ** h)
-
-
 def h0(d: int) -> float:
     """Core-order threshold (e (pi/2)^(d/2) (d-1)! + d)^2; inf on overflow."""
     if d < 1:
@@ -133,8 +126,8 @@ def evaluate_bounds(n: int, h: int, d: int) -> dict:
             "epsilon": eps,  # sqrt(4 d ln h / h), 0 when d = 0
             "delta": delta,  # 6 d^3 / h
             "c": C_SQRT_2_OVER_PI,
-            # one correctly rounded int division: float(g_of_h(h)), bit for
-            # bit; None when h is odd (no central binomial)
+            # g(h) = 1 + h binom(h, h/2) / 2^h as one correctly rounded int
+            # division; None when h is odd (no central binomial)
             "g_h": ((2 ** h + h * central_binomial(h)) / 2 ** h
                     if h >= 2 and h % 2 == 0 else None),
             "h0_d": h0_d,

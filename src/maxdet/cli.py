@@ -97,7 +97,7 @@ def cmd_sieve(args) -> int:
     out = {
         "meta": _meta(args, oset),
         "limit": oset.limit,
-        "count": oset.count(),
+        "count": len(members),
         "largest_member": int(members[-1]),
         "first_members": [int(x) for x in members[:12]],
     }
@@ -110,8 +110,10 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_gaps(args) -> int:
-    # gamma(x) needs the successor of the last member <= x: pad the limit
-    oset = _load_sieve(args, need_limit=args.x + 4096)
+    # gamma(x) needs the member after x's last one: pad the limit, to
+    # SIEVE_MAX at most; an x above SIEVE_MAX is refused before any build
+    need = max(args.x, min(args.x + 4096, sieve_mod.SIEVE_MAX))
+    oset = _load_sieve(args, need_limit=need)
     rep = sieve_mod.gap_function(args.x, oset)
     _emit({
         "meta": _meta(args, oset),

@@ -113,9 +113,6 @@ class OrderSet:
         return np.concatenate([np.array([1, 2], dtype=np.int64),
                                np.flatnonzero(self.bits).astype(np.int64) * 4])
 
-    def count(self) -> int:
-        return int(self.bits.sum()) + 2
-
     def max_member_leq(self, n: int) -> int:
         if n >= 4:
             j = min(n // 4, self.bits.size - 1)
@@ -125,18 +122,6 @@ class OrderSet:
         if n >= 1:
             return min(n, 2)
         raise ValueError(f"no member <= {n}")
-
-    def successor(self, n: int) -> int | None:
-        """Smallest member strictly greater than n, or None."""
-        if n < 2:
-            return 1 if n < 1 else 2
-        j = max(n // 4 + 1, 1)
-        if j >= self.bits.size:
-            return None
-        nz = np.flatnonzero(self.bits[j:])
-        if nz.size == 0:
-            return None
-        return (int(nz[0]) + j) * 4
 
     # -- persistence --------------------------------------------------------
 
@@ -451,10 +436,9 @@ def gap_function(x: int, oset: OrderSet) -> GapReport:
     k = int(np.searchsorted(mem, x, side="right"))  # members <= x
     if k == 0:
         return GapReport(x=x, gamma=0, witness_pair=None)
-    last = int(mem[k - 1])
-    if oset.successor(last) is None:
-        raise ValueError(
-            f"insufficient headroom: successor of {last} exceeds limit {oset.limit}")
+    if k == len(mem):  # no member above x: the last gap is unknown
+        raise ValueError(f"insufficient headroom: successor of {mem[-1]} "
+                         f"exceeds limit {oset.limit}")
     seq = mem[:k + 1]  # pairs go one past x
     gaps = np.diff(seq)
     gamma = int(gaps.max())

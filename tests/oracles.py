@@ -1,7 +1,10 @@
 """Independent checks that only the tests use: a dense Gram check of a core,
-the worst-case bordering scan of the sieve's irregular gaps, and an
-exhaustive maximal-determinant oracle for n <= 6.
+the worst-case bordering scan of the sieve's irregular gaps, the exact g(h)
+and an exhaustive maximal-determinant oracle for n <= 6.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,6 +50,13 @@ def hadregion_violations(oset, limit: int) -> list[int]:
             if 6 * d ** 3 > h:
                 out.append(h + d)
     return out
+
+
+def g_of_h(h: int) -> Fraction:
+    """g(h) = 1 + 2^-h * h * binom(h, h/2), exactly, from math.comb."""
+    if h < 2 or h % 2:
+        raise ValueError("h must be an even integer >= 2")
+    return 1 + Fraction(h * math.comb(h, h // 2), 2 ** h)
 
 
 def batched_det_int(a: np.ndarray) -> np.ndarray:

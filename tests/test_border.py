@@ -700,7 +700,8 @@ class TestGreedy:
         # at every width, from the minors of its largest width
         script = textwrap.dedent("""
             import sys
-            from maxdet import border, build_recipe
+            from maxdet import border
+            from maxdet.constructions import build_recipe
             q = build_recipe("conference(709)")
             config = border.SearchConfig(trials=3, master_seed=1)
             real_det = border.det_exact
@@ -1007,9 +1008,11 @@ class TestWitness:
         ({"B": ["+-"] * 1004}, "B block has wrong shape"),
         ({"B": ["+"] * 1003 + ["*"]}, "B row 1003"),
         ({"D_off": "+"}, "D off-diagonal block has wrong length"),
-        ({"d": 2, "B": ["+-"] * 1004, "D_off": "+?"}, "D_off row 0")],
+        ({"n": 1006, "d": 2, "B": ["+-"] * 1004, "D_off": "+?"},
+         "D_off row 0"),
+        ({"n": 1006}, "n != m + d")],
         ids=["no-rows", "wide-rows", "bad-sign", "short-d-off",
-             "bad-d-off"])
+             "bad-d-off", "wrong-n"])
     def test_malformed_blocks_refused_before_the_core(self, monkeypatch,
                                                       change, error):
         # a forged witness naming paley1(1000003) whose blocks do not fit

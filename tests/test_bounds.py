@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from maxdet.bounds import (BOUND_COLUMNS, PI_E_HI, PI_E_LO,
-                           central_binomial, evaluate_bounds, g_of_h, h0,
+                           central_binomial, evaluate_bounds, h0,
                            passes_small_border_floor,
                            passes_uniform_floor)
-from oracles import maxdet_oracle
+from oracles import g_of_h, maxdet_oracle
 from test_border import iter_all_borders
 from test_lemmas import (POWER_RATIO, check_es152, dd_floor_holds,
                          hoeffding_bound, log_central_binomial_floor,
@@ -39,7 +39,8 @@ class TestGofH:
     @pytest.mark.parametrize("h", [2, 4, 6, 16, 30, 1020, 11060, 65536])
     def test_context_float_from_prime_exponents(self, h):
         # Legendre's exponents give the binomial exactly, and one int
-        # division gives the float of the exact g(h), bit for bit
+        # division gives the float of the exact g(h), bit for bit, against
+        # g(h) from math.comb
         assert central_binomial(h) == math.comb(h, h // 2)
         assert evaluate_bounds(h, h, 0)["context"]["g_h"] == float(
             g_of_h(h))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import maxdet
-from maxdet import constructions
+from maxdet import constructions, sieve
 from maxdet.bounds import BOUND_COLUMNS, evaluate_bounds
 from maxdet.cli import EXCEPTIONAL_ROWS, _table1_core, build_parser, main
 
@@ -47,6 +47,21 @@ class TestBasicCommands:
         data = json.loads(out)
         assert data["gamma"] == 4
         assert data["witness_pair"] == [100, 104]
+
+    def test_gaps_pads_the_sieve_only_to_sieve_max(self, capsys,
+                                                   monkeypatch):
+        # the limit of x's sieve is padded for the successor of x's last
+        # member, but not past SIEVE_MAX; where no member lies above x
+        # there, its last gap is unknown and refused
+        monkeypatch.setattr(sieve, "SIEVE_MAX", 1024)
+        code, out, err = run_cli(capsys, "gaps", "1000", "--max", "1024")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["meta"]["sieve_limit"] == 1024
+        assert (data["gamma"], data["witness_pair"]) == (8, [1000, 1008])
+        code, out, err = run_cli(capsys, "gaps", "1024", "--max", "1024")
+        assert code == 1 and out == ""
+        assert "error: insufficient headroom" in err
 
     @pytest.mark.parametrize("argv", [
         ("bound", "3000000000000000000"),
@@ -568,6 +583,55 @@ def run_capped(*argv, timeout=None):
         capture_output=True, text=True, preexec_fn=cap, timeout=timeout,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
              "PYTHONPATH": str(Path(maxdet.__file__).parents[1])})
+
+
+def run_python(script):
+    """Run a Python script in a child process that imports this maxdet."""
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(maxdet.__file__).parents[1])})
+
+
+class TestStartup:
+    def test_package_root_imports_no_numpy(self):
+        out = run_python("import sys, maxdet; "
+                         "assert 'numpy' not in sys.modules, 'numpy'")
+        assert out.returncode == 0, out.stderr
+
+    def test_failed_numpy_import_is_an_error_line(self):
+        # python -m maxdet, as runpy runs it, where numpy cannot be imported
+        out = run_python(
+            "import runpy, sys; sys.modules['numpy'] = None; "
+            "sys.argv = ['maxdet', 'bound', '670', '--trials', '1']; "
+            "runpy.run_module('maxdet', run_name='__main__', alter_sys=True)")
+        assert out.returncode == 1 and out.stdout == ""
+        [line] = out.stderr.splitlines()
+        assert line.startswith("error: cannot start maxdet (")
+        assert "numpy" in line
+
+    @pytest.mark.parametrize("exc,detail", [
+        (ImportError("no map"), "ImportError: no map"),
+        (MemoryError(), "MemoryError"),
+        (SystemError("no exception set"), "SystemError: no exception set")],
+        ids=["import", "memory", "system"])
+    def test_run_turns_a_failed_import_into_an_error_line(
+            self, capsys, monkeypatch, exc, detail):
+        # the maxdet script's entry point, in process, with the CLI's
+        # import failing as numpy's has failed short of address space
+        from maxdet.__main__ import run
+
+        class Failing:
+            def find_spec(self, name, path=None, target=None):
+                if name == "maxdet.cli":
+                    raise exc
+
+        monkeypatch.delitem(sys.modules, "maxdet.cli")
+        monkeypatch.setattr(sys, "meta_path", [Failing(), *sys.meta_path])
+        assert run() == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot start maxdet ({detail})\n"
 
 
 def test_largest_core_fits_in_one_gib():

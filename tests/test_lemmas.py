@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from maxdet.border import _signs
-from maxdet.bounds import C_SQRT_2_OVER_PI as C, g_of_h
+from maxdet.bounds import C_SQRT_2_OVER_PI as C
 from maxdet.constructions import build_recipe
+from oracles import g_of_h
 from test_border import iter_all_borders
 
 SEED = 20240601
