@@ -29,19 +29,22 @@ wrote P, so C is held one block at a time; it is exact because every
 partial sum is an integer of size at most m^2 < 2^53 (a raised check on
 the order).
 
-A trial is fixed by its stream, Philox keyed by (master_seed, trial_index),
-which draws B: C and G follow from B, and D from G.  A ``TrialResult``
-keeps D and det N, and B is drawn again for a witness, which keeps B and D.
-Border widths nest: B is drawn as a d x m array and transposed, and the
-draw is prefix-stable, so the first w columns of a trial's width-W block
-are its width-w block.  Entry (i, j) of G depends only on columns i and j
-of B, so the width-w trial's G is the leading block G[:w, :w] of the
-width-W one, and its midpoint det(G[:w, :w] + kI) is a leading principal
-minor of G + kI.  Every trial runs in a search, which keeps G of every
-trial at the largest width it serves (``SharedBlocks``): one stream per
-trial and one product per chunk, one Bareiss run per trial for the
-midpoints of every width (``leading_minors``: its pivots, when it swaps
-no row), and one batched greedy per width.
+A trial is fixed by its stream, SplitMix64 words keyed by (master_seed,
+trial_index) (``sample_border_columns`` states it bit for bit), which
+draws B: C and G follow from B, and D from G.  The stream is a counter
+hash, so a chunk's B^T rows are drawn by a few uint64 array operations,
+and any trial's B can be rederived with integers alone.  A
+``TrialResult`` keeps D and det N, and B is drawn again for a witness,
+which keeps B and D.  Border widths nest: B is drawn as a d x m array and
+transposed, and the draw is prefix-stable, so the first w columns of a
+trial's width-W block are its width-w block.  Entry (i, j) of G depends
+only on columns i and j of B, so the width-w trial's G is the leading
+block G[:w, :w] of the width-W one, and its midpoint det(G[:w, :w] + kI)
+is a leading principal minor of G + kI.  Every trial runs in a search,
+which keeps G of every trial at the largest width it serves
+(``SharedBlocks``): one draw and one product per chunk, one Bareiss run
+per trial for the midpoints of every width (``leading_minors``: its
+pivots, when it swaps no row), and one batched greedy per width.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from operator import attrgetter, mul
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .constructions import (PRODUCT_BUDGET, ExactnessError, QuasiOrthogonal,
                             build_recipe, work_array)
@@ -99,37 +101,52 @@ class TrialResult(NamedTuple):
     def B(self) -> np.ndarray:
         """B, drawn again from the trial's stream; the draw is prefix-stable,
         so this is the leading block of the one the search's product used."""
-        return sample_border_columns(
-            trial_generator(self.master_seed, self.trial_index), self.m, self.d)
+        return sample_border_columns(self.master_seed, [self.trial_index],
+                                     self.m, self.d)[0]
 
 
-def trial_generator(master_seed: int, trial_index: int) -> Generator:
-    """Per-trial stream: Philox keyed by (master_seed, trial_index).
-
-    This is the documented mixing function; streams for distinct trial
-    indices are independent and the mapping is stable across runs, so any
-    trial can be rerun on its own.
-    """
-    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF,
-                    trial_index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return Generator(Philox(key=key))
+# SplitMix64's state step (Steele, Lea and Flood, OOPSLA 2014)
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
-def sample_border_columns(rng: Generator, m: int, d: int) -> np.ndarray:
-    """m x d matrix of independent fair +-1 entries (d = 0 gives m x 0).
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on a uint64 array, mod 2^64."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
-    Entry t of the row-major d x m draw is +1 iff bit 7 of byte t of the
-    stream's raw 64-bit words, taken little-endian, is set.  These are the
-    values ``rng.integers(0, 2, size=(d, m), dtype=np.int8)`` gives on a
-    fresh stream (numpy's 8-bit Lemire draw keeps the top bit of each
-    byte), at a quarter of its cost.  The result is the transpose of the
-    d x m draw, so on one stream its first w columns equal a width-w draw.
+
+def sample_border_columns(master_seed: int, trials, m: int, d: int
+                          ) -> np.ndarray:
+    """The T x m x d stack of B, one m x d block of fair +-1 entries for
+    each trial index in ``trials`` (d = 0 gives m x 0 blocks).
+
+    The stream of trial t is SplitMix64's, all mod 2^64: with mix64 its
+    finalizer (``_mix64``) and gamma = 0x9E3779B97F4A7C15, the trial's key
+    is k = mix64(mix64(master_seed) ^ t), and its word i (from 0) is
+    mix64(k + (i + 1) gamma).  Entry j of the trial's row-major d x m draw
+    is +1 iff bit j mod 64 of word floor(j / 64) is set, bits counted from
+    the least significant, and -1 otherwise.  B is the transpose of that
+    draw, so its first w columns are the width-w draw of the same trial.
+    The stack is a view of one C-ordered (T, d, m) int8 array, which is
+    the chunk's B^T rows.
     """
     if m < 1 or d < 0:
         raise ValueError("m must be >= 1 and d >= 0")
-    raw = rng.bit_generator.random_raw(-(-d * m // 8)).astype("<u8")
-    bits = raw.view(np.uint8)[:d * m] >> 7
-    return (bits.view(np.int8) * 2 - 1).reshape(d, m).T
+    mask = (1 << 64) - 1
+    keys = _mix64(np.array([t & mask for t in trials], dtype=np.uint64)
+                  ^ _mix64(np.array([master_seed & mask], dtype=np.uint64)))
+    words = np.arange(1, -(-d * m // 64) + 1, dtype=np.uint64) * GOLDEN_GAMMA
+    words = _mix64(keys[:, None] + words)
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                         axis=1, count=d * m, bitorder="little")
+    signs = bits.view(np.int8)
+    signs *= 2  # not <<= 1: numpy's int8 shift is several times slower
+    signs -= 1
+    return signs.reshape(len(keys), d, m).mT
 
 
 def _check_gram_order(m: int) -> None:
@@ -391,22 +408,21 @@ class SharedBlocks:
         corner at width d.
 
         The trials go in chunks of consecutive indices, as many as keep the
-        chunk's P = B^T Q within PRODUCT_BUDGET entries, or one trial: each
-        trial's B^T is drawn from its own stream into the chunk's int8
-        rows, and ``_sign_completion`` makes one product per chunk.
+        chunk's P = B^T Q within PRODUCT_BUDGET entries, or one trial: the
+        chunk's B^T rows are drawn together, each trial's from its own
+        stream, as one int8 array, and ``_sign_completion`` makes one
+        product per chunk.
         """
         if self.grams is None:
             seed, m, top = self.config.master_seed, q.order, self.width
             trials = self.config.trials
             per = min(trials, max(1, PRODUCT_BUDGET // (top * m)))
-            chunk = np.empty((per, top, m), dtype=np.int8)
             self.grams = np.empty((trials, top, top), dtype=np.int64)
             for first in range(0, trials, per):
-                bt = chunk[:trials - first]
-                for t, rows in enumerate(bt, first):
-                    rows[...] = sample_border_columns(
-                        trial_generator(seed, t), m, top).T
-                self.grams[first:first + len(bt)] = _sign_completion(bt, q)
+                stop = min(first + per, trials)
+                bt = sample_border_columns(seed, range(first, stop), m,
+                                           top).mT
+                self.grams[first:stop] = _sign_completion(bt, q)
             eye = q.weight * np.eye(top, dtype=np.int64)
             self.minors = [leading_minors((g + eye).tolist())
                            for g in self.grams]

@@ -9,7 +9,6 @@ exhaustive D(n) oracle for n <= 6 lives in tests/oracles.py, not here.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -142,14 +141,15 @@ LOG_DECISION_MARGIN = 2.0 ** -40
 
 
 def _dbar_sq_above(det_n: int, m: int, k: int, width: int,
-                   *floors: Fraction) -> list[bool]:
-    """Decide Dbar(n)^2 > floor for each floor, for a core of order m and
+                   *floors: tuple[int, int]) -> list[bool]:
+    """Decide Dbar(n)^2 > floor for each floor, a (numerator, denominator)
+    pair of positive integers in lowest terms, for a core of order m and
     weight k bordered to n = m + width with Schur determinant det_n, where
     Dbar(n)^2 = k^m det_n^2 / (k^(2 width) n^n).
 
     First in logarithms: the sign of the math.fsum of the terms
-    2 ln|det_n|, (m - 2 width) ln k, ln(floor.denominator), -n ln n and
-    -ln(floor.numerator).  Error bound, with u = 2^-53: each term is an
+    2 ln|det_n|, (m - 2 width) ln k, ln(denominator), -n ln n and
+    -ln(numerator).  Error bound, with u = 2^-53: each term is an
     integer below 2^53 (exact as a float) times math.log of a positive
     integer.  math.log rounds that integer to a float (below 2^1024) or
     to its frexp mantissa f times 2^e (above, returning ln f + e ln 2),
@@ -168,9 +168,8 @@ def _dbar_sq_above(det_n: int, m: int, k: int, width: int,
         common = (2 * math.log(abs(det_n)), (m - 2 * width) * math.log(k),
                   -n * math.log(n))
         above = []
-        for floor in floors:
-            terms = common + (math.log(floor.denominator),
-                              -math.log(floor.numerator))
+        for num, den in floors:
+            terms = common + (math.log(den), -math.log(num))
             gap = math.fsum(terms)
             if abs(gap) <= LOG_DECISION_MARGIN * math.fsum(map(abs, terms)):
                 break
@@ -181,14 +180,14 @@ def _dbar_sq_above(det_n: int, m: int, k: int, width: int,
 
 
 def _dbar_sq_above_exact(det_n: int, m: int, k: int, width: int,
-                         floors: tuple[Fraction, ...]) -> list[bool]:
+                         floors: tuple[tuple[int, int], ...]) -> list[bool]:
     """``_dbar_sq_above`` in integers, cleared of denominators: the two
     sides k^m det_n^2 and k^(2 width) n^n, each without the power of k that
     they share, are formed once for every floor."""
     n = m + width
     lhs = det_n ** 2 * k ** max(m - 2 * width, 0)
     rhs = n ** n * k ** max(2 * width - m, 0)
-    return [lhs * f.denominator > rhs * f.numerator for f in floors]
+    return [lhs * den > rhs * num for num, den in floors]
 
 
 def uniform_floor_log(d: int) -> float:
@@ -196,18 +195,24 @@ def uniform_floor_log(d: int) -> float:
     return math.log(0.07) + d * math.log(0.352)
 
 
+def _lowest_terms(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def passes_uniform_floor(det_n: int, m: int, k: int, width: int, d: int
                          ) -> bool:
     """Exactly decide Dbar(n) > (7/100) (44/125)^d for a bordered witness."""
-    floor = Fraction(49, 10 ** 4) * Fraction(44, 125) ** (2 * d)
+    floor = _lowest_terms(49 * 44 ** (2 * d), 10 ** 4 * 125 ** (2 * d))
     return _dbar_sq_above(det_n, m, k, width, floor)[0]
 
 
-# pi e lies strictly between these products of pi and e to 30 decimals
-PI_E_LO = (Fraction("3.141592653589793238462643383279")
-           * Fraction("2.718281828459045235360287471352"))
-PI_E_HI = (Fraction("3.141592653589793238462643383280")
-           * Fraction("2.718281828459045235360287471353"))
+# pi e lies strictly between these products of pi and e to 30 decimals,
+# held as (numerator, denominator) in lowest terms
+PI_E_LO = _lowest_terms(3141592653589793238462643383279
+                        * 2718281828459045235360287471352, 10 ** 60)
+PI_E_HI = _lowest_terms(3141592653589793238462643383280
+                        * 2718281828459045235360287471353, 10 ** 60)
 
 
 def passes_small_border_floor(det_n: int, m: int, k: int, width: int, d: int
@@ -215,7 +220,9 @@ def passes_small_border_floor(det_n: int, m: int, k: int, width: int, d: int
     """Decide Dbar(n) > (2/(pi e))^(d/2) for a bordered witness in integers:
     True if Dbar(n)^2 > (2/PI_E_LO)^d, False if Dbar(n)^2 <= (2/PI_E_HI)^d,
     and None (undecided) in between."""
+    # 2/(pi e) in lowest terms; its powers stay in lowest terms
+    lo, hi = (_lowest_terms(2 * den, num) for num, den in (PI_E_LO, PI_E_HI))
     above_lo, above_hi = _dbar_sq_above(det_n, m, k, width,
-                                        (2 / PI_E_LO) ** d, (2 / PI_E_HI) ** d)
+                                        (lo[0] ** d, lo[1] ** d),
+                                        (hi[0] ** d, hi[1] ** d))
     return True if above_lo else None if above_hi else False
-

@@ -1,6 +1,7 @@
 """Independent checks that only the tests use: a dense Gram check of a core,
-the worst-case bordering scan of the sieve's irregular gaps, the exact g(h)
-and an exhaustive maximal-determinant oracle for n <= 6.
+the worst-case bordering scan of the sieve's irregular gaps, the exact g(h),
+the trial sign stream in Python integers and an exhaustive
+maximal-determinant oracle for n <= 6.
 """
 
 import math
@@ -50,6 +51,29 @@ def hadregion_violations(oset, limit: int) -> list[int]:
             if 6 * d ** 3 > h:
                 out.append(h + d)
     return out
+
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64_mix(z: int) -> int:
+    """SplitMix64's finalizer on a Python int, reduced mod 2^64."""
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def border_signs(master_seed: int, trial_index: int, m: int, d: int
+                 ) -> list[list[int]]:
+    """The m x d border B of one trial, as lists of Python ints: entry j of
+    the row-major d x m draw is bit j mod 64 of word j // 64, where word i
+    is mix64(key + (i + 1) gamma) and key = mix64(mix64(seed) ^ t)."""
+    key = splitmix64_mix(splitmix64_mix(master_seed) ^ (trial_index & MASK64))
+    words = [splitmix64_mix(key + (i + 1) * 0x9E3779B97F4A7C15)
+             for i in range(-(-d * m // 64))]
+    draw = [1 if words[j // 64] >> (j % 64) & 1 else -1 for j in range(d * m)]
+    return [[draw[r * m + i] for r in range(d)] for i in range(m)]
 
 
 def g_of_h(h: int) -> Fraction:

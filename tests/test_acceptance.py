@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from maxdet.border import (SearchConfig, SharedBlocks, run_trial, search,
-                           trial_generator, verify_witness)
+                           verify_witness)
 from maxdet.bounds import evaluate_bounds
 from maxdet.cli import EXCEPTIONAL_ROWS
 from maxdet.constructions import (CONFERENCE, HADAMARD, build_recipe,
@@ -76,7 +76,7 @@ def test_criterion_03_best_bound_invariants():
     for h in (8, 12, 16):
         q = build_recipe(plan_recipe(HADAMARD, h))
         qm = q.dense()
-        rng = trial_generator(2024, h)
+        rng = np.random.default_rng([2024, h])
         b_all = (rng.integers(0, 2, size=(trials_per_h, h, d),
                               dtype=np.int64) * 2 - 1)
         p = b_all.transpose(0, 2, 1) @ qm

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import maxdet
+import oracles
 from maxdet import border as border_mod
 from maxdet import bounds, cli, constructions, exact, primes, sieve
 from maxdet.border import (SchurConsistencyError, SearchConfig,
@@ -21,8 +22,7 @@ from maxdet.border import (SchurConsistencyError, SearchConfig,
                            _ratio_from_det, _sign_completion, _signs,
                            assemble_bordered, greedy_corners, run_trial,
                            sample_border_columns, save_witness, search,
-                           search_widths, trial_generator, verify_witness,
-                           witness_dict)
+                           search_widths, verify_witness, witness_dict)
 from maxdet.cli import (EXCEPTIONAL_FAST_CORE_MAX, EXCEPTIONAL_ROWS,
                         _table1_core)
 from maxdet.constructions import (ExactnessError, QuasiOrthogonal,
@@ -137,64 +137,105 @@ def batched_greedy(grams, k):
                                      for g in grams])
 
 
+def draw(master_seed, trial_index, m, d):
+    """The m x d border B of one trial."""
+    return sample_border_columns(master_seed, [trial_index], m, d)[0]
+
+
 class TestSampling:
     def test_deterministic_streams(self):
-        a = sample_border_columns(trial_generator(7, 3), 16, 2)
-        b = sample_border_columns(trial_generator(7, 3), 16, 2)
-        c = sample_border_columns(trial_generator(7, 4), 16, 2)
+        a = draw(7, 3, 16, 2)
+        b = draw(7, 3, 16, 2)
+        c = draw(7, 4, 16, 2)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_entry_mean(self):
-        rng = trial_generator(0, 0)
-        b = sample_border_columns(rng, 1000, 100)
+        b = draw(0, 0, 1000, 100)
         assert abs(b.mean()) <= 0.02  # ~6 sigma for 10^5 fair signs
 
+    def test_balance_of_a_million_signs(self):
+        # 2^20 signs over 256 trials of one seed: the sum of fair signs has
+        # standard deviation 2^10, so 6 sigma is 6144; each trial's share
+        # is checked the same way (sd 64)
+        stack = sample_border_columns(2024, range(256), 1024, 4)
+        assert abs(int(stack.sum(dtype=np.int64))) <= 6 * 1024
+        per_trial = stack.sum(axis=(1, 2), dtype=np.int64)
+        assert np.abs(per_trial).max() <= 6 * 64
+
     def test_columns_equidistributed(self):
-        rng = trial_generator(1, 0)
-        counts = {}
-        for _ in range(100_000 // 64):
-            b = sample_border_columns(rng, 4, 64)
-            for col in b.T:
-                key = tuple(col)
-                counts[key] = counts.get(key, 0) + 1
-        total = sum(counts.values())
-        assert len(counts) == 16
-        for key, cnt in counts.items():
-            assert abs(cnt / total - 1 / 16) <= 0.01
+        # every row of B (4 entries) over 100_000 // 64 trials of width 64
+        stack = sample_border_columns(1, range(100_000 // 64), 4, 64)
+        keys, counts = np.unique(stack.mT.reshape(-1, 4), axis=0,
+                                 return_counts=True)
+        assert len(keys) == 16
+        assert np.abs(counts / counts.sum() - 1 / 16).max() <= 0.01
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            sample_border_columns(trial_generator(0, 0), 0, 1)
+            draw(0, 0, 0, 1)
+
+    def test_oracle_is_splitmix64(self):
+        # the published SplitMix64 outputs for the state 1234567: word i of
+        # a stream whose key is that state
+        words = [oracles.splitmix64_mix(1234567 + i * 0x9E3779B97F4A7C15)
+                 for i in range(1, 6)]
+        assert words == [6457827717110365317, 3203168211198807973,
+                         9817491932198370423, 4593380528125082431,
+                         16408922859458223821]
 
     @pytest.mark.parametrize("m,d", [(664, 6), (5750, 8), (11058, 4), (13, 3),
                                      (53732, 26), (7, 0)])
-    def test_equals_integers_draw(self, m, d):
-        # the raw-bit draw gives numpy's 8-bit integers(0, 2) values
-        for t in range(3):
-            old = trial_generator(5, t).integers(0, 2, size=(d, m),
-                                                 dtype=np.int8) * 2 - 1
-            new = sample_border_columns(trial_generator(5, t), m, d)
-            assert new.dtype == np.int8 and np.array_equal(new, old.T)
+    def test_matches_integer_oracle(self, m, d):
+        # bit for bit against the stream in Python integers, trial by trial
+        # and as one stack; 13 x 3 leaves 25 bits of a word unused
+        trials = range(2) if m * d > 10 ** 6 else range(3)
+        stack = sample_border_columns(5, trials, m, d)
+        assert stack.dtype == np.int8 and stack.shape == (len(trials), m, d)
+        for t, b in zip(trials, stack):
+            assert np.array_equal(b, draw(5, t, m, d))
+            assert b.tolist() == oracles.border_signs(5, t, m, d), t
 
-    def test_border_import_loads_numpy_random(self):
-        # numpy loads numpy.random on first use; border imports it, so its
-        # cost falls on import and not on a search's first trial
-        script = ("import sys, maxdet.border; "
-                  "print('numpy.random' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", script],
-                             capture_output=True, text=True, check=True,
-                             env={**os.environ, "PYTHONPATH": str(
-                                 Path(maxdet.__file__).parents[1])})
-        assert out.stdout.split() == ["True"]
+    @pytest.mark.parametrize("seed", [-1, -(1 << 63), (1 << 64) + 5,
+                                      (1 << 64) - 1, 3 << 70])
+    def test_seeds_outside_uint64(self, seed):
+        # seeds and trial indices are taken mod 2^64
+        b = draw(seed, 2, 37, 5)
+        assert b.tolist() == oracles.border_signs(seed, 2, 37, 5)
+        assert np.array_equal(b, draw(seed % (1 << 64), 2, 37, 5))
+        assert np.array_equal(draw(seed, -1, 9, 3),
+                              draw(seed, (1 << 64) - 1, 9, 3))
 
-    @pytest.mark.parametrize("m", [664, 5750])
+    def test_distinct_trials_differ(self):
+        # 64 signs each: no two of 512 trials alike, nor trial 0 of 512 seeds
+        trials = sample_border_columns(0, range(512), 64, 1)
+        seeds = np.stack([draw(s, 0, 64, 1) for s in range(512)])
+        for stack in (trials, seeds):
+            assert len(np.unique(stack.reshape(512, -1), axis=0)) == 512
+
+    @pytest.mark.parametrize("m", [7, 664, 5750])
     def test_prefix_stable(self, m):
-        # the first w columns of a width-26 draw are the width-w draw
-        wide = sample_border_columns(trial_generator(4, m), m, 26)
-        for w in (1, 4, 13, 25):
-            narrow = sample_border_columns(trial_generator(4, m), m, w)
-            assert np.array_equal(wide[:, :w], narrow), w
+        # the first w columns of a width-26 draw are the width-w draw, at
+        # every width, for any m (7 and 5750 are not multiples of 64)
+        wide = draw(4, m, m, 26)
+        for w in range(27):
+            assert np.array_equal(wide[:, :w], draw(4, m, m, w)), w
+
+    def test_result_b_is_the_searched_block(self, h12, monkeypatch):
+        # TrialResult.B draws again the block the search's product used
+        used = []
+        real = border_mod._sign_completion
+        monkeypatch.setattr(border_mod, "_sign_completion",
+                            lambda bt, q: used.append(bt.copy())
+                            or real(bt, q))
+        config = SearchConfig(trials=6, master_seed=-3)
+        shared = SharedBlocks(4, config)
+        shared.fill(h12, 4)
+        [bt] = used
+        for w in (1, 4):
+            for t in range(6):
+                res = run_trial(h12, w, t, shared)
+                assert np.array_equal(res.B, bt[t, :w].T), (w, t)
 
 
 class TestSignCompletion:
@@ -208,8 +249,7 @@ class TestSignCompletion:
         assert np.array_equal(gram(b, h4), c.astype(int) @ p.T)
 
     def test_row_depends_only_on_own_column(self, h4):
-        rng = trial_generator(2, 0)
-        b = sample_border_columns(rng, 4, 2)
+        b = draw(2, 0, 4, 2)
         c = sign_block(b, h4)
         b2 = b.copy()
         b2[:, 1] = -b2[:, 1]
@@ -233,7 +273,7 @@ class TestSignCompletion:
 
     def test_residual_guard_raises(self, monkeypatch):
         q = build_recipe("paley1(331);double")
-        b = sample_border_columns(trial_generator(0, 0), q.order, 2)
+        b = draw(0, 0, q.order, 2)
         real = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft",
                             lambda *a, **k: real(*a, **k) + 0.4)
@@ -268,7 +308,7 @@ class TestSignCompletion:
     def test_gram_order_guard(self, h4):
         # the float64 Gram block is exact while m^2 < 2^53; a core that
         # only claims a larger order trips the guard before any product
-        b = sample_border_columns(trial_generator(0, 0), 4, 2)
+        b = draw(0, 0, 4, 2)
         g = gram(b, claiming_order(h4, 94_906_265))
         assert np.array_equal(g, gram(b, h4))
         with pytest.raises(ExactnessError, match="Gram"):
@@ -308,8 +348,7 @@ class TestGramBlock:
     @pytest.mark.parametrize("h", [4, 8, 12])
     def test_row_norm_hadamard(self, h, h4, h8, h12):
         q = {4: h4, 8: h8, 12: h12}[h]
-        rng = trial_generator(5, h)
-        b = sample_border_columns(rng, h, 3)
+        b = draw(5, h, h, 3)
         c = sign_block(b, q)
         cqt = c.astype(np.int64) @ q.dense().T
         norms = (cqt ** 2).sum(axis=1)
@@ -317,8 +356,7 @@ class TestGramBlock:
 
     def test_row_norm_conference(self):
         q = paley_conference(5)
-        rng = trial_generator(6, 0)
-        b = sample_border_columns(rng, 6, 2)
+        b = draw(6, 0, 6, 2)
         c = sign_block(b, q)
         cqt = c.astype(np.int64) @ q.dense().T
         assert np.all((cqt ** 2).sum(axis=1) == 5 * 6)
@@ -357,7 +395,7 @@ class TestGramBlock:
         dense = q.dense()
         for t, g in enumerate(shared.grams):
             # one trial at a time, in exact int64 from the dense core
-            b = sample_border_columns(trial_generator(seed, t), m, width)
+            b = draw(seed, t, m, width)
             p = b.T.astype(np.int64) @ dense
             assert np.array_equal(g, np.where(p >= 0, 1, -1) @ p.T), t
 
@@ -420,9 +458,9 @@ class TestGreedy:
         # every block here takes the float path; the d = 22 reference
         # alone takes 924 determinants, so one trial
         q = build_recipe(recipe)
-        grams = _sign_completion(np.stack([sample_border_columns(
-            trial_generator(11, t), q.order, d).T
-            for t in range(2 if d < 20 else 1)]), q)
+        trials = range(2 if d < 20 else 1)
+        grams = _sign_completion(
+            sample_border_columns(11, trials, q.order, d).mT, q)
         calls = self._count_calls(monkeypatch)
         corners = batched_greedy(grams, q.weight)
         assert calls == {"_greedy_exact": 0, "det_exact": len(grams)}
@@ -434,7 +472,7 @@ class TestGreedy:
         # at width 14 the 664 core's blocks are not diagonally dominant,
         # and the float path certifies them without the exact fallback
         q = build_recipe("paley1(331);double")
-        b = sample_border_columns(trial_generator(11, 0), q.order, 14)
+        b = draw(11, 0, q.order, 14)
         g = gram(b, q)
         assert (2 * np.diagonal(g) + 2 * q.weight
                 <= np.abs(g).sum(axis=1) + 14 * q.weight).any()
@@ -449,7 +487,7 @@ class TestGreedy:
         # a float inverse off by more than its certificates allow sends the
         # block to the exact path, with the same D and det
         q = build_recipe("paley2(1433)")
-        b = sample_border_columns(trial_generator(11, 1), q.order, 10)
+        b = draw(11, 1, q.order, 10)
         g = gram(b, q)
         calls = self._count_calls(monkeypatch)
         [want] = batched_greedy(g[None], q.weight)
@@ -529,8 +567,8 @@ class TestGreedy:
         # a stack whose float inverse raises takes the exact path, block by
         # block, with the same D and det N
         q = build_recipe("conference(13)")
-        grams = _sign_completion(np.stack([sample_border_columns(
-            trial_generator(2, t), q.order, 4).T for t in range(3)]), q)
+        grams = _sign_completion(
+            sample_border_columns(2, range(3), q.order, 4).mT, q)
 
         def singular(a):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -570,7 +608,7 @@ class TestGreedy:
         # for the final check.  With the diagonal made dominant the batched
         # path takes only the final direct determinant: its midpoint is a
         # leading minor
-        g = trial_generator(3, d).integers(-9, 10, size=(d, d))
+        g = np.random.default_rng([3, d]).integers(-9, 10, size=(d, d))
         assert det_exact(g + 4 * np.eye(d, dtype=np.int64)) != 0
         calls = self._count_calls(monkeypatch)
         d_block, det_n = border_mod._greedy_exact(g, 4)
@@ -589,8 +627,9 @@ class TestGreedy:
         # every leading minor of G + 4I is nonzero but the block is far
         # from dominant: the row 2-norm bound on its inverse certifies
         # every sign, where the 1-norm bound left 146 determinants to the
-        # exact path
-        g = trial_generator(3, 12).integers(-9, 10, size=(12, 12))
+        # exact path (the seed is picked for that: most such blocks need
+        # only the 1-norm bound)
+        g = np.random.default_rng([3, 12, 7]).integers(-9, 10, size=(12, 12))
         calls = self._count_calls(monkeypatch)
         [(d_block, det_n)] = batched_greedy(g[None], 4)
         assert calls == {"_greedy_exact": 0, "det_exact": 1}
@@ -774,17 +813,17 @@ class TestRunTrialAndSearch:
 
     # the ids leave out the pinned values, so a deliberate repin keeps them
     @pytest.mark.parametrize("recipe,d,trials,index,det_schur", [
-        ("paley1(331);double", 6, 8, 7, 9126344841941616877371392),
-        ("paley2(1433)", 4, 4, 1, 247999591116848248832),
-        ("conference(709)", 4, 8, 6, 65459676767089168),
+        ("paley1(331);double", 6, 8, 4, 9156293968795879734902784),
+        ("paley2(1433)", 4, 4, 1, 252020455465130909696),
+        ("conference(709)", 4, 8, 2, 65502099030331816),
         ("paley2(1433)", 10, 8, 7,
-         1004082041583251300097268755580873417913116743696384),
-        ("paley1(331);double", 14, 8, 4,
-         19140172067239387045568382998439482581782375231604276592640),
-        ("paley1(5023);double", 22, 2, 0,
-         int("1130401633025440641999451551711882568599837329885241556387912"
-             "7054408166025244709607529051931713433755863844690303728787596"
-             "555321344")),
+         1019523438068851838841317432833906885362987403575296),
+        ("paley1(331);double", 14, 8, 7,
+         19050134017701983782166070775034407193281786094167093411840),
+        ("paley1(5023);double", 22, 2, 1,
+         int("1110928258373947696830334489021012283284216578435301130194455"
+             "9930985412380142077624773442714095023639402468197364101440596"
+             "105756672")),
     ], ids=["paley1(331);double-d6", "paley2(1433)-d4", "conference(709)-d4",
             "paley2(1433)-d10", "paley1(331);double-d14",
             "paley1(5023);double-d22"])
@@ -851,35 +890,35 @@ class TestSearchWidths:
             assert _same_trial(res, shared, alone, made_blocks[-1]), w
 
     def test_one_product_per_chunk(self, h12, monkeypatch):
-        # one stream per trial, one product per chunk of trials whose P fits
-        # the budget, and one more stream for each witness written: the 5
-        # trials' 3 x 12 blocks fit one chunk, or chunks of 2 at a budget
-        # of 72 entries, with the last chunk partial
-        calls, streams = [], []
+        # one draw and one product per chunk of trials whose P fits the
+        # budget, and one more draw for each witness written: the 5 trials'
+        # 3 x 12 blocks fit one chunk, or chunks of 2 at a budget of 72
+        # entries, with the last chunk partial
+        calls, draws = [], []
         real = border_mod._sign_completion
-        real_stream = border_mod.trial_generator
+        real_draw = border_mod.sample_border_columns
 
         def counted(bt, q):
             calls.append(bt.shape[:2])
             return real(bt, q)
 
-        def counted_stream(master_seed, trial_index):
-            streams.append((master_seed, trial_index))
-            return real_stream(master_seed, trial_index)
+        def counted_draw(master_seed, trials, m, d):
+            draws.append((master_seed, list(trials), d))
+            return real_draw(master_seed, trials, m, d)
         monkeypatch.setattr(border_mod, "_sign_completion", counted)
-        monkeypatch.setattr(border_mod, "trial_generator", counted_stream)
+        monkeypatch.setattr(border_mod, "sample_border_columns", counted_draw)
         config = SearchConfig(trials=5, master_seed=0)
         found = search_widths(h12, [1, 3, 2], config)
         assert calls == [(5, 3)]
-        assert streams == [(0, t) for t in range(5)]
+        assert draws == [(0, [0, 1, 2, 3, 4], 3)]
         witness_dict(found[1])
-        assert streams[5:] == [(0, found[1].trial_index)]
+        assert draws[1:] == [(0, [found[1].trial_index], 3)]
         calls.clear()
-        streams.clear()
+        draws.clear()
         monkeypatch.setattr(border_mod, "PRODUCT_BUDGET", 2 * 3 * 12)
         chunked = search_widths(h12, [1, 3, 2], config)
         assert calls == [(2, 3), (2, 3), (1, 3)]
-        assert streams == [(0, t) for t in range(5)]
+        assert draws == [(0, [0, 1], 3), (0, [2, 3], 3), (0, [4], 3)]
         assert [(r.trial_index, r.det_n) for r in chunked] == [
             (r.trial_index, r.det_n) for r in found]
 
@@ -945,13 +984,32 @@ class TestWitness:
         ratio = verify_witness(path)
         assert abs(ratio.log_abs - best.ratio.log_abs) < 1e-9
 
+    def test_witness_of_an_earlier_stream_verifies(self):
+        # written by ``search --recipe 'paley1(19)' --d 3 --trials 8
+        # --seed 0 --out`` when trials drew B from a Philox stream: verify
+        # reads B from the file, so it holds although the stream of trial
+        # (0, 2) now draws another B
+        w = {"n": 23, "m": 20, "d": 3, "kind": "hadamard", "weight": 20,
+             "recipe": "paley1(19)", "master_seed": 0, "trial_index": 2,
+             "B": "-+- --- ++- +-+ --- +-- --- +++ -++ --- -+- ++- +++ ++- "
+                  "+-+ -+- --+ ++- -+- -++".split(),
+             "D_off": "--+-++", "det_schur": "1049856",
+             "ratio_log": -1.2238939984356634,
+             "ratio_decimal": 0.294082776533888}
+        assert w["B"] != ["".join("+" if x > 0 else "-" for x in row)
+                          for row in draw(0, 2, 20, 3)]
+        assert abs(verify_witness(w).log_abs - w["ratio_log"]) < 1e-12
+
     def test_fresh_result_round_trips(self, h12):
         best = search(h12, 3, SearchConfig(trials=4, master_seed=6))
         ratio = verify_witness(best)
         assert abs(ratio.log_abs - best.ratio.log_abs) < 1e-12
 
     def test_tampered_b_raises(self, h12):
-        w = witness_dict(search(h12, 2, SearchConfig(trials=4, master_seed=9)))
+        # a flip that changes det N: at master_seed 9 the flipped B has the
+        # same det N, a valid witness that verify rightly accepts
+        w = witness_dict(search(h12, 2, SearchConfig(trials=4,
+                                                     master_seed=10)))
         w["B"][0] = flip_sign(w["B"][0], 0)
         with pytest.raises((WitnessError, SchurConsistencyError)):
             verify_witness(w)

@@ -4,15 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maxdet.bounds import (BOUND_COLUMNS, PI_E_HI, PI_E_LO,
-                           central_binomial, evaluate_bounds, h0,
-                           passes_small_border_floor,
+from maxdet import bounds
+from maxdet.bounds import (BOUND_COLUMNS, central_binomial, evaluate_bounds,
+                           h0, passes_small_border_floor,
                            passes_uniform_floor)
 from oracles import g_of_h, maxdet_oracle
 from test_border import iter_all_borders
 from test_lemmas import (POWER_RATIO, check_es152, dd_floor_holds,
                          hoeffding_bound, log_central_binomial_floor,
                          near_identity_floor_holds)
+
+
+# the bracket on pi e that the floors hold as integer pairs, as Fractions
+PI_E_LO, PI_E_HI = (Fraction(*pair) for pair in (bounds.PI_E_LO,
+                                                 bounds.PI_E_HI))
 
 
 class TestGofH:

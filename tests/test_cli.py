@@ -238,9 +238,9 @@ class TestBound:
 
     @pytest.mark.parametrize("argv, digest", [
         (("670", "--trials", "16"),
-         "7fa87ed18f276dba519e556a0098c63805662e76251f5b101fcacdc6ed589fbb"),
+         "b388c1fe249d1e031b46cf41ae8c29c3e965b62e45d170365461dac72769f5ca"),
         (("717", "--method", "conference", "--trials", "16"),
-         "5eaf690b9e7cecbbd85dd0261881e2e9e6add5d1947332de533c371a06452889"),
+         "c071b874cb55819a1ce2466c06c6c0a2d5dcfa8cd5b3ed640b8619be7a185907"),
         (("670", "--format", "csv", "--trials", "16"),
          "db715e5c736beddca953e3e7bfd1bc8159cbe16b6f8619721287b392137c8fc6"),
         # 664 is an order of the sieve: the bare core, width 0
@@ -268,12 +268,12 @@ class TestWitnessFlow:
 
     @pytest.mark.parametrize("argv, digest", [
         (("bound", "670", "--trials", "16", "--seed", "0"),
-         "f52cc766eed06c78cf8f50eae6fd9dd5d4977ae4b747cc8818a2c834cb6937ba"),
+         "68abb9309cec6a4b92f5d4d5ecc0b746ebef4b79c2b240c05d16e222d5a96d0f"),
         (("search", "--recipe", "conference(709)", "--d", "0"),
          "4929593ef47d8a69b79263052cf6d52ac674468f5b1a2561fffb747951383d0c"),
         (("bound", "11062", "--method", "conference", "--trials", "4",
           "--seed", "5"),
-         "d86acc07ee2b8e03173d1117004eed2237ec069a3c4a668ba21003fff968cb3d"),
+         "5c9dfa5272b07e4de3c655c3a234eb378c6eee8bc396e76d783034e945846f5f"),
     ], ids=["bound-670", "search-709-bare-core", "bound-11062-conference"])
     def test_witness_bytes_pinned(self, capsys, tmp_path, argv, digest):
         # B is drawn again from the best trial's stream for the witness,
@@ -287,11 +287,11 @@ class TestWitnessFlow:
 
     @pytest.mark.parametrize("recipe, stdout_digest, witness_digest", [
         ("kron(paley1(3),paley1(7))",
-         "3f71ef30a8eaa6e9b3b60ac3babe1d06c6b6b8c52426414fedf77b707727d8b5",
-         "238a5cb97652389483f185e45d2038a669ed6a5f75303598112f5ce29bd10591"),
+         "50b4b1d747f21822b09d57939dfc216dc21e42a3abee42e4fea536dd1b85ec2a",
+         "97a1d6b409d48131b85f870693e1024d00009ab796e7ea5953665c6649c6246f"),
         ("paley2(13);double;double;double",
-         "50fff72e19dccc3c440674a9839b77e7e1c2ed6c545a3f7e404525948888cdcc",
-         "959f77877514d9bed80c4cd4c748982f4619361c5233cb63795d9f0bea59bade"),
+         "a59ff30982e130280717f925a04efedace1e0c8e9e908977a25d07def3844618",
+         "8f581d359492aee48450ab8d40be63bbb99a9d329b3198615bd21a58a753d82f"),
     ], ids=["kron", "paley2-doubled-thrice"])
     def test_search_bytes_pinned(self, capsys, tmp_path, recipe,
                                  stdout_digest, witness_digest):
@@ -553,7 +553,7 @@ class TestTable1:
                                "--seed", "5")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "22e8afa8e75c0d32815bdeaa7cff61ea2b10c7d59adacc04dbe7ddde3aed1fb3")
+            "817d13ca2cf20b7f75b830ade24433b9e27507629ce6da543d810a753f9fb5dc")
         assert sum(len(row.get("checks", ()))
                    for row in json.loads(out)["rows"]) == 16
         assert exact_floor_calls == []
@@ -598,6 +598,18 @@ class TestStartup:
         out = run_python("import sys, maxdet; "
                          "assert 'numpy' not in sys.modules, 'numpy'")
         assert out.returncode == 0, out.stderr
+
+    def test_cli_import_loads_no_random_hashes_or_rationals(self):
+        # border signs come from a SplitMix64 hash in numpy uint64 and the
+        # floors are integer pairs, so start-up maps neither numpy.random
+        # (which pulls in secrets, hashlib and OpenSSL's _hashlib) nor
+        # fractions and decimal
+        out = run_python(
+            "import sys, maxdet.cli; print(*[m for m in ('numpy.random', "
+            "'hashlib', '_hashlib', 'secrets', 'fractions', 'decimal') "
+            "if m in sys.modules])")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == []
 
     def test_failed_numpy_import_is_an_error_line(self):
         # python -m maxdet, as runpy runs it, where numpy cannot be imported
