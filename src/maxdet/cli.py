@@ -326,7 +326,7 @@ def _add_sieve_flags(p):
     p.add_argument("--max", type=int, default=DEFAULT_LIMIT,
                    help="sieve limit (default %(default)s)")
     p.add_argument("--cache", type=str, default=None,
-                   help="sieve cache file (HADSIEVE2 format)")
+                   help="sieve cache file (HADSIEVE3 format)")
 
 
 @functools.cache  # one parser per process, built by the first main()

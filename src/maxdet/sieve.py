@@ -3,43 +3,41 @@
 The member set is a known-constructible subset of the true Hadamard order
 set: eleven construction rules (Paley-Sylvester-Turyn through Seberry-
 Yamada) plus the Livinskyi power-of-two rule.  Orders 1 and 2 are always
-members; every other member is a multiple of 4, held as bit j of a
-boolean array for order 4j.
+members; every other member is a multiple of 4, and entry j of a uint8
+tag array stands for order 4j: the index in ALL_RULES of the rule that
+first marked it, or 0xFF for a non-member.  The tags are the only record
+of the set, and the cache's tag section is that array as it is, so save
+and load copy it unchanged.
 
 The static rules run once.  The four rules that read the member set
 (8ab, 16abcd, Miyamoto I, Yamada) then run in that order, round after
 round, until a round adds nothing, so the set is closed under all the
 rules below the limit.  Each rule call is array code: it reads the
 members as they stand, collects what it derives in a boolean hit mask
-over bit indices, and marks the new orders in one step.  A uint8 array
-indexed like the bits tags each member with the index in ALL_RULES of the
-rule that first marked it (0xFF for a non-member); it is the cache's own
-tag section, so save and load copy it as it is.  The products fill their
-masks with strided ORs: 8ab at bit 2ab is one OR per smaller factor a,
-and 16abcd at bit 4(ab)(cd) combines the pair products ab, which need
-only reach limit/16.  No temporary is larger than the prime-power mask
-(limit + 1 bytes), so a build at the default limit 65536 stays below
-glibc's 128 KiB mmap threshold.
+over tag indices, and tags the new orders in one step.  The products fill
+their masks with strided ORs: 8ab at index 2ab is one OR per smaller
+factor a, and 16abcd at index 4(ab)(cd) combines the pair products ab,
+which need only reach limit/16.  No temporary is larger than the
+prime-power mask (limit + 1 bytes), so a build at the default limit 65536
+stays below glibc's 128 KiB mmap threshold.
 """
-
 from __future__ import annotations
 
 import math
 import os
-import struct
+import zlib
 from typing import NamedTuple
 
 import numpy as np
 
 from .primes import prime_power_mask
 
-MAGIC = b"HADSIEVE2"
-_HEADER = 3  # cache byte after the bitset: orders 1 and 2, always members
+MAGIC = b"HADSIEVE3"
 
-# The largest sieve limit.  `sieve --max 16777216` takes about 1.4 s and
-# peaks at 97 MB RSS, most of it the interpreter, numpy and the prime-power
-# mask (2-core sandbox, Python 3.11, numpy 2.4); a larger limit is refused
-# before anything of its size is allocated.
+# The largest sieve limit.  `sieve --max 16777216` takes about 0.9-1.6 s
+# and peaks at 93 MB RSS, most of it the interpreter, numpy and the
+# prime-power mask (2-core sandbox, Python 3.11, numpy 2.4); a larger limit
+# is refused before anything of its size is allocated.
 SIEVE_MAX = 1 << 24
 
 RULE_PALEY = "paley"                # 2^j (p^k + 1), incl. powers of two
@@ -62,7 +60,6 @@ ALL_RULES = (
     RULE_SMALL, RULE_BAUMERT_HALL, RULE_SEBERRY_YAMADA,
     RULE_TURYN_WILLIAMSON, RULE_LIVINSKYI,
 )
-_RULE_SET = (1 << len(ALL_RULES)) - 1  # cache field: every rule applied
 _NO_TAG = 0xFF  # tag of an order that no rule marked
 
 # Orders <= 2056 divisible by 4 whose existence was still unresolved.
@@ -77,28 +74,27 @@ BAUMERT_HALL_EXCEPTIONS = frozenset({97, 103})
 
 
 class OrderSet:
-    """Bitset of achievable orders: 1, 2, and multiples of 4 up to limit."""
+    """Achievable orders 1, 2 and multiples of 4 up to limit, by rule tag."""
 
     def __init__(self, limit: int):
         if not 4 <= limit <= SIEVE_MAX:
             raise ValueError(f"sieve limit {limit} is outside 4..{SIEVE_MAX}")
         self.limit = limit
-        self.bits = np.zeros(limit // 4 + 1, dtype=bool)  # index j <-> order 4j
-        self.tags = np.full(self.bits.size, _NO_TAG, dtype=np.uint8)
+        # index j <-> order 4j: the ALL_RULES index that marked it, or _NO_TAG
+        self.tags = np.full(limit // 4 + 1, _NO_TAG, dtype=np.uint8)
 
     def __contains__(self, n: int) -> bool:
         return n in (1, 2) or (n % 4 == 0 and 4 <= n <= self.limit
-                               and bool(self.bits[n // 4]))
+                               and bool(self.tags[n // 4] != _NO_TAG))
 
     def _mark(self, hit: np.ndarray, rule: str) -> bool:
         """Add the orders 4j with hit[j] set; tag the new ones with rule.
 
         hit is overwritten with the mask of the new orders.
         """
-        hit &= ~self.bits
+        hit &= self.tags == _NO_TAG
         if not hit.any():
             return False
-        self.bits |= hit
         self.tags[hit] = ALL_RULES.index(rule)
         return True
 
@@ -110,13 +106,13 @@ class OrderSet:
 
     def members(self) -> np.ndarray:
         """All members in increasing order (includes 1 and 2)."""
-        return np.concatenate([np.array([1, 2], dtype=np.int64),
-                               np.flatnonzero(self.bits).astype(np.int64) * 4])
+        return np.concatenate([
+            np.array([1, 2], dtype=np.int64),
+            np.flatnonzero(self.tags != _NO_TAG).astype(np.int64) * 4])
 
     def max_member_leq(self, n: int) -> int:
         if n >= 4:
-            j = min(n // 4, self.bits.size - 1)
-            nz = np.flatnonzero(self.bits[:j + 1])
+            nz = np.flatnonzero(self.tags[:n // 4 + 1] != _NO_TAG)
             if nz.size:
                 return int(nz[-1]) * 4
         if n >= 1:
@@ -134,29 +130,24 @@ class OrderSet:
         if limit > self.limit:
             raise ValueError(f"limit {limit} exceeds {self.limit}")
         out = OrderSet(limit)
-        out.bits = self.bits[:out.bits.size].copy()
-        out.tags = self.tags[:out.tags.size].copy()
+        out.tags[:] = self.tags[:out.tags.size]
         return out
 
     def save(self, path) -> None:
-        """Cache format: magic, u64-LE limit, u16-LE rule set, bitset
-        (LE-packed), header byte, rule tags.
+        """Cache format: magic, u64-LE limit, the tag bytes as held in
+        memory (one per multiple of 4, order 4j at offset j), then a u32-LE
+        zlib.crc32 of every byte before it.
 
-        The rule set has bit i set for each ALL_RULES[i], so it is always
-        0x1FFF (load refuses any other).  One bit per multiple of 4 (bit j
-        <-> order 4j); the header byte is 3, for orders 1 and 2 (load
-        refuses any other); then the tag array, one byte per multiple of 4.
         The file is written beside the target and renamed into place.
         """
-        packed = np.packbits(self.bits, bitorder="little").tobytes()
+        head = MAGIC + self.limit.to_bytes(8, "little")
+        crc = zlib.crc32(self.tags, zlib.crc32(head))
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
-                fh.write(MAGIC)
-                fh.write(struct.pack("<QH", self.limit, _RULE_SET))
-                fh.write(packed)
-                fh.write(bytes([_HEADER]))
+                fh.write(head)
                 fh.write(self.tags.tobytes())
+                fh.write(crc.to_bytes(4, "little"))
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -167,28 +158,22 @@ class OrderSet:
         """Read a cache written by save; ValueError if it is not one."""
         with open(path, "rb") as fh:
             blob = fh.read()
+        name = MAGIC.decode()
         if not blob.startswith(MAGIC):
-            raise ValueError(f"not a {MAGIC.decode()} cache file")
-        off = len(MAGIC) + struct.calcsize("<QH")
-        if len(blob) < off:
-            raise ValueError(f"truncated {MAGIC.decode()} cache file")
-        limit, mask = struct.unpack_from("<QH", blob, len(MAGIC))
-        nbits = limit // 4 + 1
-        nbytes = (nbits + 7) // 8
-        if len(blob) != off + nbytes + 1 + nbits:
-            raise ValueError(f"truncated {MAGIC.decode()} cache file")
-        if blob[off + nbytes] != _HEADER:
-            raise ValueError(f"not a {MAGIC.decode()} cache file")
-        if mask != _RULE_SET:
-            raise ValueError(f"cache built with other rules (0x{mask:04x})")
+            raise ValueError(f"not a {name} cache file")
+        off = len(MAGIC) + 8
+        limit = int.from_bytes(blob[len(MAGIC):off], "little")
+        size = limit // 4 + 1
+        if len(blob) != off + size + 4:
+            raise ValueError(f"truncated or over-long {name} cache file")
+        if zlib.crc32(memoryview(blob)[:-4]) != int.from_bytes(blob[-4:],
+                                                                "little"):
+            raise ValueError(f"{name} cache file fails its checksum")
         out = cls(limit)
-        raw = np.frombuffer(blob, np.uint8, nbytes, off)
-        out.bits = np.unpackbits(raw, count=nbits, bitorder="little").view(bool)
-        out.tags = np.frombuffer(blob, np.uint8, nbits, off + nbytes + 1).copy()
-        tagged = out.tags != _NO_TAG
-        if out.bits[0] or not np.array_equal(tagged, out.bits):
-            raise ValueError("cache rule tags disagree with its members")
-        if out.tags[tagged].max(initial=0) >= len(ALL_RULES):
+        out.tags[:] = np.frombuffer(blob, np.uint8, size, off)
+        if out.tags[0] != _NO_TAG:
+            raise ValueError("cache file tags order 0")
+        if out.tags[out.tags != _NO_TAG].max(initial=0) >= len(ALL_RULES):
             raise ValueError("unknown rule index in cache file")
         return out
 
@@ -218,7 +203,7 @@ def _hits_of(oset: OrderSet, orders) -> np.ndarray:
     """Hit mask of the multiples of 4 in [4, limit] among orders."""
     orders = np.asarray(orders, dtype=np.int64)
     orders = orders[(orders >= 4) & (orders <= oset.limit) & (orders % 4 == 0)]
-    hit = np.zeros_like(oset.bits)
+    hit = np.zeros(oset.tags.size, dtype=bool)
     hit[orders // 4] = True
     return hit
 
@@ -226,7 +211,7 @@ def _hits_of(oset: OrderSet, orders) -> np.ndarray:
 def _member_mask(oset: OrderSet, n: np.ndarray) -> np.ndarray:
     """Elementwise ``n in oset`` for an int64 array."""
     j = np.where((n % 4 == 0) & (n >= 4) & (n <= oset.limit), n // 4, 0)
-    return oset.bits[j] | (n == 1) | (n == 2)
+    return (oset.tags[j] != _NO_TAG) | (n == 1) | (n == 2)
 
 
 def _rule_paley(oset: OrderSet, ppm: np.ndarray) -> None:
@@ -275,10 +260,10 @@ def complex_golay_numbers(limit: int) -> np.ndarray:
 
 
 def _rule_complex_golay(oset: OrderSet) -> None:
-    # 8(x + y) for complex Golay numbers x, y: bit index 2(x + y)
+    # 8(x + y) for complex Golay numbers x, y: index 2(x + y)
     qmax = oset.limit // 8
     golay = complex_golay_numbers(qmax)
-    hit = np.zeros_like(oset.bits)
+    hit = np.zeros(oset.tags.size, dtype=bool)
     for row in range(0, golay.size, 32):   # 32 rows of the sum table at a time
         sums = (golay[row:row + 32, None] + golay).ravel()
         hit[2 * sums[sums <= qmax]] = True
@@ -322,11 +307,11 @@ def baumert_hall_orders(limit: int) -> list[int]:
 
 def _rule_baumert_hall(oset: OrderSet, pp_orders: np.ndarray,
                        ppm: np.ndarray) -> None:
-    # orders 4bw: bit index b w
-    top = oset.bits.size - 1
+    # orders 4bw: index b w
+    top = oset.tags.size - 1
     wil = np.zeros(top + 1, dtype=bool)
     wil[williamson_orders(top, pp_orders, ppm)] = True
-    hit = np.zeros_like(oset.bits)
+    hit = np.zeros(top + 1, dtype=bool)
     for b in baumert_hall_orders(top):
         view = hit[b::b]
         view |= wil[1:view.size + 1]
@@ -345,25 +330,25 @@ def _rule_livinskyi(oset: OrderSet) -> None:
 
 
 def _rule_product8(oset: OrderSet) -> bool:
-    # 8ab for members 4a <= 4b: bit index 2ab, one strided OR per a
-    bits = oset.bits
-    hit = np.zeros_like(bits)
-    for a in np.flatnonzero(bits[:math.isqrt((bits.size - 1) // 2) + 1]):
+    # 8ab for members 4a <= 4b: index 2ab, one strided OR per a
+    member = oset.tags != _NO_TAG
+    hit = np.zeros_like(member)
+    for a in np.flatnonzero(member[:math.isqrt((member.size - 1) // 2) + 1]):
         view = hit[2 * a * a::2 * a]
-        view |= bits[a:a + view.size]
+        view |= member[a:a + view.size]
     return oset._mark(hit, RULE_PRODUCT8)
 
 
 def _rule_product16(oset: OrderSet) -> bool:
-    # 16abcd for members 4a <= 4b <= 4c <= 4d: bit index 4 (ab)(cd), where
-    # neither pair product ab, cd exceeds top = (bits.size - 1) // 4
-    bits = oset.bits
-    top = (bits.size - 1) // 4
+    # 16abcd for members 4a <= 4b <= 4c <= 4d: index 4 (ab)(cd), where
+    # neither pair product ab, cd exceeds top = (member.size - 1) // 4
+    member = oset.tags != _NO_TAG
+    top = (member.size - 1) // 4
     pairs = np.zeros(top + 1, dtype=bool)
-    for a in np.flatnonzero(bits[:math.isqrt(top) + 1]):
+    for a in np.flatnonzero(member[:math.isqrt(top) + 1]):
         view = pairs[a * a::a]
-        view |= bits[a:a + view.size]
-    hit = np.zeros_like(bits)
+        view |= member[a:a + view.size]
+    hit = np.zeros_like(member)
     for k in np.flatnonzero(pairs[:math.isqrt(top) + 1]):
         view = hit[4 * k * k::4 * k]
         view |= pairs[k:k + view.size]

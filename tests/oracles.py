@@ -1,10 +1,11 @@
 """Independent checks that only the tests use: a dense Gram check of a core,
 the worst-case bordering scan of the sieve's irregular gaps, the exact g(h),
-the trial sign stream in Python integers and an exhaustive
-maximal-determinant oracle for n <= 6.
+the trial sign stream in Python integers, the retired HADSIEVE2 sieve
+cache layout and an exhaustive maximal-determinant oracle for n <= 6.
 """
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,17 @@ def hadregion_violations(oset, limit: int) -> list[int]:
 
 
 MASK64 = (1 << 64) - 1
+
+
+def hadsieve2_bytes(oset, rule_set: int = 0x1FFF) -> bytes:
+    """An OrderSet in the retired HADSIEVE2 cache layout: magic, u64-LE
+    limit, u16-LE rule set (bit i for each rule applied; the sieve always
+    wrote 0x1FFF), the member bitset packed little-endian (bit j <-> order
+    4j), the header byte 3 (orders 1 and 2), then the tag bytes."""
+    member = oset.tags != 0xFF
+    return (b"HADSIEVE2" + struct.pack("<QH", oset.limit, rule_set)
+            + np.packbits(member, bitorder="little").tobytes() + bytes([3])
+            + oset.tags.tobytes())
 
 
 def splitmix64_mix(z: int) -> int:

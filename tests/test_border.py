@@ -86,6 +86,27 @@ def flip_sign(row: str, j: int) -> str:
     return row[:j] + ("-" if row[j] == "+" else "+") + row[j + 1:]
 
 
+def flip_changing_det(w: dict, start=(0, 0)) -> dict:
+    """A copy of witness w with one B entry flipped: the first, in
+    row-major order from start and wrapping round, whose flip changes
+    det N = det(G - kD).  A flip may leave det N as it is, and the flipped
+    witness is then still valid."""
+    q, b, d_block = border_mod._witness_blocks(w)
+    m, d = b.shape
+    first = start[0] * d + start[1]
+    for t in range(first, first + m * d):
+        i, j = divmod(t % (m * d), d)
+        flipped = b.copy()
+        flipped[i, j] *= -1
+        [g] = _sign_completion(flipped.T[None], q)
+        if det_exact(g - q.weight * d_block.astype(np.int64)) != \
+                int(w["det_schur"]):
+            rows = list(w["B"])
+            rows[i] = flip_sign(rows[i], j)
+            return dict(w, B=rows)
+    raise AssertionError("no single flip of B changes det N")
+
+
 def sign_block(b, q):
     """The whole C = sgn(B^T Q) of the sign rule that ``_sign_completion``
     applies block by block."""
@@ -1006,11 +1027,8 @@ class TestWitness:
         assert abs(ratio.log_abs - best.ratio.log_abs) < 1e-12
 
     def test_tampered_b_raises(self, h12):
-        # a flip that changes det N: at master_seed 9 the flipped B has the
-        # same det N, a valid witness that verify rightly accepts
-        w = witness_dict(search(h12, 2, SearchConfig(trials=4,
-                                                     master_seed=10)))
-        w["B"][0] = flip_sign(w["B"][0], 0)
+        w = flip_changing_det(witness_dict(
+            search(h12, 2, SearchConfig(trials=4, master_seed=10))))
         with pytest.raises((WitnessError, SchurConsistencyError)):
             verify_witness(w)
 
@@ -1019,10 +1037,9 @@ class TestWitness:
         # n = 71 is above DIRECT_CHECK_LIMIT, and a witness carries no C:
         # verify recomputes C and G from the changed B, so the stored
         # det_schur is what catches it
-        w = witness_dict(search(build_recipe("paley1(67)"), 3,
-                                SearchConfig(trials=4, master_seed=12)))
-        i, j = entry
-        w["B"][i] = flip_sign(w["B"][i], j)
+        w = flip_changing_det(witness_dict(
+            search(build_recipe("paley1(67)"), 3,
+                   SearchConfig(trials=4, master_seed=12))), entry)
         with pytest.raises(WitnessError, match="det_schur"):
             verify_witness(w)
 

@@ -15,6 +15,7 @@ import maxdet
 from maxdet import constructions, sieve
 from maxdet.bounds import BOUND_COLUMNS, evaluate_bounds
 from maxdet.cli import EXCEPTIONAL_ROWS, _table1_core, build_parser, main
+from oracles import hadsieve2_bytes
 
 
 # the order-1 Hadamard matrix as a kron product nested 1000 deep
@@ -96,10 +97,10 @@ class TestBasicCommands:
         assert data["limit"] == 1024 and data["count"] > 200
 
     @pytest.mark.parametrize("limit_args, digest", [
-        ((), "66bc69550ee1949a2a1fcbb5d0859da5f3e542d175e816b47fa256c448aea2de"),
+        ((), "003e5b9822a0386c73d6b6ad90b121448d01c22baabd3a7cc0d0207e925013e6"),
         (("--max", "131072"),
-         "afc6396f299d581cffd3a8ed0b1d4a64d6d635e8028f7fe440ca1c0474721a96"),
-    ])
+         "17aec9fbba9379954073477972ea9e67e9898cfc137d1a4321900691c3cca6bc"),
+    ], ids=["65536", "131072"])
     def test_sieve_export_bytes_pinned(self, capsys, tmp_path, limit_args,
                                        digest):
         # members and rule tags of the exported cache; any change to these
@@ -727,40 +728,54 @@ def test_truncated_cache_is_rebuilt(tmp_path, capsys):
     assert code == 0 and "loaded sieve cache" in err
 
 
-def _patched_cache(tmp_path, capsys, at, value: bytes):
-    """A 512 cache with value written at offset at, and the fresh stdout."""
-    cache = tmp_path / "c.sieve"
-    code, fresh, _ = run_cli(capsys, "resolve", "100", "--max", "512",
-                             "--cache", str(cache))
-    assert code == 0
-    blob = bytearray(cache.read_bytes())
-    blob[at:at + len(value)] = value
-    cache.write_bytes(bytes(blob))
-    return cache, fresh
-
-
 def test_cache_with_other_rules_is_rebuilt(tmp_path, capsys):
-    from maxdet.sieve import MAGIC, RULE_PALEY
-    # the u16 rule-set field after the u64 limit: only Paley's bit
-    cache, fresh = _patched_cache(tmp_path, capsys, len(MAGIC) + 8,
-                                  b"\x01\x00")
+    # a HADSIEVE2 cache whose rule-set field names Paley's rule alone
+    cache = tmp_path / "c.sieve"
+    cache.write_bytes(hadsieve2_bytes(sieve.build_order_set(512), 0x0001))
+    code, fresh, _ = run_cli(capsys, "resolve", "100", "--max", "512")
+    assert code == 0
     code, out, err = run_cli(capsys, "resolve", "100", "--max", "512",
                              "--cache", str(cache))
-    assert code == 0 and "other rules" in err and "rebuilding" in err
+    assert code == 0 and "not a HADSIEVE3" in err and "rebuilding" in err
     assert out == fresh
-    assert RULE_PALEY in json.loads(out)["meta"]["rule_set"]
     assert len(json.loads(out)["meta"]["rule_set"]) == 13
 
 
-def test_cache_with_bad_tag_is_rebuilt(tmp_path, capsys):
-    from maxdet.sieve import MAGIC
-    # order 100's tag byte, after the header, the bitset and its byte 3
-    at = len(MAGIC) + 10 + (512 // 4 + 1 + 7) // 8 + 1 + 100 // 4
-    cache, fresh = _patched_cache(tmp_path, capsys, at, b"\xff")
-    code, out, err = run_cli(capsys, "resolve", "100", "--max", "512",
-                             "--cache", str(cache))
-    assert code == 0 and "disagree" in err and "rebuilding" in err
+def test_hadsieve2_cache_is_rebuilt(tmp_path, capsys):
+    cache = tmp_path / "c.sieve"
+    blob = hadsieve2_bytes(sieve.build_order_set(65536))
+    # the bytes `sieve --out` wrote while HADSIEVE2 was the format
+    assert hashlib.sha256(blob).hexdigest() == (
+        "66bc69550ee1949a2a1fcbb5d0859da5f3e542d175e816b47fa256c448aea2de")
+    cache.write_bytes(blob)
+    code, fresh, _ = run_cli(capsys, "resolve", "669")
+    assert code == 0
+    code, out, err = run_cli(capsys, "resolve", "669", "--cache", str(cache))
+    assert code == 0 and "rebuilding" in err
     assert out == fresh
-    code, _, err = run_cli(capsys, "resolve", "100", "--max", "512",
-                           "--cache", str(cache))
+    assert cache.read_bytes().startswith(sieve.MAGIC)
+
+
+@pytest.mark.parametrize("flip", ["untagged-member", "tagged-non-member",
+                                  "limit", "checksum"])
+def test_cache_with_flipped_byte_is_rebuilt(tmp_path, capsys, flip):
+    # loaded, the first three flips would answer resolve 669 otherwise
+    # (h = 660, h = 668) or under another sieve limit (65537); the last
+    # changes the stored checksum itself
+    cache = tmp_path / "c.sieve"
+    code, fresh, _ = run_cli(capsys, "resolve", "669", "--cache", str(cache))
+    assert code == 0 and json.loads(fresh)["h"] == 664
+    blob = bytearray(cache.read_bytes())
+    tags = len(sieve.MAGIC) + 8  # order 4j's tag at tags + j
+    at, value = {"untagged-member": (tags + 664 // 4, 0xFF),
+                 "tagged-non-member": (tags + 668 // 4, 0),
+                 "limit": (len(sieve.MAGIC), blob[len(sieve.MAGIC)] ^ 1),
+                 "checksum": (len(blob) - 1, blob[-1] ^ 1)}[flip]
+    assert blob[at] != value
+    blob[at] = value
+    cache.write_bytes(bytes(blob))
+    code, out, err = run_cli(capsys, "resolve", "669", "--cache", str(cache))
+    assert code == 0 and "checksum" in err and "rebuilding" in err
+    assert out == fresh
+    code, _, err = run_cli(capsys, "resolve", "669", "--cache", str(cache))
     assert code == 0 and "loaded sieve cache" in err

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from maxdet.sieve import (ALL_RULES, RULE_BAUMERT_HALL, RULE_LIVINSKYI,
                           RULE_TURYN_WILLIAMSON, RULE_YAMADA,
                           SMALL_ORDER_EXCEPTIONS, OrderSet, build_order_set,
                           gap_function, resolve)
-from oracles import hadregion_violations
+from oracles import hadregion_violations, hadsieve2_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -26,10 +28,9 @@ def _ref_mark(oset, orders, rule):
     if orders.size == 0:
         return False
     idx = np.unique(orders // 4)
-    idx = idx[~oset.bits[idx]]
+    idx = idx[oset.tags[idx] == 0xFF]
     if idx.size == 0:
         return False
-    oset.bits[idx] = True
     oset.tags[idx] = ALL_RULES.index(rule)
     return True
 
@@ -110,7 +111,7 @@ def _ref_static_rules(oset, ruleset, pp_orders, ppm):
 
 def _ref_product8(oset):
     limit = oset.limit
-    mem = np.flatnonzero(oset.bits).astype(np.int64) * 4
+    mem = np.flatnonzero(oset.tags != 0xFF).astype(np.int64) * 4
     changed = False
     for x in mem:
         if x * x > 2 * limit:
@@ -122,7 +123,7 @@ def _ref_product8(oset):
 
 def _ref_product16(oset):
     limit16 = 16 * oset.limit
-    mem = np.flatnonzero(oset.bits).astype(np.int64) * 4
+    mem = np.flatnonzero(oset.tags != 0xFF).astype(np.int64) * 4
     changed = False
     for i, w in enumerate(mem):
         if w ** 4 > limit16:
@@ -235,7 +236,6 @@ class TestBuild:
         got = (build_order_set(limit) if rules is None
                else apply_rules(limit, rules))
         want = reference_build_order_set(limit, rules)
-        assert np.array_equal(got.bits, want.bits)
         assert np.array_equal(got.tags, want.tags)
 
     @pytest.mark.parametrize("limit", [3, 100, 2056, 65536, 131072])
@@ -289,7 +289,11 @@ class TestBuild:
                 assert n not in s and s.rule_of(n) is None, n
 
     def test_tags_name_each_member(self, order_set):
-        assert np.array_equal(order_set.tags != 0xFF, order_set.bits)
+        tags = order_set.tags
+        assert np.all((tags < len(ALL_RULES)) | (tags == 0xFF))
+        assert tags[0] == 0xFF
+        for n in order_set.members()[2:].tolist():
+            assert order_set.rule_of(n) == ALL_RULES[tags[n // 4]]
         assert order_set.rule_of(1) is order_set.rule_of(2) is None
         assert order_set.rule_of(668) is order_set.rule_of(670) is None
         assert order_set.rule_of(4) == RULE_PALEY
@@ -367,9 +371,15 @@ def _saved(tmp_path, oset):
     return path, bytearray(path.read_bytes())
 
 
-def _tag_at(oset, n):
-    """Offset of order n's tag byte in oset's cache file."""
-    return len(sieve.MAGIC) + 10 + (oset.bits.size + 7) // 8 + 1 + n // 4
+def _tag_at(n):
+    """Offset of order n's tag byte in a cache file."""
+    return len(sieve.MAGIC) + 8 + n // 4
+
+
+def _write_with_crc(path, blob):
+    """blob written to path with its trailing checksum recomputed."""
+    blob[-4:] = zlib.crc32(blob[:-4]).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
 
 
 class TestCache:
@@ -380,9 +390,9 @@ class TestCache:
         loaded = OrderSet.load(path)
         assert loaded.limit == s.limit
         assert 1 in loaded and 2 in loaded
-        assert np.array_equal(loaded.bits, s.bits)
         assert np.array_equal(loaded.tags, s.tags)
         assert np.count_nonzero(s.tags != 0xFF) > 900
+        assert path.stat().st_size == len(sieve.MAGIC) + 8 + s.tags.size + 4
         assert [p.name for p in tmp_path.iterdir()] == ["orders.sieve"]
 
     @pytest.mark.parametrize("limit", [4, 4096, 65536])
@@ -398,15 +408,13 @@ class TestCache:
         _, fresh = _saved(tmp_path, build_order_set(4096))
         assert cut.read_bytes() == fresh
 
-    @pytest.mark.parametrize("mask", [0x0000, 0x0003, 0x0FFF, 0x3FFF])
+    @pytest.mark.parametrize("mask", [0x0000, 0x0003, 0x0FFF, 0x1FFF, 0x3FFF])
     def test_other_rule_set_is_refused(self, tmp_path, mask):
-        s = build_order_set(2048)
-        path, blob = _saved(tmp_path, s)
-        at = len(sieve.MAGIC) + 8
-        assert blob[at:at + 2] == b"\xff\x1f"  # bit i <-> ALL_RULES[i]
-        blob[at:at + 2] = mask.to_bytes(2, "little")
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="other rules"):
+        # a HADSIEVE2 file, whatever rule set it names: 0x1FFF is the one
+        # that layout was ever written with
+        path = tmp_path / "old.sieve"
+        path.write_bytes(hadsieve2_bytes(build_order_set(2048), mask))
+        with pytest.raises(ValueError, match="not a HADSIEVE3"):
             OrderSet.load(path)
 
     @pytest.mark.parametrize("order, tag", [
@@ -415,60 +423,79 @@ class TestCache:
         (0, 0),               # a tag on order 0
     ], ids=["untagged-member", "tagged-non-member", "tagged-order-0"])
     def test_tags_disagreeing_with_members_refused(self, tmp_path, order, tag):
+        # a tag changed after save: the checksum refuses the member set
+        # it would load instead of the saved one
         s = build_order_set(2048)
         path, blob = _saved(tmp_path, s)
-        assert (blob[_tag_at(s, order)] == 0xFF) == (order not in s)
-        blob[_tag_at(s, order)] = tag
+        assert (blob[_tag_at(order)] == 0xFF) == (order not in s)
+        blob[_tag_at(order)] = tag
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="disagree"):
+        with pytest.raises(ValueError, match="checksum"):
+            OrderSet.load(path)
+
+    @pytest.mark.parametrize("at", [len(sieve.MAGIC), -1],
+                             ids=["limit", "checksum"])
+    def test_flipped_header_or_checksum_refused(self, tmp_path, at):
+        # limit 2048 -> 2049 keeps the length, so only the checksum sees it
+        path, blob = _saved(tmp_path, build_order_set(2048))
+        blob[at] ^= 1
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="checksum"):
             OrderSet.load(path)
 
     def test_unknown_rule_index_refused(self, tmp_path):
-        s = build_order_set(2048)
-        path, blob = _saved(tmp_path, s)
-        blob[_tag_at(s, 672)] = len(ALL_RULES)
-        path.write_bytes(bytes(blob))
+        path, blob = _saved(tmp_path, build_order_set(2048))
+        blob[_tag_at(672)] = len(ALL_RULES)
+        _write_with_crc(path, blob)
         with pytest.raises(ValueError, match="unknown rule index"):
+            OrderSet.load(path)
+
+    def test_tag_on_order_0_refused(self, tmp_path):
+        path, blob = _saved(tmp_path, build_order_set(2048))
+        blob[_tag_at(0)] = 0
+        _write_with_crc(path, blob)
+        with pytest.raises(ValueError, match="order 0"):
             OrderSet.load(path)
 
     def test_old_format_is_foreign(self, tmp_path):
         path = tmp_path / "old.sieve"
         path.write_bytes(b"HADSIEVE1" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="not a HADSIEVE2"):
+        with pytest.raises(ValueError, match="not a HADSIEVE3"):
             OrderSet.load(path)
 
     def test_restricted_equals_fresh_build(self, order_set):
         for limit in (100, 2056, 20000):
             cut, fresh = order_set.restricted(limit), build_order_set(limit)
             assert cut.limit == limit
-            assert np.array_equal(cut.bits, fresh.bits)
             assert np.array_equal(cut.tags, fresh.tags)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.sieve"
         path.write_bytes(b"NOTASIEVE" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="HADSIEVE2"):
+        with pytest.raises(ValueError, match="HADSIEVE3"):
             OrderSet.load(path)
 
     @pytest.mark.parametrize("header", [0, 1, 2, 7, 255])
     def test_other_header_byte_is_foreign(self, tmp_path, header):
-        s = build_order_set(4096)
-        path = tmp_path / "orders.sieve"
-        s.save(path)
-        blob = bytearray(path.read_bytes())
-        at = len(sieve.MAGIC) + 10 + (s.bits.size + 7) // 8
-        assert blob[at] == 3
+        # the magic's version byte changed, under a valid checksum
+        path, blob = _saved(tmp_path, build_order_set(4096))
+        at = len(sieve.MAGIC) - 1
+        assert blob[at] == ord("3")
         blob[at] = header
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="not a HADSIEVE2"):
+        _write_with_crc(path, blob)
+        with pytest.raises(ValueError, match="not a HADSIEVE3"):
             OrderSet.load(path)
 
     def test_truncated(self, tmp_path):
-        s = build_order_set(4096)
-        path = tmp_path / "orders.sieve"
-        s.save(path)
-        path.write_bytes(path.read_bytes()[:-5])
+        path, blob = _saved(tmp_path, build_order_set(4096))
+        path.write_bytes(bytes(blob[:-5]))
         with pytest.raises(ValueError, match="truncated"):
+            OrderSet.load(path)
+
+    def test_over_long(self, tmp_path):
+        path, blob = _saved(tmp_path, build_order_set(4096))
+        path.write_bytes(bytes(blob) + b"\x00")
+        with pytest.raises(ValueError, match="over-long"):
             OrderSet.load(path)
 
 
