@@ -641,11 +641,13 @@ def verify_witness(source) -> LogScalar:
                            f"match recomputed {det_n}")
     ratio = _ratio_from_det(det_n, m, k, d)
 
-    stored_sign = 0 if w["ratio_decimal"] == 0 else 1
-    if ratio.sign != stored_sign or abs(ratio.log_abs - w["ratio_log"]) > 1e-9:
+    # written so that a NaN or infinite stored value fails
+    if not (abs(ratio.log_abs - w["ratio_log"]) <= 1e-9 and math.isclose(
+            ratio.value(), w["ratio_decimal"], rel_tol=1e-8)):
         raise WitnessError(
-            f"stored ratio_log {w['ratio_log']} does not match recomputed "
-            f"{ratio.log_abs}")
+            f"stored ratio_log, ratio_decimal {w['ratio_log']}, "
+            f"{w['ratio_decimal']} do not match recomputed {ratio.log_abs}, "
+            f"{ratio.value()}")
 
     if n <= DIRECT_CHECK_LIMIT:
         full = assemble_bordered(q, b, _signs(q.rmatmul(b)), d_block)

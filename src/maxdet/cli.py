@@ -25,6 +25,7 @@ from . import sieve as sieve_mod
 from .constructions import (CONFERENCE, HADAMARD, ExactnessError,
                             build_recipe, plan_recipe)
 
+# the default sieve limit, and the least the other commands load
 DEFAULT_LIMIT = 65536
 DEFAULT_TRIALS = 256
 
@@ -65,9 +66,8 @@ def _meta(args, oset=None) -> dict:
     return meta
 
 
-def _load_sieve(args, need_limit: int | None = None) -> sieve_mod.OrderSet:
-    limit = max(args.max, need_limit or 0)
-    cache = getattr(args, "cache", None)
+def _load_sieve(args, limit: int) -> sieve_mod.OrderSet:
+    cache = args.cache
     if cache is not None and Path(cache).exists():
         try:
             oset = sieve_mod.OrderSet.load(cache)
@@ -92,20 +92,15 @@ def _load_sieve(args, need_limit: int | None = None) -> sieve_mod.OrderSet:
 
 
 def cmd_sieve(args) -> int:
-    oset = _load_sieve(args)
+    oset = _load_sieve(args, args.max)
     members = oset.members()
-    out = {
+    _emit({
         "meta": _meta(args, oset),
         "limit": oset.limit,
         "count": len(members),
         "largest_member": int(members[-1]),
         "first_members": [int(x) for x in members[:12]],
-    }
-    if args.out:
-        oset.save(args.out)
-        out["exported"] = str(args.out)
-        _log(f"exported cache to {args.out}")
-    _emit(out)
+    })
     return 0
 
 
@@ -113,7 +108,7 @@ def cmd_gaps(args) -> int:
     # gamma(x) needs the member after x's last one: pad the limit, to
     # SIEVE_MAX at most; an x above SIEVE_MAX is refused before any build
     need = max(args.x, min(args.x + 4096, sieve_mod.SIEVE_MAX))
-    oset = _load_sieve(args, need_limit=need)
+    oset = _load_sieve(args, max(DEFAULT_LIMIT, need))
     rep = sieve_mod.gap_function(args.x, oset)
     _emit({
         "meta": _meta(args, oset),
@@ -125,7 +120,7 @@ def cmd_gaps(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    oset = _load_sieve(args, need_limit=args.n)
+    oset = _load_sieve(args, max(DEFAULT_LIMIT, args.n))
     res = sieve_mod.resolve(args.n, oset)
     _emit({"meta": _meta(args, oset), "n": res.n, "h": res.h, "d": res.d})
     return 0
@@ -151,7 +146,7 @@ def _select_core(args, oset, n: int):
 
 
 def cmd_bound(args) -> int:
-    oset = _load_sieve(args, need_limit=args.n)
+    oset = _load_sieve(args, max(DEFAULT_LIMIT, args.n))
     recipe, res = _select_core(args, oset, args.n)
     q = build_recipe(recipe)
     width = args.n - q.order
@@ -210,7 +205,11 @@ def cmd_search(args) -> int:
     if args.recipe:
         q = build_recipe(args.recipe)
     elif args.order is not None:
-        q = build_recipe(_plan(args.kind, args.order))
+        # the order fixes the kind: conference orders p + 1 are 2 mod 4
+        # and above 2, Hadamard orders 1, 2 or 0 mod 4
+        kind = (CONFERENCE if args.order % 4 == 2 and args.order > 2
+                else HADAMARD)
+        q = build_recipe(_plan(kind, args.order))
     else:
         raise ValueError("search needs --recipe or --order")
     config = border_mod.SearchConfig(trials=args.trials, master_seed=args.seed)
@@ -261,7 +260,7 @@ def cmd_table1(args) -> int:
         raise ValueError(f"--rows {unknown} are not Table 1 rows; "
                          f"valid h values: {valid}")
     need = max(hp for _, hp, *_ in EXCEPTIONAL_ROWS)
-    oset = _load_sieve(args, need_limit=need)
+    oset = _load_sieve(args, max(DEFAULT_LIMIT, need))
     rows_out = []
     all_ok = True
     only = set(args.rows) if args.rows else None
@@ -322,9 +321,7 @@ def cmd_table1(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_sieve_flags(p):
-    p.add_argument("--max", type=int, default=DEFAULT_LIMIT,
-                   help="sieve limit (default %(default)s)")
+def _add_cache_flag(p):
     p.add_argument("--cache", type=str, default=None,
                    help="sieve cache file (HADSIEVE3 format)")
 
@@ -340,18 +337,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sieve", help="build the achievable-order sieve")
-    _add_sieve_flags(p)
-    p.add_argument("--out", type=str, default=None, help="export cache path")
+    p.add_argument("--max", type=int, default=DEFAULT_LIMIT,
+                   help="sieve limit (default %(default)s)")
+    _add_cache_flag(p)
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("gaps", help="max gap between achievable orders")
     p.add_argument("x", type=int)
-    _add_sieve_flags(p)
+    _add_cache_flag(p)
     p.set_defaults(func=cmd_gaps)
 
     p = sub.add_parser("resolve", help="split n = h + d against the sieve")
     p.add_argument("n", type=int)
-    _add_sieve_flags(p)
+    _add_cache_flag(p)
     p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("bound", help="formula and constructive bounds at n")
@@ -362,13 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--out", type=str, default=None, help="witness file path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_sieve_flags(p)
+    _add_cache_flag(p)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("search", help="randomized border search on one core")
     p.add_argument("--recipe", type=str, default=None)
     p.add_argument("--order", type=int, default=None)
-    p.add_argument("--kind", choices=(HADAMARD, CONFERENCE), default=HADAMARD)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
@@ -386,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include rows with core order above 6000")
     p.add_argument("--rows", type=int, nargs="+", default=None,
                    help="restrict to rows with these h values")
-    _add_sieve_flags(p)
+    _add_cache_flag(p)
     p.set_defaults(func=cmd_table1)
     return ap
 

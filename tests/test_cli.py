@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import maxdet
-from maxdet import constructions, sieve
+from maxdet import cli, constructions, sieve
 from maxdet.bounds import BOUND_COLUMNS, evaluate_bounds
 from maxdet.cli import EXCEPTIONAL_ROWS, _table1_core, build_parser, main
 from oracles import hadsieve2_bytes
@@ -34,16 +35,16 @@ def run_cli(capsys, *argv):
 
 class TestBasicCommands:
     def test_resolve(self, capsys):
-        code, out, _ = run_cli(capsys, "resolve", "669", "--max", "1024")
+        code, out, _ = run_cli(capsys, "resolve", "669")
         assert code == 0
         data = json.loads(out)
         assert (data["h"], data["d"]) == (664, 5)
         assert data["meta"]["version"]
-        assert data["meta"]["sieve_limit"] == 1024
+        assert data["meta"]["sieve_limit"] == 65536
         assert "paley" in data["meta"]["rule_set"]
 
     def test_gaps(self, capsys):
-        code, out, _ = run_cli(capsys, "gaps", "100", "--max", "256")
+        code, out, _ = run_cli(capsys, "gaps", "100")
         assert code == 0
         data = json.loads(out)
         assert data["gamma"] == 4
@@ -55,12 +56,13 @@ class TestBasicCommands:
         # member, but not past SIEVE_MAX; where no member lies above x
         # there, its last gap is unknown and refused
         monkeypatch.setattr(sieve, "SIEVE_MAX", 1024)
-        code, out, err = run_cli(capsys, "gaps", "1000", "--max", "1024")
+        monkeypatch.setattr(cli, "DEFAULT_LIMIT", 256)
+        code, out, err = run_cli(capsys, "gaps", "1000")
         assert code == 0, err
         data = json.loads(out)
         assert data["meta"]["sieve_limit"] == 1024
         assert (data["gamma"], data["witness_pair"]) == (8, [1000, 1008])
-        code, out, err = run_cli(capsys, "gaps", "1024", "--max", "1024")
+        code, out, err = run_cli(capsys, "gaps", "1024")
         assert code == 1 and out == ""
         assert "error: insufficient headroom" in err
 
@@ -80,17 +82,44 @@ class TestBasicCommands:
         ("oracle", "4"),
         ("bound", "13", "--method", "paley1"),
         ("bound", "13", "--method", "paley2"),
-    ], ids=["oracle", "method-paley1", "method-paley2"])
+        # each command works out its own sieve limit, search its core's
+        # kind from --order, and sieve writes its file through --cache
+        ("gaps", "100", "--max", "1024"),
+        ("resolve", "100", "--max", "1024"),
+        ("bound", "13", "--max", "1024"),
+        ("table1", "--rows", "664", "--max", "65536"),
+        ("search", "--order", "6", "--kind", "conference", "--d", "1"),
+        ("sieve", "--out", "orders.sieve"),
+    ], ids=["oracle", "method-paley1", "method-paley2", "gaps-max",
+            "resolve-max", "bound-max", "table1-max", "search-kind",
+            "sieve-out"])
     def test_removed_surfaces_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
-        assert "usage:" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and "usage:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, limit", [
+        (("resolve", "70000"), 70000),
+        (("gaps", "100"), 65536),
+        (("gaps", "70000"), 74096),
+        (("bound", "670", "--trials", "1"), 65536),
+        (("bound", "65540", "--trials", "1"), 65540),
+        (("table1", "--rows", "664", "--trials", "1"), 65536),
+    ], ids=["resolve-70000", "gaps", "gaps-70000", "bound", "bound-65540",
+            "table1"])
+    def test_sieve_limit_is_the_commands_own(self, capsys, argv, limit):
+        # the limit a command needs, at least the default: n for resolve
+        # and bound, x padded by 4096 for gaps, the largest h' for table1
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)["meta"]["sieve_limit"] == limit
 
     def test_sieve_export(self, capsys, tmp_path):
         path = tmp_path / "orders.sieve"
         code, out, _ = run_cli(capsys, "sieve", "--max", "1024",
-                               "--out", str(path))
+                               "--cache", str(path))
         assert code == 0
         assert path.exists()
         data = json.loads(out)
@@ -103,10 +132,11 @@ class TestBasicCommands:
     ], ids=["65536", "131072"])
     def test_sieve_export_bytes_pinned(self, capsys, tmp_path, limit_args,
                                        digest):
-        # members and rule tags of the exported cache; any change to these
+        # members and rule tags of the cache sieve writes; any change to these
         # bytes must be deliberate and named
         path = tmp_path / "orders.sieve"
-        code, _, _ = run_cli(capsys, "sieve", *limit_args, "--out", str(path))
+        code, _, _ = run_cli(capsys, "sieve", *limit_args,
+                             "--cache", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
@@ -151,8 +181,7 @@ class TestDeterminism:
         assert out1 == out2
 
     def test_bound_byte_identical(self, capsys):
-        args = ("bound", "21", "--trials", "16", "--seed", "5",
-                "--max", "256")
+        args = ("bound", "21", "--trials", "16", "--seed", "5")
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
@@ -160,8 +189,7 @@ class TestDeterminism:
 
 class TestBound:
     def test_member_order_ratio_one(self, capsys):
-        code, out, _ = run_cli(capsys, "bound", "672", "--trials", "4",
-                               "--max", "1024")
+        code, out, _ = run_cli(capsys, "bound", "672", "--trials", "4")
         assert code == 0
         data = json.loads(out)
         assert data["resolution"] == {"h": 672, "d": 0}
@@ -169,8 +197,7 @@ class TestBound:
         assert data["constructive"]["border_width"] == 0
 
     def test_small_n(self, capsys):
-        code, out, _ = run_cli(capsys, "bound", "14", "--trials", "32",
-                               "--max", "256")
+        code, out, _ = run_cli(capsys, "bound", "14", "--trials", "32")
         assert code == 0
         data = json.loads(out)
         assert data["resolution"] == {"h": 12, "d": 2}
@@ -182,7 +209,7 @@ class TestBound:
 
     def test_conference_method(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "717", "--method",
-                               "conference", "--trials", "4", "--max", "1024")
+                               "conference", "--trials", "4")
         assert code == 0
         data = json.loads(out)
         assert data["recipe"] == "conference(709)"
@@ -191,13 +218,12 @@ class TestBound:
 
     def test_unrealizable_core(self, capsys):
         # h = 92 resolves from n = 92 but has no planner recipe
-        code, out, err = run_cli(capsys, "bound", "92", "--max", "256")
+        code, out, err = run_cli(capsys, "bound", "92")
         assert code == 1 and out == ""
         assert "order 92" in err
 
     def test_n670_exceeds_small_border_floor(self, capsys):
-        code, out, _ = run_cli(capsys, "bound", "670", "--trials", "200",
-                               "--max", "1024")
+        code, out, _ = run_cli(capsys, "bound", "670", "--trials", "200")
         assert code == 0
         data = json.loads(out)
         assert data["resolution"] == {"h": 664, "d": 6}
@@ -207,14 +233,14 @@ class TestBound:
 
     def test_n717_conference_exceeds_power_floor(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "717", "--method",
-                               "conference", "--trials", "256", "--max", "1024")
+                               "conference", "--trials", "256")
         assert code == 0
         data = json.loads(out)
         assert data["constructive"]["ratio_decimal"] > 0.352 ** 5
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "13", "--trials", "4",
-                               "--max", "64", "--format", "csv")
+                               "--format", "csv")
         assert code == 0
         header = out.splitlines()[0]
         assert header == "name,applicable,target,value_log,value_decimal"
@@ -227,7 +253,7 @@ class TestBound:
         # bound prints evaluate_bounds as it is, and its CSV holds the same
         # rows over BOUND_COLUMNS
         report = evaluate_bounds(h + d, h, d)
-        args = ("bound", *argv, "--trials", "4", "--max", "1024")
+        args = ("bound", *argv, "--trials", "4")
         code, out, _ = run_cli(capsys, *args)
         assert code == 0
         assert json.loads(out)["formula_bounds"] == report
@@ -285,6 +311,8 @@ class TestWitnessFlow:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0 and json.loads(out)["ok"] is True
 
     @pytest.mark.parametrize("recipe, stdout_digest, witness_digest", [
         ("kron(paley1(3),paley1(7))",
@@ -307,6 +335,8 @@ class TestWitnessFlow:
         code, _, _ = run_cli(capsys, *argv, "--out", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == witness_digest
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0 and json.loads(out)["ok"] is True
 
     def test_verify_catches_corruption(self, capsys, tmp_path):
         path = tmp_path / "w.json"
@@ -333,6 +363,25 @@ class TestWitnessFlow:
         assert code == 1
         data = json.loads(out)
         assert data["ok"] is False and "det_schur" in data["error"]
+
+    @pytest.mark.parametrize("field", ["ratio_log", "ratio_decimal"])
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, 5.0, -1.0, 1e-300])
+    def test_verify_catches_tampered_ratio(self, capsys, tmp_path, field,
+                                           value):
+        # every stored number is compared with its recomputed value, in a
+        # test that NaN and the infinities fail
+        path = tmp_path / "w.json"
+        code, _, _ = run_cli(capsys, "search", "--recipe", "paley1(11)",
+                             "--d", "2", "--trials", "8", "--out", str(path))
+        assert code == 0
+        blob = json.loads(path.read_text())
+        blob[field] = value
+        path.write_text(json.dumps(blob))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        data = json.loads(out)
+        assert data["ok"] is False and field in data["error"]
 
     @pytest.mark.parametrize("make_text", [
         lambda w: '{"n": 5}',
@@ -404,6 +453,26 @@ class TestWitnessFlow:
                                "--trials", "4")
         assert code == 0
         assert json.loads(out)["recipe"] == "paley1(11)"
+
+    @pytest.mark.parametrize("order, recipe", [
+        (2, "unit;double"), (6, "conference(5)")])
+    def test_search_order_fixes_the_kind(self, capsys, order, recipe):
+        # orders 2 mod 4 above 2 are conference orders, the rest Hadamard,
+        # as order 12 is in test_search_by_order
+        code, out, err = run_cli(capsys, "search", "--order", str(order),
+                                 "--d", "1", "--trials", "2")
+        assert code == 0, err
+        assert json.loads(out)["recipe"] == recipe
+
+    def test_search_by_conference_order_bytes_pinned(self, capsys):
+        # the core that --order 6 plans prints as the recipe itself does
+        argv = ("--d", "1", "--trials", "8", "--seed", "0")
+        code, out, _ = run_cli(capsys, "search", "--order", "6", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a3d92f2d737ca9fdef36cf780c03050393c3f4e7294ee005823040ce202f9148")
+        assert run_cli(capsys, "search", "--recipe", "conference(5)",
+                       *argv)[1] == out
 
     def test_search_by_unrealizable_order(self, capsys):
         code, out, err = run_cli(capsys, "search", "--order", "92", "--d", "1")
@@ -528,7 +597,7 @@ class TestTable1:
 
     def test_fast_row_664(self, capsys):
         code, out, _ = run_cli(capsys, "table1", "--rows", "664",
-                               "--trials", "64", "--max", "4096")
+                               "--trials", "64")
         assert code == 0
         data = json.loads(out)
         assert data["ok"] is True
@@ -657,11 +726,9 @@ def test_largest_core_fits_in_one_gib():
 
 def test_cache_reuse(tmp_path, capsys):
     cache = tmp_path / "c.sieve"
-    code, _, err1 = run_cli(capsys, "resolve", "100", "--max", "512",
-                            "--cache", str(cache))
+    code, _, err1 = run_cli(capsys, "resolve", "100", "--cache", str(cache))
     assert code == 0 and "building" in err1
-    code, _, err2 = run_cli(capsys, "resolve", "100", "--max", "512",
-                            "--cache", str(cache))
+    code, _, err2 = run_cli(capsys, "resolve", "100", "--cache", str(cache))
     assert code == 0 and "loaded sieve cache" in err2
 
 
@@ -679,14 +746,13 @@ def test_cache_second_run_same_bytes(tmp_path, capsys):
 def test_cache_with_smaller_limit_is_rebuilt(tmp_path, capsys):
     cache = tmp_path / "c.sieve"
     run_cli(capsys, "sieve", "--max", "512", "--cache", str(cache))
-    code, fresh, _ = run_cli(capsys, "resolve", "100", "--max", "4096")
+    code, fresh, _ = run_cli(capsys, "resolve", "100")
     assert code == 0
-    code, cached, err = run_cli(capsys, "resolve", "100", "--max", "4096",
-                                "--cache", str(cache))
-    assert code == 0 and "cache limit 512 below required 4096" in err
+    code, cached, err = run_cli(capsys, "resolve", "100", "--cache",
+                                str(cache))
+    assert code == 0 and "cache limit 512 below required 65536" in err
     assert "rebuilding" in err and cached == fresh
-    from maxdet.sieve import OrderSet
-    assert OrderSet.load(cache).limit == 4096
+    assert sieve.OrderSet.load(cache).limit == 65536
 
 
 def test_cache_with_larger_limit_same_bytes(tmp_path, capsys):
@@ -716,15 +782,12 @@ def test_cached_table1_keeps_interior_rules(tmp_path, capsys):
 
 def test_truncated_cache_is_rebuilt(tmp_path, capsys):
     cache = tmp_path / "c.sieve"
-    code, out1, _ = run_cli(capsys, "resolve", "100", "--max", "512",
-                            "--cache", str(cache))
+    code, out1, _ = run_cli(capsys, "resolve", "100", "--cache", str(cache))
     cache.write_bytes(cache.read_bytes()[:-7])
-    code, out2, err = run_cli(capsys, "resolve", "100", "--max", "512",
-                              "--cache", str(cache))
+    code, out2, err = run_cli(capsys, "resolve", "100", "--cache", str(cache))
     assert code == 0 and "rebuilding" in err
     assert out2 == out1
-    code, _, err = run_cli(capsys, "resolve", "100", "--max", "512",
-                           "--cache", str(cache))
+    code, _, err = run_cli(capsys, "resolve", "100", "--cache", str(cache))
     assert code == 0 and "loaded sieve cache" in err
 
 
@@ -732,10 +795,9 @@ def test_cache_with_other_rules_is_rebuilt(tmp_path, capsys):
     # a HADSIEVE2 cache whose rule-set field names Paley's rule alone
     cache = tmp_path / "c.sieve"
     cache.write_bytes(hadsieve2_bytes(sieve.build_order_set(512), 0x0001))
-    code, fresh, _ = run_cli(capsys, "resolve", "100", "--max", "512")
+    code, fresh, _ = run_cli(capsys, "resolve", "100")
     assert code == 0
-    code, out, err = run_cli(capsys, "resolve", "100", "--max", "512",
-                             "--cache", str(cache))
+    code, out, err = run_cli(capsys, "resolve", "100", "--cache", str(cache))
     assert code == 0 and "not a HADSIEVE3" in err and "rebuilding" in err
     assert out == fresh
     assert len(json.loads(out)["meta"]["rule_set"]) == 13
