@@ -59,7 +59,7 @@ import numpy as np
 
 from .constructions import (PRODUCT_BUDGET, ExactnessError, QuasiOrthogonal,
                             build_recipe, work_array)
-from .exact import LogScalar, det_exact, leading_minors, normalized_ratio
+from .exact import LogScalar, det_exact, leading_minors
 
 
 class WitnessError(ValueError):
@@ -71,13 +71,11 @@ class SchurConsistencyError(RuntimeError):
 
 
 class SearchConfig:
-    def __init__(self, trials: int = 256, master_seed: int = 0):
+    def __init__(self, trials: int, master_seed: int = 0):
         if trials < 1:
             raise ValueError("trials must be >= 1")
         self.trials, self.master_seed = trials, master_seed
 
-
-DEFAULT_CONFIG = SearchConfig()
 
 # verify_witness also checks the full bordered determinant up to this n
 DIRECT_CHECK_LIMIT = 64
@@ -387,8 +385,9 @@ def _ratio_from_det(det_n: int, m: int, k: int, d: int) -> LogScalar:
         # the bare core k^(m/2) / m^(m/2); the general formula below rounds
         # differently, and witnesses store this value
         return LogScalar(1, 0.5 * m * (math.log(k) - math.log(m)))
+    # |det| scaled by the Hadamard bound (m + d)^((m + d)/2)
     log_det = 0.5 * m * math.log(k) + math.log(abs(det_n)) - d * math.log(k)
-    return normalized_ratio(LogScalar(1, log_det), m + d)
+    return LogScalar(1, log_det - 0.5 * (m + d) * math.log(m + d))
 
 
 class SharedBlocks:
@@ -453,7 +452,7 @@ def run_trial(q: QuasiOrthogonal, d: int, trial_index: int,
                        D=d_block)
 
 
-def search(q: QuasiOrthogonal, d: int, config: SearchConfig = DEFAULT_CONFIG,
+def search(q: QuasiOrthogonal, d: int, config: SearchConfig,
            shared: SharedBlocks | None = None) -> TrialResult:
     """Best trial over indices 0..trials-1; deterministic for a given seed.
 
@@ -479,7 +478,7 @@ def search(q: QuasiOrthogonal, d: int, config: SearchConfig = DEFAULT_CONFIG,
 
 
 def search_widths(q: QuasiOrthogonal, widths: list[int],
-                  config: SearchConfig = DEFAULT_CONFIG) -> list[TrialResult]:
+                  config: SearchConfig) -> list[TrialResult]:
     """The best trial at each border width, in the order given.
 
     Each equals ``search(q, w, config)``: the trials' products over Q are

@@ -22,8 +22,8 @@ from . import __version__
 from . import bounds as bounds_mod
 from . import border as border_mod
 from . import sieve as sieve_mod
-from .constructions import (CONFERENCE, HADAMARD, ExactnessError,
-                            build_recipe, plan_recipe)
+from .constructions import (CONFERENCE, ExactnessError, build_recipe,
+                            plan_recipe)
 
 # the default sieve limit, and the least the other commands load
 DEFAULT_LIMIT = 65536
@@ -126,23 +126,19 @@ def cmd_resolve(args) -> int:
     return 0
 
 
-def _plan(kind: str, order: int) -> str:
-    recipe = plan_recipe(kind, order)
-    if recipe is None:
-        raise ValueError(f"no recipe realizes {kind} order {order}")
-    return recipe
-
-
 def _select_core(args, oset, n: int):
     """Choose the core matrix per --method; returns (recipe, resolution)."""
     res = sieve_mod.resolve(n, oset)
     if args.method == "conference":
-        for order in range(n, 5, -1):
-            recipe = plan_recipe(CONFERENCE, order)
-            if recipe is not None:
-                return recipe, res
+        # the largest order at or below n that is 2 (mod 4), the only
+        # orders plan_recipe makes conference cores of, and down by 4
+        for order in range(n - (n - 2) % 4, 5, -4):
+            try:
+                return plan_recipe(order), res
+            except ValueError:
+                continue
         raise ValueError(f"no conference order available at or below {n}")
-    return _plan(HADAMARD, res.h), res
+    return plan_recipe(res.h), res
 
 
 def cmd_bound(args) -> int:
@@ -205,11 +201,7 @@ def cmd_search(args) -> int:
     if args.recipe:
         q = build_recipe(args.recipe)
     elif args.order is not None:
-        # the order fixes the kind: conference orders p + 1 are 2 mod 4
-        # and above 2, Hadamard orders 1, 2 or 0 mod 4
-        kind = (CONFERENCE if args.order % 4 == 2 and args.order > 2
-                else HADAMARD)
-        q = build_recipe(_plan(kind, args.order))
+        q = build_recipe(plan_recipe(args.order))
     else:
         raise ValueError("search needs --recipe or --order")
     config = border_mod.SearchConfig(trials=args.trials, master_seed=args.seed)
@@ -364,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("search", help="randomized border search on one core")
-    p.add_argument("--recipe", type=str, default=None)
-    p.add_argument("--order", type=int, default=None)
+    core = p.add_mutually_exclusive_group()
+    core.add_argument("--recipe", type=str, default=None)
+    core.add_argument("--order", type=int, default=None)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)

@@ -227,15 +227,16 @@ def _fft_error_factor(size: int) -> float:
                              + 2 * math.log1p(u))
 
 
-def _paley_fft(p: int, eps: int, name: str, amp: int) -> tuple[int, float]:
+def _paley_fft(p: int, eps: int, amp: int) -> tuple[int, float]:
     """N and |chi|_2 E(N) for the circulant of p, admitted for rows of sums
-    of amp fair signs: a prime = 3 (mod 4) for eps = -1 or 1 (mod 4) for
-    eps = +1 (else a ValueError naming the generator) with sqrt(p amp)
-    |chi|_2 E(N) below 1/4 (else ExactnessError), as sqrt(p amp) is such a
-    row's root mean square 2-norm; products still check their own rows.
+    of amp fair signs: a prime = 3 (mod 4) for eps = -1 (paley_one) or
+    1 (mod 4) for eps = +1 (paley_conference), else a ValueError naming
+    that generator, with sqrt(p amp) |chi|_2 E(N) below 1/4 (else
+    ExactnessError), as sqrt(p amp) is such a row's root mean square
+    2-norm; products still check their own rows.
     At amp = 1, a build's, this is at least the certificate's (p - 1) E(N).
     Primality is checked last, so a huge p is refused in O(1) time."""
-    residue = 3 if eps < 0 else 1
+    residue, name = (3, "paley_one") if eps < 0 else (1, "paley_conference")
     refusal = f"{name} needs a prime p = {residue} (mod 4), got {p}"
     if p < 3 or p % 4 != residue:
         raise ValueError(refusal)
@@ -251,7 +252,7 @@ def _paley_fft(p: int, eps: int, name: str, amp: int) -> tuple[int, float]:
     return size, factor
 
 
-def _paley_circulant(p: int, eps: int, name: str
+def _paley_circulant(p: int, eps: int
                      ) -> Callable[[np.ndarray, np.ndarray, int], None]:
     """(X, out, amp) -> out = X J, exact in float64, for the Jacobsthal
     matrix J[i, j] = chi(j - i) of the prime p and amp >= max|X|, after
@@ -297,7 +298,7 @@ def _paley_circulant(p: int, eps: int, name: str
     a(s) = sum_x chi(x) chi(x + s) is p - 1 at s = 0 and -1 elsewhere, and
     (J J^T)[r, s] = a(s - r) gives J J^T = p I - 1 1^T.
     """
-    size, factor = _paley_fft(p, eps, name, 1)
+    size, factor = _paley_fft(p, eps, 1)
     chi = _quadratic_character(p)
     if not (chi[0] == 0 and np.all(np.abs(chi[1:]) == 1) and chi.sum() == 0
             and np.array_equal(chi[-np.arange(p) % p], eps * chi)):
@@ -372,7 +373,7 @@ def paley_one(p: int) -> QuasiOrthogonal:
     gives 1 1^T + (I + J)(I + J)^T = 1 1^T + I + (J + J^T) + J J^T
     = (p + 1) I.
     """
-    conv = _paley_circulant(p, -1, "paley_one")
+    conv = _paley_circulant(p, -1)
 
     def right_mul(x, out, amp):
         x0, xr = x[:, :1], x[:, 1:]
@@ -391,7 +392,7 @@ def paley_conference(p: int) -> QuasiOrthogonal:
     C = [[0, 1^T], [1, J]] for the certified J (eps = +1): C is symmetric,
     row 0 is orthogonal to row i, as (J 1)_i = 0, and 1 1^T + J J^T = p I.
     """
-    conv = _paley_circulant(p, 1, "paley_conference")
+    conv = _paley_circulant(p, 1)
 
     def right_mul(x, out, amp):
         x0, xr = x[:, :1], x[:, 1:]
@@ -581,14 +582,17 @@ def build_recipe(recipe: str) -> QuasiOrthogonal:
 def _admits(p: int, eps: int, amp: int) -> bool:
     """Whether ``_paley_fft`` admits p for sums of amp signs."""
     try:
-        _paley_fft(p, eps, "plan_recipe", amp)
+        _paley_fft(p, eps, amp)
     except (ValueError, ExactnessError):
         return False
     return True
 
 
-def plan_recipe(kind: str, order: int) -> str | None:
-    """Find a recipe realizing the given order, or None.
+def plan_recipe(order: int) -> str:
+    """A recipe realizing the given order: conference(order - 1) for an
+    order = 2 (mod 4) above 2, as symmetric conference orders p + 1
+    (p = 1 mod 4) are 2 mod 4 and Hadamard orders 1, 2 or 0 mod 4, else a
+    Hadamard recipe.
 
     Hadamard search tries, for each number of Sylvester doublings j with
     2^j | order: paley1 (base-1 prime = 3 mod 4), then paley2, then the
@@ -596,21 +600,23 @@ def plan_recipe(kind: str, order: int) -> str | None:
     not implemented.  A Paley prime must pass ``_paley_fft`` for the 2^j
     (paley1), 2^(j+1) (paley2) or 1 (conference) signs that each entry of
     its leaf sums for sign rows of B, without trial division; a Hadamard
-    order then falls through to the next recipe, a conference order raises.
+    order then falls through to the next recipe, a conference order raises
+    ExactnessError, as no other recipe makes it.  Where no recipe realizes
+    the order, ValueError.
     """
-    if kind == CONFERENCE:
-        # no other recipe makes one, so a p the FFT bound refuses raises
+    # a message, not an exception kept in a local: a raised exception's
+    # traceback holds this frame, and so would hold itself
+    conference = order % 4 == 2 and order > 2
+    refusal = (f"no recipe realizes {CONFERENCE if conference else HADAMARD}"
+               f" order {order}")
+    if conference:
         try:
-            _paley_fft(order - 1, 1, "plan_recipe", 1)
+            _paley_fft(order - 1, 1, 1)
         except ValueError:
-            return None
+            raise ValueError(refusal) from None
         return f"conference({order - 1})"
-    if kind != HADAMARD:
-        raise ValueError(f"unknown kind {kind!r}")
-    if order < 1:
-        return None
     base, j = order, 0
-    while True:
+    while base >= 1:
         if _admits(base - 1, -1, 1 << j):
             return f"paley1({base - 1})" + ";double" * j
         if base % 2 == 0 and _admits(base // 2 - 1, 1, 2 << j):
@@ -618,7 +624,7 @@ def plan_recipe(kind: str, order: int) -> str | None:
         if base == 1:
             return "unit" + ";double" * j
         if base % 2:
-            return None
+            break
         base //= 2
         j += 1
-
+    raise ValueError(refusal)

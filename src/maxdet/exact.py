@@ -88,14 +88,3 @@ class LogScalar(NamedTuple):
             return math.exp(self.log_abs)
         except OverflowError:
             return math.inf
-
-
-def normalized_ratio(det_abs_log: LogScalar, n: int) -> LogScalar:
-    """Scale a determinant magnitude by the Hadamard bound n^(n/2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if det_abs_log.sign == 0:
-        return LogScalar(0, 0.0)
-    return LogScalar(det_abs_log.sign,
-                     det_abs_log.log_abs - 0.5 * n * math.log(n))
-

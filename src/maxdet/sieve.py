@@ -236,27 +236,15 @@ def _rule_twin_prime(oset: OrderSet, ppm: np.ndarray) -> None:
 
 
 def complex_golay_numbers(limit: int) -> np.ndarray:
-    """All 2^(a-1) 6^b 10^c 22^d 26^e <= limit (integer values only)."""
-    found = set()
-    c6 = 1
-    while c6 <= 2 * limit:
-        c10 = c6
-        while c10 <= 2 * limit:
-            c22 = c10
-            while c22 <= 2 * limit:
-                core = c22
-                while core <= 2 * limit:
-                    if core % 2 == 0 and core // 2 <= limit:
-                        found.add(core // 2)  # a = 0
-                    g = core
-                    while g <= limit:
-                        found.add(g)
-                        g *= 2
-                    core *= 26
-                c22 *= 22
-            c10 *= 10
-        c6 *= 6
-    return np.array(sorted(found), dtype=np.int64)
+    """All 2^(a-1) 6^b 10^c 22^d 26^e <= limit (integer values only): the
+    even products of these five factors up to 2 limit, halved."""
+    found = {1}
+    for f in (2, 6, 10, 22, 26):
+        for x in list(found):
+            while (x := x * f) <= 2 * limit:
+                found.add(x)
+    return np.array(sorted(x // 2 for x in found if x % 2 == 0),
+                    dtype=np.int64)
 
 
 def _rule_complex_golay(oset: OrderSet) -> None:

@@ -1,7 +1,8 @@
 """Independent checks that only the tests use: a dense Gram check of a core,
 the worst-case bordering scan of the sieve's irregular gaps, the exact g(h),
 the trial sign stream in Python integers, the retired HADSIEVE2 sieve
-cache layout and an exhaustive maximal-determinant oracle for n <= 6.
+cache layout, complex Golay numbers by factoring and an exhaustive
+maximal-determinant oracle for n <= 6.
 """
 
 import math
@@ -52,6 +53,19 @@ def hadregion_violations(oset, limit: int) -> list[int]:
             if 6 * d ** 3 > h:
                 out.append(h + d)
     return out
+
+
+def is_complex_golay(x: int) -> bool:
+    """Whether x >= 1 is 2^(a-1) 6^b 10^c 22^d 26^e for some a, ..., e >= 0:
+    its odd part is a product of 3, 5, 11 and 13 whose exponents sum to at
+    most 1 + v2(x), for the exponent v2(x) of 2 in x."""
+    v2 = (x & -x).bit_length() - 1
+    odd, count = x >> v2, 0
+    for p in (3, 5, 11, 13):
+        while odd % p == 0:
+            odd //= p
+            count += 1
+    return odd == 1 and count <= 1 + v2
 
 
 MASK64 = (1 << 64) - 1

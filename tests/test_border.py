@@ -1153,16 +1153,23 @@ class TestRecordClasses:
         with pytest.raises(ValueError, match="trials"):
             SearchConfig(trials, 5)
 
-    def test_search_config_defaults(self):
-        config = SearchConfig()
-        assert (config.trials, config.master_seed) == (256, 0)
-        assert border_mod.DEFAULT_CONFIG.trials == 256
-
     def test_shared_blocks_start_empty(self):
         config = SearchConfig(trials=2)
         a, b = SharedBlocks(3, config), SharedBlocks(3, config)
         assert a.grams is None and a.minors == [] and a.corners == {}
         assert a.minors is not b.minors and a.corners is not b.corners
+
+
+class TestRatioFromDet:
+    def test_hadamard_bound_attained(self):
+        # the order-1 core bordered by 3: |det| 16 = 4^(4/2) at n = 4
+        assert abs(_ratio_from_det(16, 1, 1, 3).log_abs) < 1e-12
+
+    def test_n5_value(self):
+        # H4 bordered by 1: det N = 12 gives |det| 4^2 * 12 / 4 = 48 = D(5)
+        r = _ratio_from_det(12, 4, 4, 1)
+        assert math.isclose(r.value(), 48 / 5 ** 2.5, rel_tol=1e-12)
+        assert math.isclose(r.value(), 0.858650, abs_tol=5e-7)
 
 
 class TestAssemble:

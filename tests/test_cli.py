@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -83,16 +84,18 @@ class TestBasicCommands:
         ("bound", "13", "--method", "paley1"),
         ("bound", "13", "--method", "paley2"),
         # each command works out its own sieve limit, search its core's
-        # kind from --order, and sieve writes its file through --cache
+        # kind from --order, and sieve writes its file through --cache;
+        # search takes its core from --recipe or from --order, not both
         ("gaps", "100", "--max", "1024"),
         ("resolve", "100", "--max", "1024"),
         ("bound", "13", "--max", "1024"),
         ("table1", "--rows", "664", "--max", "65536"),
         ("search", "--order", "6", "--kind", "conference", "--d", "1"),
         ("sieve", "--out", "orders.sieve"),
+        ("search", "--recipe", "conference(5)", "--order", "12", "--d", "1"),
     ], ids=["oracle", "method-paley1", "method-paley2", "gaps-max",
             "resolve-max", "bound-max", "table1-max", "search-kind",
-            "sieve-out"])
+            "sieve-out", "search-recipe-and-order"])
     def test_removed_surfaces_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
@@ -474,6 +477,31 @@ class TestWitnessFlow:
         assert run_cli(capsys, "search", "--recipe", "conference(5)",
                        *argv)[1] == out
 
+    def test_planner_answers_pinned(self, order_set):
+        # plan_recipe for every order to 20000 and bound --method
+        # conference's core for every n from 6, one "order recipe" line
+        # each, with - for a ValueError and ! for an ExactnessError: the
+        # order fixes the kind, and the walk over orders 2 (mod 4) alone
+        # gives the cores and errors that a walk over every order gave
+        def line(x, plan):
+            try:
+                return f"{x} {plan(x)}"
+            except constructions.ExactnessError:
+                return f"{x} !"
+            except ValueError:
+                return f"{x} -"
+
+        args = argparse.Namespace(method="conference")
+        plans = "\n".join(line(order, constructions.plan_recipe)
+                          for order in range(1, 20001))
+        cores = "\n".join(
+            line(n, lambda n: cli._select_core(args, order_set, n)[0])
+            for n in range(6, 20001))
+        assert hashlib.sha256(plans.encode()).hexdigest() == (
+            "7479681bc4be0ef801e57c5c68fbf7dbc5ed13a418db6b2d796b36db106c788a")
+        assert hashlib.sha256(cores.encode()).hexdigest() == (
+            "d6bcd97b72b7ca83901e81c524107e84e9602d31b18da375505567073ed8994c")
+
     def test_search_by_unrealizable_order(self, capsys):
         code, out, err = run_cli(capsys, "search", "--order", "92", "--d", "1")
         assert code == 1 and out == ""
@@ -482,7 +510,9 @@ class TestWitnessFlow:
     @pytest.mark.parametrize("argv,message", [
         (("bound", "5", "--method", "conference"),
          "no conference order available at or below 5"),
-        (("search", "--d", "2"), "search needs --recipe or --order")])
+        (("search", "--d", "2"), "search needs --recipe or --order"),
+        (("search", "--order", "10", "--d", "1"),
+         "no recipe realizes conference order 10")])
     def test_refused_arguments(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""

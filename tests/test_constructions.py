@@ -366,7 +366,7 @@ class TestTwoLanes:
         (11239, 1, 1)])
     def test_products_equal_reference(self, monkeypatch, p, amp, lanes):
         eps = 1 if p % 4 == 1 else -1
-        conv = constructions._paley_circulant(p, eps, "test")
+        conv = constructions._paley_circulant(p, eps)
         rows = self.transformed_rows(monkeypatch)
         rng = np.random.default_rng(p)
         # transformed rows per call: a budget's worth, or two longer rows
@@ -424,7 +424,7 @@ class TestTwoLanes:
         # holding its decoded values and, in the tail, its rounding noise,
         # which would grow from call to call if not cleared; amp, and with
         # it base, changes between calls
-        conv = constructions._paley_circulant(331, -1, "test")
+        conv = constructions._paley_circulant(331, -1)
         rows = self.transformed_rows(monkeypatch)
         rng = np.random.default_rng(8)
         for c, lanes, amp in ((4, 2, 2), (1, 1, 1), (3, 2, 1), (2, 2, 2)) * 4:
@@ -455,7 +455,7 @@ class TestTwoLanes:
             import sys
             import numpy as np
             from maxdet import constructions as c
-            conv = c._paley_circulant(331, -1, "test")
+            conv = c._paley_circulant(331, -1)
             x = np.ones((4, 331), dtype=np.int64)
             out = np.empty_like(x)
             irfft, einsum = np.fft.irfft, np.einsum
@@ -537,7 +537,7 @@ class TestProductGroups:
         # ten rows in three groups of two transformed rows of two lanes
         # (the last one row): the first group passes, the second fails its
         # residual or its bound
-        conv = constructions._paley_circulant(331, -1, "test")
+        conv = constructions._paley_circulant(331, -1)
         monkeypatch.setattr(constructions, "PRODUCT_BUDGET", 1)
         owner = np.fft if name == "irfft" else np
         real, calls = getattr(owner, name), []
@@ -916,32 +916,38 @@ class TestValidate:
 
 class TestRecipes:
     def test_plan_examples(self):
-        assert plan_recipe(HADAMARD, 664) == "paley1(331);double"
-        assert plan_recipe(HADAMARD, 2868) == "paley2(1433)"
-        assert plan_recipe(HADAMARD, 4) == "paley1(3)"
-        assert plan_recipe(HADAMARD, 1) == "unit"
-        assert plan_recipe(HADAMARD, 2) == "unit;double"
-        assert plan_recipe(CONFERENCE, 710) == "conference(709)"
-        assert plan_recipe(CONFERENCE, 6) == "conference(5)"
+        assert plan_recipe(664) == "paley1(331);double"
+        assert plan_recipe(2868) == "paley2(1433)"
+        assert plan_recipe(4) == "paley1(3)"
+        assert plan_recipe(1) == "unit"
+        assert plan_recipe(2) == "unit;double"
+        assert plan_recipe(710) == "conference(709)"
+        assert plan_recipe(6) == "conference(5)"
 
     def test_plan_unreachable(self):
-        # 92 = 4*23: 91, 45, and 22 give no Paley prime; 92 != 2^j
-        assert plan_recipe(HADAMARD, 92) is None
-        assert plan_recipe(CONFERENCE, 8) is None
+        # 92 = 4*23: 91, 45, and 22 give no Paley prime; 92 != 2^j.  The
+        # order alone fixes the kind that the refusal names: 10 and 26 are
+        # 2 (mod 4) above 2, and 9 and 25 are composite
+        for order, kind in ((92, HADAMARD), (3, HADAMARD), (0, HADAMARD),
+                            (10, CONFERENCE), (26, CONFERENCE)):
+            with pytest.raises(ValueError, match=(
+                    f"^no recipe realizes {kind} order {order}$")):
+                plan_recipe(order)
 
     def test_plan_refuses_oversized_primes_without_trial_division(self):
         # 2^61 - 1 (paley1) and 2^60 - 1 (paley2) fail the residue or the
         # FFT bound first; the Mersenne primes 2^19 - 1 to 2^13 - 1 would
         # take sums of 2^42 to 2^48 signs, beyond their bound, and the walk
         # ends at 2^7 - 1
-        assert plan_recipe(HADAMARD, 1 << 61) == (
-            "paley1(127)" + ";double" * 54)
+        assert plan_recipe(1 << 61) == "paley1(127)" + ";double" * 54
         # a conference order has no recipe to fall through to: 2^61 + 1 is
         # 1 (mod 4) (and 3 | 2^61 + 1), so the bound refuses it
         with pytest.raises(ExactnessError, match="rounding bound"):
-            plan_recipe(CONFERENCE, (1 << 61) + 2)
-        # 4000039 = 3 (mod 4) is prime but above the bound
-        assert plan_recipe(HADAMARD, 4000040) != "paley1(4000039)"
+            plan_recipe((1 << 61) + 2)
+        # 4000039 = 3 (mod 4) is prime but above the bound, and no other
+        # recipe makes 4000040
+        with pytest.raises(ValueError, match="hadamard order 4000040$"):
+            plan_recipe(4000040)
 
     def test_plan_admits_only_leaves_its_products_run(self):
         # paley1(1259743) builds, but under one doubling its entries are
@@ -951,15 +957,16 @@ class TestRecipes:
         # doublings (0.442) and gets paley1(484439) under five
         assert constructions._admits(1259743, -1, 1)
         assert not constructions._admits(1259743, -1, 2)
-        assert plan_recipe(HADAMARD, 2519488) is None
-        assert plan_recipe(HADAMARD, 15502080) == (
+        with pytest.raises(ValueError, match="hadamard order 2519488"):
+            plan_recipe(2519488)
+        assert plan_recipe(15502080) == (
             "paley1(484439)" + ";double" * 5)
         # sums of signs are admitted on their mean square norm, not on
         # their largest entries: these run for sign rows, at 0.232 and
         # 0.184, and so does a deep Paley II tower's sums of 2^6 signs
-        assert plan_recipe(HADAMARD, 2654184) == "paley1(1327091);double"
-        assert plan_recipe(HADAMARD, 1944004) == "paley2(972001)"
-        assert plan_recipe(HADAMARD, 2000000) == (
+        assert plan_recipe(2654184) == "paley1(1327091);double"
+        assert plan_recipe(1944004) == "paley2(972001)"
+        assert plan_recipe(2000000) == (
             "paley2(31249)" + ";double" * 5)
 
     @pytest.mark.parametrize("kind,order", [
@@ -975,8 +982,8 @@ class TestRecipes:
         real_fft, real_circulant = (constructions._paley_fft,
                                     constructions._paley_circulant)
 
-        def fft_logged(p, eps, name, amp):
-            out = real_fft(p, eps, name, amp)
+        def fft_logged(p, eps, amp):
+            out = real_fft(p, eps, amp)
             admitted.append((p, amp))
             return out
 
@@ -989,20 +996,19 @@ class TestRecipes:
             return logged
 
         monkeypatch.setattr(constructions, "_paley_fft", fft_logged)
-        recipe = plan_recipe(kind, order)
+        recipe = plan_recipe(order)
         planned = admitted[-1]
         monkeypatch.setattr(constructions, "_paley_circulant",
                             circulant_logged)
         q = build_recipe(recipe)
+        assert q.kind == kind, recipe
         b = np.random.default_rng(order).integers(0, 2, size=(order, 2))
         q.rmatmul((b * 2 - 1).astype(np.int8))
         assert reached and set(reached) == {planned}, recipe
 
     def test_plan_round_trip(self):
         for order in (4, 8, 12, 20, 24, 28, 32, 44, 48, 664, 672):
-            recipe = plan_recipe(HADAMARD, order)
-            assert recipe is not None, order
-            q = build_recipe(recipe)
+            q = build_recipe(plan_recipe(order))
             assert q.order == order and q.kind == HADAMARD
 
     def test_kron_recipe_parses(self):
@@ -1016,3 +1022,15 @@ class TestRecipes:
                        "kron(unit)", "paley1(3);double;oops"):
             with pytest.raises(ValueError):
                 build_recipe(recipe)
+
+    @pytest.mark.parametrize("recipe, message", [
+        ("paley1(6)", "paley_one needs a prime p = 3 (mod 4), got 6"),
+        ("paley1(15)", "paley_one needs a prime p = 3 (mod 4), got 15"),
+        ("paley2(7)", "paley_conference needs a prime p = 1 (mod 4), got 7"),
+        ("conference(9)",
+         "paley_conference needs a prime p = 1 (mod 4), got 9")])
+    def test_refusal_names_the_generator(self, recipe, message):
+        # eps alone names the generator that a refused prime was asked of
+        with pytest.raises(ValueError) as exc:
+            build_recipe(recipe)
+        assert str(exc.value) == message

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from maxdet.constructions import build_recipe
-from maxdet.exact import LogScalar, det_exact, leading_minors, normalized_ratio
+from maxdet.exact import LogScalar, det_exact, leading_minors
 
 
 def cofactor_det(rows):
@@ -150,20 +150,3 @@ class TestLogScalar:
         with pytest.raises(AttributeError):
             x.sign = -1
 
-
-class TestNormalizedRatio:
-    def test_hadamard_bound_attained(self):
-        det = LogScalar(1, math.log(16))  # 4^(4/2)
-        assert abs(normalized_ratio(det, 4).log_abs) < 1e-12
-
-    def test_n5_value(self):
-        r = normalized_ratio(LogScalar(1, math.log(48)), 5)
-        assert math.isclose(r.value(), 48 / 5 ** 2.5, rel_tol=1e-12)
-        assert math.isclose(r.value(), 0.858650, abs_tol=5e-7)
-
-    def test_zero_det(self):
-        assert normalized_ratio(LogScalar(0, 0.0), 7).sign == 0
-
-    def test_bad_n(self):
-        with pytest.raises(ValueError):
-            normalized_ratio(LogScalar(1, 0.0), 0)

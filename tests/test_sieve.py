@@ -11,7 +11,7 @@ from maxdet.sieve import (ALL_RULES, RULE_BAUMERT_HALL, RULE_LIVINSKYI,
                           RULE_TURYN_WILLIAMSON, RULE_YAMADA,
                           SMALL_ORDER_EXCEPTIONS, OrderSet, build_order_set,
                           gap_function, resolve)
-from oracles import hadregion_violations, hadsieve2_bytes
+from oracles import hadregion_violations, hadsieve2_bytes, is_complex_golay
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +244,13 @@ class TestBuild:
         pp_orders = np.flatnonzero(ppm).astype(np.int64)
         assert sieve.williamson_orders(limit, pp_orders, ppm) == \
             _ref_williamson_orders(limit, ALL_RULES, pp_orders, ppm)
+
+    def test_complex_golay_numbers_match_factoring(self):
+        # the reference sieve calls complex_golay_numbers too, so check it
+        # against an oracle that factors each x instead
+        got = set(sieve.complex_golay_numbers(20000).tolist())
+        assert got == {x for x in range(1, 20001) if is_complex_golay(x)}
+        assert sieve.complex_golay_numbers(0).size == 0
 
     @pytest.mark.parametrize("limit", [3, sieve.SIEVE_MAX + 1, 3 * 10 ** 18])
     def test_limit_out_of_range_refused(self, limit):
