@@ -11,15 +11,17 @@ matrices have k = order - 1 and a zero diagonal.
 A core is held only as its exact product X -> X Q, built from its parts
 in O(order) memory: the Jacobsthal circulant by a checked FFT convolution
 (``_paley_circulant``), the Paley borders by row sums, L Sylvester
-doublings as one in-place Walsh-Hadamard transform of X's 2^L column
-blocks followed by one product over the leaf core, and a Kronecker product
-as its outer factor over the inner factor's column blocks followed by one
-product over the inner factor.  X is read as an integer array in place,
-copied only into the narrowest integer type a transform needs; X Q is
-written in float64, which holds it exactly (``rmatmul``).  Every other
-float array a product keeps holds at most ``PRODUCT_BUDGET`` entries, or
-one row where a row is longer.  The constructor docstrings prove that the
-certificate gives Q Q^T = k I for every core a recipe builds.
+doublings as one leaf product over X's 2^L column blocks followed by an
+in-place Walsh-Hadamard transform of its image, Paley II as its
+conference core over X's even and odd columns followed by one butterfly,
+and a Kronecker product as its outer factor over the inner factor's
+column blocks followed by one product over the inner factor.  X is read
+as an integer array, in place where its layout allows (a Kronecker
+product copies it); X Q and every intermediate are float64, which holds
+them exactly (``rmatmul``).  Every other float array a product keeps
+holds at most ``PRODUCT_BUDGET`` entries, or one row where a row is
+longer.  The constructor docstrings prove that the certificate gives
+Q Q^T = k I for every core a recipe builds.
 """
 
 from __future__ import annotations
@@ -57,11 +59,11 @@ def work_array(work: dict, name: str, shape: tuple, dtype=np.float64
 
 # The float work arrays of a product hold at most this many float64 entries
 # (256 KiB), or one row where a row is longer (two transformed rows in the
-# FFT): X's rows pass through the FFT, through Paley II's pairs and through
-# the Gram block in groups that fit it.  So what a product keeps besides P
-# does not grow with the border width, at the price of one call of each
-# step per group.  A search's products take its trials in chunks whose P
-# fits it, or one trial where a trial's P is larger (``border``).
+# FFT): X's rows pass through the FFT and through the Gram block in groups
+# that fit it.  So what a product keeps besides P does not grow with the
+# border width, at the price of one call of each step per group.  A
+# search's products take its trials in chunks whose P fits it, or one
+# trial where a trial's P is larger (``border``).
 PRODUCT_BUDGET = 1 << 15
 
 
@@ -86,15 +88,14 @@ class QuasiOrthogonal:
     stay below 2^53 (``rmatmul`` checks this), a float64 array out of its
     shape and amp >= max|X|, required and unchecked (the circulant's two
     lanes decode wrongly under less).  ``rmatmul`` scans B for it once;
-    each operator derives the bound of the layer below, for sign rows the
-    number of signs summed in a leaf entry, on which ``plan_recipe``
-    admits the leaf.  A core built by L >= 1 Sylvester doublings of a leaf
-    core, or by ``kronecker``, views out's rows as the rows of its inner
-    product and raises ValueError when out's layout does not allow that
-    view; ``leaf`` and ``levels`` name that leaf and L (None and 0 for any
-    other core).  The operator and ``rmatmul``'s callers write into work
-    arrays that the core keeps between calls, so no core is for concurrent
-    use.
+    a tower's leaf and Paley II's conference core read X's own columns
+    with that amp, and only ``kronecker``'s inner factor gets more.  A
+    core built by L >= 1 Sylvester doublings of a leaf core, or by
+    ``kronecker``, views out's rows as the rows of its inner product and
+    raises ValueError when out's layout does not allow that view; ``leaf``
+    and ``levels`` name that leaf and L (None and 0 for any other core).
+    The operator and ``rmatmul``'s callers write into work arrays that the
+    core keeps between calls, so no core is for concurrent use.
     """
 
     def __init__(self, order: int, weight: int, kind: str, recipe: str,
@@ -112,10 +113,10 @@ class QuasiOrthogonal:
         the view ``b.T``.
 
         Every entry of B^T Q, and every intermediate of the operator, is an
-        integer of size at most max|B| * order (a transform's blocks and a
-        leaf's row sums stay within it; the FFT checks its own values), so
-        below 2^53 each is exact in float64.  That bound is a raised check,
-        so it also holds under python -O.
+        integer of size at most max|B| * order (the constructors' docstrings
+        prove it; the FFT checks its own values), so below 2^53 each is
+        exact in float64.  That bound is a raised check, so it also holds
+        under python -O.
         """
         b = np.asarray(b)
         amp = _amplitude(b)
@@ -227,26 +228,25 @@ def _fft_error_factor(size: int) -> float:
                              + 2 * math.log1p(u))
 
 
-def _paley_fft(p: int, eps: int, amp: int) -> tuple[int, float]:
-    """N and |chi|_2 E(N) for the circulant of p, admitted for rows of sums
-    of amp fair signs: a prime = 3 (mod 4) for eps = -1 (paley_one) or
-    1 (mod 4) for eps = +1 (paley_conference), else a ValueError naming
-    that generator, with sqrt(p amp) |chi|_2 E(N) below 1/4 (else
-    ExactnessError), as sqrt(p amp) is such a row's root mean square
-    2-norm; products still check their own rows.
-    At amp = 1, a build's, this is at least the certificate's (p - 1) E(N).
-    Primality is checked last, so a huge p is refused in O(1) time."""
+def _paley_fft(p: int, eps: int) -> tuple[int, float]:
+    """N and |chi|_2 E(N) for the circulant of p: a prime = 3 (mod 4) for
+    eps = -1 (paley_one) or 1 (mod 4) for eps = +1 (paley_conference), else
+    a ValueError naming that generator, admitted if sqrt(p) |chi|_2 E(N) is
+    below 1/4 (else ExactnessError).  That is the bound a product computes
+    for a row of p signs, as every planned leaf gets for sign B, and at
+    least the certificate's (p - 1) E(N).  Primality is checked last, so a
+    huge p is refused in O(1) time."""
     residue, name = (3, "paley_one") if eps < 0 else (1, "paley_conference")
     refusal = f"{name} needs a prime p = {residue} (mod 4), got {p}"
     if p < 3 or p % 4 != residue:
         raise ValueError(refusal)
     size = _smooth_length(2 * p - 1)
     factor = _fft_error_factor(size) * math.sqrt(p - 1)  # |chi|_2^2 = p - 1
-    bound = math.sqrt(p * amp) * factor
+    bound = math.sqrt(p) * factor
     if not bound < 0.25:
         raise ExactnessError(f"FFT rounding bound {bound:.3g} for the "
-                             f"character of {p} on sums of {amp} signs is "
-                             "not below 1/4")
+                             f"character of {p} on sign rows is not below "
+                             "1/4")
     if not is_prime(p):
         raise ValueError(refusal)
     return size, factor
@@ -298,7 +298,7 @@ def _paley_circulant(p: int, eps: int
     a(s) = sum_x chi(x) chi(x + s) is p - 1 at s = 0 and -1 elsewhere, and
     (J J^T)[r, s] = a(s - r) gives J J^T = p I - 1 1^T.
     """
-    size, factor = _paley_fft(p, eps, 1)
+    size, factor = _paley_fft(p, eps)
     chi = _quadratic_character(p)
     if not (chi[0] == 0 and np.all(np.abs(chi[1:]) == 1) and chi.sum() == 0
             and np.array_equal(chi[-np.arange(p) % p], eps * chi)):
@@ -404,6 +404,13 @@ def paley_conference(p: int) -> QuasiOrthogonal:
                            right_mul)
 
 
+def _butterfly(u: np.ndarray, v: np.ndarray) -> None:
+    """(u, v) -> (u + v, u - v) in place, as u += v, v *= -2, v += u."""
+    u += v
+    v *= -2
+    v += u
+
+
 def paley_two(p: int) -> QuasiOrthogonal:
     """Hadamard matrix of order 2(p+1) for prime p = 1 (mod 4).
 
@@ -411,34 +418,28 @@ def paley_two(p: int) -> QuasiOrthogonal:
     K = [[1, 1], [1, -1]] and L = [[1, -1], [-1, -1]], is a sign matrix as
     C has a zero diagonal.  K K^T = L L^T = 2I, L K^T = -K L^T and C = C^T,
     so H H^T = C C^T (x) 2I + (C - C^T) (x) K L^T + 2I = 2(p + 1) I.
-    X's rows go in groups of max(1, PRODUCT_BUDGET // (2 (p + 1))): each
-    group's pair sums and differences z, of size at most 2 amp, take the
-    narrowest integer type that holds them, and C's image of them a float64
-    work array y of at most a budget (or of one row's 2 (p + 1) entries).
+    Column 2j + s of X is entry s of pair j: for X's even and odd columns
+    a and b, [a b] K = [a + b, a - b] and [a b] L = [a - b, -(a + b)], so by
+    linearity X H has even columns U + V and odd ones U - V for
+    U = a C - b and V = b C + a.  C runs on a and on b (with X's amp)
+    straight into out's even and odd columns, which then take U and V and
+    one butterfly, in place in float64.  |a C|, |b C| <= p max|X|, so
+    every intermediate (2V among them) is an integer of size at most
+    order max|X|.
     """
     conf = paley_conference(p)  # validates p
-    m = p + 1
-    work = {}
 
     def right_mul(x, out, amp):
-        # column 2j + s of X is entry s of pair j: [a b] K = [a + b, a - b]
-        # and [a b] L = [a - b, -(a + b)]
-        amp *= 2
-        dtype = _int_type(amp)
-        group = max(1, PRODUCT_BUDGET // (2 * m))  # rows whose y fits
-        for i in range(0, x.shape[0], group):
-            xg, og = x[i:i + group], out[i:i + group]
-            c = xg.shape[0]
-            a, b = xg[:, 0::2], xg[:, 1::2]
-            z = work_array(work, "z", (c, 2, m), dtype)
-            y = work_array(work, "y", (c, 2, m))
-            np.add(a, b, out=z[:, 0], dtype=dtype)
-            np.subtract(a, b, out=z[:, 1], dtype=dtype)
-            conf.right_mul(z.reshape(2 * c, m), y.reshape(2 * c, m), amp)
-            np.add(y[:, 0], z[:, 1], out=og[:, 0::2])
-            np.subtract(y[:, 1], z[:, 0], out=og[:, 1::2])
+        a, b = x[:, 0::2], x[:, 1::2]
+        even, odd = out[:, 0::2], out[:, 1::2]
+        conf.right_mul(a, even, amp)
+        conf.right_mul(b, odd, amp)
+        even -= b
+        odd += a
+        _butterfly(even, odd)
 
-    return QuasiOrthogonal(2 * m, 2 * m, HADAMARD, f"paley2({p})", right_mul)
+    return QuasiOrthogonal(2 * p + 2, 2 * p + 2, HADAMARD, f"paley2({p})",
+                           right_mul)
 
 
 def sylvester_double(q: QuasiOrthogonal) -> QuasiOrthogonal:
@@ -447,39 +448,30 @@ def sylvester_double(q: QuasiOrthogonal) -> QuasiOrthogonal:
     Its Gram matrix is [[2 Q Q^T, 0], [0, 2 Q Q^T]] = 2k I.  The product
     does not recurse.  L doublings of a leaf Q0 of order h give H (x) Q0
     for Sylvester's H = H_2 (x) ... (x) H_2 of order 2^L, so for X cut into
-    2^L column blocks X_i of width h, block l of X (H (x) Q0) is Z_l Q0
-    with Z_l = sum_i H[i, l] X_i: a Walsh-Hadamard transform of the
-    blocks.  Z is one integer copy of X: the first butterfly writes
-    (X1 + X2, X1 - X2) from X's halves, as [X1 | X2] [[Q, Q], [Q, -Q]]
-    = [(X1 + X2) Q | (X1 - X2) Q], and each further level does the same to
-    the two halves (U, V) of every block, in place, as U += V, V *= -2,
-    V += U.  After s levels every entry is at most 2^s amp in size, and so
-    is 2V on the way, so Z takes the narrowest integer type that holds
-    2^L amp, the bound Q0's operator gets in its one call, whose out is
-    out viewed as c 2^L rows of width h (else ValueError).
+    2^L column blocks X_i of width h, block l of X (H (x) Q0) is, by
+    linearity, sum_i H[i, l] Y_i for Y_i = X_i Q0.  So Q0's operator runs
+    once, with X's amp, on X cut into c 2^L rows of width h (a view where
+    X's layout allows), into out viewed so (else ValueError); then each
+    level, from blocks of width h up, turns the halves (U, V) of every
+    block of out into (U + V, U - V) by one butterfly in place in float64.
+    |Y_i| <= h amp and after s levels every entry is at most 2^s h amp, so
+    every intermediate (2V among them) is an integer of size at most
+    order amp.
     """
     if q.kind != HADAMARD:
         raise ValueError("sylvester_double requires a Hadamard matrix")
     leaf, levels = q.leaf if q.levels else q, q.levels + 1
     order, h = 2 * q.order, leaf.order
-    work = {}
 
     def right_mul(x, out, amp):
-        c, half = x.shape[0], order // 2
-        amp <<= levels
-        z = work_array(work, "z", (c, order), _int_type(amp))
-        x1, x2 = x[:, :half], x[:, half:]
-        np.add(x1, x2, out=z[:, :half], dtype=z.dtype)
-        np.subtract(x1, x2, out=z[:, half:], dtype=z.dtype)
-        for s in range(1, levels):
-            halves = z.reshape(c << s, 2, half >> s)
-            u, v = halves[:, 0], halves[:, 1]
-            u += v
-            v *= -2
-            v += u
-        # a view or a ValueError, never a copy that would lose the result
-        leaf.right_mul(z.reshape(c << levels, h),
+        c = x.shape[0]
+        # out: a view or a ValueError, never a copy that would lose the result
+        leaf.right_mul(x.reshape(c << levels, h),
                        np.reshape(out, (c << levels, h), copy=False), amp)
+        for s in range(levels):
+            halves = np.reshape(out, (c << (levels - 1 - s), 2, h << s),
+                                copy=False)
+            _butterfly(halves[:, 0], halves[:, 1])
 
     return QuasiOrthogonal(order, order, HADAMARD, q.recipe + ";double",
                            right_mul, leaf, levels)
@@ -579,10 +571,10 @@ def build_recipe(recipe: str) -> QuasiOrthogonal:
     return q
 
 
-def _admits(p: int, eps: int, amp: int) -> bool:
-    """Whether ``_paley_fft`` admits p for sums of amp signs."""
+def _admits(p: int, eps: int) -> bool:
+    """Whether ``_paley_fft`` admits p."""
     try:
-        _paley_fft(p, eps, amp)
+        _paley_fft(p, eps)
     except (ValueError, ExactnessError):
         return False
     return True
@@ -597,12 +589,12 @@ def plan_recipe(order: int) -> str:
     Hadamard search tries, for each number of Sylvester doublings j with
     2^j | order: paley1 (base-1 prime = 3 mod 4), then paley2, then the
     pure power-of-two tower.  Prime moduli only; prime-power fields are
-    not implemented.  A Paley prime must pass ``_paley_fft`` for the 2^j
-    (paley1), 2^(j+1) (paley2) or 1 (conference) signs that each entry of
-    its leaf sums for sign rows of B, without trial division; a Hadamard
-    order then falls through to the next recipe, a conference order raises
-    ExactnessError, as no other recipe makes it.  Where no recipe realizes
-    the order, ValueError.
+    not implemented.  A Paley prime must pass ``_paley_fft``, without trial
+    division: every leaf reads B itself, so for sign B its product computes
+    the very bound it was admitted on and cannot fail after B is drawn.  A
+    refused Hadamard order falls through to the next recipe, a refused
+    conference order raises ExactnessError, as no other recipe makes it.
+    Where no recipe realizes the order, ValueError.
     """
     # a message, not an exception kept in a local: a raised exception's
     # traceback holds this frame, and so would hold itself
@@ -611,15 +603,15 @@ def plan_recipe(order: int) -> str:
                f" order {order}")
     if conference:
         try:
-            _paley_fft(order - 1, 1, 1)
+            _paley_fft(order - 1, 1)
         except ValueError:
             raise ValueError(refusal) from None
         return f"conference({order - 1})"
     base, j = order, 0
     while base >= 1:
-        if _admits(base - 1, -1, 1 << j):
+        if _admits(base - 1, -1):
             return f"paley1({base - 1})" + ";double" * j
-        if base % 2 == 0 and _admits(base // 2 - 1, 1, 2 << j):
+        if base % 2 == 0 and _admits(base // 2 - 1, 1):
             return f"paley2({base // 2 - 1})" + ";double" * j
         if base == 1:
             return "unit" + ";double" * j

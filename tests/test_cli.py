@@ -522,8 +522,8 @@ class TestWitnessFlow:
 
     def test_search_by_huge_order_fails_fast(self):
         # 2^61: 2^61 - 1 and 2^60 - 1 are refused without trial division,
-        # and the planned paley1(127) doubled 54 times is refused before a
-        # border of that order is drawn
+        # and the planned paley1(524287) doubled 42 times is refused before
+        # a border of that order is drawn
         out = run_capped("search", "--order", str(1 << 61), "--d", "1",
                          timeout=8)
         assert out.returncode == 1 and out.stdout == ""

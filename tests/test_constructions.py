@@ -358,8 +358,9 @@ class TestTwoLanes:
         return rows
 
     # (p, amp, lanes): every table1 fast-row core takes two lanes, also on
-    # the amp = 2 rows of a doubling or of Paley II; 11213 is the largest
-    # prime with two lanes for sign rows and 11239 the next admitted one
+    # amp = 2 rows, such as non-sign B or a Kronecker inner factor gives;
+    # of the primes with N = 22500, 11213 is the largest with two lanes for
+    # sign rows and 11239 the next admitted one
     @pytest.mark.parametrize("p,amp,lanes", [
         (13, 1, 2), (331, 2, 2), (709, 1, 2), (1433, 2, 2), (5749, 1, 2),
         (5023, 2, 2), (11117, 1, 2), (11117, 2, 1), (11213, 1, 2),
@@ -375,7 +376,7 @@ class TestTwoLanes:
         assert (constructions.PRODUCT_BUDGET // size < 2) == (p > 11000)
         for c in ((1, 2, 3, 4, 5) if p < 2000 else (3, 5)):
             signs = rng.integers(0, 2, size=(2, c, p)) * 2 - 1
-            x = signs[0] if amp == 1 else signs[0] + signs[1]  # a doubling
+            x = signs[0] if amp == 1 else signs[0] + signs[1]
             x[:, 0] = amp
             out = np.empty_like(x)
             rows.clear()
@@ -638,11 +639,11 @@ class TestSylvesterAndKronecker:
             q.right_mul(x, out, 1)
 
     def test_doubled_product_work_arrays(self):
-        # one rmatmul allocates its float64 result, one int8 copy of B^T
-        # for the three doublings and the leaf's two FFT buffers, each but
-        # the copy about d * order * 8 bytes (3.9 units are traced); an
-        # int64 copy of B^T or an int64 work array per doubling level (7.8
-        # traced before products wrote float64) exceeds the bound
+        # one rmatmul allocates its float64 result, the leaf's int8 view of
+        # B^T's blocks (a copy here, as b.T is not contiguous) and the
+        # leaf's two FFT buffers, each but the copy about d * order * 8
+        # bytes; an int64 copy of B^T or a work array per doubling level
+        # (7.8 units traced before products wrote float64) exceeds the bound
         q = build_recipe("paley1(1019);double;double;double")
         d = 4
         b = np.random.default_rng(0).integers(0, 2, size=(q.order, d)) * 2 - 1
@@ -779,9 +780,9 @@ class TestFloatProducts:
             assert np.array_equal(p, b.T.astype(np.int64) @ oracle), c
 
     def test_one_leaf_call_per_product(self, monkeypatch):
-        # three doublings transform B^T's eight column blocks themselves
-        # and hand all 8 c rows to the leaf at once, as int8 for sign rows,
-        # with the bound 2^3 on their entries
+        # three doublings hand B^T's eight column blocks, all 8 c rows, to
+        # the leaf at once, as int8 sign rows with B's own bound 1, and
+        # transform the leaf's image after
         q = build_recipe("paley1(7);double;double;double")
         calls = []
         real = q.leaf.right_mul
@@ -793,8 +794,47 @@ class TestFloatProducts:
         monkeypatch.setattr(q.leaf, "right_mul", logged)
         b = np.random.default_rng(1).integers(0, 2, size=(64, 3)) * 2 - 1
         p = q.rmatmul(b.astype(np.int8))
-        assert calls == [((24, 8), np.int8, 8)]
+        assert calls == [((24, 8), np.int8, 1)]
         assert np.array_equal(p, b.T @ recipe_oracle(q.recipe))
+
+    @pytest.mark.parametrize("recipe,p", [
+        ("paley1(11239);double;double", 11239), ("paley2(11677)", 11677),
+        ("paley2(11677);double", 11677)])
+    def test_leaf_bound_is_the_admission_bound(self, monkeypatch, recipe, p):
+        # for random sign B, a tower's leaf and Paley II's conference core
+        # get rows of p signs (one lane each at these primes), so the bound
+        # that every group of the product computes is the bound that
+        # _paley_fft admitted p on
+        _, factor = constructions._paley_fft(p, -1 if p % 4 == 3 else 1)
+        q = build_recipe(recipe)
+        bounds, einsum = [], np.einsum
+
+        def einsum_logged(*args):
+            squares = einsum(*args)
+            bounds.append(math.sqrt(float(squares.max(initial=0))) * factor)
+            return squares
+
+        monkeypatch.setattr(np, "einsum", einsum_logged)
+        b = np.random.default_rng(p).integers(0, 2, size=(q.order, 3)) * 2 - 1
+        q.rmatmul(b.astype(np.int8))
+        assert bounds and set(bounds) == {math.sqrt(p) * factor}
+
+    @pytest.mark.parametrize("recipe", [
+        *("paley1(3)" + ";double" * levels for levels in range(1, 8)),
+        "paley2(13)", "paley2(5);double;double"])
+    def test_leaf_first_equals_dense_for_integer_blocks(self, recipe):
+        # the leaf runs on B's blocks and the butterflies on its image: by
+        # linearity the same product as dense() for any integer B, here
+        # with |B| up to 127
+        q = build_recipe(recipe)
+        dense = q.dense()
+        assert np.array_equal(dense, recipe_oracle(recipe))
+        rng = np.random.default_rng(q.order)
+        for c in (1, 2, 5):
+            b = rng.integers(-127, 128, size=(q.order, c)).astype(np.int8)
+            b[0, 0], b[-1, -1] = 127, -127
+            p = q.rmatmul(b)
+            assert np.array_equal(p, b.T.astype(np.int64) @ dense), c
 
     @pytest.mark.parametrize("recipe", [
         "unit", "paley1(7)", "paley2(5)", "conference(13)", "paley1(7);double",
@@ -842,19 +882,20 @@ class TestFloatProducts:
         (1, 6, np.int8), (1, 7, np.int16), (127, 1, np.int16),
         (1 << 8, 7, np.int32), (1 << 24, 7, np.int64)])
     def test_transform_type_holds_its_values(self, amp, levels, dtype):
-        # the blocks reach 2^L max|B|: at each type's edge the next one
-        # is taken, and the product stays exact
+        # the leaf reads B's blocks in B's own type with B's bound, and the
+        # float64 butterflies hold its image up to 2^L max|B| exactly, also
+        # at the edge of each integer type
         q = build_recipe("unit" + ";double" * levels)
         seen = []
         real = q.leaf.right_mul
-        q.leaf.right_mul = lambda x, out, amp: (seen.append(x.dtype),
+        q.leaf.right_mul = lambda x, out, amp: (seen.append((x.dtype, amp)),
                                                 real(x, out, amp))
-        b = np.full((q.order, 2), amp, dtype=np.int64)
+        b = np.full((q.order, 2), amp, dtype=dtype)
         b[1::3, 0] = -amp
         p = q.rmatmul(b)
-        assert seen == [dtype]
-        assert np.array_equal(p, b.T @ recipe_oracle(q.recipe).astype(
-            np.int64))
+        assert seen == [(dtype, amp)]
+        assert np.array_equal(p, b.T.astype(np.int64) @ recipe_oracle(
+            q.recipe).astype(np.int64))
 
     def test_overflow_guard(self):
         # max|B| * order must stay below 2^53, where float64 holds every
@@ -936,10 +977,10 @@ class TestRecipes:
 
     def test_plan_refuses_oversized_primes_without_trial_division(self):
         # 2^61 - 1 (paley1) and 2^60 - 1 (paley2) fail the residue or the
-        # FFT bound first; the Mersenne primes 2^19 - 1 to 2^13 - 1 would
-        # take sums of 2^42 to 2^48 signs, beyond their bound, and the walk
-        # ends at 2^7 - 1
-        assert plan_recipe(1 << 61) == "paley1(127)" + ";double" * 54
+        # FFT bound first, down to 2^20 - 1, the first that the bound
+        # admits (and trial division refuses); the walk ends at the
+        # Mersenne prime 2^19 - 1
+        assert plan_recipe(1 << 61) == "paley1(524287)" + ";double" * 42
         # a conference order has no recipe to fall through to: 2^61 + 1 is
         # 1 (mod 4) (and 3 | 2^61 + 1), so the bound refuses it
         with pytest.raises(ExactnessError, match="rounding bound"):
@@ -950,20 +991,14 @@ class TestRecipes:
             plan_recipe(4000040)
 
     def test_plan_admits_only_leaves_its_products_run(self):
-        # paley1(1259743) builds, but under one doubling its entries are
-        # sums of 2 signs, whose bound sqrt(2p) |chi|_2 E(N) is 0.304 (a
-        # product of sign rows was seen at 0.304), and no other recipe
-        # makes 2519488; 15502080 is refused paley1(968879) under four
-        # doublings (0.442) and gets paley1(484439) under five
-        assert constructions._admits(1259743, -1, 1)
-        assert not constructions._admits(1259743, -1, 2)
-        with pytest.raises(ValueError, match="hadamard order 2519488"):
-            plan_recipe(2519488)
+        # every leaf reads sign rows of B, so a prime is admitted on the
+        # bound sqrt(p) |chi|_2 E(N) of a sign row, however many doublings
+        # lie above it: paley1(1259743) (0.215) under one doubling makes
+        # 2519488, and paley1(968879) (0.110) under four makes 15502080
+        assert constructions._admits(1259743, -1)
+        assert plan_recipe(2519488) == "paley1(1259743);double"
         assert plan_recipe(15502080) == (
-            "paley1(484439)" + ";double" * 5)
-        # sums of signs are admitted on their mean square norm, not on
-        # their largest entries: these run for sign rows, at 0.232 and
-        # 0.184, and so does a deep Paley II tower's sums of 2^6 signs
+            "paley1(968879)" + ";double" * 4)
         assert plan_recipe(2654184) == "paley1(1327091);double"
         assert plan_recipe(1944004) == "paley2(972001)"
         assert plan_recipe(2000000) == (
@@ -975,16 +1010,15 @@ class TestRecipes:
         (CONFERENCE, 710)])
     def test_planned_leaf_gets_the_bound_it_was_admitted_on(
             self, monkeypatch, kind, order):
-        # the planner's sums of signs and the operators' derived bound for
-        # sign rows are one rule: what reaches the circulant is what its
-        # prime was admitted on
+        # every leaf reads sign rows of B: the circulant of the prime the
+        # planner admitted gets amp = 1, the rows it was admitted on
         admitted, reached = [], []
         real_fft, real_circulant = (constructions._paley_fft,
                                     constructions._paley_circulant)
 
-        def fft_logged(p, eps, amp):
-            out = real_fft(p, eps, amp)
-            admitted.append((p, amp))
+        def fft_logged(p, eps):
+            out = real_fft(p, eps)
+            admitted.append(p)
             return out
 
         def circulant_logged(*args):
@@ -1004,7 +1038,7 @@ class TestRecipes:
         assert q.kind == kind, recipe
         b = np.random.default_rng(order).integers(0, 2, size=(order, 2))
         q.rmatmul((b * 2 - 1).astype(np.int8))
-        assert reached and set(reached) == {planned}, recipe
+        assert reached and set(reached) == {(planned, 1)}, recipe
 
     def test_plan_round_trip(self):
         for order in (4, 8, 12, 20, 24, 28, 32, 44, 48, 664, 672):
