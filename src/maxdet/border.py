@@ -34,8 +34,10 @@ trial_index) (``sample_border_columns`` states it bit for bit), which
 draws B: C and G follow from B, and D from G.  The stream is a counter
 hash, so a chunk's B^T rows are drawn by a few uint64 array operations,
 and any trial's B can be rederived with integers alone.  A
-``TrialResult`` keeps D and det N, and B is drawn again for a witness,
-which keeps B and D.  Border widths nest: B is drawn as a d x m array and
+``TrialResult`` keeps D and det N, and its witness keeps D and the
+address of B, (master_seed, trial_index): ``verify_witness`` draws B
+again from there, after every field and the core are checked, and
+recomputes C and G.  Border widths nest: B is drawn as a d x m array and
 transposed, and the draw is prefix-stable, so the first w columns of a
 trial's width-W block are its width-w block.  Entry (i, j) of G depends
 only on columns i and j of B, so the width-w trial's G is the leading
@@ -94,13 +96,6 @@ class TrialResult(NamedTuple):
     master_seed: int
     det_n: int
     D: np.ndarray
-
-    @property
-    def B(self) -> np.ndarray:
-        """B, drawn again from the trial's stream; the draw is prefix-stable,
-        so this is the leading block of the one the search's product used."""
-        return sample_border_columns(self.master_seed, [self.trial_index],
-                                     self.m, self.d)[0]
 
 
 # SplitMix64's state step (Steele, Lea and Flood, OOPSLA 2014)
@@ -506,76 +501,48 @@ def assemble_bordered(q: QuasiOrthogonal, b: np.ndarray, c: np.ndarray,
 # witnesses
 
 
-def _sign_rows(block: np.ndarray, lead: bytes = b"", tail: bytes = b""
-               ) -> np.ndarray:
-    """One uint8 buffer whose row i is lead, row i of a 2-d sign array as
-    '+' and '-', then tail."""
-    m, d = block.shape
-    end = len(lead) + d
-    rows = np.empty((m, end + len(tail)), dtype=np.uint8)
-    rows[:, :len(lead)] = np.frombuffer(lead, dtype=np.uint8)
-    rows[:, end:] = np.frombuffer(tail, dtype=np.uint8)
-    signs = rows[:, len(lead):end]
-    signs[...] = ord("-")
-    np.copyto(signs, ord("+"), where=block > 0)
-    return rows
-
-
-def _witness_chunks(result: TrialResult) -> tuple:
-    """The witness file in three buffers: ``json.dumps(witness, indent=2)``
-    and a newline, with C omitted (recomputed from B on verify).  B's m
-    rows are '+'/'-' strings, which JSON quotes without escapes, so they
-    are laid out as one uint8 buffer straight from the sign array, with no
-    string per row; json lays out every other field around an empty B."""
-    d = result.d
-    d_off = _sign_rows(result.D[~np.eye(d, dtype=bool)][None])
-    head, _, rest = json.dumps({
-        "n": result.n, "m": result.m, "d": d,
-        "kind": result.kind, "weight": result.weight,
-        "recipe": result.recipe,
-        "master_seed": result.master_seed,
-        "trial_index": result.trial_index,
-        "B": [],
-        "D_off": d_off.tobytes().decode("ascii"),
-        "det_schur": str(result.det_n),
-        "ratio_log": result.ratio.log_abs,
-        "ratio_decimal": result.ratio.value(),
-    }, indent=2).partition('"B": []')
-    rows = _sign_rows(result.B, b'    "', b'",\n')
-    return (f'{head}"B": [\n'.encode(),
-            rows.reshape(-1)[:-2],  # the last row takes no comma
-            f"\n  ]{rest}\n".encode())
+# the name of the stream that ``sample_border_columns`` states, as a witness
+# names it
+STREAM = "splitmix64-1"
 
 
 def witness_dict(result: TrialResult) -> dict:
-    """The witness as ``save_witness`` writes it, read back as JSON."""
-    return json.loads(b"".join(_witness_chunks(result)))
+    """The witness of a trial: its core, the address of its B in the stream
+    (master_seed, trial_index), its corner D as the row-major signs off the
+    diagonal, and det N and the ratio.  C and B are not stored: verify
+    draws B again from its address and recomputes C."""
+    d = result.d
+    return {
+        "n": result.n, "m": result.m, "d": d,
+        "kind": result.kind, "weight": result.weight,
+        "recipe": result.recipe,
+        "stream": STREAM,
+        "master_seed": result.master_seed,
+        "trial_index": result.trial_index,
+        "D_off": "".join("+" if x > 0 else "-" for x in
+                         result.D[~np.eye(d, dtype=bool)].tolist()),
+        "det_schur": str(result.det_n),
+        "ratio_log": result.ratio.log_abs,
+        "ratio_decimal": result.ratio.value(),
+    }
 
 
 def save_witness(path, result: TrialResult) -> None:
-    """Write the witness file that ``_witness_chunks`` lays out."""
-    with open(path, "wb") as fh:
-        fh.writelines(_witness_chunks(result))
-
-
-def _parse_signs(rows: list[str], name: str, d: int) -> np.ndarray:
-    """The int8 sign array whose rows are the given strings of length d; a
-    string with any other character is named in the error."""
-    text = "".join(rows).encode("ascii", errors="replace")
-    chars = np.frombuffer(text, dtype=np.uint8).reshape(len(rows), d)
-    bad = (chars != ord("+")) & (chars != ord("-"))
-    if bad.any():
-        i = int(np.flatnonzero(bad.any(axis=1))[0])
-        raise WitnessError(f"bad sign string {rows[i]!r} in {name} row {i}")
-    return (chars == ord("+")).view(np.int8) * 2 - 1
+    """Write ``json.dumps(witness_dict(result), indent=2)`` and a newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(witness_dict(result), indent=2) + "\n")
 
 
 _WITNESS_FIELDS = {"n": int, "m": int, "d": int, "weight": int, "kind": str,
-                   "recipe": str, "B": list, "D_off": str, "det_schur": str,
+                   "recipe": str, "stream": str, "master_seed": int,
+                   "trial_index": int, "D_off": str, "det_schur": str,
                    "ratio_log": (int, float), "ratio_decimal": (int, float)}
 
 
 def _witness_blocks(w: dict) -> tuple[QuasiOrthogonal, np.ndarray, np.ndarray]:
+    """The core, B and D of a witness, checked in the order that
+    ``verify_witness`` states: a malformed witness never pays for the core
+    it names or for its B."""
     if not isinstance(w, dict):
         raise WitnessError("witness is not a JSON object")
     for key, types in _WITNESS_FIELDS.items():
@@ -583,28 +550,36 @@ def _witness_blocks(w: dict) -> tuple[QuasiOrthogonal, np.ndarray, np.ndarray]:
             raise WitnessError(f"witness has no {key!r} field")
         if not isinstance(w[key], types) or isinstance(w[key], bool):
             raise WitnessError(f"witness field {key!r} has the wrong type")
-    if not all(isinstance(row, str) for row in w["B"]):
-        raise WitnessError("B is not a list of sign strings")
+    # a witness stores no B: a B in the file would never be checked
+    extra = sorted(w.keys() - _WITNESS_FIELDS.keys())
+    if extra:
+        raise WitnessError(f"witness has an unknown field {extra[0]!r}")
+    if w["stream"] != STREAM:
+        raise WitnessError(f"unknown stream {w['stream']!r}")
+    if not 0 <= w["trial_index"] < 1 << 64:
+        raise WitnessError("trial_index is outside 0..2^64 - 1")
     if not re.fullmatch(r"-?[0-9]+", w["det_schur"]):
         raise WitnessError("det_schur is not a signed decimal integer")
     m, d = w["m"], w["d"]
     if d < 0:
         raise WitnessError("d is negative")
+    if d > m:
+        raise WitnessError("border width d exceeds the core order m")
     if w["n"] != m + d:
         raise WitnessError("n != m + d")
-    # the blocks are checked against the witness's own m and d first, so a
-    # malformed witness never pays for building the core it names
-    if len(w["B"]) != m or any(len(row) != d for row in w["B"]):
-        raise WitnessError("B block has wrong shape")
-    b = _parse_signs(w["B"], "B", d)
-    if len(w["D_off"]) != d * (d - 1):
+    d_off = w["D_off"]
+    if len(d_off) != d * (d - 1):
         raise WitnessError("D off-diagonal block has wrong length")
+    for j, sign in enumerate(d_off):
+        if sign not in "+-":
+            raise WitnessError(f"bad sign {sign!r} at D_off entry {j}")
     d_block = -np.eye(d, dtype=np.int8)
-    d_block[~np.eye(d, dtype=bool)] = _parse_signs([w["D_off"]], "D_off",
-                                                    d * (d - 1))[0]
+    d_block[~np.eye(d, dtype=bool)] = [1 if s == "+" else -1 for s in d_off]
     q = build_recipe(w["recipe"])
     if q.order != m or q.kind != w["kind"] or q.weight != w["weight"]:
         raise WitnessError("recipe does not reproduce the stated core matrix")
+    _check_gram_order(m)  # before a B of that order is drawn
+    b = sample_border_columns(w["master_seed"], [w["trial_index"]], m, d)[0]
     return q, b, d_block
 
 
@@ -612,8 +587,12 @@ def verify_witness(source) -> LogScalar:
     """Recompute a witness's ratio from scratch; raise on any inconsistency.
 
     Accepts a TrialResult, a witness dict, or a path to a witness file.
-    Each is read as its witness dict: G is recomputed from B, so a
-    changed B shows as a wrong det_schur or ratio_log.
+    Each is read as its witness dict (``witness_dict``).  The fields, the
+    stream and address, and the shapes are checked first, then the recipe
+    must reproduce the stated core, and only then is B drawn again from
+    the address (``sample_border_columns(master_seed, [trial_index], m,
+    d)``).  C and G are recomputed from that B, so a changed address shows
+    as a wrong det_schur or ratio_log.
     For n <= DIRECT_CHECK_LIMIT the full bordered matrix, with the whole
     C, is also assembled and its exact determinant is checked against the
     Schur path:

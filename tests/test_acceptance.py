@@ -231,7 +231,8 @@ def test_criterion_08_schur_direct_consistency():
     t = 0
     while len(cases) < 100:
         recipe = cores[rng.integers(len(cores))]
-        max_d = min(8, 64 - orders[recipe])
+        # no border wider than its core, which search refuses too
+        max_d = min(8, 64 - orders[recipe], orders[recipe])
         t += 1
         if max_d >= 1:
             cases.append((recipe, int(rng.integers(1, max_d + 1)), t))

@@ -86,25 +86,16 @@ def flip_sign(row: str, j: int) -> str:
     return row[:j] + ("-" if row[j] == "+" else "+") + row[j + 1:]
 
 
-def flip_changing_det(w: dict, start=(0, 0)) -> dict:
-    """A copy of witness w with one B entry flipped: the first, in
-    row-major order from start and wrapping round, whose flip changes
-    det N = det(G - kD).  A flip may leave det N as it is, and the flipped
-    witness is then still valid."""
-    q, b, d_block = border_mod._witness_blocks(w)
-    m, d = b.shape
-    first = start[0] * d + start[1]
-    for t in range(first, first + m * d):
-        i, j = divmod(t % (m * d), d)
-        flipped = b.copy()
-        flipped[i, j] *= -1
-        [g] = _sign_completion(flipped.T[None], q)
-        if det_exact(g - q.weight * d_block.astype(np.int64)) != \
-                int(w["det_schur"]):
-            rows = list(w["B"])
-            rows[i] = flip_sign(rows[i], j)
-            return dict(w, B=rows)
-    raise AssertionError("no single flip of B changes det N")
+def moved_address(w: dict, field: str, step: int) -> dict:
+    """A copy of witness w with its master_seed or trial_index moved by
+    step, after checking that the B drawn at the moved address changes
+    det N = det(G - kD): another address may give the same det N, and the
+    moved witness is then still valid."""
+    moved = dict(w, **{field: w[field] + step})
+    q, b, d_block = border_mod._witness_blocks(moved)
+    assert det_exact(gram(b, q) - q.weight * d_block.astype(np.int64)) \
+        != int(w["det_schur"]), (field, step)
+    return moved
 
 
 def sign_block(b, q):
@@ -243,7 +234,8 @@ class TestSampling:
             assert np.array_equal(wide[:, :w], draw(4, m, m, w)), w
 
     def test_result_b_is_the_searched_block(self, h12, monkeypatch):
-        # TrialResult.B draws again the block the search's product used
+        # a result's address, (master_seed, trial_index), draws again the
+        # block the search's product used
         used = []
         real = border_mod._sign_completion
         monkeypatch.setattr(border_mod, "_sign_completion",
@@ -256,7 +248,8 @@ class TestSampling:
         for w in (1, 4):
             for t in range(6):
                 res = run_trial(h12, w, t, shared)
-                assert np.array_equal(res.B, bt[t, :w].T), (w, t)
+                b = draw(res.master_seed, res.trial_index, res.m, res.d)
+                assert np.array_equal(b, bt[t, :w].T), (w, t)
 
 
 class TestSignCompletion:
@@ -384,7 +377,8 @@ class TestGramBlock:
 
     def test_matches_exact_matmul(self, h8):
         shared = SharedBlocks(3, SearchConfig(trials=2, master_seed=9))
-        b = run_trial(h8, 3, 1, shared).B
+        res = run_trial(h8, 3, 1, shared)
+        b = draw(res.master_seed, res.trial_index, 8, 3)
         oracle = (dense_sign_completion(b, h8) @ h8.dense().T
                   @ b.astype(np.int64))
         assert shared.grams.dtype == np.int64
@@ -789,7 +783,7 @@ class TestRunTrialAndSearch:
         res = run_trial(h4, 0, 0, shared)
         assert res.ratio.sign == 1 and abs(res.ratio.log_abs) < 1e-12
         # the bare core makes no product
-        assert (res.det_n, res.D.shape, res.B.shape) == (1, (0, 0), (4, 0))
+        assert (res.det_n, res.D.shape) == (1, (0, 0))
         assert shared.grams is None and res.master_seed == 0
 
     def test_d0_conference(self):
@@ -868,11 +862,11 @@ def made_blocks(monkeypatch):
 
 
 def _same_trial(a, a_blocks, b, b_blocks):
-    """The same trial: index, det N, ratio, B and D, and the G that each
-    search's blocks hold for it (none at width 0)."""
+    """The same trial: address (so B), det N, ratio and D, and the G that
+    each search's blocks hold for it (none at width 0)."""
     t, d = a.trial_index, a.d
     return (t == b.trial_index and d == b.d and a.det_n == b.det_n
-            and a.ratio == b.ratio and np.array_equal(a.B, b.B)
+            and a.ratio == b.ratio and a.master_seed == b.master_seed
             and np.array_equal(a.D, b.D)
             and (d == 0 or np.array_equal(a_blocks.grams[t, :d, :d],
                                           b_blocks.grams[t, :d, :d])))
@@ -912,7 +906,7 @@ class TestSearchWidths:
 
     def test_one_product_per_chunk(self, h12, monkeypatch):
         # one draw and one product per chunk of trials whose P fits the
-        # budget, and one more draw for each witness written: the 5 trials'
+        # budget, none to write a witness and one to verify it: the 5 trials'
         # 3 x 12 blocks fit one chunk, or chunks of 2 at a budget of 72
         # entries, with the last chunk partial
         calls, draws = [], []
@@ -933,6 +927,8 @@ class TestSearchWidths:
         assert calls == [(5, 3)]
         assert draws == [(0, [0, 1, 2, 3, 4], 3)]
         witness_dict(found[1])
+        assert draws[1:] == []
+        verify_witness(found[1])
         assert draws[1:] == [(0, [found[1].trial_index], 3)]
         calls.clear()
         draws.clear()
@@ -981,7 +977,8 @@ class TestSchurConsistency:
         t = 0
         while len(cases) < 100:
             recipe = cores[rng.integers(len(cores))]
-            max_d = min(8, 64 - orders[recipe])
+            # no border wider than its core, which search refuses too
+            max_d = min(8, 64 - orders[recipe], orders[recipe])
             if max_d >= 1:
                 cases.append((recipe, int(rng.integers(1, max_d + 1)), t))
             t += 1
@@ -1005,11 +1002,10 @@ class TestWitness:
         ratio = verify_witness(path)
         assert abs(ratio.log_abs - best.ratio.log_abs) < 1e-9
 
-    def test_witness_of_an_earlier_stream_verifies(self):
+    def test_witness_with_b_and_no_stream_refused(self, tmp_path, capsys):
         # written by ``search --recipe 'paley1(19)' --d 3 --trials 8
-        # --seed 0 --out`` when trials drew B from a Philox stream: verify
-        # reads B from the file, so it holds although the stream of trial
-        # (0, 2) now draws another B
+        # --seed 0 --out`` when trials drew B from a Philox stream and
+        # witnesses stored B: it names no stream to draw B from
         w = {"n": 23, "m": 20, "d": 3, "kind": "hadamard", "weight": 20,
              "recipe": "paley1(19)", "master_seed": 0, "trial_index": 2,
              "B": "-+- --- ++- +-+ --- +-- --- +++ -++ --- -+- ++- +++ ++- "
@@ -1017,9 +1013,13 @@ class TestWitness:
              "D_off": "--+-++", "det_schur": "1049856",
              "ratio_log": -1.2238939984356634,
              "ratio_decimal": 0.294082776533888}
-        assert w["B"] != ["".join("+" if x > 0 else "-" for x in row)
-                          for row in draw(0, 2, 20, 3)]
-        assert abs(verify_witness(w).log_abs - w["ratio_log"]) < 1e-12
+        with pytest.raises(WitnessError, match="no 'stream' field"):
+            verify_witness(w)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(w))
+        assert cli.main(["verify", str(path)]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["ok"] is False and "'stream'" in data["error"]
 
     def test_fresh_result_round_trips(self, h12):
         best = search(h12, 3, SearchConfig(trials=4, master_seed=6))
@@ -1027,19 +1027,24 @@ class TestWitness:
         assert abs(ratio.log_abs - best.ratio.log_abs) < 1e-12
 
     def test_tampered_b_raises(self, h12):
-        w = flip_changing_det(witness_dict(
-            search(h12, 2, SearchConfig(trials=4, master_seed=10))))
-        with pytest.raises((WitnessError, SchurConsistencyError)):
+        # a witness carries no B, so one written into it is refused rather
+        # than passed over: verify draws B from the address alone
+        w = witness_dict(search(h12, 2, SearchConfig(trials=4,
+                                                      master_seed=10)))
+        w["B"] = ["++"] * 12
+        with pytest.raises(WitnessError, match="unknown field 'B'"):
             verify_witness(w)
 
-    @pytest.mark.parametrize("entry", [(0, 0), (40, 1), (67, 2)])
-    def test_flipped_b_entry_fails_det_schur(self, entry):
-        # n = 71 is above DIRECT_CHECK_LIMIT, and a witness carries no C:
-        # verify recomputes C and G from the changed B, so the stored
-        # det_schur is what catches it
-        w = flip_changing_det(witness_dict(
+    @pytest.mark.parametrize("field, step", [
+        ("master_seed", 1), ("trial_index", 1), ("master_seed", -1)],
+        ids=["seed+1", "trial+1", "seed-1"])
+    def test_changed_address_fails_det_schur(self, field, step):
+        # n = 71 is above DIRECT_CHECK_LIMIT, and a witness carries neither
+        # B nor C: verify draws B at the changed address and recomputes C
+        # and G, so the stored det_schur is what catches it
+        w = moved_address(witness_dict(
             search(build_recipe("paley1(67)"), 3,
-                   SearchConfig(trials=4, master_seed=12))), entry)
+                   SearchConfig(trials=4, master_seed=12))), field, step)
         with pytest.raises(WitnessError, match="det_schur"):
             verify_witness(w)
 
@@ -1071,36 +1076,50 @@ class TestWitness:
     def test_bad_sign_string(self, h12):
         best = search(h12, 2, SearchConfig(trials=2, master_seed=11))
         w = witness_dict(best)
-        w["B"][0] = "+x"
-        with pytest.raises(WitnessError, match="B row 0"):
+        w["D_off"] = "+x"
+        with pytest.raises(WitnessError, match="D_off entry 1"):
             verify_witness(w)
-        w["B"][0], w["B"][7] = w["B"][1], "\u0661+"
-        with pytest.raises(WitnessError, match="B row 7"):
+        w["D_off"] = "\u0661+"
+        with pytest.raises(WitnessError, match="D_off entry 0"):
             verify_witness(w)
 
+    # a change to None drops the field: the first three are witnesses in
+    # the earlier format, which stored B and named no stream
     @pytest.mark.parametrize("change,error", [
-        ({"B": []}, "B block has wrong shape"),
-        ({"B": ["+-"] * 1004}, "B block has wrong shape"),
-        ({"B": ["+"] * 1003 + ["*"]}, "B row 1003"),
+        ({"B": [], "stream": None}, "no 'stream' field"),
+        ({"B": ["+-"] * 1004, "stream": None}, "no 'stream' field"),
+        ({"B": ["+"] * 1003 + ["*"], "stream": None}, "no 'stream' field"),
         ({"D_off": "+"}, "D off-diagonal block has wrong length"),
-        ({"n": 1006, "d": 2, "B": ["+-"] * 1004, "D_off": "+?"},
-         "D_off row 0"),
-        ({"n": 1006}, "n != m + d")],
+        ({"n": 1006, "d": 2, "D_off": "+?"}, "bad sign '?' at D_off entry 1"),
+        ({"n": 1006}, "n != m + d"),
+        ({"n": 2009, "d": 1005}, "border width d exceeds the core order m"),
+        ({"stream": "philox4x64-10"}, "unknown stream 'philox4x64-10'"),
+        ({"trial_index": True}, "'trial_index' has the wrong type"),
+        ({"trial_index": -1}, "trial_index is outside 0..2^64 - 1"),
+        ({"trial_index": 1 << 64}, "trial_index is outside 0..2^64 - 1"),
+        ({"master_seed": 1.0}, "'master_seed' has the wrong type")],
         ids=["no-rows", "wide-rows", "bad-sign", "short-d-off",
-             "bad-d-off", "wrong-n"])
+             "bad-d-off", "wrong-n", "wider-than-core", "unknown-stream",
+             "bool-trial-index", "negative-trial-index",
+             "trial-index-2^64", "float-master-seed"])
     def test_malformed_blocks_refused_before_the_core(self, monkeypatch,
                                                       change, error):
-        # a forged witness naming paley1(1000003) whose blocks do not fit
-        # its own m and d is refused before that core is built
-        built = []
-        monkeypatch.setattr(border_mod, "build_recipe", built.append)
+        # a forged witness naming paley1(1000003) whose fields, address or
+        # blocks are malformed is refused before that core is built and
+        # before any B is drawn
+        called = []
+        monkeypatch.setattr(border_mod, "build_recipe", called.append)
+        monkeypatch.setattr(border_mod, "sample_border_columns",
+                            lambda *args: called.append(args))
         w = {"n": 1005, "m": 1004, "d": 1, "weight": 1004,
              "kind": "hadamard", "recipe": "paley1(1000003)",
-             "B": ["+"] * 1004, "D_off": "", "det_schur": "1",
-             "ratio_log": 0.0, "ratio_decimal": 1.0, **change}
+             "stream": "splitmix64-1", "master_seed": 0, "trial_index": 0,
+             "D_off": "", "det_schur": "1", "ratio_log": 0.0,
+             "ratio_decimal": 1.0, **change}
+        w = {key: value for key, value in w.items() if value is not None}
         with pytest.raises(WitnessError, match=re.escape(error)):
             verify_witness(w)
-        assert built == []
+        assert called == []
 
     @pytest.mark.parametrize("recipe,d", [
         ("unit", 0), ("paley1(11)", 0), ("paley1(11)", 1),
@@ -1118,7 +1137,10 @@ class TestWitness:
         best = search(h12, 2, SearchConfig(trials=2, master_seed=12))
         w = witness_dict(best)
         assert w["n"] == 14 and w["m"] == 12 and w["d"] == 2
-        assert len(w["B"]) == 12 and all(len(r) == 2 for r in w["B"])
+        # B is addressed in its stream, not stored
+        assert "B" not in w and w["stream"] == "splitmix64-1"
+        assert (w["master_seed"], w["trial_index"]) == (12,
+                                                        best.trial_index)
         assert len(w["D_off"]) == 2
         assert w["recipe"] == "paley1(11)"
         json.dumps(w)  # serializable
@@ -1175,7 +1197,7 @@ class TestRatioFromDet:
 class TestAssemble:
     def test_shape_and_blocks(self, h4):
         res = run_trial(h4, 2, 0, SharedBlocks(2, SearchConfig(trials=1)))
-        b = res.B
+        b = draw(res.master_seed, res.trial_index, 4, 2)
         c = dense_sign_completion(b, h4)
         full = np.array(assemble_bordered(h4, b, c, res.D))
         assert full.shape == (6, 6)

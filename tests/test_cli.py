@@ -298,15 +298,15 @@ class TestWitnessFlow:
 
     @pytest.mark.parametrize("argv, digest", [
         (("bound", "670", "--trials", "16", "--seed", "0"),
-         "68abb9309cec6a4b92f5d4d5ecc0b746ebef4b79c2b240c05d16e222d5a96d0f"),
+         "1026ca027285b86712233e5b8134409385a21e5aae1751287d6d325b28a9a70c"),
         (("search", "--recipe", "conference(709)", "--d", "0"),
-         "4929593ef47d8a69b79263052cf6d52ac674468f5b1a2561fffb747951383d0c"),
+         "a2dadbf374e59612f313cc941d9172fe23693cb15ceaa605a2e0e3ddf156ba5d"),
         (("bound", "11062", "--method", "conference", "--trials", "4",
           "--seed", "5"),
-         "5c9dfa5272b07e4de3c655c3a234eb378c6eee8bc396e76d783034e945846f5f"),
+         "fdd7ab8ae90895ab9e3c5e952ae7f35fb35feb7c07069ee06fc11dcb67501c65"),
     ], ids=["bound-670", "search-709-bare-core", "bound-11062-conference"])
     def test_witness_bytes_pinned(self, capsys, tmp_path, argv, digest):
-        # B is drawn again from the best trial's stream for the witness,
+        # the witness names the best trial's address in its stream, not B,
         # and the file is what json.dump(..., indent=2) writes, newline ended
         path = tmp_path / "w.json"
         code, _, _ = run_cli(capsys, *argv, "--out", str(path))
@@ -320,10 +320,10 @@ class TestWitnessFlow:
     @pytest.mark.parametrize("recipe, stdout_digest, witness_digest", [
         ("kron(paley1(3),paley1(7))",
          "50b4b1d747f21822b09d57939dfc216dc21e42a3abee42e4fea536dd1b85ec2a",
-         "97a1d6b409d48131b85f870693e1024d00009ab796e7ea5953665c6649c6246f"),
+         "484da4a072e9e249507da4bf2d7730d17fc87d23c55b7ab0c35a4925656b4062"),
         ("paley2(13);double;double;double",
          "a59ff30982e130280717f925a04efedace1e0c8e9e908977a25d07def3844618",
-         "8f581d359492aee48450ab8d40be63bbb99a9d329b3198615bd21a58a753d82f"),
+         "6c501d4df1ac255bc4bc47388abe9469f1fdb8f45995bb28630c3f23e3556af2"),
     ], ids=["kron", "paley2-doubled-thrice"])
     def test_search_bytes_pinned(self, capsys, tmp_path, recipe,
                                  stdout_digest, witness_digest):
@@ -345,9 +345,9 @@ class TestWitnessFlow:
         path = tmp_path / "w.json"
         run_cli(capsys, "search", "--recipe", "paley1(19)", "--d", "2",
                 "--trials", "4", "--seed", "2", "--out", str(path))
+        # another seed names another B, whose det N differs here
         blob = json.loads(path.read_text())
-        row = blob["B"][0]
-        blob["B"][0] = ("-" if row[0] == "+" else "+") + row[1:]
+        blob["master_seed"] += 1
         path.write_text(json.dumps(blob))
         code, out, _ = run_cli(capsys, "verify", str(path))
         assert code == 1
@@ -390,7 +390,7 @@ class TestWitnessFlow:
         lambda w: '{"n": 5}',
         lambda w: "[1, 2]",
         lambda w: "not json {",
-        lambda w: json.dumps({**w, "B": [0] * len(w["B"])}),
+        lambda w: json.dumps({**w, "B": [0] * w["m"]}),
         lambda w: json.dumps({**w, "det_schur": w["det_schur"] + "x"}),
         lambda w: json.dumps({**w, "det_schur": int(w["det_schur"])}),
     ], ids=["missing-fields", "list", "not-json", "B-rows-not-strings",
@@ -564,8 +564,9 @@ class TestWitnessFlow:
     def test_verify_refuses_deep_recipe(self, tmp_path):
         path = tmp_path / "w.json"
         path.write_text(json.dumps({
-            "n": 2, "m": 1, "d": 1, "weight": 1, "kind": "hadamard",
-            "recipe": DEEP_RECIPE, "B": ["+"], "D_off": "",
+            "n": 2, "m": 1, "d": 1, "kind": "hadamard", "weight": 1,
+            "recipe": DEEP_RECIPE, "stream": "splitmix64-1",
+            "master_seed": 0, "trial_index": 0, "D_off": "",
             "det_schur": "1", "ratio_log": 0.0, "ratio_decimal": 1.0}))
         out = run_capped("verify", str(path), timeout=8)
         assert out.returncode == 1 and "Traceback" not in out.stderr
@@ -584,35 +585,29 @@ class TestWitnessFlow:
         assert "error: FFT rounding bound" in err and "2999997" in err
 
     def test_verify_rejects_oversized_paley_prime(self, tmp_path):
-        # a forged witness whose core is far beyond what the FFT bound can
-        # certify, with no rows of B: refused by its own shape before the
-        # core is built, in 1 GiB of address space, as a JSON error rather
-        # than a traceback
+        # a well-formed forged witness whose core is far beyond what the FFT
+        # bound can certify: build_recipe refuses it before any B is drawn,
+        # in 1 GiB of address space, as a JSON error rather than a traceback
         path = tmp_path / "w.json"
-        path.write_text(json.dumps({
-            "n": 1000000009, "m": 1000000008, "d": 1, "weight": 1000000008,
-            "kind": "hadamard", "recipe": "paley1(1000000007)", "B": [],
-            "D_off": "", "det_schur": "1", "ratio_log": 0.0,
-            "ratio_decimal": 1.0}))
+        path.write_text(json.dumps(forged_witness(1000000007)))
         out = run_capped("verify", str(path))
         assert out.returncode == 1, out.stderr
+        assert "Traceback" not in out.stderr
         data = json.loads(out.stdout)
-        assert data["ok"] is False and "wrong shape" in data["error"]
+        assert data["ok"] is False
+        assert "FFT rounding bound" in data["error"]
 
     def test_verify_refuses_huge_prime_quickly(self, tmp_path):
         # 2^61 - 1 is a prime = 3 (mod 4), which trial division would take
-        # hours to confirm; B's shape refuses the witness before the core
-        p = (1 << 61) - 1
+        # hours to confirm; the FFT bound refuses the core before that
         path = tmp_path / "w.json"
-        path.write_text(json.dumps({
-            "n": p + 2, "m": p + 1, "d": 1, "weight": p + 1,
-            "kind": "hadamard", "recipe": f"paley1({p})", "B": [],
-            "D_off": "", "det_schur": "1", "ratio_log": 0.0,
-            "ratio_decimal": 1.0}))
+        path.write_text(json.dumps(forged_witness((1 << 61) - 1)))
         out = run_capped("verify", str(path), timeout=5)
         assert out.returncode == 1, out.stderr
+        assert "Traceback" not in out.stderr
         data = json.loads(out.stdout)
-        assert data["ok"] is False and "wrong shape" in data["error"]
+        assert data["ok"] is False
+        assert "FFT rounding bound" in data["error"]
 
 
 class TestTable1:
@@ -670,6 +665,15 @@ class TestTable1:
                                  "--trials", "1")
         assert code == 1 and out == ""
         assert "[5745]" in err and "5744" in err
+
+
+def forged_witness(p: int) -> dict:
+    """A witness of width 1 on paley1(p), well formed in every field."""
+    return {"n": p + 2, "m": p + 1, "d": 1, "kind": "hadamard",
+            "weight": p + 1, "recipe": f"paley1({p})",
+            "stream": "splitmix64-1", "master_seed": 0, "trial_index": 0,
+            "D_off": "", "det_schur": "1", "ratio_log": 0.0,
+            "ratio_decimal": 1.0}
 
 
 def run_capped(*argv, timeout=None):
