@@ -1,45 +1,18 @@
 """Closed-form determinant bounds and their certified floor decisions.
 
 ``evaluate_bounds`` gives the bounds as the plain rows that ``bound``
-prints, each value as its natural log and its decimal.  The supporting
-lemmas of the paper are checked by tests/test_lemmas.py, and the
-exhaustive D(n) oracle for n <= 6 lives in tests/oracles.py, not here.
+prints, each value as its natural log and its decimal, with the epsilon,
+delta and h0(d) that decide where each applies.  The module is Python
+floats and integers alone; it imports no numpy.  The supporting lemmas
+of the paper, g(h) among them, are checked by tests/test_lemmas.py, and
+the exhaustive D(n) oracle for n <= 6 lives in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .exact import LogScalar
-from .primes import prime_mask
-
-C_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-
-def central_binomial(h: int) -> int:
-    """binom(h, h/2) for even h >= 0, from its prime factorization.
-
-    By Legendre's formula the prime p divides it
-    sum_i (floor(h / p^i) - 2 floor(h / (2 p^i))) times.  The prime powers
-    are multiplied in a balanced product tree, so the big products are of
-    operands of like size.
-    """
-    half = h // 2
-    primes = np.flatnonzero(prime_mask(h))
-    exps = np.zeros_like(primes)
-    power = primes.copy()  # p^i, held at h + 1 once above h (a zero term)
-    while power.size and power[0] <= h:
-        exps += h // power - 2 * (half // power)
-        power = np.minimum(power * primes, h + 1)
-    keep = exps > 0
-    factors = [p ** e for p, e in zip(primes[keep].tolist(),
-                                      exps[keep].tolist())]
-    while len(factors) > 1:
-        factors = [math.prod(factors[i:i + 2])
-                   for i in range(0, len(factors), 2)]
-    return factors[0] if factors else 1
 
 
 def h0(d: int) -> float:
@@ -124,11 +97,6 @@ def evaluate_bounds(n: int, h: int, d: int) -> dict:
         "context": {
             "epsilon": eps,  # sqrt(4 d ln h / h), 0 when d = 0
             "delta": delta,  # 6 d^3 / h
-            "c": C_SQRT_2_OVER_PI,
-            # g(h) = 1 + h binom(h, h/2) / 2^h as one correctly rounded int
-            # division; None when h is odd (no central binomial)
-            "g_h": ((2 ** h + h * central_binomial(h)) / 2 ** h
-                    if h >= 2 and h % 2 == 0 else None),
             "h0_d": h0_d,
         },
         "bounds": bounds,

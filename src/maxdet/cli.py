@@ -15,7 +15,6 @@ import io
 import json
 import math
 import sys
-from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -151,20 +150,6 @@ def cmd_bound(args) -> int:
          f"(order {q.order}, border {width}); {args.trials} trials")
     best = border_mod.search(q, width, config)
     report = bounds_mod.evaluate_bounds(args.n, res.h, res.d)
-
-    constructive = best.ratio
-    top = max((row for row in report["bounds"]
-               if row["applicable"] and row["target"] == "Dbar(n)"),
-              key=itemgetter("value_log"), default=None)
-    # the formula wins when the constructive ratio is 0 or has a smaller log
-    if top is not None and (constructive.sign == 0
-                            or top["value_log"] > constructive.log_abs):
-        winner = {"source": "formula", "value_log": top["value_log"],
-                  "value_decimal": top["value_decimal"]}
-    else:
-        winner = {"source": "constructive",
-                  "value_log": constructive.log_abs,
-                  "value_decimal": constructive.value()}
     out = {
         "meta": _meta(args, oset),
         "n": args.n,
@@ -173,13 +158,12 @@ def cmd_bound(args) -> int:
         "witness_kind": ("conference-witness" if q.kind == CONFERENCE
                          else "hadamard"),
         "constructive": {
-            "ratio_log": constructive.log_abs,
-            "ratio_decimal": constructive.value(),
+            "ratio_log": best.ratio.log_abs,
+            "ratio_decimal": best.ratio.value(),
             "trial_index": best.trial_index,
             "border_width": width,
         },
         "formula_bounds": report,
-        "best_lower_bound": winner,
     }
     if args.out:
         border_mod.save_witness(args.out, best)

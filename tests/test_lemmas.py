@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from maxdet.border import _signs
-from maxdet.bounds import C_SQRT_2_OVER_PI as C
 from maxdet.constructions import build_recipe
 from oracles import g_of_h
 from test_border import iter_all_borders
 
 SEED = 20240601
+C = math.sqrt(2.0 / math.pi)  # the growth rate of g(h) / sqrt(h)
 N_RANDOM = 100_000  # random perturbations, split evenly over d = 1..6
 TOL = 1e-12  # float slack of the determinant and chord checks
 H_GRID = range(4, 10001, 4)
