@@ -206,12 +206,20 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _out_of_memory(exc: MemoryError) -> str:
+    return f"out of memory ({exc})" if str(exc) else "out of memory"
+
+
 def cmd_verify(args) -> int:
     try:
         ratio = border_mod.verify_witness(args.witness)
     except (ValueError, OSError, ExactnessError,
             border_mod.SchurConsistencyError) as exc:
         _emit({"meta": _meta(args), "ok": False, "error": str(exc)})
+        return 1
+    except MemoryError as exc:  # numpy's _ArrayMemoryError is one
+        _emit({"meta": _meta(args), "ok": False,
+               "error": _out_of_memory(exc)})
         return 1
     _emit({
         "meta": _meta(args),
@@ -373,8 +381,7 @@ def main(argv=None) -> int:
         _log(f"error: {exc}")
         return 1
     except MemoryError as exc:  # numpy's _ArrayMemoryError is one
-        _log(f"error: out of memory ({exc})" if str(exc) else
-             "error: out of memory")
+        _log(f"error: {_out_of_memory(exc)}")
         return 1
 
 

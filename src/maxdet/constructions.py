@@ -10,18 +10,19 @@ matrices have k = order - 1 and a zero diagonal.
 
 A core is held only as its exact product X -> X Q, built from its parts
 in O(order) memory: the Jacobsthal circulant by a checked FFT convolution
-(``_paley_circulant``), the Paley borders by row sums, L Sylvester
-doublings as one leaf product over X's 2^L column blocks followed by an
-in-place Walsh-Hadamard transform of its image, Paley II as its
-conference core over X's even and odd columns followed by one butterfly,
-and a Kronecker product as its outer factor over the inner factor's
-column blocks followed by one product over the inner factor.  X is read
-as an integer array, in place where its layout allows (a Kronecker
-product copies it); X Q and every intermediate are float64, which holds
-them exactly (``rmatmul``).  Every other float array a product keeps
-holds at most ``PRODUCT_BUDGET`` entries, or one row where a row is
-longer.  The constructor docstrings prove that the certificate gives
-Q Q^T = k I for every core a recipe builds.
+(``_paley_circulant``), the Paley borders by row sums, a Sylvester
+doubling as its half's product over X's two column halves followed by
+one butterfly, Paley II as its conference core over X's even and odd
+columns followed by one butterfly, and a Kronecker product as its outer
+factor over the inner factor's column blocks followed by one product
+over the inner factor.  An operator takes only X and out: each part that
+needs max|X| scans the rows it is given.  X is read as an integer array,
+in place where its layout allows (a Kronecker product copies it); X Q and
+every intermediate are float64, which holds them exactly (``rmatmul``).
+Every other float array a product keeps holds at most ``PRODUCT_BUDGET``
+entries, or one row where a row is longer.  The constructor docstrings
+prove that the certificate gives Q Q^T = k I for every core a recipe
+builds.
 """
 
 from __future__ import annotations
@@ -83,27 +84,20 @@ class QuasiOrthogonal:
     """Square {-1,0,+1} matrix Q with Q Q^T = weight * I, held as the exact
     operator X -> X Q.
 
-    ``right_mul(X, out, amp)`` sets out = X Q for an integer array X (any
+    ``right_mul(X, out)`` sets out = X Q for an integer array X (any
     signed integer type, any strides) with `order` columns whose products
-    stay below 2^53 (``rmatmul`` checks this), a float64 array out of its
-    shape and amp >= max|X|, required and unchecked (the circulant's two
-    lanes decode wrongly under less).  ``rmatmul`` scans B for it once;
-    a tower's leaf and Paley II's conference core read X's own columns
-    with that amp, and only ``kronecker``'s inner factor gets more.  A
-    core built by L >= 1 Sylvester doublings of a leaf core, or by
-    ``kronecker``, views out's rows as the rows of its inner product and
-    raises ValueError when out's layout does not allow that view; ``leaf``
-    and ``levels`` name that leaf and L (None and 0 for any other core).
-    The operator and ``rmatmul``'s callers write into work arrays that the
-    core keeps between calls, so no core is for concurrent use.
+    stay below 2^53 (``rmatmul`` checks this) and a float64 array out of
+    its shape.  A core built by a Sylvester doubling or by ``kronecker``
+    views out's rows as the rows of its inner product and raises
+    ValueError when out's layout does not allow that view.  The operator
+    and ``rmatmul``'s callers write into work arrays that the core keeps
+    between calls, so no core is for concurrent use.
     """
 
     def __init__(self, order: int, weight: int, kind: str, recipe: str,
-                 right_mul: Callable[[np.ndarray, np.ndarray, int], None],
-                 leaf: QuasiOrthogonal | None = None, levels: int = 0):
+                 right_mul: Callable[[np.ndarray, np.ndarray], None]):
         self.order, self.weight, self.kind = order, weight, kind
         self.recipe, self.right_mul = recipe, right_mul
-        self.leaf, self.levels = leaf, levels
         self.work: dict = {}
 
     def rmatmul(self, b: np.ndarray, out: np.ndarray | None = None
@@ -119,13 +113,12 @@ class QuasiOrthogonal:
         under python -O.
         """
         b = np.asarray(b)
-        amp = _amplitude(b)
-        if amp * self.order >= 1 << 53:
+        if _amplitude(b) * self.order >= 1 << 53:
             raise ExactnessError("B^T Q could leave the integers below 2^53 "
                                  "that float64 holds exactly")
         if out is None:
             out = np.empty(b.shape[::-1])
-        self.right_mul(b.T, out, amp)
+        self.right_mul(b.T, out)
         return out
 
     def dense(self) -> np.ndarray:
@@ -253,10 +246,9 @@ def _paley_fft(p: int, eps: int) -> tuple[int, float]:
 
 
 def _paley_circulant(p: int, eps: int
-                     ) -> Callable[[np.ndarray, np.ndarray, int], None]:
-    """(X, out, amp) -> out = X J, exact in float64, for the Jacobsthal
-    matrix J[i, j] = chi(j - i) of the prime p and amp >= max|X|, after
-    certifying chi.
+                     ) -> Callable[[np.ndarray, np.ndarray], None]:
+    """(X, out) -> out = X J, exact in float64, for the Jacobsthal matrix
+    J[i, j] = chi(j - i) of the prime p, after certifying chi.
 
     Each row of X J is the cyclic convolution of that row with chi, taken
     as a linear convolution by FFTs of the smallest 5-smooth length
@@ -266,7 +258,7 @@ def _paley_circulant(p: int, eps: int
     integer.  As the certificate in (3) convolves chi itself, ``_paley_fft``
     checks its bound (p - 1) E(N) before chi is built.
 
-    Two lanes: for the bound amp and base = 2 amp (p - 1) + 1, rows 2i and
+    Two lanes: for amp = max|X| and base = 2 amp (p - 1) + 1, rows 2i and
     2i + 1 are transformed as the one row z = x_2i + base x_2i+1 (an odd
     last row goes alone) when X has at least two rows and the worst case
     sqrt(p) amp (1 + base) |chi|_2 E(N) of the bound is below 1/4, which
@@ -348,8 +340,8 @@ def _paley_circulant(p: int, eps: int
             r -= np.multiply(hi, base, out=hi)
         out[::lanes] = r
 
-    def right_mul(x: np.ndarray, out: np.ndarray, amp: int) -> None:
-        c = x.shape[0]
+    def right_mul(x: np.ndarray, out: np.ndarray) -> None:
+        c, amp = x.shape[0], _amplitude(x)
         base = 2 * amp * (p - 1) + 1
         lanes = 2 if c > 1 and (math.sqrt(p) * amp * (1 + base) * factor
                                 < 0.25) else 1
@@ -358,7 +350,7 @@ def _paley_circulant(p: int, eps: int
             transform(x[i:i + group], out[i:i + group], lanes, base)
 
     image = np.empty((1, p))
-    right_mul(chi[None], image, 1)
+    right_mul(chi[None], image)
     if image[0, 0] != eps * (p - 1) or np.any(image[0, 1:] != -eps):
         raise ExactnessError(f"the quadratic character of {p} fails its "
                              "autocorrelation certificate")
@@ -375,11 +367,11 @@ def paley_one(p: int) -> QuasiOrthogonal:
     """
     conv = _paley_circulant(p, -1)
 
-    def right_mul(x, out, amp):
+    def right_mul(x, out):
         x0, xr = x[:, :1], x[:, 1:]
         out[:, :1] = x0 + xr.sum(axis=1, keepdims=True)
         yr = out[:, 1:]
-        conv(xr, yr, amp)
+        conv(xr, yr)
         yr += xr
         np.subtract(x0, yr, out=yr)
 
@@ -394,10 +386,10 @@ def paley_conference(p: int) -> QuasiOrthogonal:
     """
     conv = _paley_circulant(p, 1)
 
-    def right_mul(x, out, amp):
+    def right_mul(x, out):
         x0, xr = x[:, :1], x[:, 1:]
         out[:, :1] = xr.sum(axis=1, keepdims=True)
-        conv(xr, out[:, 1:], amp)
+        conv(xr, out[:, 1:])
         out[:, 1:] += x0
 
     return QuasiOrthogonal(p + 1, p, CONFERENCE, f"conference({p})",
@@ -421,19 +413,19 @@ def paley_two(p: int) -> QuasiOrthogonal:
     Column 2j + s of X is entry s of pair j: for X's even and odd columns
     a and b, [a b] K = [a + b, a - b] and [a b] L = [a - b, -(a + b)], so by
     linearity X H has even columns U + V and odd ones U - V for
-    U = a C - b and V = b C + a.  C runs on a and on b (with X's amp)
-    straight into out's even and odd columns, which then take U and V and
-    one butterfly, in place in float64.  |a C|, |b C| <= p max|X|, so
+    U = a C - b and V = b C + a.  C runs on a and on b straight into out's
+    even and odd columns, which then take U and V and one butterfly, in
+    place in float64.  |a C|, |b C| <= p max|X|, so
     every intermediate (2V among them) is an integer of size at most
     order max|X|.
     """
     conf = paley_conference(p)  # validates p
 
-    def right_mul(x, out, amp):
+    def right_mul(x, out):
         a, b = x[:, 0::2], x[:, 1::2]
         even, odd = out[:, 0::2], out[:, 1::2]
-        conf.right_mul(a, even, amp)
-        conf.right_mul(b, odd, amp)
+        conf.right_mul(a, even)
+        conf.right_mul(b, odd)
         even -= b
         odd += a
         _butterfly(even, odd)
@@ -445,36 +437,32 @@ def paley_two(p: int) -> QuasiOrthogonal:
 def sylvester_double(q: QuasiOrthogonal) -> QuasiOrthogonal:
     """Order-doubling [[Q, Q], [Q, -Q]] = H_2 (x) Q; Hadamard input only.
 
-    Its Gram matrix is [[2 Q Q^T, 0], [0, 2 Q Q^T]] = 2k I.  The product
-    does not recurse.  L doublings of a leaf Q0 of order h give H (x) Q0
-    for Sylvester's H = H_2 (x) ... (x) H_2 of order 2^L, so for X cut into
-    2^L column blocks X_i of width h, block l of X (H (x) Q0) is, by
-    linearity, sum_i H[i, l] Y_i for Y_i = X_i Q0.  So Q0's operator runs
-    once, with X's amp, on X cut into c 2^L rows of width h (a view where
-    X's layout allows), into out viewed so (else ValueError); then each
-    level, from blocks of width h up, turns the halves (U, V) of every
-    block of out into (U + V, U - V) by one butterfly in place in float64.
-    |Y_i| <= h amp and after s levels every entry is at most 2^s h amp, so
-    every intermediate (2V among them) is an integer of size at most
-    order amp.
+    Its Gram matrix is [[2 Q Q^T, 0], [0, 2 Q Q^T]] = 2k I.  For X cut into
+    column halves X_0 and X_1 of width h, X [[Q, Q], [Q, -Q]] is
+    [Y_0 + Y_1, Y_0 - Y_1] for Y_i = X_i Q.  So Q's operator runs once on
+    X cut into 2c rows of width h (a view where X's layout allows), into
+    out viewed so (else ValueError), and one butterfly then turns each
+    row's halves (Y_0, Y_1) into (Y_0 + Y_1, Y_0 - Y_1) in place in
+    float64.  A tower of L doublings of a leaf Q0 is L nested calls: one
+    call of Q0 on X's c 2^L column blocks, then the butterflies from
+    blocks of Q0's width up.  By induction |Y_i| <= h max|X|, so every
+    intermediate (2 Y_1 among them) is an integer of size at most
+    order max|X|.
     """
     if q.kind != HADAMARD:
         raise ValueError("sylvester_double requires a Hadamard matrix")
-    leaf, levels = q.leaf if q.levels else q, q.levels + 1
-    order, h = 2 * q.order, leaf.order
+    h = q.order
 
-    def right_mul(x, out, amp):
+    def right_mul(x, out):
         c = x.shape[0]
         # out: a view or a ValueError, never a copy that would lose the result
-        leaf.right_mul(x.reshape(c << levels, h),
-                       np.reshape(out, (c << levels, h), copy=False), amp)
-        for s in range(levels):
-            halves = np.reshape(out, (c << (levels - 1 - s), 2, h << s),
-                                copy=False)
-            _butterfly(halves[:, 0], halves[:, 1])
+        q.right_mul(x.reshape(2 * c, h),
+                    np.reshape(out, (2 * c, h), copy=False))
+        halves = np.reshape(out, (c, 2, h), copy=False)
+        _butterfly(halves[:, 0], halves[:, 1])
 
-    return QuasiOrthogonal(order, order, HADAMARD, q.recipe + ";double",
-                           right_mul, leaf, levels)
+    return QuasiOrthogonal(2 * h, 2 * h, HADAMARD, q.recipe + ";double",
+                           right_mul)
 
 
 def kronecker(q1: QuasiOrthogonal, q2: QuasiOrthogonal) -> QuasiOrthogonal:
@@ -486,25 +474,25 @@ def kronecker(q1: QuasiOrthogonal, q2: QuasiOrthogonal) -> QuasiOrthogonal:
     Z_l B with Z_l = sum_i A[i, l] X_i.  The outer factor A runs once on
     the c b rows of length a of an integer copy of X's blocks transposed,
     writing into out as scratch; its image is copied back block by block
-    into Z, in the narrowest integer type that holds a amp; then B runs
-    once on Z's c a rows, with that bound, writing into a view of out's
-    rows.  An out that cannot be viewed so raises ValueError.
+    into Z, in the narrowest integer type that holds a max|X|; then B
+    runs once on Z's c a rows, writing into a view of out's rows.  An out
+    that cannot be viewed so raises ValueError.
     """
     if q1.kind != HADAMARD or q2.kind != HADAMARD:
         raise ValueError("kronecker requires Hadamard matrices")
     a, b = q1.order, q2.order
     work = {}
 
-    def right_mul(x, out, amp):
+    def right_mul(x, out):
         c = x.shape[0]
         scratch = np.reshape(out, (c * b, a), copy=False)
         # the transposed blocks' rows cannot be a view of X: one copy
         q1.right_mul(x.reshape(c, a, b).transpose(0, 2, 1).reshape(c * b, a),
-                     scratch, amp)
-        z = work_array(work, "z", (c, a, b), _int_type(a * amp))
+                     scratch)
+        z = work_array(work, "z", (c, a, b), _int_type(a * _amplitude(x)))
         z[...] = scratch.reshape(c, b, a).transpose(0, 2, 1)
         q2.right_mul(z.reshape(c * a, b),
-                     np.reshape(out, (c * a, b), copy=False), a * amp)
+                     np.reshape(out, (c * a, b), copy=False))
 
     return QuasiOrthogonal(a * b, a * b, HADAMARD,
                            f"kron({q1.recipe},{q2.recipe})", right_mul)
@@ -512,7 +500,7 @@ def kronecker(q1: QuasiOrthogonal, q2: QuasiOrthogonal) -> QuasiOrthogonal:
 
 def unit() -> QuasiOrthogonal:
     return QuasiOrthogonal(1, 1, HADAMARD, "unit",
-                           lambda x, out, amp: np.copyto(out, x))
+                           lambda x, out: np.copyto(out, x))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +508,8 @@ def unit() -> QuasiOrthogonal:
 
 _GEN_RE = re.compile(r"^(paley1|paley2|conference)\((\d+)\)$")
 
-# kron(...) nests recursion, in the build and in every product
+# kron(...) nests recursion in the build and in every product, where each
+# ;double nests one call too (log2 of the order at most)
 RECIPE_NESTING_LIMIT = 64
 
 

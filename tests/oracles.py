@@ -1,8 +1,8 @@
 """Independent checks that only the tests use: a dense Gram check of a core,
-the worst-case bordering scan of the sieve's irregular gaps, the exact g(h),
-the trial sign stream in Python integers, the retired HADSIEVE2 sieve
-cache layout, complex Golay numbers by factoring and an exhaustive
-maximal-determinant oracle for n <= 6.
+an int64 Walsh-Hadamard transform, the worst-case bordering scan of the
+sieve's irregular gaps, the exact g(h), the trial sign stream in Python
+integers, the retired HADSIEVE2 sieve cache layout, complex Golay numbers
+by factoring and an exhaustive maximal-determinant oracle for n <= 6.
 """
 
 import math
@@ -29,6 +29,23 @@ def validate(q) -> bool:
         ok = False
     f = m.astype(np.float64)
     return bool(ok and np.array_equal(f @ f.T, q.weight * np.eye(q.order)))
+
+
+def walsh_hadamard(x) -> np.ndarray:
+    """x H in int64 for Sylvester's H of order n = 2^L, H[i, j] =
+    (-1)^popcount(i & j), by the fast Walsh-Hadamard transform: one stage
+    per bit, from the highest down, turns each pair (u, v) of entries whose
+    indices differ only in that bit into (u + v, u - v)."""
+    y = np.array(x, dtype=np.int64)
+    rows, n = y.shape
+    bit = n // 2
+    while bit:
+        pairs = y.reshape(rows, n // (2 * bit), 2, bit)
+        u = pairs[:, :, 0].copy()
+        pairs[:, :, 0] += pairs[:, :, 1]
+        np.subtract(u, pairs[:, :, 1], out=pairs[:, :, 1])
+        bit //= 2
+    return y
 
 
 def hadregion_violations(oset, limit: int) -> list[int]:

@@ -546,6 +546,24 @@ class TestWitnessFlow:
         assert err.splitlines()[-1].startswith("error: out of memory")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("exhausted", [
+        lambda *args: np.empty(1 << 62, dtype=np.uint8),  # numpy's own
+        _no_memory], ids=["numpy", "bare"])
+    def test_verify_out_of_memory_is_json(self, capsys, tmp_path,
+                                          monkeypatch, exhausted):
+        # a well-formed witness whose B finds no memory to be drawn again
+        from maxdet import border
+        path = tmp_path / "w.json"
+        code, _, _ = run_cli(capsys, "search", "--recipe", "paley1(19)",
+                             "--d", "2", "--trials", "2", "--out", str(path))
+        assert code == 0
+        monkeypatch.setattr(border, "sample_border_columns", exhausted)
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 1 and err == ""
+        data = json.loads(out)
+        assert data["ok"] is False
+        assert data["error"].startswith("out of memory")
+
     def test_search_wider_than_core_refused(self):
         # a border wider than its core is refused before any G of that
         # width (8 d^2 bytes a trial) is made

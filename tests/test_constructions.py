@@ -17,7 +17,7 @@ from maxdet.constructions import (CONFERENCE, HADAMARD, ExactnessError,
                                   paley_conference, paley_one, paley_two,
                                   plan_recipe, sylvester_double, unit)
 from maxdet.exact import det_exact
-from oracles import validate
+from oracles import validate, walsh_hadamard
 
 # Independent dense oracles: the textbook definitions, built with no maxdet
 # code (Euler's criterion for the Legendre symbol, np.kron, np.block).
@@ -88,7 +88,7 @@ def matrix_core(m, kind=HADAMARD, weight=None):
     m = np.asarray(m, dtype=np.int64)
     return QuasiOrthogonal(len(m), len(m) if weight is None else weight,
                            kind, "by hand",
-                           lambda x, out, amp: np.matmul(x, m, out=out))
+                           lambda x, out: np.matmul(x, m, out=out))
 
 
 class TestCoreRecord:
@@ -357,8 +357,9 @@ class TestTwoLanes:
         monkeypatch.setattr(np.fft, "rfft", rfft_logged)
         return rows
 
-    # (p, amp, lanes): every table1 fast-row core takes two lanes, also on
-    # amp = 2 rows, such as non-sign B or a Kronecker inner factor gives;
+    # (p, amp, lanes): for rows of max|x| = amp, every table1 fast-row core
+    # takes two lanes, also on amp = 2 rows, such as non-sign B or a
+    # Kronecker inner factor gives;
     # of the primes with N = 22500, 11213 is the largest with two lanes for
     # sign rows and 11239 the next admitted one
     @pytest.mark.parametrize("p,amp,lanes", [
@@ -380,15 +381,15 @@ class TestTwoLanes:
             x[:, 0] = amp
             out = np.empty_like(x)
             rows.clear()
-            conv(x, out, amp)
+            conv(x, out)
             packed = -(-c // lanes) if c > 1 else 1
             assert rows == [min(per, packed - i)
                             for i in range(0, packed, per)], c
             assert np.array_equal(out, circulant_reference(x, p)), c
 
     # every table1 fast-row core and the conference cores of the large
-    # certify_roundtrip orders: the bound each layer hands down is the
-    # amplitude the rows reach, so sign rows keep two lanes
+    # certify_roundtrip orders: every circulant gets sign rows of B, so
+    # they keep two lanes
     @pytest.mark.parametrize("recipe", [
         *(cli._table1_core(h, p, method)
           for h, _, _, p, method in cli.EXCEPTIONAL_ROWS
@@ -396,15 +397,15 @@ class TestTwoLanes:
         "conference(11057)", "conference(11069)", "conference(11093)",
         "conference(11117)"])
     def test_benchmark_cores_keep_two_lanes(self, monkeypatch, recipe):
-        bounds = []
+        seen = []
         real = constructions._paley_circulant
 
         def logged_circulant(*args):
             conv = real(*args)
 
-            def logged(x, out, amp):
-                bounds.append((amp, int(np.abs(x).max())))
-                conv(x, out, amp)
+            def logged(x, out):
+                seen.append(int(np.abs(x).max()))
+                conv(x, out)
             return logged
 
         monkeypatch.setattr(constructions, "_paley_circulant",
@@ -417,14 +418,14 @@ class TestTwoLanes:
         q.rmatmul(b)
         # 4 sign rows reach the circulant as 4 order / (p + 1) rows
         assert sum(rows) == 2 * q.order // (p + 1)
-        assert bounds and all(amp == seen for amp, seen in bounds)
+        assert seen and set(seen) == {1}
 
     def test_one_circulant_through_changing_row_counts(self, monkeypatch):
         # 4, 1, 3 and 2 rows take 2, 1, 2 and 1 transformed rows of the same
         # work arrays, so each call reuses rows that the last call left
         # holding its decoded values and, in the tail, its rounding noise,
-        # which would grow from call to call if not cleared; amp, and with
-        # it base, changes between calls
+        # which would grow from call to call if not cleared; max|x|, and
+        # with it base, changes between calls
         conv = constructions._paley_circulant(331, -1)
         rows = self.transformed_rows(monkeypatch)
         rng = np.random.default_rng(8)
@@ -433,7 +434,7 @@ class TestTwoLanes:
             x[:, 0] = amp
             out = np.empty_like(x)
             rows.clear()
-            conv(x, out, amp)
+            conv(x, out)
             assert rows == [-(-c // lanes)], c
             assert np.array_equal(out, circulant_reference(x, 331)), c
 
@@ -445,8 +446,23 @@ class TestTwoLanes:
         for c in (2, 3, 6, 7):
             x = rng.integers(-3, 4, size=(c, q.order))
             out = np.empty(x.shape)
-            q.right_mul(x, out, 3)
+            q.right_mul(x, out)
             assert np.array_equal(out, x @ dense), c
+
+    def test_circulant_scans_its_rows(self, monkeypatch):
+        # two rows of 3 chi(-i), which X J maps to 3 (p - 1) at column 0,
+        # share one transformed row: the lanes' base comes from max|x| = 3,
+        # not from a bound handed down
+        p = 331
+        conv = constructions._paley_circulant(p, -1)
+        rows = self.transformed_rows(monkeypatch)
+        chi = np.array([legendre(-i, p) for i in range(p)], dtype=np.int64)
+        x = np.tile(3 * chi, (2, 1))
+        out = np.empty(x.shape)
+        conv(x, out)
+        assert rows == [1]
+        assert np.array_equal(out, circulant_reference(x, p))
+        assert out[0, 0] == out[1, 0] == 3 * (p - 1)
 
     def test_checks_raise_on_packed_rows_under_optimize(self):
         # a forced residual (irfft off by 0.3) and a forced norm (the row
@@ -474,7 +490,7 @@ class TestTwoLanes:
                 np.fft.irfft, np.einsum = irfft, einsum
                 setattr(np.fft if name == "irfft" else np, name, fake)
                 try:
-                    conv(x, out, 1)
+                    conv(x, out)
                 except c.ExactnessError as exc:
                     print("residual" if "residual" in str(exc) else "bound",
                           seen.pop(), sys.flags.optimize)
@@ -509,9 +525,9 @@ class TestProductGroups:
                 np.int8)
             whole, grouped = np.empty(x.shape), np.empty(x.shape)
             monkeypatch.setattr(constructions, "PRODUCT_BUDGET", 1 << 40)
-            q.right_mul(x, whole, 1)
+            q.right_mul(x, whole)
             monkeypatch.setattr(constructions, "PRODUCT_BUDGET", budget)
-            q.right_mul(x, grouped, 1)
+            q.right_mul(x, grouped)
             assert np.array_equal(whole.view(np.int64),
                                   grouped.view(np.int64)), c
             assert np.array_equal(grouped, x.astype(np.int64) @ dense), c
@@ -553,7 +569,7 @@ class TestProductGroups:
         x = np.ones((10, 331), dtype=np.int8)
         with pytest.raises(ExactnessError,
                            match="residual" if name == "irfft" else "bound"):
-            conv(x, np.empty(x.shape), 1)
+            conv(x, np.empty(x.shape))
         assert calls == [2, 2]
 
     def test_product_buffers_within_budgets(self):
@@ -628,7 +644,7 @@ class TestSylvesterAndKronecker:
         for c in (1, 2, 3, 5):
             x = rng.integers(-3, 4, size=(c, q.order))
             out = np.empty(x.shape)
-            q.right_mul(x, out, 3)
+            q.right_mul(x, out)
             assert np.array_equal(out, x @ dense), c
 
     def test_double_refuses_an_out_it_cannot_view(self):
@@ -636,7 +652,7 @@ class TestSylvesterAndKronecker:
         x = np.ones((3, q.order), dtype=np.int64)
         out = np.zeros((3, q.order + 1), dtype=np.int64)[:, :-1]
         with pytest.raises(ValueError, match="copy"):
-            q.right_mul(x, out, 1)
+            q.right_mul(x, out)
 
     def test_doubled_product_work_arrays(self):
         # one rmatmul allocates its float64 result, the leaf's int8 view of
@@ -654,6 +670,26 @@ class TestSylvesterAndKronecker:
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * d * q.order * 8
+
+    def test_deep_tower_equals_walsh_hadamard(self):
+        # unit doubled 20 times is 20 nested calls over 2 sign rows of 2^20
+        # entries; every level views X and out, so the product allocates
+        # less than half of X, where a copy of X or out at any level would
+        # exceed it
+        assert np.array_equal(walsh_hadamard(np.eye(8, dtype=np.int8)),
+                              recipe_oracle("unit" + ";double" * 3))
+        q = build_recipe("unit" + ";double" * 20)
+        bt = (np.random.default_rng(20).integers(0, 2, size=(2, q.order)) * 2
+              - 1).astype(np.int8)
+        out = np.empty(bt.shape)
+        tracemalloc.start()
+        try:
+            q.rmatmul(bt.T, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bt.nbytes // 2
+        assert np.array_equal(out, walsh_hadamard(bt))
 
     def test_double_rejects_conference(self):
         with pytest.raises(ValueError):
@@ -779,23 +815,25 @@ class TestFloatProducts:
             assert p.dtype == np.float64
             assert np.array_equal(p, b.T.astype(np.int64) @ oracle), c
 
-    def test_one_leaf_call_per_product(self, monkeypatch):
+    def test_one_leaf_call_per_product(self):
         # three doublings hand B^T's eight column blocks, all 8 c rows, to
-        # the leaf at once, as int8 sign rows with B's own bound 1, and
-        # transform the leaf's image after
-        q = build_recipe("paley1(7);double;double;double")
+        # the leaf at once, as int8 sign rows, and transform the leaf's
+        # image after
+        leaf = paley_one(7)
         calls = []
-        real = q.leaf.right_mul
+        real = leaf.right_mul
 
-        def logged(x, out, amp):
-            calls.append((x.shape, x.dtype, amp))
-            real(x, out, amp)
+        def logged(x, out):
+            calls.append((x.shape, x.dtype, int(np.abs(x).max())))
+            real(x, out)
 
-        monkeypatch.setattr(q.leaf, "right_mul", logged)
+        leaf.right_mul = logged
+        q = sylvester_double(sylvester_double(sylvester_double(leaf)))
         b = np.random.default_rng(1).integers(0, 2, size=(64, 3)) * 2 - 1
         p = q.rmatmul(b.astype(np.int8))
         assert calls == [((24, 8), np.int8, 1)]
-        assert np.array_equal(p, b.T @ recipe_oracle(q.recipe))
+        assert np.array_equal(p, b.T @ recipe_oracle(
+            "paley1(7);double;double;double"))
 
     @pytest.mark.parametrize("recipe,p", [
         ("paley1(11239);double;double", 11239), ("paley2(11677)", 11677),
@@ -821,11 +859,12 @@ class TestFloatProducts:
 
     @pytest.mark.parametrize("recipe", [
         *("paley1(3)" + ";double" * levels for levels in range(1, 8)),
-        "paley2(13)", "paley2(5);double;double"])
+        "paley2(13)", "paley2(5);double;double", "kron(paley1(3),paley1(7))"])
     def test_leaf_first_equals_dense_for_integer_blocks(self, recipe):
         # the leaf runs on B's blocks and the butterflies on its image: by
         # linearity the same product as dense() for any integer B, here
-        # with |B| up to 127
+        # with |B| up to 127, which a Kronecker product's integer copy of
+        # its outer image holds only in a type wider than B's
         q = build_recipe(recipe)
         dense = q.dense()
         assert np.array_equal(dense, recipe_oracle(recipe))
@@ -841,55 +880,32 @@ class TestFloatProducts:
         "paley2(5);double;double", "paley1(11);double;double;double",
         "kron(paley1(3),paley2(5))", "kron(unit;double,paley1(3));double"])
     @pytest.mark.parametrize("signs", [True, False])
-    def test_one_scan_per_product(self, monkeypatch, recipe, signs):
-        # rmatmul scans B once; every layer below derives its bound, which
-        # must bound the rows that each leaf (circulant or unit) is given
-        bounds = []
-        real_circulant, real_unit = (constructions._paley_circulant,
-                                     constructions.unit)
-
-        def logged(right_mul):
-            def run(x, out, amp):
-                bounds.append((amp, int(np.abs(x).max(initial=0))))
-                right_mul(x, out, amp)
-            return run
-
-        monkeypatch.setattr(constructions, "_paley_circulant",
-                            lambda *args: logged(real_circulant(*args)))
-
-        def unit_logged():
-            q = real_unit()
-            q.right_mul = logged(q.right_mul)
-            return q
-
-        monkeypatch.setattr(constructions, "unit", unit_logged)
+    def test_one_scan_per_product(self, recipe, signs):
+        # rmatmul scans B for its 2^53 check, and each circulant and each
+        # Kronecker product scans the rows it is given: the product equals
+        # the oracle for sign B and for B in -3..3
         q = build_recipe(recipe)
-        scans = []
-        real = constructions._amplitude
-        monkeypatch.setattr(constructions, "_amplitude",
-                            lambda x: scans.append(x.shape) or real(x))
         rng = np.random.default_rng(q.order)
         if signs:
             b = rng.integers(0, 2, size=(q.order, 3)) * 2 - 1
         else:
             b = rng.integers(-3, 4, size=(q.order, 3))
         p = q.rmatmul(b.astype(np.int8))
-        assert scans == [b.shape]
-        assert bounds and all(amp >= seen for amp, seen in bounds)
         assert np.array_equal(p, b.T @ recipe_oracle(recipe).astype(np.int64))
 
     @pytest.mark.parametrize("amp,levels,dtype", [
         (1, 6, np.int8), (1, 7, np.int16), (127, 1, np.int16),
         (1 << 8, 7, np.int32), (1 << 24, 7, np.int64)])
     def test_transform_type_holds_its_values(self, amp, levels, dtype):
-        # the leaf reads B's blocks in B's own type with B's bound, and the
-        # float64 butterflies hold its image up to 2^L max|B| exactly, also
-        # at the edge of each integer type
-        q = build_recipe("unit" + ";double" * levels)
-        seen = []
-        real = q.leaf.right_mul
-        q.leaf.right_mul = lambda x, out, amp: (seen.append((x.dtype, amp)),
-                                                real(x, out, amp))
+        # the leaf reads B's blocks in B's own type and of B's size, and
+        # the float64 butterflies hold its image up to 2^L max|B| exactly,
+        # also at the edge of each integer type
+        q, seen = unit(), []
+        real = q.right_mul
+        q.right_mul = lambda x, out: (
+            seen.append((x.dtype, int(np.abs(x).max()))), real(x, out))
+        for _ in range(levels):
+            q = sylvester_double(q)
         b = np.full((q.order, 2), amp, dtype=dtype)
         b[1::3, 0] = -amp
         p = q.rmatmul(b)
@@ -1011,7 +1027,7 @@ class TestRecipes:
     def test_planned_leaf_gets_the_bound_it_was_admitted_on(
             self, monkeypatch, kind, order):
         # every leaf reads sign rows of B: the circulant of the prime the
-        # planner admitted gets amp = 1, the rows it was admitted on
+        # planner admitted gets rows of max 1, the rows it was admitted on
         admitted, reached = [], []
         real_fft, real_circulant = (constructions._paley_fft,
                                     constructions._paley_circulant)
@@ -1024,9 +1040,9 @@ class TestRecipes:
         def circulant_logged(*args):
             conv = real_circulant(*args)
 
-            def logged(x, out, amp):
-                reached.append((args[0], amp))
-                conv(x, out, amp)
+            def logged(x, out):
+                reached.append((args[0], int(np.abs(x).max())))
+                conv(x, out)
             return logged
 
         monkeypatch.setattr(constructions, "_paley_fft", fft_logged)
